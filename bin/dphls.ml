@@ -32,7 +32,7 @@ let list_cmd =
            ])
          Dphls_kernels.Catalog.all)
   in
-  Cmd.v (Cmd.info "list" ~doc:"Show the 15-kernel catalog")
+  Cmd.v (Cmd.info "list" ~doc:"Show the 19-kernel catalog")
     Term.(const run $ const ())
 
 (* ---- align ---- *)

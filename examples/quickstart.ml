@@ -30,7 +30,7 @@ let () =
     c.Dphls_systolic.Engine.compute c.Dphls_systolic.Engine.reduction
     c.Dphls_systolic.Engine.traceback c.Dphls_systolic.Engine.fill;
 
-  (* The golden full-matrix engine must agree bit-for-bit. *)
+  (* The golden engine must agree bit-for-bit. *)
   let golden = Dphls_reference.Ref_engine.run K1.kernel K1.default workload in
   assert (Result.equal_alignment result golden);
   print_endline "golden engine agrees.";

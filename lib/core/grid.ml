@@ -34,19 +34,6 @@ let neighbor t ~row ~col ~layer =
   else if col = -1 then k.Kernel.init_col t.params ~qry_len:t.qry_len ~layer ~row
   else t.read ~row ~col ~layer
 
-let layers t f = Array.init t.kernel.Kernel.n_layers f
-
-let pe_input t ~query ~reference ~row ~col =
-  {
-    Pe.up = layers t (fun layer -> neighbor t ~row:(row - 1) ~col ~layer);
-    diag = layers t (fun layer -> neighbor t ~row:(row - 1) ~col:(col - 1) ~layer);
-    left = layers t (fun layer -> neighbor t ~row ~col:(col - 1) ~layer);
-    qry = query.(row);
-    rf = reference.(col);
-    row;
-    col;
-  }
-
 let fill_input t (buf : Pe.buffers) ~query ~reference ~row ~col =
   let n = t.kernel.Kernel.n_layers in
   let up = buf.Pe.b_up and diag = buf.Pe.b_diag and left = buf.Pe.b_left in
@@ -59,5 +46,3 @@ let fill_input t (buf : Pe.buffers) ~query ~reference ~row ~col =
   buf.Pe.b_rf <- reference.(col);
   buf.Pe.b_row <- row;
   buf.Pe.b_col <- col
-
-let worst t = t.worst

@@ -1,5 +1,7 @@
-(** Border- and band-aware neighbour access shared by the golden engine
-    and the systolic engine, so that both see bit-identical PE inputs.
+(** Border- and band-aware neighbour access. Both engines take their
+    border values from here (the golden engine writes them into its
+    score-row ring once per row) and the vector replay assembles whole
+    PE inputs with it, so all of them see bit-identical PE inputs.
 
     The DP matrix is surrounded by a virtual row/column at index -1 whose
     values come from the kernel's [init_row]/[init_col]/[origin]; pruned
@@ -22,17 +24,10 @@ val create :
 val neighbor : 'p t -> row:int -> col:int -> layer:int -> Types.score
 (** Score of any coordinate in [-1, len): border, pruned or stored. *)
 
-val pe_input :
-  'p t -> query:Types.seq -> reference:Types.seq -> row:int -> col:int -> Pe.input
-(** Assemble the full [PE_func] input for cell (row, col), allocating
-    fresh neighbour arrays (boxed contract). *)
-
 val fill_input :
   'p t -> Pe.buffers -> query:Types.seq -> reference:Types.seq ->
   row:int -> col:int -> unit
-(** Same, but written into the caller's register file in place (flat
-    contract): fills [b_up]/[b_diag]/[b_left] element-wise and points
+(** Assemble the full [PE_func] input for cell (row, col) in the
+    caller's register file in place (flat contract): fills [b_up]/[b_diag]/[b_left] element-wise and points
     [b_qry]/[b_rf]/[b_row]/[b_col] at cell (row, col). Allocates
     nothing. *)
-
-val worst : 'p t -> Types.score

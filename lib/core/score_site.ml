@@ -1,31 +1,13 @@
-let find ~objective ~rule ~in_band ~score_at ~qry_len ~ref_len =
-  if qry_len < 1 || ref_len < 1 then invalid_arg "Score_site.find: empty matrix";
-  let best = Traceback.Best_cell.create objective in
-  let observe row col =
-    if in_band ~row ~col then
-      Traceback.Best_cell.observe best { Types.row; col } (score_at ~row ~col)
-  in
-  (match (rule : Traceback.start_rule) with
-  | Bottom_right -> observe (qry_len - 1) (ref_len - 1)
-  | Global_best ->
-    for row = 0 to qry_len - 1 do
-      for col = 0 to ref_len - 1 do
-        observe row col
-      done
-    done
-  | Last_row_best ->
-    for col = 0 to ref_len - 1 do
-      observe (qry_len - 1) col
-    done
-  | Last_row_or_col_best ->
-    for col = 0 to ref_len - 1 do
-      observe (qry_len - 1) col
-    done;
-    for row = 0 to qry_len - 1 do
-      observe row (ref_len - 1)
-    done);
+let[@inline] observes rule ~qry_len ~ref_len ~row ~col =
+  match (rule : Traceback.start_rule) with
+  | Bottom_right -> row = qry_len - 1 && col = ref_len - 1
+  | Global_best -> true
+  | Last_row_best -> row = qry_len - 1
+  | Last_row_or_col_best -> row = qry_len - 1 || col = ref_len - 1
+
+let resolve ~objective ~qry_len ~ref_len best =
   match Traceback.Best_cell.get best with
-  | Some (cell, score) -> (cell, score)
+  | Some site -> site
   | None ->
     (* Every candidate cell was pruned; report the worst value at the
        bottom-right corner so callers still get a well-formed result. *)

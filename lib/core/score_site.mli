@@ -1,19 +1,24 @@
 (** Locating the kernel's objective value in the DP matrix (and the
     traceback start) according to the kernel's {!Traceback.start_rule}.
 
-    Shared by both engines; ties break canonically toward the lowest
-    (row, col), matching {!Traceback.Best_cell}. *)
+    Shared by both engines: each feeds every computed (in-band) cell
+    that {!observes} admits into a {!Traceback.Best_cell} as the cell
+    retires, then calls {!resolve}. Ties break canonically toward the
+    lowest (row, col), so the site does not depend on visit order. *)
 
-val find :
+val observes :
+  Traceback.start_rule -> qry_len:int -> ref_len:int -> row:int -> col:int -> bool
+(** Whether cell (row, col)'s layer-0 score is a candidate for the
+    score site: the bottom-right cell, any cell, the last row, or the
+    last row and last column. *)
+
+val resolve :
   objective:Dphls_util.Score.objective ->
-  rule:Traceback.start_rule ->
-  in_band:(row:int -> col:int -> bool) ->
-  score_at:(row:int -> col:int -> Types.score) ->
   qry_len:int ->
   ref_len:int ->
+  Traceback.Best_cell.t ->
   Types.cell * Types.score
-(** [score_at] reads the layer-0 score of an in-matrix cell (pruned cells
-    must read as the objective's worst value). [in_band] is the caller's
-    band membership — static {!Banding.in_band} for [None]/[Fixed] bands,
-    {!Banding.Tracker.member} for adaptive bands. Raises
-    [Invalid_argument] on empty matrices. *)
+(** The best observed cell and its score. When no cell was observed
+    (every candidate was pruned) the site is the bottom-right cell with
+    the objective's worst value, so callers still get a well-formed
+    result. *)

@@ -1,7 +1,8 @@
 (** The traceback walker: drives a kernel's FSM over stored pointers.
 
     Both engines share this walker; they differ only in how pointers are
-    stored (full matrix vs. banked, address-coalesced traceback memory),
+    stored (a row-major 16-bit plane vs. banked, address-coalesced
+    traceback memory),
     which the [ptr_at] callback abstracts. *)
 
 type outcome = {

@@ -1,7 +1,7 @@
 (** Co-simulation: the paper's verification flow (Fig 2A) as a library.
 
     The real DP-HLS flow checks C-simulation output against RTL
-    co-simulation before deployment; here the golden full-matrix engine
+    co-simulation before deployment; here the golden rolling-row engine
     plays the C-sim role and the cycle-level systolic engine the RTL
     role, with an optional third implementation of the PE (typically the
     symbolic datapath's evaluator) standing in for the synthesized

@@ -6,7 +6,7 @@
     simulator to obtain device-cycle estimates too. *)
 
 type engine =
-  | Golden                   (** exact full-matrix engine *)
+  | Golden                   (** exact rolling-row DP engine *)
   | Systolic of int          (** cycle-level array with the given N_PE *)
   | Bitpar
       (** bit-parallel Myers engine: score-only, no traceback; raises

@@ -1,7 +1,7 @@
 (** The pluggable-engine contract.
 
     Every alignment backend — the cycle-level systolic simulator, the
-    golden full-matrix engine, the bit-parallel Myers fast path, and any
+    golden rolling-row engine, the bit-parallel Myers fast path, and any
     future dataflow variant — implements {!S} and registers in
     {!Engines}, so host APIs, the CLI, cosim and the vector harness
     select engines by name instead of hard-wiring module calls.

@@ -17,7 +17,7 @@ val systolic : Engine_intf.t
 (** The cycle-level systolic-array simulator ({!Dphls_systolic.Engine}). *)
 
 val reference : Engine_intf.t
-(** The golden full-matrix engine ({!Dphls_reference.Ref_engine}).
+(** The golden rolling-row engine ({!Dphls_reference.Ref_engine}).
     [config.golden_chunked] replays the systolic chunked traversal for
     cosim; it produces no device stats and supports no capture stream. *)
 

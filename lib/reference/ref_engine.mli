@@ -1,24 +1,38 @@
-(** Golden full-matrix DP engine.
+(** Golden rolling-row DP engine.
 
-    Fills the whole DP matrix with O(q*r) memory and runs the kernel's
-    traceback FSM over the stored pointers. This is the correctness
-    oracle for the systolic engine (the paper's C-simulation
-    verification step) and the computational body of the SeqAn3-like CPU
-    baseline.
+    The correctness oracle for the systolic engine (the paper's
+    C-simulation verification step) and the default [Golden] engine of
+    [Dphls.Align]/[Dphls.Batch]. Like the paper's generated array it
+    never holds the score matrix: one chunked traversal walks the matrix
+    over a ring of score rows, reads every neighbour (borders and pruned
+    cells included) straight from the ring, and keeps only a 16-bit
+    traceback plane for the whole matrix. The score site is tracked as
+    cells retire ({!Dphls_core.Score_site}).
 
-    Unbanded and fixed-band kernels fill row-major. Adaptive-band
-    kernels replay the systolic engine's chunked anti-diagonal traversal
-    (chunks of [band_pe] query rows), because the adaptive window is
-    steered by completed wavefronts and therefore depends on the array
-    height: pass the systolic run's N_PE as [band_pe] to prune exactly
-    the same cells. The default ([band_pe] = query length) is the
-    canonical single-chunk, full-height wavefront. [band_pe] is ignored
-    for non-adaptive kernels. *)
+    Unbanded and fixed-band kernels traverse row-major over a ring of
+    two rows: O([n_layers * ref_len]) words of scores plus 2 bytes per
+    cell of traceback plane (none when the kernel has no traceback).
+    Adaptive-band kernels replay the systolic engine's chunked
+    anti-diagonal traversal (chunks of [band_pe] query rows) over a ring
+    of [band_pe + 1] rows, because the adaptive window is steered by
+    completed wavefronts and therefore depends on the array height: pass
+    the systolic run's N_PE as [band_pe] to prune exactly the same
+    cells. The default ([band_pe] = query length) is the canonical
+    single-chunk, full-height wavefront, whose ring holds every row.
+    Adaptive bands also keep the band tracker's 1-byte-per-cell
+    membership map. [band_pe] is ignored for non-adaptive kernels.
+
+    A PE traceback pointer outside [0 .. 0xFFFF] raises
+    [Invalid_argument] naming the cell ({!Dphls_core.Kernel.validate}
+    bounds [tb_bits] to 16); it is never truncated. *)
 
 type matrices = {
   scores : Dphls_core.Types.score array array array;
-      (** [scores.(layer).(row).(col)] *)
-  pointers : int array array;  (** [pointers.(row).(col)], 0 when pruned *)
+      (** [scores.(layer).(row).(col)], the objective's worst value when
+          pruned *)
+  pointers : int array array;
+      (** [pointers.(row).(col)], 0 when pruned or when the kernel has no
+          traceback *)
 }
 
 val run :
@@ -40,7 +54,9 @@ val run_full :
   ?tracer:Dphls_obs.Tracer.t ->
   'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t ->
   Dphls_core.Result.t * matrices
-(** Same, also exposing the filled matrices (debugging, tests). *)
+(** Same traversal with the ring sized to every row, also exposing the
+    filled matrices (O([n_layers * qry_len * ref_len]) words; the vector
+    harness's reference capture). *)
 
 val score_only :
   ?band_pe:int ->
@@ -51,7 +67,7 @@ val band_map :
   ?band_pe:int ->
   'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t ->
   (row:int -> col:int -> bool)
-(** Band membership this engine would compute for the workload — the
+(** Band membership this engine's fill computes for the workload — the
     static predicate for [None]/[Fixed] banding, the realized adaptive
     window (at [band_pe]) otherwise. Used by trace checkers to predict
     exactly which cells the systolic engine fires. *)

@@ -53,14 +53,6 @@ let cycles_estimate config kernel _params ~qry_len ~ref_len ~tb_steps =
     ~traceback:tb_steps
     ~fill:(Schedule.pipeline_fill_cycles schedule)
 
-(* Whether a cell's layer-0 score participates in the score-site search. *)
-let observes rule ~qry_len ~ref_len ~row ~col =
-  match (rule : Traceback.start_rule) with
-  | Bottom_right -> row = qry_len - 1 && col = ref_len - 1
-  | Global_best -> true
-  | Last_row_best -> row = qry_len - 1
-  | Last_row_or_col_best -> row = qry_len - 1 || col = ref_len - 1
-
 (* The engine is decomposed into communicating stages in the TAPA style
    (ROADMAP item 4): fetch/init (the prologue) builds a self-contained
    task context, the compute stage runs the wavefront pipeline over it,
@@ -343,7 +335,7 @@ let compute_stage (t : _ task) ~trace =
               Array.blit out 0 t.preserved.(col) 0 n_layers;
               t.preserved_tag.(col) <- chunk
             end;
-            if observes score_site ~qry_len ~ref_len ~row ~col then
+            if Score_site.observes score_site ~qry_len ~ref_len ~row ~col then
               Traceback.Best_cell.observe_rc t.trackers.(pe) ~row ~col out.(0);
             t.fires <- t.fires + 1;
             if trace_on then
@@ -381,14 +373,13 @@ let compute_stage (t : _ task) ~trace =
 
 (* Stage 3 — reduction over per-PE local bests (§5.2). *)
 let reduce_stage (t : _ task) =
+  let objective = t.kernel.Kernel.objective in
   let merged =
     Array.fold_left Traceback.Best_cell.merge
-      (Traceback.Best_cell.create t.kernel.Kernel.objective)
+      (Traceback.Best_cell.create objective)
       t.trackers
   in
-  match Traceback.Best_cell.get merged with
-  | Some (cell, score) -> (cell, score)
-  | None -> ({ Types.row = t.qry_len - 1; col = t.ref_len - 1 }, t.worst)
+  Score_site.resolve ~objective ~qry_len:t.qry_len ~ref_len:t.ref_len merged
 
 (* Stage 4 — traceback: walk the banked pointer memory from the best
    cell. *)

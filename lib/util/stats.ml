@@ -39,14 +39,12 @@ let percentile_exact xs p =
   (* nearest-rank: the smallest observed value with at least p% of the
      samples at or below it. Never interpolates, so the result is always
      a sample that actually occurred — what an SLO verdict must compare
-     against. ceil(p/100 * n) computed in exact integer arithmetic keeps
-     boundary ranks (p = 50 on even n, p = 100) free of float rounding. *)
+     against. For integral p, ceil(p/100 * n) is computed in exact
+     integer arithmetic, so no rank is off by float rounding (in floats,
+     p = 56 on n = 25 gives ceil 14.000000000000002 = 15, not 14). *)
   let rank =
-    let scaled = p *. float_of_int n /. 100.0 in
-    let c = int_of_float (ceil scaled) in
-    (* guard against ceil landing below the true rank on exact
-       boundaries misrepresented by the float product *)
-    if float_of_int c < scaled then c + 1 else c
+    if Float.is_integer p then ((int_of_float p * n) + 99) / 100
+    else int_of_float (ceil (p *. float_of_int n /. 100.0))
   in
   s.(max 0 (min (n - 1) (rank - 1)))
 

@@ -15,7 +15,8 @@ val percentile : float array -> float -> float
 val percentile_exact : float array -> float -> float
 (** [percentile_exact xs p] is the nearest-rank percentile: the smallest
     value [v] in [xs] such that at least [p]% of the samples are [<= v]
-    (rank [ceil (p/100 * n)], 1-based; [p = 0] returns the minimum).
+    (rank [ceil (p/100 * n)], 1-based, exact integer arithmetic for
+    integral [p]; [p = 0] returns the minimum).
     Unlike {!percentile} it never interpolates, so the result is always
     an observed sample — with one sample every percentile is that
     sample, and p99 on small [n] is the maximum rather than an

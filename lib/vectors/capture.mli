@@ -41,8 +41,8 @@ val reference :
   n_pe:int ->
   Dphls_core.Workload.t ->
   Stream.t * Dphls_core.Result.t
-(** Reconstruct the same streams from the golden full-matrix engine:
-    [Ref_engine.run_full] scores/pointers read back through the
+(** Reconstruct the same streams from the golden engine's full
+    matrices: [Ref_engine.run_full] scores/pointers read back through the
     schedule arithmetic and [Ref_engine.band_map ~band_pe:n_pe]. The
     golden engine has no band-tracker trajectory, so the vector carries
     no window records; {!Stream.diff} accounts for that. *)

@@ -266,23 +266,69 @@ let test_kernel_validation_guards () =
        false
      with Invalid_argument _ -> true)
 
+(* The engines' score-site protocol — every computed cell that
+   [Score_site.observes] admits goes to a [Best_cell] as it retires, then
+   [Score_site.resolve] — against an exhaustive scan of each start rule's
+   candidate cells, written out independently. Cells are visited in a
+   random order (the site must not depend on traversal order), about a
+   quarter are pruned, and an all-pruned candidate set must resolve to
+   the worst score at the bottom-right cell. *)
 let prop_score_site_matches_exhaustive =
-  QCheck.Test.make ~name:"score_site find equals exhaustive scan" ~count:200
-    QCheck.(pair (int_range 1 12) (int_range 1 12))
-    (fun (q, r) ->
-      let rng = Dphls_util.Rng.create (q * 100 + r) in
-      let scores =
-        Array.init q (fun _ -> Array.init r (fun _ -> Dphls_util.Rng.int rng 20))
+  QCheck.Test.make ~name:"score_site observes/resolve == scan" ~count:200
+    QCheck.(triple (int_range 1 12) (int_range 1 12) (int_range 0 10_000))
+    (fun (q, r, seed) ->
+      let module Rng = Dphls_util.Rng in
+      let rng = Rng.create seed in
+      let scores = Array.init q (fun _ -> Array.init r (fun _ -> Rng.int rng 20)) in
+      let pruned = Array.init q (fun _ -> Array.init r (fun _ -> Rng.int rng 4 = 0)) in
+      let order = Array.init (q * r) (fun i -> (i / r, i mod r)) in
+      Rng.shuffle rng order;
+      let all = List.init (q * r) (fun i -> (i / r, i mod r)) in
+      let candidates (rule : Traceback.start_rule) =
+        match rule with
+        | Bottom_right -> [ (q - 1, r - 1) ]
+        | Global_best -> all
+        | Last_row_best -> List.filter (fun (row, _) -> row = q - 1) all
+        | Last_row_or_col_best ->
+          List.filter (fun (row, col) -> row = q - 1 || col = r - 1) all
       in
-      let score_at ~row ~col = scores.(row).(col) in
-      let cell, best =
-        Score_site.find ~objective:Score.Maximize ~rule:Traceback.Global_best
-          ~in_band:(fun ~row:_ ~col:_ -> true)
-          ~score_at ~qry_len:q ~ref_len:r
+      let expected objective rule =
+        let live =
+          List.filter (fun (row, col) -> not pruned.(row).(col)) (candidates rule)
+        in
+        match live with
+        | [] -> ({ Types.row = q - 1; col = r - 1 }, Score.worst_value objective)
+        | first :: _ ->
+          let score_of (row, col) = scores.(row).(col) in
+          let pick =
+            match (objective : Score.objective) with
+            | Maximize -> max
+            | Minimize -> min
+          in
+          let top = List.fold_left (fun a c -> pick a (score_of c)) (score_of first) live in
+          (* [all] is row-major, so the first cell at the top score is the
+             lowest (row, col) *)
+          let row, col = List.find (fun c -> score_of c = top) live in
+          ({ Types.row; col }, top)
       in
-      let manual_best = ref min_int in
-      Array.iter (Array.iter (fun v -> if v > !manual_best then manual_best := v)) scores;
-      best = !manual_best && scores.(cell.Types.row).(cell.Types.col) = best)
+      List.for_all
+        (fun objective ->
+          List.for_all
+            (fun rule ->
+              let best = Traceback.Best_cell.create objective in
+              Array.iter
+                (fun (row, col) ->
+                  if
+                    (not pruned.(row).(col))
+                    && Score_site.observes rule ~qry_len:q ~ref_len:r ~row ~col
+                  then
+                    Traceback.Best_cell.observe_rc best ~row ~col scores.(row).(col))
+                order;
+              Score_site.resolve ~objective ~qry_len:q ~ref_len:r best
+              = expected objective rule)
+            Traceback.
+              [ Bottom_right; Global_best; Last_row_best; Last_row_or_col_best ])
+        Score.[ Maximize; Minimize ])
 
 let suite =
   [

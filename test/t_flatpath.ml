@@ -1,7 +1,8 @@
 (* Compiled flat datapath tests: saturating Mul/Abs at width-62 extremes,
    compile-pass structure (CSE, constant folding, strict binding), an
    allocation regression pinning the O(1)-words-per-wavefront property of
-   the compiled hot path, and a catalog-wide differential fuzz of the
+   the compiled hot path, the golden engine's under-a-word-per-cell
+   allocation and its 16-bit pointer guard, and a catalog-wide differential fuzz of the
    compiled planes against the boxed interpreter through both engines. *)
 open Dphls_core
 module Score = Dphls_util.Score
@@ -158,6 +159,56 @@ let test_allocation_regression () =
     (Printf.sprintf "boxed allocates > 10x compiled (%d vs %d words)" boxed compiled)
     true (boxed > 10 * compiled)
 
+(* The golden engine keeps a ring of score rows and a 2-byte-per-cell
+   traceback plane, never the score matrix: a whole unbanded K02 run,
+   counting major-heap allocations (the plane) as well as minor ones,
+   stays under one word per cell. A full n_layers x q x r score matrix
+   alone would be three. *)
+let test_golden_allocation () =
+  let module K02 = Dphls_kernels.K02_global_affine in
+  let len = 256 in
+  let rng = Dphls_util.Rng.create 405 in
+  let w =
+    Workload.of_bases
+      ~query:(Dphls_alphabet.Dna.random rng len)
+      ~reference:(Dphls_alphabet.Dna.random rng len)
+  in
+  let run () = Dphls_reference.Ref_engine.run K02.kernel K02.default w in
+  ignore (run ()) (* warm-up *);
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (run ()));
+  let minor1, promoted1, major1 = Gc.counters () in
+  let words =
+    int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  let cells = len * len in
+  Alcotest.(check bool)
+    (Printf.sprintf "golden run allocates < 1 word/cell (%d words, %d cells)" words
+       cells)
+    true (words < cells)
+
+(* A PE pointer that does not fit the golden engine's 16-bit traceback
+   plane is an error naming the cell, never a silent truncation. *)
+let test_golden_wide_pointer () =
+  let module K01 = Dphls_kernels.K01_global_linear in
+  let k = K01.kernel in
+  let pe_flat p =
+    let inner = Kernel.flat_pe k p in
+    fun (buf : Pe.buffers) ->
+      inner buf;
+      if buf.Pe.b_row = 2 && buf.Pe.b_col = 1 then buf.Pe.b_tb <- 0x10000
+  in
+  let wide = { k with Kernel.pe_flat = Some pe_flat } in
+  let w =
+    Workload.of_bases ~query:(Dphls_alphabet.Dna.of_string "ACGT")
+      ~reference:(Dphls_alphabet.Dna.of_string "ACGT")
+  in
+  Alcotest.check_raises "names the cell"
+    (Invalid_argument
+       "Ref_engine: PE traceback pointer 65536 at cell (2,1) does not fit the \
+        16-bit traceback plane")
+    (fun () -> ignore (Dphls_reference.Ref_engine.run wide K01.default w))
+
 (* ------------------------------------------------------------------ *)
 (* Catalog-wide differential fuzz: compiled planes vs boxed interpreter
    closures through BOTH engines, alignments AND cycle-level stats
@@ -202,5 +253,9 @@ let suite =
     Alcotest.test_case "compile/exec guards" `Quick test_compile_guards;
     Alcotest.test_case "compiled hot path is allocation-free" `Quick
       test_allocation_regression;
+    Alcotest.test_case "golden engine allocates under a word per cell" `Quick
+      test_golden_allocation;
+    Alcotest.test_case "golden engine rejects pointers wider than 16 bits" `Quick
+      test_golden_wide_pointer;
   ]
   @ differential_tests

@@ -146,6 +146,9 @@ let test_percentile_exact_edges () =
     (Stats.percentile_exact hundred 99.0);
   Alcotest.(check (float 0.0)) "100 samples, p100 = max" 100.0
     (Stats.percentile_exact hundred 100.0);
+  let twenty_five = Array.init 25 (fun i -> float_of_int (i + 1)) in
+  Alcotest.(check (float 0.0)) "25 samples, p56 = 14th value" 14.0
+    (Stats.percentile_exact twenty_five 56.0);
   Alcotest.(check bool) "empty still rejected" true
     (try
        ignore (Stats.percentile_exact [||] 50.0);
@@ -154,7 +157,8 @@ let test_percentile_exact_edges () =
 
 (* Loop oracle: percentile_exact xs p must equal the smallest observed
    value v with #(samples <= v) >= ceil(p/100 * n), found by brute
-   force over the samples themselves. *)
+   force over the samples themselves. The rank is computed in integers:
+   in floats, p = 56 on n = 25 gives ceil 14.000000000000002 = 15. *)
 let test_percentile_exact_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:500 ~name:"percentile_exact = loop oracle"
@@ -165,11 +169,9 @@ let test_percentile_exact_oracle =
        (fun (ints, p) ->
          QCheck.assume (ints <> []);
          let xs = Array.of_list (List.map float_of_int ints) in
-         let p = float_of_int p in
          let n = Array.length xs in
-         let need =
-           max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n)))
-         in
+         let need = max 1 (((p * n) + 99) / 100) in
+         let p = float_of_int p in
          let le v = Array.fold_left (fun a x -> if x <= v then a + 1 else a) 0 xs in
          let oracle =
            Array.fold_left
