@@ -143,7 +143,7 @@ let test_batch =
 (* RTL emission: generate and lint one full design. *)
 let test_rtl =
   let e = Dphls_kernels.Catalog.find 2 in
-  let cell, bindings = Dphls_kernels.Datapaths.cell_for 2 in
+  let cell, bindings = Registry.datapath e.Dphls_kernels.Catalog.packed in
   let (Registry.Packed (k, _)) = e.Dphls_kernels.Catalog.packed in
   Test.make ~name:"rtl:emit-and-lint-kernel2"
     (Staged.stage (fun () ->
@@ -268,65 +268,91 @@ let banding_bench ?(len = 512) () =
   close_out oc;
   Printf.printf "wrote BENCH_2.json\n%!"
 
-(* ---- PE datapath comparison: interpreted-boxed vs compiled flat ----
+(* ---- PE datapath comparison: interpreter vs compiled program ----
 
-   The same workloads through the systolic engine twice — once with the
-   kernel's compiled flat datapath (the default) and once with the
-   symbolic interpreter's boxed closure ([Datapath.eval], the evaluator
-   the compile pass replaces) substituted as the PE — across three
-   recurrence shapes and three array widths. Wall-clock per alignment
-   and cells/s per mode land in BENCH_3.json. *)
+   Every cell of one workload through the kernel's datapath twice, at the
+   PE level (no engine around it): once through the reference
+   interpreter [Datapath.eval] and once through the compiled flat program
+   the engines run ([Kernel.flat_pe]), across three recurrence shapes.
+   Neighbour scores come from a rolling row of the DP itself. Best-of-5
+   wall-clock per sweep and cells/s per evaluator land in BENCH_3.json. *)
+
+(* One row-major sweep of [w]'s matrix (zero borders): [cell] writes the
+   layer scores of (i, j) into [out] from the neighbour rows. *)
+let pe_sweep ~n_layers (w : Workload.t) cell =
+  let q = w.Workload.query and r = w.Workload.reference in
+  let n = Array.length r in
+  let prev = ref (Array.init (n + 1) (fun _ -> Array.make n_layers 0)) in
+  let cur = ref (Array.init (n + 1) (fun _ -> Array.make n_layers 0)) in
+  Array.iteri
+    (fun i qc ->
+      let pv = !prev and cv = !cur in
+      for j = 0 to n - 1 do
+        cell ~up:pv.(j + 1) ~diag:pv.(j) ~left:cv.(j) ~qry:qc ~rf:r.(j) ~row:i
+          ~col:j ~out:cv.(j + 1)
+      done;
+      prev := cv;
+      cur := pv)
+    q
+
 let pe_bench ?(len = 256) () =
   let shapes = [ (1, "linear"); (2, "affine"); (9, "dtw") ] in
-  let widths = [ 1; 8; 32 ] in
-  let time_run cfg k p w =
-    ignore (Dphls_systolic.Engine.run cfg k p w) (* warm-up *);
+  let time_sweep f =
+    f () (* warm-up *);
     let best = ref infinity in
     for _ = 1 to 5 do
       let t0 = Unix.gettimeofday () in
-      ignore (Dphls_systolic.Engine.run cfg k p w);
+      f ();
       best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
     !best *. 1e9
   in
   let runs =
-    List.concat_map
+    List.map
       (fun (id, shape) ->
         let e = Dphls_kernels.Catalog.find id in
         let rng = Dphls_util.Rng.create (seed + id) in
         let w = e.Dphls_kernels.Catalog.gen rng ~len in
         let (Registry.Packed (k, p)) = e.packed in
-        let cell, bindings = Dphls_kernels.Datapaths.cell_for id in
-        let interp = Datapath.eval cell bindings in
-        let boxed = { k with Kernel.pe = (fun _ -> interp); pe_flat = None } in
-        let cells =
-          Array.length w.Workload.query * Array.length w.Workload.reference
+        let n_layers = k.Kernel.n_layers in
+        let eval_cell =
+          let cell, bindings = k.Kernel.datapath p in
+          let f = Datapath.eval cell bindings in
+          fun ~up ~diag ~left ~qry ~rf ~row ~col ~out ->
+            let o = f { Pe.up; diag; left; qry; rf; row; col } in
+            Array.blit o.Pe.scores 0 out 0 n_layers
         in
-        List.map
-          (fun n_pe ->
-            let cfg = Dphls_systolic.Config.create ~n_pe in
-            {
-              Dphls_host.Throughput.kernel = Printf.sprintf "%s(#%d)" shape id;
-              n_pe;
-              cells;
-              boxed_ns = time_run cfg boxed p w;
-              compiled_ns = time_run cfg k p w;
-            })
-          widths)
+        let compiled_cell =
+          let flat = Kernel.flat_pe k p in
+          let b = Pe.create_buffers ~n_layers in
+          fun ~up ~diag ~left ~qry ~rf ~row ~col ~out ->
+            b.Pe.b_up <- up;
+            b.Pe.b_diag <- diag;
+            b.Pe.b_left <- left;
+            b.Pe.b_qry <- qry;
+            b.Pe.b_rf <- rf;
+            b.Pe.b_row <- row;
+            b.Pe.b_col <- col;
+            b.Pe.b_scores <- out;
+            flat b
+        in
+        {
+          Dphls_host.Throughput.kernel = Printf.sprintf "%s(#%d)" shape id;
+          cells = Workload.cells w;
+          eval_ns = time_sweep (fun () -> pe_sweep ~n_layers w eval_cell);
+          compiled_ns = time_sweep (fun () -> pe_sweep ~n_layers w compiled_cell);
+        })
       shapes
   in
   Dphls_util.Pretty.print_table
     ~title:
-      (Printf.sprintf "PE datapath: boxed interpreter vs compiled flat (len=%d)"
-         len)
-    ~header:
-      [ "kernel"; "N_PE"; "boxed us"; "compiled us"; "compiled Mc/s"; "speedup" ]
+      (Printf.sprintf "PE datapath: Datapath.eval vs compiled flat (len=%d)" len)
+    ~header:[ "kernel"; "eval us"; "compiled us"; "compiled Mc/s"; "speedup" ]
     (List.map
        (fun (r : Dphls_host.Throughput.pe_run) ->
          [
            r.kernel;
-           string_of_int r.n_pe;
-           Printf.sprintf "%.1f" (r.boxed_ns /. 1e3);
+           Printf.sprintf "%.1f" (r.eval_ns /. 1e3);
            Printf.sprintf "%.1f" (r.compiled_ns /. 1e3);
            Printf.sprintf "%.1f"
              (Dphls_host.Throughput.pe_cells_per_sec ~cells:r.cells

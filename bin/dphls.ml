@@ -57,19 +57,6 @@ let band_override ~mode ~width ~threshold =
 
 let band_doc = "Band override: kernel (keep), none, fixed or adaptive"
 
-(* --datapath compiled|boxed selects the PE implementation; results are
-   bit-identical, boxed exists for differential checking and as the
-   reference semantics. *)
-let datapath_override ~mode k =
-  match mode with
-  | "compiled" -> k
-  | "boxed" -> Kernel.boxed k
-  | other ->
-    Printf.eprintf "unknown datapath %S (compiled | boxed)\n" other;
-    exit 2
-
-let datapath_doc = "PE datapath: compiled (default) or boxed interpreter"
-
 (* --engine selects the backend through the registry; "auto" defers to
    Engines.select per workload. Unknown names exit 2 listing the valid
    values, like the other enum flags. *)
@@ -84,7 +71,7 @@ let engine_doc =
   "Engine: auto (fast path when provably safe), systolic, reference or bitpar"
 
 let align_run kernel_spec query reference n_pe vcd_path band_mode band_width
-    band_threshold datapath_mode engine_mode overlap =
+    band_threshold engine_mode overlap =
   let e = find_kernel kernel_spec in
   let id = Registry.id e.packed in
   if List.mem id [ 8; 9; 14 ] then begin
@@ -106,7 +93,6 @@ let align_run kernel_spec query reference n_pe vcd_path band_mode band_width
     | None -> k
     | Some banding -> { k with Kernel.banding }
   in
-  let k = datapath_override ~mode:datapath_mode k in
   let choice = engine_override ~mode:engine_mode in
   let metrics = Dphls_obs.Metrics.create () in
   let qry_len, ref_len = Workload.sizes w in
@@ -205,9 +191,6 @@ let align_cmd =
       & opt int Banding.default_threshold
       & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
   in
-  let datapath =
-    Arg.(value & opt string "compiled" & info [ "datapath" ] ~doc:datapath_doc)
-  in
   let engine =
     Arg.(value & opt string "systolic" & info [ "engine" ] ~doc:engine_doc)
   in
@@ -223,7 +206,7 @@ let align_cmd =
     (Cmd.info "align" ~doc:"Align two sequences on the systolic simulator")
     Term.(
       const align_run $ kernel $ query $ reference $ n_pe $ vcd $ band
-      $ band_width $ band_threshold $ datapath $ engine $ overlap)
+      $ band_width $ band_threshold $ engine $ overlap)
 
 (* ---- resources ---- *)
 
@@ -361,15 +344,7 @@ let map_cmd =
 (* ---- batch ---- *)
 
 let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
-    band_width band_threshold datapath_mode engine_mode =
-  let datapath =
-    match datapath_mode with
-    | "compiled" -> Dphls.Align.Compiled
-    | "boxed" -> Dphls.Align.Boxed
-    | other ->
-      Printf.eprintf "unknown datapath %S (compiled | boxed)\n" other;
-      exit 2
-  in
+    band_width band_threshold engine_mode =
   let band =
     match
       band_override ~mode:band_mode ~width:band_width ~threshold:band_threshold
@@ -410,7 +385,7 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
     else max 2 (Domain.recommended_domain_count ())
   in
   print_endline "#idx\tquery\treference\tscore\tcigar\tidentity\tcycles";
-  Dphls.Batch.iter_fasta_file ?band ~datapath ~engine ~kind ~workers ~chunk
+  Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
     ~overlap ~path:pairs_path
     ~f:(fun idx q r (a : Dphls.Align.alignment) ->
       Printf.printf "%d\t%s\t%s\t%d\t%s\t%.4f\t%s\n" idx q.Dphls_io.Fasta.id
@@ -440,7 +415,7 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
        accounting (sequential vs overlapped modeled totals) lands on
        stderr next to the rows *)
     let _results, _stats, b =
-      Dphls.Batch.align_all_overlap_report ?band ~datapath ~engine ~kind
+      Dphls.Batch.align_all_overlap_report ?band ~engine ~kind
         ~workers (read_pairs ())
     in
     let seq = b.Dphls_systolic.Engine.seq_cycles in
@@ -460,7 +435,7 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
        measured wall clock up against the analytical N_K model *)
     let pairs = read_pairs () in
     let results, stats =
-      Dphls.Batch.align_all_report ?band ~datapath ~engine ~kind ~workers pairs
+      Dphls.Batch.align_all_report ?band ~engine ~kind ~workers pairs
     in
     ignore results;
     let report = stats.Dphls_host.Pool.report in
@@ -481,7 +456,7 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
           p.Dphls_host.Throughput.measured_speedup
           p.Dphls_host.Throughput.modeled_speedup
           p.Dphls_host.Throughput.efficiency)
-      (Dphls.Batch.scaling ?band ~datapath ~engine ~kind ~workers:[ workers ]
+      (Dphls.Batch.scaling ?band ~engine ~kind ~workers:[ workers ]
          pairs)
   end
 
@@ -537,9 +512,6 @@ let batch_cmd =
       & opt int Dphls_core.Banding.default_threshold
       & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
   in
-  let datapath =
-    Arg.(value & opt string "compiled" & info [ "datapath" ] ~doc:datapath_doc)
-  in
   let engine =
     Arg.(value & opt (some string) None & info [ "engine" ] ~doc:engine_doc)
   in
@@ -548,7 +520,7 @@ let batch_cmd =
        ~doc:"Align a FASTA pair file in parallel across CPU domains")
     Term.(
       const batch_run $ pairs $ kind $ workers $ n_pe $ chunk $ compare
-      $ overlap $ band $ band_width $ band_threshold $ datapath $ engine)
+      $ overlap $ band $ band_width $ band_threshold $ engine)
 
 (* ---- cosim ---- *)
 
@@ -559,16 +531,10 @@ let cosim_run kernel_spec n_pe trials len vectors =
   let workloads =
     List.init trials (fun _ -> e.Dphls_kernels.Catalog.gen rng ~len)
   in
-  let id = Registry.id e.packed in
-  let alt_pe =
-    match Dphls_kernels.Datapaths.cell_for id with
-    | cell, bindings -> Some (Dphls_core.Datapath.eval cell bindings)
-    | exception Not_found -> None
-  in
   (match vectors with
   | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
   | _ -> ());
-  let report = Dphls_cosim.Cosim.verify ~n_pe ?alt_pe ?vectors k p workloads in
+  let report = Dphls_cosim.Cosim.verify ~n_pe ?vectors k p workloads in
   Format.printf "%a@." Dphls_cosim.Cosim.pp_report report;
   exit (if Dphls_cosim.Cosim.passed report then 0 else 1)
 
@@ -588,7 +554,7 @@ let cosim_cmd =
   in
   Cmd.v
     (Cmd.info "cosim"
-       ~doc:"Verify golden engine vs systolic engine vs symbolic datapath")
+       ~doc:"Verify the golden engine against the systolic engine")
     Term.(const cosim_run $ kernel $ n_pe $ trials $ len $ vectors)
 
 (* ---- vectors ---- *)
@@ -722,8 +688,8 @@ let vectors_check_cmd =
     (Cmd.info "check"
        ~doc:
          "Verify vector files against the current build (re-run, replay \
-          both datapaths); non-zero exit on divergence (1) or unreadable \
-          files (2)")
+          through the compiled datapath and its interpreter); non-zero exit \
+          on divergence (1) or unreadable files (2)")
     Term.(const vectors_check_run $ overlap $ files)
 
 let vectors_regen_run out_dir files =
@@ -816,8 +782,7 @@ let vectors_cmd =
 
 let rtl_run kernel_spec n_pe n_b n_k max_len output =
   let e = find_kernel kernel_spec in
-  let id = Registry.id e.packed in
-  let cell, bindings = Dphls_kernels.Datapaths.cell_for id in
+  let cell, bindings = Registry.datapath e.packed in
   let (Registry.Packed (k, _)) = e.packed in
   let design =
     Dphls_rtl.Emit.emit ~kernel_name:(Registry.name e.packed) ~cell ~bindings
@@ -1229,10 +1194,6 @@ let serve_cmd =
 
 (* ---- check ---- *)
 
-let kernel_datapath (e : Dphls_kernels.Catalog.entry) =
-  try Some (Dphls_kernels.Datapaths.cell_for (Dphls_core.Registry.id e.packed))
-  with Not_found -> None
-
 let check_entry ?host ~max_len (e : Dphls_kernels.Catalog.entry) =
   let max_len =
     match max_len with Some l -> l | None -> e.Dphls_kernels.Catalog.max_len
@@ -1240,43 +1201,36 @@ let check_entry ?host ~max_len (e : Dphls_kernels.Catalog.entry) =
   let rng = Dphls_util.Rng.create 7 in
   let sample = e.gen rng ~len:(min 64 max_len) in
   let chars = Dphls_analysis.Check.chars_of_workload sample in
-  Dphls_analysis.Check.run ~n_pe:e.optimal.n_pe ?datapath:(kernel_datapath e)
-    ?host ~max_len ~chars e.packed
+  Dphls_analysis.Check.run ~n_pe:e.optimal.n_pe ?host ~max_len ~chars e.packed
 
 let explain_run spec what =
   let e = find_kernel spec in
   let (Dphls_core.Registry.Packed (k, _)) = e.Dphls_kernels.Catalog.packed in
-  match kernel_datapath e with
-  | None ->
-    Printf.eprintf
-      "dphls check: kernel #%d %s has no symbolic datapath to explain\n"
-      k.Dphls_core.Kernel.id k.Dphls_core.Kernel.name;
-    exit 2
-  | Some (cell, bindings) ->
-    let ppf = Format.std_formatter in
-    Format.fprintf ppf "kernel #%d %s — %s derivation@\n"
-      k.Dphls_core.Kernel.id k.Dphls_core.Kernel.name
-      (match what with
-      | `Depend -> "dependence footprint"
-      | `Ii -> "recurrence-II"
-      | `Fastpath -> "fast-path eligibility");
+  let cell, bindings = Dphls_core.Registry.datapath e.packed in
+  let ppf = Format.std_formatter in
+  Format.fprintf ppf "kernel #%d %s — %s derivation@\n"
+    k.Dphls_core.Kernel.id k.Dphls_core.Kernel.name
     (match what with
-    | `Depend ->
-      Dphls_analysis.Depend.explain ppf
-        (Dphls_analysis.Depend.analyze cell
-           ~n_layers:k.Dphls_core.Kernel.n_layers)
-    | `Ii -> (
-      match Dphls_analysis.Ii.analyze cell bindings with
-      | Ok ii ->
-        Dphls_analysis.Ii.explain ppf ii ~traits:k.Dphls_core.Kernel.traits
-      | Error msg ->
-        Format.fprintf ppf "datapath does not compile: %s@\n" msg;
-        Format.pp_print_flush ppf ();
-        exit 1)
-    | `Fastpath ->
-      Dphls_analysis.Fastpath.explain ppf
-        (Dphls_analysis.Fastpath.classify cell bindings));
-    Format.pp_print_flush ppf ()
+    | `Depend -> "dependence footprint"
+    | `Ii -> "recurrence-II"
+    | `Fastpath -> "fast-path eligibility");
+  (match what with
+  | `Depend ->
+    Dphls_analysis.Depend.explain ppf
+      (Dphls_analysis.Depend.analyze cell
+         ~n_layers:k.Dphls_core.Kernel.n_layers)
+  | `Ii -> (
+    match Dphls_analysis.Ii.analyze cell bindings with
+    | Ok ii ->
+      Dphls_analysis.Ii.explain ppf ii ~traits:k.Dphls_core.Kernel.traits
+    | Error msg ->
+      Format.fprintf ppf "datapath does not compile: %s@\n" msg;
+      Format.pp_print_flush ppf ();
+      exit 1)
+  | `Fastpath ->
+    Dphls_analysis.Fastpath.explain ppf
+      (Dphls_analysis.Fastpath.classify cell bindings));
+  Format.pp_print_flush ppf ()
 
 let check_run kernel_spec all max_len json explain workers shared_metrics =
   match explain with

@@ -13,6 +13,7 @@
 open Dphls_core
 module Score = Dphls_util.Score
 module Linear = Dphls_kernels.Kdefs.Linear
+module Cells = Dphls_kernels.Cells
 
 let n_code = 4
 
@@ -26,22 +27,43 @@ type params = { match_ : int; mismatch : int; gap : int }
 let default = { match_ = 2; mismatch = -2; gap = -2 }
 
 let ambiguous_kernel : params Kernel.t =
-  let pe p (i : Pe.input) =
-    let q = i.Pe.qry.(0) and r = i.Pe.rf.(0) in
-    let sub =
-      if q = n_code || r = n_code then 0
-      else if q = r then p.match_
-      else p.mismatch
-    in
-    let best, ptr =
-      Dphls_kernels.Kdefs.best_of Score.Maximize
+  (* The PE function as a datapath cell: kernel #1's linear recurrence
+     with an N on either side scoring 0 on the diagonal. *)
+  let sub =
+    Datapath.(
+      Ite
+        ( Eq (Qry 0, Const n_code),
+          Const 0,
+          Ite
+            ( Eq (Ref 0, Const n_code),
+              Const 0,
+              Ite (Eq (Qry 0, Ref 0), Param "match", Param "mismatch") ) ))
+  in
+  let candidates =
+    Datapath.
+      [
+        (Add (Diag 0, sub), Linear.ptr_diag);
+        (Add (Up 0, Param "gap"), Linear.ptr_up);
+        (Add (Left 0, Param "gap"), Linear.ptr_left);
+      ]
+  in
+  let cell =
+    {
+      Datapath.layers = [| Datapath.Max (List.map fst candidates) |];
+      tb_fields =
         [
-          (Score.add i.Pe.diag.(0) sub, Linear.ptr_diag);
-          (Score.add i.Pe.up.(0) p.gap, Linear.ptr_up);
-          (Score.add i.Pe.left.(0) p.gap, Linear.ptr_left);
-        ]
-    in
-    { Pe.scores = [| best |]; tb = ptr }
+          {
+            Datapath.bits = 2;
+            value = Cells.select_first_best ~objective:Score.Maximize candidates;
+          };
+        ];
+    }
+  in
+  let bindings p =
+    {
+      Datapath.params = [ ("match", p.match_); ("mismatch", p.mismatch); ("gap", p.gap) ];
+      tables = [];
+    }
   in
   {
     Kernel.id = 0;
@@ -54,9 +76,7 @@ let ambiguous_kernel : params Kernel.t =
     init_row = (fun p ~ref_len:_ ~layer:_ ~col -> p.gap * (col + 1));
     init_col = (fun p ~qry_len:_ ~layer:_ ~row -> p.gap * (row + 1));
     origin = (fun _ ~layer:_ -> 0);
-    pe;
-    (* boxed-only example kernel: engines adapt [pe] automatically *)
-    pe_flat = None;
+    datapath = (fun p -> (cell, bindings p));
     score_site = Traceback.Bottom_right;
     traceback = (fun _ -> Some { Traceback.fsm = Linear.fsm; stop = Traceback.At_origin });
     banding = None;

@@ -4,30 +4,42 @@
    The kernel below is *edit distance* (Levenshtein), which is not one
    of the 15 shipped kernels: a minimizing objective with unit costs and
    a global traceback. Everything needed is the familiar six front-end
-   steps — data types, initialization, the PE function, the traceback
-   FSM, banding (none) and parallelism — in ~50 lines; the systolic
-   back-end, traceback memory and resource model come for free.
+   steps — data types, initialization, the PE function (written as a
+   symbolic datapath cell), the traceback FSM, banding (none) and
+   parallelism — in ~50 lines; the systolic back-end, traceback memory
+   and resource model come for free.
 
    Run with:  dune exec examples/custom_kernel.exe *)
 
 open Dphls_core
 module Score = Dphls_util.Score
 module Linear = Dphls_kernels.Kdefs.Linear
+module Cells = Dphls_kernels.Cells
 
 let edit_distance_kernel : unit Kernel.t =
-  let pe () (i : Pe.input) =
-    let sub_cost = if Types.equal_ch i.Pe.qry i.Pe.rf then 0 else 1 in
-    let best, ptr =
-      (* preference order fixes tie-breaks: diagonal first *)
-      List.fold_left
-        (fun (bs, bp) (s, p) -> if s < bs then (s, p) else (bs, bp))
-        (Score.add i.Pe.diag.(0) sub_cost, Linear.ptr_diag)
+  (* The PE function as a datapath cell: min-plus over the three moves,
+     free matches on the diagonal. The pointer tags the first candidate
+     attaining the minimum, so listing the diagonal first fixes the
+     tie-break. *)
+  let candidates =
+    Datapath.
+      [
+        (Add (Diag 0, Ite (Eq (Qry 0, Ref 0), Const 0, Const 1)), Linear.ptr_diag);
+        (Add (Up 0, Const 1), Linear.ptr_up);
+        (Add (Left 0, Const 1), Linear.ptr_left);
+      ]
+  in
+  let cell =
+    {
+      Datapath.layers = [| Datapath.Min (List.map fst candidates) |];
+      tb_fields =
         [
-          (Score.add i.Pe.up.(0) 1, Linear.ptr_up);
-          (Score.add i.Pe.left.(0) 1, Linear.ptr_left);
-        ]
-    in
-    { Pe.scores = [| best |]; tb = ptr }
+          {
+            Datapath.bits = 2;
+            value = Cells.select_first_best ~objective:Score.Minimize candidates;
+          };
+        ];
+    }
   in
   {
     Kernel.id = 0;
@@ -40,9 +52,7 @@ let edit_distance_kernel : unit Kernel.t =
     init_row = (fun () ~ref_len:_ ~layer:_ ~col -> col + 1);
     init_col = (fun () ~qry_len:_ ~layer:_ ~row -> row + 1);
     origin = (fun () ~layer:_ -> 0);
-    pe;
-    (* boxed-only example kernel: engines adapt [pe] automatically *)
-    pe_flat = None;
+    datapath = (fun () -> (cell, { Datapath.params = []; tables = [] }));
     score_site = Traceback.Bottom_right;
     traceback =
       (fun () -> Some { Traceback.fsm = Linear.fsm; stop = Traceback.At_origin });
@@ -91,6 +101,7 @@ let () =
         (Result.cigar result)
   done;
   Printf.printf "all 10 random trials match the oracle: %b\n" !all_ok;
+  if not !all_ok then exit 1;
   (* The back-end gives the hardware estimate for free. *)
   let packed = Registry.Packed (edit_distance_kernel, ()) in
   let cfg = { Dphls_resource.Estimate.n_pe = 32; max_qry = 256; max_ref = 256 } in

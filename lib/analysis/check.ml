@@ -61,15 +61,6 @@ let width_findings (w : Widths.t) ~score_bits ~max_len =
              only covers lengths up to %d"
             w.Widths.wavefronts
             ((w.Widths.wavefronts + 1) / 2)));
-  if w.Widths.impure then
-    add
-      (Report.error ~check:"pe-impure"
-         "PE returned different outputs for identical inputs — both engines \
-          require a pure recurrence");
-  if w.Widths.layer_mismatch then
-    add
-      (Report.error ~check:"pe-layer-count"
-         "PE returned a score vector of a different length than n_layers");
   List.rev !findings
 
 let tb_width_findings (w : Widths.t) ~tb_bits =
@@ -106,54 +97,48 @@ let fsm_findings spec ~tb_bits =
       ]
   else findings
 
-let datapath_findings ~(k : 'p Kernel.t) = function
-  | None ->
+let datapath_findings (k : 'p Kernel.t) p =
+  let cell, bindings = k.Kernel.datapath p in
+  if Array.length cell.Datapath.layers <> k.Kernel.n_layers then
     [
-      Report.info ~check:"depend-skipped"
-        "no symbolic datapath registered — dependence, recurrence-II and \
-         fast-path analyses need the expression IR (closure-only kernel)";
+      Report.error ~check:"datapath-layer-count"
+        (Printf.sprintf
+           "symbolic datapath has %d layer%s but the kernel declares \
+            n_layers = %d"
+           (Array.length cell.Datapath.layers)
+           (if Array.length cell.Datapath.layers = 1 then "" else "s")
+           k.Kernel.n_layers);
     ]
-  | Some (cell, bindings) ->
-    if Array.length cell.Datapath.layers <> k.Kernel.n_layers then
-      [
-        Report.error ~check:"datapath-layer-count"
-          (Printf.sprintf
-             "symbolic datapath has %d layer%s but the kernel declares \
-              n_layers = %d"
-             (Array.length cell.Datapath.layers)
-             (if Array.length cell.Datapath.layers = 1 then "" else "s")
-             k.Kernel.n_layers);
-      ]
-    else begin
-      let dep = Depend.analyze cell ~n_layers:k.Kernel.n_layers in
-      let dep_findings = Depend.findings dep in
-      let dep_clean =
-        not
-          (List.exists
-             (fun (f : Report.finding) -> f.Report.severity = Report.Error)
-             dep_findings)
-      in
-      let ii_findings =
-        if not dep_clean then
+  else begin
+    let dep = Depend.analyze cell ~n_layers:k.Kernel.n_layers in
+    let dep_findings = Depend.findings dep in
+    let dep_clean =
+      not
+        (List.exists
+           (fun (f : Report.finding) -> f.Report.severity = Report.Error)
+           dep_findings)
+    in
+    let ii_findings =
+      if not dep_clean then
+        [
+          Report.info ~check:"ii-skipped"
+            "recurrence-II analysis skipped: the dependence errors above \
+             mean the flat code would not compile";
+        ]
+      else
+        match Ii.analyze cell bindings with
+        | Ok ii -> Ii.findings ii ~traits:k.Kernel.traits
+        | Error msg ->
           [
-            Report.info ~check:"ii-skipped"
-              "recurrence-II analysis skipped: the dependence errors above \
-               mean the flat code would not compile";
+            Report.warning ~check:"ii-skipped"
+              ("symbolic datapath does not compile: " ^ msg);
           ]
-        else
-          match Ii.analyze cell bindings with
-          | Ok ii -> Ii.findings ii ~traits:k.Kernel.traits
-          | Error msg ->
-            [
-              Report.warning ~check:"ii-skipped"
-                ("symbolic datapath does not compile: " ^ msg);
-            ]
-      in
-      dep_findings @ ii_findings
-      @ Fastpath.findings (Fastpath.classify cell bindings)
-    end
+    in
+    dep_findings @ ii_findings
+    @ Fastpath.findings (Fastpath.classify cell bindings)
+  end
 
-let run ?n_pe ?datapath ?host ~max_len ~chars (Registry.Packed (k, p)) =
+let run ?n_pe ?host ~max_len ~chars (Registry.Packed (k, p)) =
   let findings = ref [] in
   let add_all fs = findings := !findings @ fs in
   let structural = Lint.structural k p in
@@ -174,16 +159,25 @@ let run ?n_pe ?datapath ?host ~max_len ~chars (Registry.Packed (k, p)) =
             "no character samples available — width analysis skipped";
         ]
     else begin
-      let w = Widths.analyze k p ~max_len ~chars in
-      gap := w.Widths.gap_magnitude;
-      add_all (width_findings w ~score_bits:k.Kernel.score_bits ~max_len);
-      if Kernel.has_traceback k p then
-        add_all (tb_width_findings w ~tb_bits:k.Kernel.tb_bits)
+      match Widths.analyze k p ~max_len ~chars with
+      | exception Invalid_argument msg ->
+        (* an unevaluable datapath (e.g. an out-of-stencil read) is
+           reported as an error by the datapath analyses below *)
+        add_all
+          [
+            Report.info ~check:"width-skipped"
+              ("the datapath cannot be evaluated — width analysis skipped: " ^ msg);
+          ]
+      | w ->
+        gap := w.Widths.gap_magnitude;
+        add_all (width_findings w ~score_bits:k.Kernel.score_bits ~max_len);
+        if Kernel.has_traceback k p then
+          add_all (tb_width_findings w ~tb_bits:k.Kernel.tb_bits)
     end;
   (match k.Kernel.traceback p with
   | None -> ()
   | Some spec -> add_all (fsm_findings spec ~tb_bits:k.Kernel.tb_bits));
-  add_all (datapath_findings ~k datapath);
+  add_all (datapath_findings k p);
   add_all (Lint.banding k.Kernel.banding ~gap_magnitude:!gap ~max_len);
   add_all (Lint.parallelism ~n_pe ~max_len);
   add_all (Lint.domain_safety host);

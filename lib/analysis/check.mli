@@ -14,7 +14,6 @@ val chars_of_workload :
 
 val run :
   ?n_pe:int ->
-  ?datapath:Datapath.cell * Datapath.bindings ->
   ?host:Lint.host_config ->
   max_len:int ->
   chars:(Types.ch * Types.ch) array ->
@@ -24,11 +23,11 @@ val run :
     analysis ({!Widths.analyze}, skipped with an info finding when
     [chars] is empty), traceback-pointer width against [tb_bits] (only
     when traceback is enabled), FSM model checking ({!Fsm_check}),
-    the three datapath analyses — dependence footprint ({!Depend}),
-    loop-carried recurrence II ({!Ii}) and bit-parallel fast-path
-    eligibility ({!Fastpath}) — when the kernel's symbolic datapath is
-    supplied via [datapath] (a [depend-skipped] info otherwise; the
-    CLI fetches it from [Dphls_kernels.Datapaths]), and the banding,
-    parallelism and domain-safety lints ({!Lint}). [n_pe] is the
+    the three datapath analyses of the kernel's symbolic datapath —
+    dependence footprint ({!Depend}), loop-carried recurrence II
+    ({!Ii}) and bit-parallel fast-path eligibility ({!Fastpath}) — and
+    the banding, parallelism and domain-safety lints ({!Lint}). A
+    datapath that cannot be evaluated skips the width analysis with an
+    info finding; the datapath analyses report why. [n_pe] is the
     PE-array size to lint utilization against, when known; [host] is
     the host-side run configuration for {!Lint.domain_safety}. *)

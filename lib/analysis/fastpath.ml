@@ -1,7 +1,7 @@
 open Dphls_core.Datapath
 
 type verdict =
-  | Eligible of { scale : int; notes : string list }
+  | Eligible of { scale : int; match_ : int; notes : string list }
   | Ineligible of { property : string }
 
 let resolve (bindings : bindings) e =
@@ -118,6 +118,7 @@ let classify (cell : cell) (bindings : bindings) =
                 Eligible
                   {
                     scale = x;
+                    match_ = m;
                     notes =
                       [
                         "single score layer";
@@ -142,6 +143,7 @@ let classify (cell : cell) (bindings : bindings) =
                 Eligible
                   {
                     scale = ws2;
+                    match_ = m;
                     notes =
                       [
                         "single score layer";
@@ -178,7 +180,7 @@ let classify (cell : cell) (bindings : bindings) =
       else ineligible "unrecognised datapath shape"
 
 let findings = function
-  | Eligible { scale; notes } ->
+  | Eligible { scale; notes; _ } ->
     [ Report.info ~check:"fastpath-eligible"
         (Printf.sprintf
            "Myers/GeneTEK bit-parallel eligible (scale %d): %s" scale
@@ -194,7 +196,7 @@ let explain ppf v =
      uniform positive substitution/indel cost; no lookup tables, products or \
      local clamps.@\n";
   match v with
-  | Eligible { scale; notes } ->
+  | Eligible { scale; notes; _ } ->
     Format.fprintf ppf "verdict: ELIGIBLE (scale %d)@\n" scale;
     List.iter (fun n -> Format.fprintf ppf "  + %s@\n" n) notes
   | Ineligible { property } ->

@@ -25,10 +25,12 @@
     defect. *)
 
 type verdict =
-  | Eligible of { scale : int; notes : string list }
+  | Eligible of { scale : int; match_ : int; notes : string list }
       (** distance = scale x unit edit distance (scale doubled weights
-          for maximization kernels); [notes] are the proven qualifying
-          properties in order *)
+          for maximization kernels); [match_] is the resolved match
+          score (0 for min-plus kernels), which with [scale] is all a
+          bit-parallel engine needs to map the kernel's scoring; [notes]
+          are the proven qualifying properties in order *)
   | Ineligible of { property : string }
       (** the first disqualifying property, named *)
 

@@ -20,8 +20,6 @@ type t = {
   extrapolated : bool;
   truncated : bool;
   tb_range : (int * int) option;
-  impure : bool;
-  layer_mismatch : bool;
   gap_magnitude : int option;
 }
 
@@ -85,29 +83,34 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
   let worst = Score.worst_value objective in
   let bits = k.Kernel.score_bits in
   let lo_bound = min_repr bits and hi_bound = max_repr bits in
-  let pe = k.Kernel.pe p in
+  (* the compiled program the engines run, each probe writing a fresh
+     score array so its result can be kept *)
+  let pe =
+    let flat = Kernel.flat_pe k p in
+    let buf = Pe.create_buffers ~n_layers in
+    fun (input : Pe.input) ->
+      buf.Pe.b_up <- input.Pe.up;
+      buf.Pe.b_diag <- input.Pe.diag;
+      buf.Pe.b_left <- input.Pe.left;
+      buf.Pe.b_qry <- input.Pe.qry;
+      buf.Pe.b_rf <- input.Pe.rf;
+      buf.Pe.b_row <- input.Pe.row;
+      buf.Pe.b_col <- input.Pe.col;
+      buf.Pe.b_scores <- Array.make n_layers 0;
+      flat buf;
+      { Pe.scores = buf.Pe.b_scores; tb = buf.Pe.b_tb }
+  in
   let chars =
     if Array.length chars > max_char_samples then Array.sub chars 0 max_char_samples
     else chars
   in
   let probes = ref 0 in
-  let impure = ref false in
-  let layer_mismatch = ref false in
   let tb_lo = ref max_int and tb_hi = ref min_int in
-  let call ~purity input =
+  let call input =
     incr probes;
     let out = pe input in
-    if Array.length out.Pe.scores <> n_layers then layer_mismatch := true;
     if out.Pe.tb < !tb_lo then tb_lo := out.Pe.tb;
     if out.Pe.tb > !tb_hi then tb_hi := out.Pe.tb;
-    if purity then begin
-      let again = pe input in
-      if
-        again.Pe.tb <> out.Pe.tb
-        || Array.length again.Pe.scores <> Array.length out.Pe.scores
-        || not (Array.for_all2 Int.equal again.Pe.scores out.Pe.scores)
-      then impure := true
-    end;
     out
   in
   (* ---- neighbour corner assignments ---------------------------------
@@ -161,7 +164,7 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
     done;
     base @ !singles
   in
-  let probe_step ~purity (h : Interval.t array) d =
+  let probe_step (h : Interval.t array) d =
     let row = min (d / 2) (max_len - 1) in
     let col = min (max 0 (d - row)) (max_len - 1) in
     let out_bounds = Array.make n_layers Interval.empty in
@@ -170,10 +173,9 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
         Array.iter
           (fun (q, r) ->
             let input = { Pe.up; diag; left; qry = q; rf = r; row; col } in
-            let out = call ~purity input in
+            let out = call input in
             Array.iteri
-              (fun l s ->
-                if l < n_layers then out_bounds.(l) <- Interval.observe out_bounds.(l) s)
+              (fun l s -> out_bounds.(l) <- Interval.observe out_bounds.(l) s)
               out.Pe.scores)
           chars)
       (assignments h);
@@ -190,7 +192,7 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
       (fun (up, diag, left) ->
         Array.iter
           (fun (q, r) ->
-            let out = call ~purity:false { Pe.up; diag; left; qry = q; rf = r; row = 1; col = 1 } in
+            let out = call { Pe.up; diag; left; qry = q; rf = r; row = 1; col = 1 } in
             Array.iter
               (fun s ->
                 if not (Score.is_neg_inf s || Score.is_pos_inf s) then
@@ -260,7 +262,7 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
         Array.init n_layers (fun l ->
             Interval.join !b.(l) (Interval.join !w1.(l) !w2.(l)))
       in
-      let w_now = probe_step ~purity:(dd = 0) hull dd in
+      let w_now = probe_step hull dd in
       (match violation w_now with
       | Some (layer, bound) ->
         result :=
@@ -365,7 +367,5 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
     extrapolated = !extrapolated;
     truncated = !truncated;
     tb_range = (if !tb_lo <= !tb_hi then Some (!tb_lo, !tb_hi) else None);
-    impure = !impure;
-    layer_mismatch = !layer_mismatch;
     gap_magnitude;
   }

@@ -49,8 +49,6 @@ type t = {
           exceeds it: the verdict only covers the iterated prefix *)
   tb_range : (int * int) option;
       (** observed (min, max) of emitted traceback pointers *)
-  impure : bool;           (** PE returned differing outputs for one input *)
-  layer_mismatch : bool;   (** PE returned [<> n_layers] scores *)
   gap_magnitude : int option;
       (** probed per-cell skip penalty |gap|, for the banding lint *)
 }

@@ -2,16 +2,11 @@ open Dphls_core
 
 (* The datapath census gives the ALU-op count directly. *)
 let instructions_per_cell packed =
-  let id = Registry.id packed in
-  match Dphls_kernels.Datapaths.cell_for id with
-  | cell, _ ->
-    let c = Datapath.count cell in
-    c.Datapath.adders + c.Datapath.multipliers + c.Datapath.comparators
-    + c.Datapath.lookups
-    + (if Registry.tb_bits packed > 0 then 1 else 0)
-  | exception Not_found ->
-    let t = Registry.traits packed in
-    t.Traits.adds_per_pe + t.Traits.muls_per_pe + t.Traits.cmps_per_pe
+  let cell, _ = Registry.datapath packed in
+  let c = Datapath.count cell in
+  c.Datapath.adders + c.Datapath.multipliers + c.Datapath.comparators
+  + c.Datapath.lookups
+  + if Registry.tb_bits packed > 0 then 1 else 0
 
 let effective_ii packed ~lanes =
   max 1 ((instructions_per_cell packed + lanes - 1) / lanes)

@@ -1,13 +1,14 @@
 (** Symbolic PE datapath descriptions.
 
-    A kernel's recurrence can be given not only as an OCaml closure
-    ({!Pe.f}) but also as a symbolic expression tree. The symbolic form
-    is what the HLS back-end actually consumes in the real DP-HLS flow:
-    from it this reproduction can (a) evaluate the PE (and verify bit-
-    equality against the closure form — the analog of C-simulation vs
-    RTL co-simulation), (b) emit structural Verilog for the PE and the
-    surrounding systolic array, and (c) derive operator counts that
-    cross-check the resource model's traits.
+    A kernel's recurrence is a symbolic expression tree ([Kernel.t]'s
+    [datapath]), the one definition the HLS back-end consumes in the
+    real DP-HLS flow. From it this reproduction (a) evaluates the PE —
+    {!eval} is the reference semantics, {!compile} the allocation-free
+    program the engines run, and the test suite pins the two
+    bit-identical (the analog of C-simulation vs RTL co-simulation),
+    (b) emits structural Verilog for the PE and the surrounding systolic
+    array, and (c) derives operator counts that cross-check the resource
+    model's traits.
 
     Layer-evaluation convention: layers 1..n-1 are evaluated in ascending
     order first, then layer 0 (which may reference the freshly computed

@@ -9,8 +9,7 @@ type 'p t = {
   init_row : 'p -> ref_len:int -> layer:int -> col:int -> Types.score;
   init_col : 'p -> qry_len:int -> layer:int -> row:int -> Types.score;
   origin : 'p -> layer:int -> Types.score;
-  pe : 'p -> Pe.f;
-  pe_flat : ('p -> Pe.flat) option;
+  datapath : 'p -> Datapath.cell * Datapath.bindings;
   score_site : Traceback.start_rule;
   traceback : 'p -> Traceback.spec option;
   banding : Banding.t option;
@@ -51,8 +50,5 @@ let validate k params =
 let has_traceback k params = Option.is_some (k.traceback params)
 
 let flat_pe k params =
-  match k.pe_flat with
-  | Some mk -> mk params
-  | None -> Pe.flat_of_f (k.pe params)
-
-let boxed k = { k with pe_flat = None }
+  let cell, bindings = k.datapath params in
+  Datapath.flat (Datapath.compile cell bindings)

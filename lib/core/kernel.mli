@@ -22,16 +22,13 @@ type 'p t = {
       (** [init_col_scr]: virtual column -1. *)
   origin : 'p -> layer:int -> Types.score;
       (** Value of the virtual corner (-1,-1), the diag neighbour of (0,0). *)
-  pe : 'p -> Pe.f;
-      (** [PE_func], closed over the scoring parameters. *)
-  pe_flat : ('p -> Pe.flat) option;
-      (** Optional allocation-free evaluator of the same recurrence
-          (typically [Datapath.flat] of the kernel's compiled symbolic
-          datapath). When present the engines run it instead of adapting
-          [pe]; results must be bit-identical to [pe] — the differential
-          suite enforces this for every catalog kernel. Each application
-          [mk params] must return a fresh evaluator (engines call it once
-          per run, so per-domain scratch stays per-domain). *)
+  datapath : 'p -> Datapath.cell * Datapath.bindings;
+      (** [PE_func]: the recurrence as a symbolic datapath plus the
+          bindings of its named parameters and tables. A function of the
+          parameters because a cell may bake them in (#8 embeds its
+          sum-of-pairs matrix as constants). This one definition feeds
+          the engines ({!flat_pe}), the RTL emitter and the static
+          analyses; {!Datapath.eval} is its reference semantics. *)
   score_site : Traceback.start_rule;
       (** Where the kernel's objective value is read (and where traceback
           starts when enabled). *)
@@ -56,10 +53,7 @@ val validate : 'p t -> 'p -> unit
 val has_traceback : 'p t -> 'p -> bool
 
 val flat_pe : 'p t -> 'p -> Pe.flat
-(** The evaluator the engines actually run: [pe_flat] when wired, else
-    the boxed [pe] behind the {!Pe.flat_of_f} adapter. *)
-
-val boxed : 'p t -> 'p t
-(** The kernel with [pe_flat] stripped, so engines fall back to the
-    boxed interpreter/closure path — the reference side of the
-    boxed-vs-compiled differential tests. *)
+(** The evaluator the engines run: the kernel's datapath compiled
+    ({!Datapath.compile}) and closed over a private register file
+    ({!Datapath.flat}). Each call returns a fresh evaluator, so build
+    one per run or per domain. *)

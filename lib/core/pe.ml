@@ -39,38 +39,3 @@ let create_buffers ~n_layers =
     b_scores = Array.make n_layers 0;
     b_tb = 0;
   }
-
-let flat_of_f f buf =
-  let out =
-    f
-      {
-        up = buf.b_up;
-        diag = buf.b_diag;
-        left = buf.b_left;
-        qry = buf.b_qry;
-        rf = buf.b_rf;
-        row = buf.b_row;
-        col = buf.b_col;
-      }
-  in
-  let n = Array.length buf.b_scores in
-  if Array.length out.scores <> n then
-    invalid_arg
-      (Printf.sprintf "Pe.flat_of_f: PE returned %d layers, buffer expects %d"
-         (Array.length out.scores) n);
-  Array.blit out.scores 0 buf.b_scores 0 n;
-  buf.b_tb <- out.tb
-
-let f_of_flat ~n_layers flat input =
-  (* fresh buffers per call keep the resulting [f] pure (and safe to
-     share across domains, like any other boxed PE closure) *)
-  let buf = create_buffers ~n_layers in
-  buf.b_up <- input.up;
-  buf.b_diag <- input.diag;
-  buf.b_left <- input.left;
-  buf.b_qry <- input.qry;
-  buf.b_rf <- input.rf;
-  buf.b_row <- input.row;
-  buf.b_col <- input.col;
-  flat buf;
-  { scores = buf.b_scores; tb = buf.b_tb }

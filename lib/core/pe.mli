@@ -8,12 +8,13 @@
 
     Two calling conventions exist:
     - the boxed {!f}: a pure [input -> output] closure that allocates its
-      output record — the user-facing form a kernel author writes;
+      output record — what [Datapath.eval], the reference semantics of
+      a kernel's symbolic datapath, returns;
     - the flat {!flat}: an [buffers -> unit] evaluator that reads its
       inputs from and writes its results into a caller-owned {!buffers}
       record, allocating nothing. The engines run every PE through the
-      flat contract (adapting boxed closures with {!flat_of_f}), which is
-      what keeps the wavefront hot path allocation-free. *)
+      flat contract ([Datapath.flat] of the compiled datapath), which
+      is what keeps the wavefront hot path allocation-free. *)
 
 type input = {
   up : Types.score array;    (** layer scores of cell (row-1, col) *)
@@ -31,9 +32,8 @@ type output = {
 }
 
 type f = input -> output
-(** The user-supplied recurrence, already closed over its scoring
-    parameters. Must be pure: both the golden and the systolic engine call
-    it, in different orders, and results must agree bit-for-bit. *)
+(** A recurrence closed over its scoring parameters. Pure: the same input
+    always yields the same output. *)
 
 (** The flat PE register file. The engine points the input fields at its
     own planes/scratch rows before each evaluation (reference swaps, no
@@ -60,14 +60,3 @@ type flat = buffers -> unit
 val create_buffers : n_layers:int -> buffers
 (** Fresh register file with [n_layers]-sized score arrays and empty
     character slots. Raises [Invalid_argument] when [n_layers < 1]. *)
-
-val flat_of_f : f -> flat
-(** Adapt a boxed PE to the flat contract (one [input] record, one
-    [output] record and one score-array copy per call — the price of the
-    boxed closure). Raises [Invalid_argument] if the closure returns a
-    layer count different from the buffer's. *)
-
-val f_of_flat : n_layers:int -> flat -> f
-(** Adapt a flat evaluator back to a pure boxed closure (fresh buffers
-    per call). Used by code that wants one-off PE evaluations without
-    managing buffers, e.g. the width analyzer's corner probing. *)

@@ -9,3 +9,4 @@ let objective (Packed (k, _)) = k.Kernel.objective
 let banding (Packed (k, _)) = k.Kernel.banding
 let has_traceback (Packed (k, p)) = Kernel.has_traceback k p
 let validate (Packed (k, p)) = Kernel.validate k p
+let datapath (Packed (k, p)) = k.Kernel.datapath p

@@ -13,3 +13,6 @@ val objective : packed -> Dphls_util.Score.objective
 val banding : packed -> Banding.t option
 val has_traceback : packed -> bool
 val validate : packed -> unit
+
+val datapath : packed -> Datapath.cell * Datapath.bindings
+(** The kernel's symbolic datapath bound to its packed parameters. *)

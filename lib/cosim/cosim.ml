@@ -57,23 +57,14 @@ let verify ?(n_pe = 16) ?(max_mismatches = 8) ?alt_pe ?vectors kernel params
         !cycles_sum
         +. float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
       util_sum := !util_sum +. stats.Dphls_systolic.Engine.utilization;
-      (* The golden run above executed the compiled datapath (when the
-         kernel carries one); re-running the boxed interpreter closure
-         checks the compiler output against its source of truth. *)
-      let boxed_ok =
-        Result.equal_alignment golden
-          (fst (R.run cfg (Kernel.boxed kernel) params w))
-      in
       let alt_ok =
         match alt_pe with
         | None -> true
-        | Some pe ->
-          (* drop pe_flat too, or the engines would keep the compiled
-             datapath and ignore the substituted closure *)
-          let alt = { kernel with Kernel.pe = (fun _ -> pe); pe_flat = None } in
+        | Some dp ->
+          let alt = { kernel with Kernel.datapath = (fun _ -> dp) } in
           Result.equal_alignment golden (fst (R.run cfg alt params w))
       in
-      if Result.equal_alignment golden systolic && boxed_ok && alt_ok then
+      if Result.equal_alignment golden systolic && alt_ok then
         incr agreed
       else begin
         incr n_mismatches;

@@ -3,9 +3,9 @@
     The real DP-HLS flow checks C-simulation output against RTL
     co-simulation before deployment; here the golden rolling-row engine
     plays the C-sim role and the cycle-level systolic engine the RTL
-    role, with an optional third implementation of the PE (typically the
-    symbolic datapath's evaluator) standing in for the synthesized
-    netlist. A report collects agreement and cycle statistics. *)
+    role; both run the kernel's compiled symbolic datapath. An optional
+    alternate datapath stands in for a second implementation of the PE.
+    A report collects agreement and cycle statistics. *)
 
 type mismatch = {
   index : int;                       (** workload index *)
@@ -29,17 +29,16 @@ val passed : report -> bool
 val verify :
   ?n_pe:int ->
   ?max_mismatches:int ->
-  ?alt_pe:Dphls_core.Pe.f ->
+  ?alt_pe:Dphls_core.Datapath.cell * Dphls_core.Datapath.bindings ->
   ?vectors:string ->
   'p Dphls_core.Kernel.t ->
   'p ->
   Dphls_core.Workload.t list ->
   report
 (** Run every workload through both engines and compare alignments
-    bit-for-bit. Two extra golden passes may run per workload: one with
-    the boxed interpreter PE ([Kernel.boxed], checking the compiled
-    datapath against the closure it was derived from), and, when
-    [alt_pe] is given, one with the alternate PE.
+    bit-for-bit. When [alt_pe] is given, one extra golden pass per
+    workload runs the kernel with that datapath in place of its own and
+    must agree too.
 
     [max_mismatches] (default 8) bounds how many disagreeing workloads
     the report details; [report.truncated] says whether the cap was hit.

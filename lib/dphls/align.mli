@@ -19,10 +19,6 @@ type engine =
           routing; the decision is visible as the
           [engine_fastpath_hits]/[engine_fastpath_fallbacks] counters. *)
 
-type datapath =
-  | Compiled  (** flat compiled PE datapath (default; allocation-free) *)
-  | Boxed     (** hand-written boxed PE closures, the reference semantics *)
-
 type alignment = {
   score : int;
   cigar : string;
@@ -35,7 +31,6 @@ type alignment = {
 
 val global :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
@@ -48,18 +43,12 @@ val global :
     with [N_PE]-row chunks, so their pruning (and possibly scores) may
     differ — that is the expected hardware behavior, not a bug.
 
-    [?datapath] selects the PE implementation: the compiled flat
-    datapath (default, faster) or the boxed interpreter closures.
-    Results are bit-identical either way; [Boxed] exists for
-    differential testing and as the fallback semantics.
-
     [?metrics]/[?tracer] (defaults: the disabled sinks) are forwarded to
     the chosen engine's run: counters land once per alignment, spans
     cover the engine phases. See {!Dphls_obs} and [dphls profile]. *)
 
 val global_affine :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
@@ -67,7 +56,6 @@ val global_affine :
 
 val local :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
@@ -75,7 +63,6 @@ val local :
 
 val semi_global :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
@@ -83,7 +70,6 @@ val semi_global :
 
 val protein_local :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
@@ -91,7 +77,6 @@ val protein_local :
 
 val global_batch :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -110,7 +95,6 @@ val global_batch :
 
 val global_affine_batch :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -121,7 +105,6 @@ val global_affine_batch :
 
 val local_batch :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -132,7 +115,6 @@ val local_batch :
 
 val semi_global_batch :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -143,7 +125,6 @@ val semi_global_batch :
 
 val protein_local_batch :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:datapath ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->

@@ -20,13 +20,11 @@ val kind_of_string : string -> kind
 (** Parses ["global" | "global-affine" | "local" | "semi-global" |
     "protein-local"]; raises [Invalid_argument] otherwise.
 
-    All batch entry points also accept [?band] and [?datapath]
-    (forwarded to {!Align}) to run the chosen kernel under a fixed or
-    adaptive band and with the compiled or boxed PE datapath. *)
+    All batch entry points also accept [?band] (forwarded to {!Align})
+    to run the chosen kernel under a fixed or adaptive band. *)
 
 val align_one :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine -> kind -> query:string -> reference:string
   -> Align.alignment
 (** Single-pair reference semantics: exactly the corresponding
@@ -35,7 +33,6 @@ val align_one :
 
 val align_all :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
   -> (string * string) array -> Align.alignment array
 (** [align_all pairs] aligns every [(query, reference)] pair in
@@ -53,7 +50,6 @@ val align_all :
 
 val align_all_report :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
@@ -75,7 +71,6 @@ val align_all_report :
 
 val align_all_overlap_report :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -90,7 +85,6 @@ val align_all_overlap_report :
 
 val iter :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
   -> ?chunk:int
   -> f:(int -> query:string -> reference:string -> Align.alignment -> unit)
@@ -102,7 +96,6 @@ val iter :
 
 val iter_fasta_file :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
   -> ?chunk:int
   -> path:string
@@ -116,7 +109,6 @@ val iter_fasta_file :
 
 val scaling :
   ?band:Dphls_core.Banding.t ->
-  ?datapath:Align.datapath ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> workers:int list
   -> (string * string) array
   -> Dphls_host.Throughput.scaling_point list

@@ -2,10 +2,10 @@
    Reference are thin ports of the existing engines (bit-identical by
    construction: every call forwards verbatim). Bitpar adapts a kernel
    onto the Myers core: the Fastpath pass proves the recurrence shape on
-   the kernel's catalog datapath, then the live cost constants are read
-   off the kernel's own PE closure and the init borders are checked
-   against the global ramp, so a kernel either routes with exactly its
-   own scoring or is refused with the disqualifying property named. *)
+   the kernel's own datapath and bindings and resolves its cost
+   constants, then the init borders are checked against the global
+   ramp, so a kernel either routes with exactly its own scoring or is
+   refused with the disqualifying property named. *)
 
 open Dphls_core
 module Score = Dphls_util.Score
@@ -104,47 +104,9 @@ end = struct
       cycle_model = false;
     }
 
-  (* Live cost constants, read off the kernel's own PE closure: pin two
-     of the three moves at an adverse-but-finite score so the remaining
-     candidate wins, and its output is that move's cost applied to 0.
-     Sound only after the Fastpath shape proof (per-character costs, one
-     layer, no positional terms), which is checked first. *)
-  let probe (type p) (k : p Kernel.t) (p : p) =
-    let far = 100_000 in
-    let far = match k.Kernel.objective with
-      | Score.Maximize -> -far
-      | Score.Minimize -> far
-    in
-    let eval ~diag ~up ~left ~qc ~rc =
-      (k.Kernel.pe p
-         {
-           Pe.up = [| up |];
-           diag = [| diag |];
-           left = [| left |];
-           qry = [| qc |];
-           rf = [| rc |];
-           row = 1;
-           col = 1;
-         })
-        .Pe.scores.(0)
-    in
-    let s_eq = eval ~diag:0 ~up:far ~left:far ~qc:0 ~rc:0 in
-    let s_ne = eval ~diag:0 ~up:far ~left:far ~qc:0 ~rc:1 in
-    let g_up = eval ~diag:far ~up:0 ~left:far ~qc:0 ~rc:1 in
-    let g_left = eval ~diag:far ~up:far ~left:0 ~qc:0 ~rc:1 in
-    match k.Kernel.objective with
-    | Score.Minimize ->
-      if s_eq <> 0 then Error "match cost is not 0"
-      else if not (s_ne > 0 && s_ne = g_up && g_up = g_left) then
-        Error "substitution and indel costs differ"
-      else Ok (BEngine.Unit_cost { cost = s_ne })
-    | Score.Maximize ->
-      let ws2 = 2 * (s_eq - s_ne) and wi2 = s_eq - (2 * g_up) in
-      if g_up <> g_left then Error "insertion and deletion gaps differ"
-      else if ws2 <> wi2 then Error "doubled weights differ"
-      else if ws2 <= 0 then Error "doubled weights are not positive"
-      else Ok (BEngine.Doubled { match_ = s_eq; weight2 = ws2 })
-
+  (* The Fastpath shape proof on the kernel's own datapath and bindings
+     also resolves its cost constants: a min-plus kernel is [scale] x
+     Levenshtein, a max-plus one maps through its doubled weight. *)
   let mapping_for (type p) (k : p Kernel.t) (p : p) =
     if k.Kernel.n_layers <> 1 then Error "more than one score layer"
     else if k.Kernel.score_site <> Traceback.Bottom_right then
@@ -153,12 +115,13 @@ end = struct
       match k.Kernel.traceback p with
       | Some _ -> Error "kernel requires a traceback path"
       | None -> (
-        match Dphls_kernels.Datapaths.cell_for k.Kernel.id with
-        | exception Not_found -> Error "kernel has no catalog datapath"
-        | cell, bindings -> (
-          match Dphls_analysis.Fastpath.classify cell bindings with
-          | Dphls_analysis.Fastpath.Ineligible { property } -> Error property
-          | Dphls_analysis.Fastpath.Eligible _ -> probe k p))
+        let cell, bindings = k.Kernel.datapath p in
+        match Dphls_analysis.Fastpath.classify cell bindings with
+        | Dphls_analysis.Fastpath.Ineligible { property } -> Error property
+        | Dphls_analysis.Fastpath.Eligible { scale; match_; _ } -> (
+          match k.Kernel.objective with
+          | Score.Minimize -> Ok (BEngine.Unit_cost { cost = scale })
+          | Score.Maximize -> Ok (BEngine.Doubled { match_; weight2 = scale })))
 
   let indel_of = function
     | BEngine.Unit_cost { cost } -> cost

@@ -45,9 +45,8 @@ let band_json runs =
 
 type pe_run = {
   kernel : string;
-  n_pe : int;
   cells : int;
-  boxed_ns : float;
+  eval_ns : float;
   compiled_ns : float;
 }
 
@@ -57,7 +56,7 @@ let pe_cells_per_sec ~cells ~ns =
 
 let pe_speedup r =
   if r.compiled_ns <= 0.0 then invalid_arg "Throughput.pe_speedup";
-  r.boxed_ns /. r.compiled_ns
+  r.eval_ns /. r.compiled_ns
 
 let pe_json runs =
   let buf = Buffer.create 512 in
@@ -67,11 +66,11 @@ let pe_json runs =
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf
         (Printf.sprintf
-           "  {\"kernel\": %S, \"n_pe\": %d, \"cells\": %d, \"boxed_ns\": %.0f, \
-            \"compiled_ns\": %.0f, \"boxed_cells_per_sec\": %.0f, \
+           "  {\"kernel\": %S, \"cells\": %d, \"eval_ns\": %.0f, \
+            \"compiled_ns\": %.0f, \"eval_cells_per_sec\": %.0f, \
             \"compiled_cells_per_sec\": %.0f, \"speedup\": %.3f}"
-           r.kernel r.n_pe r.cells r.boxed_ns r.compiled_ns
-           (pe_cells_per_sec ~cells:r.cells ~ns:r.boxed_ns)
+           r.kernel r.cells r.eval_ns r.compiled_ns
+           (pe_cells_per_sec ~cells:r.cells ~ns:r.eval_ns)
            (pe_cells_per_sec ~cells:r.cells ~ns:r.compiled_ns)
            (pe_speedup r)))
     runs;

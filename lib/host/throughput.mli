@@ -35,16 +35,15 @@ val cells_fraction : band_run -> float
 val band_json : band_run list -> string
 (** Renders the runs as a JSON array (the BENCH_2.json payload). *)
 
-(** One PE-datapath measurement of the same alignment workload: the
-    boxed interpreter closure vs the compiled flat evaluator on one
-    kernel shape at one array width, as reported by [bench --pe-only]
-    (the BENCH_3.json payload). *)
+(** One PE-level measurement of a kernel's datapath over every cell of
+    one workload: the reference interpreter [Datapath.eval] vs the
+    compiled flat program the engines run, as reported by
+    [bench --pe-only] (the BENCH_3.json payload). *)
 type pe_run = {
   kernel : string;       (** shape label, e.g. "linear(#1)" *)
-  n_pe : int;
-  cells : int;           (** DP cells per alignment *)
-  boxed_ns : float;      (** mean wall-clock per alignment, boxed PE *)
-  compiled_ns : float;   (** mean wall-clock per alignment, compiled PE *)
+  cells : int;           (** DP cells per sweep *)
+  eval_ns : float;       (** wall-clock per sweep, [Datapath.eval] *)
+  compiled_ns : float;   (** wall-clock per sweep, compiled program *)
 }
 
 val pe_cells_per_sec : cells:int -> ns:float -> float
@@ -52,7 +51,7 @@ val pe_cells_per_sec : cells:int -> ns:float -> float
     [ns <= 0]. *)
 
 val pe_speedup : pe_run -> float
-(** [boxed_ns / compiled_ns]; raises on [compiled_ns <= 0]. *)
+(** [eval_ns / compiled_ns]; raises on [compiled_ns <= 0]. *)
 
 val pe_json : pe_run list -> string
 (** Renders the runs (with derived rates and speedups) as a JSON array

@@ -1,19 +1,9 @@
-(** Shared affine-gap (Gotoh) recurrence used by kernels #2, #4 and #12.
+(** Border rules of the affine-gap (Gotoh) kernels #2, #4 and #12, whose
+    recurrence is [Cells.affine_cell].
 
     Layers: H = 0, D = 1 (vertical, gap in reference), I = 2 (horizontal,
     gap in query). Gap of length L costs [gap_open + L * gap_extend]
     (both non-positive). *)
-
-val pe :
-  local:bool ->
-  sub:int ->
-  gap_open:int ->
-  gap_extend:int ->
-  Dphls_core.Pe.input ->
-  Dphls_core.Pe.output
-(** [local] floors H at zero and emits an END pointer when it does
-    (Smith-Waterman-Gotoh); otherwise global (Gotoh). [sub] is the
-    substitution score for this cell's character pair. *)
 
 val init_row_global :
   gap_open:int -> gap_extend:int -> layer:int -> col:int -> Dphls_core.Types.score

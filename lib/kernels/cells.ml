@@ -1,9 +1,9 @@
 open Dphls_core.Datapath
 module Score = Dphls_util.Score
 
-(* Tag of the first candidate attaining the optimum (Kdefs.best_of keeps
-   the incumbent unless strictly better, so the winner is the first
-   argbest). *)
+(* Tag of the first candidate attaining the optimum: the incumbent is
+   kept unless a later candidate is strictly better, so the winner is
+   the first argbest. *)
 let rec select_first_best ~objective cands =
   match cands with
   | [] -> invalid_arg "Cells.select_first_best: empty"
@@ -38,6 +38,8 @@ let linear_global_cell =
       [ { bits = 2; value = select_first_best ~objective:Score.Maximize linear_candidates } ];
   }
 
+(* Paper Listing 6: candidates are compared and the result floors at 0
+   with an END pointer marking the traceback stop. *)
 let linear_local_cell =
   let h = Max (List.map fst linear_candidates) in
   {
@@ -175,6 +177,12 @@ let sdtw_cell =
   { layers = [| Add (Min (List.map fst dtw_neighbors), cost) |]; tb_fields = [] }
 
 (* ---------- Viterbi (#10) ---------- *)
+
+(* Layers: 0 = M (match state), 1 = I (insert: consumes query),
+   2 = D (delete: consumes reference). Log-space Viterbi:
+     M(i,j) = e(q,r) + max(M(i-1,j-1)+tMM, I(i-1,j-1)+tGC, D(i-1,j-1)+tGC)
+     I(i,j) = eg + max(M(i-1,j)+tGO, I(i-1,j)+tGE)
+     D(i,j) = eg + max(M(i,j-1)+tGO, D(i,j-1)+tGE) *)
 
 let viterbi_cell =
   let m =

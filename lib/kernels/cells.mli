@@ -3,9 +3,10 @@
     Each value here is the expression-IR description of one PE datapath
     (paper §4 step 2, Listing 4): the per-layer score recurrences plus the
     packed traceback fields. The kXX modules pair these cells with their
-    parameter bindings to build both the RTL view ([Dphls_analysis]) and
-    the compiled flat evaluator ([Dphls_core.Datapath.compile]) that the
-    engines execute.
+    parameter bindings in [Kernel.t]'s [datapath] field — the kernel's
+    one definition, which the engines run compiled
+    ([Dphls_core.Kernel.flat_pe]), the RTL emitter lowers and the static
+    analyses ([Dphls_analysis]) read.
 
     This module deliberately depends only on [Kdefs], [Dphls_core] and
     [Dphls_alphabet] so the kXX kernel modules can reference it without a
@@ -16,9 +17,9 @@ open Dphls_core.Datapath
 val select_first_best :
   objective:Dphls_util.Score.objective -> (expr * int) list -> expr
 (** Expression computing the tag of the first candidate attaining the
-    optimum — the same tie-break as [Kdefs.best_of], which keeps the
-    incumbent unless strictly better. Raises [Invalid_argument] on an
-    empty candidate list. *)
+    optimum: listing candidates in preference order fixes the tie-break,
+    since a later candidate wins only when strictly better. Raises
+    [Invalid_argument] on an empty candidate list. *)
 
 val dna_sub : expr
 (** [match]/[mismatch] parameter select on [Qry 0]/[Ref 0] equality. *)

@@ -5,10 +5,6 @@ type params = { match_ : int; mismatch : int; gap_open : int; gap_extend : int }
 
 let default = { match_ = 2; mismatch = -2; gap_open = -3; gap_extend = -1 }
 
-let pe p (i : Pe.input) =
-  let sub = Kdefs.dna_sub ~match_:p.match_ ~mismatch:p.mismatch i.Pe.qry i.Pe.rf in
-  Affine_rec.pe ~local:true ~sub ~gap_open:p.gap_open ~gap_extend:p.gap_extend i
-
 let bindings p =
   {
     Datapath.params =
@@ -33,12 +29,7 @@ let kernel =
     init_row = (fun _ ~ref_len:_ ~layer ~col:_ -> Affine_rec.init_zero ~layer);
     init_col = (fun _ ~qry_len:_ ~layer ~row:_ -> Affine_rec.init_zero ~layer);
     origin = (fun _ ~layer -> Affine_rec.init_zero ~layer);
-    pe;
-    pe_flat =
-      Some
-        (fun p ->
-          Datapath.flat
-            (Datapath.compile (Cells.affine_cell ~local:true) (bindings p)));
+    datapath = (fun p -> (Cells.affine_cell ~local:true, bindings p));
     score_site = Traceback.Global_best;
     traceback =
       (fun _ -> Some { Traceback.fsm = Kdefs.Affine.fsm; stop = Traceback.On_stop_move });

@@ -34,36 +34,6 @@ let default =
     gap_emission = quantize 0.25;
   }
 
-(* Layers: 0 = M (match state), 1 = I (insert: consumes query),
-   2 = D (delete: consumes reference). Log-space Viterbi:
-     M(i,j) = e(q,r) + max(M(i-1,j-1)+tMM, I(i-1,j-1)+tGC, D(i-1,j-1)+tGC)
-     I(i,j) = eg + max(M(i-1,j)+tGO, I(i-1,j)+tGE)
-     D(i,j) = eg + max(M(i,j-1)+tGO, D(i,j-1)+tGE) *)
-let pe p (i : Pe.input) =
-  let emit = p.emission.(i.Pe.qry.(0)).(i.Pe.rf.(0)) in
-  let m_best, _ =
-    Kdefs.best_of Score.Maximize
-      [
-        (Score.add i.Pe.diag.(0) p.trans_mm, 0);
-        (Score.add i.Pe.diag.(1) p.trans_gap_close, 1);
-        (Score.add i.Pe.diag.(2) p.trans_gap_close, 2);
-      ]
-  in
-  let m = Score.add m_best emit in
-  let ins_best, _ =
-    Kdefs.best2 Score.Maximize
-      (Score.add i.Pe.up.(0) p.trans_gap_open, 0)
-      (Score.add i.Pe.up.(1) p.trans_gap_extend, 1)
-  in
-  let ins = Score.add ins_best p.gap_emission in
-  let del_best, _ =
-    Kdefs.best2 Score.Maximize
-      (Score.add i.Pe.left.(0) p.trans_gap_open, 0)
-      (Score.add i.Pe.left.(2) p.trans_gap_extend, 1)
-  in
-  let del = Score.add del_best p.gap_emission in
-  { Pe.scores = [| m; ins; del |]; tb = 0 }
-
 let bindings p =
   {
     Datapath.params =
@@ -103,11 +73,7 @@ let kernel =
     init_row = (fun p ~ref_len:_ ~layer ~col -> border p ~layer ~index:col);
     init_col = (fun p ~qry_len:_ ~layer ~row -> border p ~layer ~index:row);
     origin = (fun _ ~layer -> if layer = 0 then 0 else Score.neg_inf);
-    pe;
-    pe_flat =
-      Some
-        (fun p ->
-          Datapath.flat (Datapath.compile Cells.viterbi_cell (bindings p)));
+    datapath = (fun p -> (Cells.viterbi_cell, bindings p));
     score_site = Traceback.Bottom_right;
     traceback = (fun _ -> None);
     banding = None;

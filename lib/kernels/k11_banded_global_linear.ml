@@ -6,18 +6,6 @@ type params = { match_ : int; mismatch : int; gap : int }
 let default = { match_ = 2; mismatch = -2; gap = -2 }
 let default_bandwidth = 32
 
-let pe p (i : Pe.input) =
-  let s = Kdefs.dna_sub ~match_:p.match_ ~mismatch:p.mismatch i.Pe.qry i.Pe.rf in
-  let best, ptr =
-    Kdefs.best_of Score.Maximize
-      [
-        (Score.add i.Pe.diag.(0) s, Kdefs.Linear.ptr_diag);
-        (Score.add i.Pe.up.(0) p.gap, Kdefs.Linear.ptr_up);
-        (Score.add i.Pe.left.(0) p.gap, Kdefs.Linear.ptr_left);
-      ]
-  in
-  { Pe.scores = [| best |]; tb = ptr }
-
 let bindings p =
   {
     Datapath.params =
@@ -37,11 +25,7 @@ let kernel_with ~bandwidth =
     init_row = (fun p ~ref_len:_ ~layer:_ ~col -> p.gap * (col + 1));
     init_col = (fun p ~qry_len:_ ~layer:_ ~row -> p.gap * (row + 1));
     origin = (fun _ ~layer:_ -> 0);
-    pe;
-    pe_flat =
-      Some
-        (fun p ->
-          Datapath.flat (Datapath.compile Cells.linear_global_cell (bindings p)));
+    datapath = (fun p -> (Cells.linear_global_cell, bindings p));
     score_site = Traceback.Bottom_right;
     traceback =
       (fun _ -> Some { Traceback.fsm = Kdefs.Linear.fsm; stop = Traceback.At_origin });

@@ -5,18 +5,6 @@ type params = unit
 
 let default = ()
 
-let pe () (i : Pe.input) =
-  let cost = abs (i.Pe.qry.(0) - i.Pe.rf.(0)) in
-  let best, ptr =
-    Kdefs.best_of Score.Minimize
-      [
-        (i.Pe.diag.(0), Kdefs.Linear.ptr_diag);
-        (i.Pe.up.(0), Kdefs.Linear.ptr_up);
-        (i.Pe.left.(0), Kdefs.Linear.ptr_left);
-      ]
-  in
-  { Pe.scores = [| Score.add best cost |]; tb = ptr }
-
 let bindings () = { Datapath.params = []; tables = [] }
 
 let kernel =
@@ -32,10 +20,7 @@ let kernel =
     init_row = (fun () ~ref_len:_ ~layer:_ ~col:_ -> 0);
     init_col = (fun () ~qry_len:_ ~layer:_ ~row:_ -> Score.pos_inf);
     origin = (fun () ~layer:_ -> 0);
-    pe;
-    pe_flat =
-      Some
-        (fun p -> Datapath.flat (Datapath.compile Cells.sdtw_cell (bindings p)));
+    datapath = (fun p -> (Cells.sdtw_cell, bindings p));
     score_site = Traceback.Last_row_best;
     traceback = (fun () -> None);
     banding = None;

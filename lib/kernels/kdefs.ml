@@ -1,5 +1,4 @@
 open Dphls_core
-module Score = Dphls_util.Score
 
 module Linear = struct
   let ptr_diag = 0
@@ -25,9 +24,6 @@ module Affine = struct
   let src_del = 1
   let src_ins = 2
   let src_end = 3
-
-  let encode ~h_src ~d_ext ~i_ext =
-    h_src lor ((if d_ext then 1 else 0) lsl 2) lor ((if i_ext then 1 else 0) lsl 3)
 
   let st_h = 0
   let st_d = 1
@@ -60,10 +56,6 @@ module Two_piece = struct
   let src_i2 = 4
   let src_end = 5
 
-  let encode ~h_src ~d1_ext ~i1_ext ~d2_ext ~i2_ext =
-    let bit v pos = (if v then 1 else 0) lsl pos in
-    h_src lor bit d1_ext 3 lor bit i1_ext 4 lor bit d2_ext 5 lor bit i2_ext 6
-
   let st_h = 0
   let st_d1 = 1
   let st_i1 = 2
@@ -91,14 +83,5 @@ module Two_piece = struct
           else ((if ext 6 then st_i2 else st_h), Traceback.Left));
     }
 end
-
-let best2 objective (s1, t1) (s2, t2) =
-  if Score.better objective s2 s1 then (s2, t2) else (s1, t1)
-
-let best_of objective = function
-  | [] -> invalid_arg "Kdefs.best_of: empty"
-  | first :: rest -> List.fold_left (best2 objective) first rest
-
-let dna_sub ~match_ ~mismatch q r = if q.(0) = r.(0) then match_ else mismatch
 
 let dna_char_bits = Dphls_alphabet.Dna.bits

@@ -1,5 +1,6 @@
-(** Shared building blocks for the 15 kernel definitions: pointer
-    encodings, traceback FSM constructors, and selection helpers.
+(** Shared building blocks for the catalog kernels: pointer encodings
+    and traceback FSMs. A datapath cell ([Cells]) writes the pointer
+    fields in these encodings; the FSMs read them back.
 
     Pointer encodings follow the paper's bit budgets exactly:
     - linear kernels store 2-bit pointers (diag/up/left/end);
@@ -30,7 +31,6 @@ module Affine : sig
   val src_ins : int
   val src_end : int
 
-  val encode : h_src:int -> d_ext:bool -> i_ext:bool -> int
   val fsm : Traceback.fsm
   (** States: 0 = walking H, 1 = walking D, 2 = walking I. *)
 end
@@ -44,22 +44,7 @@ module Two_piece : sig
   val src_i2 : int
   val src_end : int
 
-  val encode :
-    h_src:int -> d1_ext:bool -> i1_ext:bool -> d2_ext:bool -> i2_ext:bool -> int
-
   val fsm : Traceback.fsm
 end
-
-val best2 : Dphls_util.Score.objective -> Types.score * int -> Types.score * int
-  -> Types.score * int
-(** Pick the better (score, tag) pair; the first argument wins ties, so
-    listing candidates in preference order fixes the tie-break. *)
-
-val best_of : Dphls_util.Score.objective -> (Types.score * int) list
-  -> Types.score * int
-(** Fold of {!best2} over a non-empty preference-ordered candidate list. *)
-
-val dna_sub : match_:int -> mismatch:int -> Types.ch -> Types.ch -> int
-(** Match/mismatch substitution on 1-element characters. *)
 
 val dna_char_bits : int

@@ -1,4 +1,3 @@
-open Dphls_core
 module Score = Dphls_util.Score
 
 type gaps = {
@@ -7,47 +6,6 @@ type gaps = {
   open2 : int;
   extend2 : int;
 }
-
-let pe ~sub g (i : Pe.input) =
-  let layer_gap ~src ~prev_h ~prev_layer ~open_ ~extend =
-    let v, ext =
-      Kdefs.best2 Score.Maximize
-        (Score.add prev_h (Score.add open_ extend), 0)
-        (Score.add prev_layer extend, 1)
-    in
-    (v, ext = 1, src)
-  in
-  let d1, d1_ext, _ =
-    layer_gap ~src:Kdefs.Two_piece.src_d1 ~prev_h:i.Pe.up.(0) ~prev_layer:i.Pe.up.(1)
-      ~open_:g.open1 ~extend:g.extend1
-  in
-  let i1, i1_ext, _ =
-    layer_gap ~src:Kdefs.Two_piece.src_i1 ~prev_h:i.Pe.left.(0)
-      ~prev_layer:i.Pe.left.(2) ~open_:g.open1 ~extend:g.extend1
-  in
-  let d2, d2_ext, _ =
-    layer_gap ~src:Kdefs.Two_piece.src_d2 ~prev_h:i.Pe.up.(0) ~prev_layer:i.Pe.up.(3)
-      ~open_:g.open2 ~extend:g.extend2
-  in
-  let i2, i2_ext, _ =
-    layer_gap ~src:Kdefs.Two_piece.src_i2 ~prev_h:i.Pe.left.(0)
-      ~prev_layer:i.Pe.left.(4) ~open_:g.open2 ~extend:g.extend2
-  in
-  let h, h_src =
-    Kdefs.best_of Score.Maximize
-      [
-        (Score.add i.Pe.diag.(0) sub, Kdefs.Two_piece.src_diag);
-        (d1, Kdefs.Two_piece.src_d1);
-        (i1, Kdefs.Two_piece.src_i1);
-        (d2, Kdefs.Two_piece.src_d2);
-        (i2, Kdefs.Two_piece.src_i2);
-      ]
-  in
-  {
-    Pe.scores = [| h; d1; i1; d2; i2 |];
-    tb =
-      Kdefs.Two_piece.encode ~h_src ~d1_ext ~i1_ext ~d2_ext ~i2_ext;
-  }
 
 let gap_cost g len =
   Score.max2 (g.open1 + (g.extend1 * len)) (g.open2 + (g.extend2 * len))

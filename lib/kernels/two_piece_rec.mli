@@ -1,8 +1,9 @@
-(** Shared two-piece affine recurrence (Minimap2's gap model) for kernels
-    #5 and #13: two concurrent affine gap regimes per direction, five
-    scoring layers (H=0, D1=1, I1=2, D2=3, I2=4), and the score of a gap
-    is the better of the two regimes — short gaps favour the steep piece,
-    long gaps the shallow one. *)
+(** Gap parameters and border rules of the two-piece affine kernels #5
+    and #13 (Minimap2's gap model), whose recurrence is
+    [Cells.two_piece_cell]: two concurrent affine gap regimes per
+    direction, five scoring layers (H=0, D1=1, I1=2, D2=3, I2=4), and the
+    score of a gap is the better of the two regimes — short gaps favour
+    the steep piece, long gaps the shallow one. *)
 
 type gaps = {
   open1 : int;
@@ -10,8 +11,6 @@ type gaps = {
   open2 : int;
   extend2 : int;  (** shallow piece: expensive to open, cheap to extend *)
 }
-
-val pe : sub:int -> gaps -> Dphls_core.Pe.input -> Dphls_core.Pe.output
 
 val init_border : gaps -> layer:int -> index:int -> Dphls_core.Types.score
 (** Global border value at distance [index]: H is the better of the two

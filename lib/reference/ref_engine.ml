@@ -106,7 +106,7 @@ let fill ?band_pe ~full kernel params (w : Workload.t) =
   let tb =
     if has_tb then Bytes.make (2 * qry_len * ref_len) '\000' else Bytes.empty
   in
-  let pe_flat = Kernel.flat_pe kernel params in
+  let flat_pe = Kernel.flat_pe kernel params in
   let buf = Pe.create_buffers ~n_layers in
   let up = buf.Pe.b_up
   and diag = buf.Pe.b_diag
@@ -150,7 +150,7 @@ let fill ?band_pe ~full kernel params (w : Workload.t) =
           buf.Pe.b_rf <- reference.(col);
           buf.Pe.b_row <- row;
           buf.Pe.b_col <- col;
-          pe_flat buf;
+          flat_pe buf;
           for layer = 0 to n_layers - 1 do
             Array.unsafe_set ring (at + layer) (Array.unsafe_get out layer)
           done;

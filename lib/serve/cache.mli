@@ -1,7 +1,7 @@
 (** Bounded LRU result cache for the serve layer.
 
     Keyed on the full identity of an answer — kernel id, the
-    {!Dphls_vectors.Stream.params_hash} of the (band-overridden) kernel
+    {!Dphls_core.Fingerprint.params_hash} of the (band-overridden) kernel
     at the configured [N_PE], the band signature, and both sequences —
     so a hit can only ever return the byte-identical response the
     engines would recompute. Eviction is least-recently-used; [find]

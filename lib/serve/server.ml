@@ -57,6 +57,9 @@ type pending = {
    a band override and an engine choice, so a flush is one batch *)
 type group = {
   banded : Registry.packed;  (** kernel with the band override applied *)
+  params_hash : string;
+      (** {!Dphls_core.Fingerprint.params_hash} of [banded], computed once
+          when the group is created *)
   choice : Engines.choice;
   q : pending Queue.t;
 }
@@ -325,10 +328,6 @@ let apply_band band packed =
     in
     Registry.Packed (k', p)
 
-let params_hash_of packed ~n_pe =
-  match packed with
-  | Registry.Packed (k, _) -> Dphls_vectors.Stream.params_hash k ~n_pe
-
 let find_group t (req : Proto.request) ~kid ~(entry : Catalog.entry) =
   let key =
     Printf.sprintf "%d|%s|%s" kid
@@ -339,9 +338,12 @@ let find_group t (req : Proto.request) ~kid ~(entry : Catalog.entry) =
     match Hashtbl.find_opt t.groups key with
     | Some g -> g
     | None ->
+      let banded = apply_band req.Proto.band entry.Catalog.packed in
+      let (Registry.Packed (k, p)) = banded in
       let g =
         {
-          banded = apply_band req.Proto.band entry.Catalog.packed;
+          banded;
+          params_hash = Dphls_core.Fingerprint.params_hash k p ~n_pe:t.cfg.n_pe;
           choice = req.Proto.engine;
           q = Queue.create ();
         }
@@ -360,7 +362,7 @@ let cache_key t g (req : Proto.request) ~kid =
        another backend's cached answer *)
     Some
       (Printf.sprintf "%d|%s|%s|%s|%s|%s" kid
-         (params_hash_of g.banded ~n_pe:t.cfg.n_pe)
+         g.params_hash
          (Proto.band_signature req.Proto.band)
          req.Proto.engine_label req.Proto.qry req.Proto.ref_seq)
 

@@ -1,13 +1,13 @@
 open Dphls_core
 open Dphls_systolic
 
-let header (k : 'p Kernel.t) ~n_pe (w : Workload.t) =
+let header (k : 'p Kernel.t) p ~n_pe (w : Workload.t) =
   let qry_len, ref_len = Workload.sizes w in
   {
     Stream.version = Codec.version;
     kernel_id = k.Kernel.id;
     kernel_name = k.Kernel.name;
-    params_hash = Stream.params_hash k ~n_pe;
+    params_hash = Fingerprint.params_hash k p ~n_pe;
     band = Stream.band_spec_of_banding k.Kernel.banding;
     n_pe;
     qry_len;
@@ -26,7 +26,7 @@ let summary (r : Result.t) =
     s_cells = r.Result.cells_computed;
   }
 
-let of_trace (k : 'p Kernel.t) (_p : 'p) ~n_pe ~workload ~trace ~result =
+let of_trace (k : 'p Kernel.t) (p : 'p) ~n_pe ~workload ~trace ~result =
   let cells =
     List.map
       (fun (e : Trace.event) ->
@@ -67,7 +67,7 @@ let of_trace (k : 'p Kernel.t) (_p : 'p) ~n_pe ~workload ~trace ~result =
       else merge (w :: acc) cs ws'
   in
   {
-    Stream.header = header k ~n_pe workload;
+    Stream.header = header k p ~n_pe workload;
     records = Array.of_list (merge [] cells windows);
     summary = summary result;
   }
@@ -133,7 +133,7 @@ let reference (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
     done
   done;
   ( {
-      Stream.header = header k ~n_pe workload;
+      Stream.header = header k p ~n_pe workload;
       records = Array.of_list !records;
       summary = summary result;
     },

@@ -61,7 +61,7 @@ let to_string (v : Stream.t) =
     (if s.Stream.s_cigar = "" then "-" else s.Stream.s_cigar)
     s.Stream.s_cells;
   let covered = Buffer.contents b in
-  line "checksum %s" (Stream.fnv64 covered);
+  line "checksum %s" (Fingerprint.fnv64 covered);
   Buffer.contents b
 
 (* ---------------------------------------------------------------- *)
@@ -318,7 +318,7 @@ let parse_exn s =
     Buffer.add_string b cur.lines.(i);
     Buffer.add_char b '\n'
   done;
-  let computed = Stream.fnv64 (Buffer.contents b) in
+  let computed = Fingerprint.fnv64 (Buffer.contents b) in
   if computed <> recorded then
     fail
       "checksum mismatch: recorded %s, computed %s — file corrupted or \

@@ -90,7 +90,7 @@ let resolve (h : Stream.header) =
       | Error msg ->
         Error (Printf.sprintf "header field \"band\": %s" msg)
       | Ok k ->
-        let hash = Stream.params_hash k ~n_pe:h.Stream.n_pe in
+        let hash = Fingerprint.params_hash k p ~n_pe:h.Stream.n_pe in
         if hash <> h.Stream.params_hash then
           Error
             (Printf.sprintf
@@ -122,16 +122,16 @@ let check ?overlap (v : Stream.t) =
     | Some d ->
       Error (Printf.sprintf "systolic re-run diverges: %s" (Stream.describe d))
     | None -> (
-      match Replay.run ~datapath:`Compiled k p v with
+      match Replay.run ~evaluator:`Compiled k p v with
       | Error d ->
         Error
           (Printf.sprintf "compiled-datapath replay diverges: %s"
              (Stream.describe d))
       | Ok replayed -> (
-        match Replay.run ~datapath:`Boxed k p v with
+        match Replay.run ~evaluator:`Eval k p v with
         | Error d ->
           Error
-            (Printf.sprintf "boxed-interpreter replay diverges: %s"
+            (Printf.sprintf "datapath-interpreter replay diverges: %s"
                (Stream.describe d))
         | Ok _ ->
           let o_cells, o_windows = count_records v in

@@ -43,7 +43,8 @@ val check : ?overlap:bool -> Stream.t -> (outcome, string) result
       reproduces the recorded streams ({!Stream.diff}: first divergence
       named by chunk, wavefront, PE, cell);
     - every recorded cell replays bit-identically through both the
-      compiled datapath and the boxed interpreter ({!Replay.run}).
+      compiled datapath and its interpreter {!Dphls_core.Datapath.eval}
+      ({!Replay.run}).
 
     With [?overlap] (default [false]) the re-run goes through the
     overlapped staged engine ({!Capture.systolic} [~overlap:true]), so

@@ -14,14 +14,17 @@
     re-run. *)
 
 val run :
-  ?datapath:[ `Compiled | `Boxed ] ->
+  ?evaluator:[ `Compiled | `Eval | `Pe of Dphls_core.Pe.f ] ->
   'p Dphls_core.Kernel.t ->
   'p ->
   Stream.t ->
   (int, Stream.divergence) result
-(** Replay every cell record through the kernel's PE — the compiled
-    [pe_flat] datapath (default) or the boxed interpreter closure — and
-    return the number of cells replayed, or the first divergence.
+(** Replay every cell record through the kernel's datapath — the
+    compiled program the engines run ([`Compiled], default) or its
+    reference interpreter {!Dphls_core.Datapath.eval} ([`Eval]) — or
+    through any other PE for the same kernel ([`Pe f], e.g. a
+    hand-written oracle of the recurrence), and return the number of
+    cells replayed, or the first divergence.
     Traceback pointers are only compared when the kernel has traceback.
     Raises [Invalid_argument] if the vector's layer count disagrees with
     the kernel's. *)

@@ -62,37 +62,6 @@ type t = {
   summary : summary;
 }
 
-(* 64-bit FNV-1a in Int64 so the digest is identical on every platform
-   (OCaml's native int is 63-bit). *)
-let fnv64_int64 s =
-  let open Int64 in
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := mul (logxor !h (of_int (Char.code c))) prime)
-    s;
-  !h
-
-let fnv64 s = Printf.sprintf "%016Lx" (fnv64_int64 s)
-
-let params_hash (k : 'p Kernel.t) ~n_pe =
-  let tr = k.Kernel.traits in
-  let canon =
-    Printf.sprintf
-      "id=%d;name=%s;obj=%s;layers=%d;score_bits=%d;tb_bits=%d;adds=%d;muls=%d;cmps=%d;ii=%d;depth=%d;char_bits=%d;param_bits=%d;band=%s;n_pe=%d"
-      k.Kernel.id k.Kernel.name
-      (match k.Kernel.objective with
-      | Dphls_util.Score.Maximize -> "max"
-      | Minimize -> "min")
-      k.Kernel.n_layers k.Kernel.score_bits k.Kernel.tb_bits
-      tr.Traits.adds_per_pe tr.Traits.muls_per_pe tr.Traits.cmps_per_pe
-      tr.Traits.ii tr.Traits.logic_depth tr.Traits.char_bits
-      tr.Traits.param_bits
-      (band_spec_to_string (band_spec_of_banding k.Kernel.banding))
-      n_pe
-  in
-  fnv64 canon
-
 type site = {
   at_chunk : int;
   at_wavefront : int;

@@ -23,7 +23,9 @@ type header = {
   version : int;          (** on-disk format version (see {!Codec.version}) *)
   kernel_id : int;
   kernel_name : string;
-  params_hash : string;   (** {!params_hash} of the producing kernel/config *)
+  params_hash : string;
+      (** {!Dphls_core.Fingerprint.params_hash} of the producing
+          kernel, its parameters and [N_PE] *)
   band : band_spec;       (** effective banding of the run *)
   n_pe : int;
   qry_len : int;
@@ -67,16 +69,6 @@ type t = {
 val record_key : record -> int * int * int * int
 (** (chunk, wavefront, kind, pe) sort key of a record's schedule slot;
     cells (kind 0) precede the wavefront's window record (kind 1). *)
-
-val params_hash : 'p Dphls_core.Kernel.t -> n_pe:int -> string
-(** 16-hex-char FNV-1a digest of the kernel facts and configuration the
-    streams depend on (id, name, objective, layer count, score/tb
-    widths, traits, banding, [N_PE]). Implementation-defined but stable
-    across runs and platforms; a digest change means the committed
-    corpus no longer describes this build and must be regenerated. *)
-
-val fnv64 : string -> string
-(** The underlying 64-bit FNV-1a digest as 16 lowercase hex chars. *)
 
 (** Where a divergence was found, in both schedule ((chunk, wavefront,
     PE)) and matrix ((row, col)) coordinates. *)

@@ -188,11 +188,11 @@ let test_pointer_width () =
   let k =
     {
       K01.kernel with
-      Kernel.pe =
+      Kernel.datapath =
         (fun p ->
-          let f = K01.kernel.Kernel.pe p in
-          fun input -> { (f input) with Pe.tb = 5 });
-      pe_flat = None;
+          let cell, bindings = K01.kernel.Kernel.datapath p in
+          ( { cell with Datapath.tb_fields = [ { bits = 3; value = Datapath.Const 5 } ] },
+            bindings ));
     }
   in
   let r = check_kernel k K01.default in
@@ -306,7 +306,6 @@ module Fastpath = Dphls_analysis.Fastpath
 module Json = Dphls_analysis.Json
 module Lint = Dphls_analysis.Lint
 module Cells = Dphls_kernels.Cells
-module Datapaths = Dphls_kernels.Datapaths
 module K19 = Dphls_kernels.K19_global_edit
 
 let has_in fs ~check ~severity =
@@ -317,8 +316,8 @@ let has_in fs ~check ~severity =
 let edit_bindings = K19.bindings K19.default
 
 let check_with_datapath ?host k p cell bindings =
-  Check.run ~datapath:(cell, bindings) ?host ~max_len:128 ~chars:dna_chars
-    (Registry.Packed (k, p))
+  Check.run ?host ~max_len:128 ~chars:dna_chars
+    (Registry.Packed ({ k with Kernel.datapath = (fun _ -> (cell, bindings)) }, p))
 
 (* Seeded-broken spec 1: a read outside the {NW, N, W} wavefront stencil
    (two rows up), expressible via [Nbr] but unservable by the
@@ -348,7 +347,7 @@ let test_depend_catalog_footprints () =
   List.iter
     (fun (e : Dphls_kernels.Catalog.entry) ->
       let (Registry.Packed (k, _)) = e.packed in
-      let cell, _ = Datapaths.cell_for k.Kernel.id in
+      let cell, _ = Registry.datapath e.packed in
       let d = Depend.analyze cell ~n_layers:k.Kernel.n_layers in
       if d.Depend.out_of_stencil <> [] || d.Depend.bad_layer <> []
          || d.Depend.cur_violations <> []
@@ -402,7 +401,7 @@ let test_ii_catalog_agreement () =
   List.iter
     (fun (e : Dphls_kernels.Catalog.entry) ->
       let (Registry.Packed (k, _)) = e.packed in
-      let cell, b = Datapaths.cell_for k.Kernel.id in
+      let cell, b = Registry.datapath e.packed in
       match Ii.analyze cell b with
       | Error m -> Alcotest.failf "kernel #%d: %s" k.Kernel.id m
       | Ok t ->
@@ -451,7 +450,7 @@ let test_fastpath_catalog () =
   List.iter
     (fun (e : Dphls_kernels.Catalog.entry) ->
       let (Registry.Packed (k, _)) = e.packed in
-      let cell, b = Datapaths.cell_for k.Kernel.id in
+      let cell, b = Registry.datapath e.packed in
       match (Fastpath.classify cell b, k.Kernel.id) with
       | Fastpath.Eligible { scale; _ }, 19 ->
         Alcotest.(check int) "unit-cost kernel: scale 1" 1 scale
@@ -593,11 +592,7 @@ let test_check_baseline_fresh () =
            let rng = Dphls_util.Rng.create 7 in
            let sample = e.gen rng ~len:(min 64 e.max_len) in
            let chars = Check.chars_of_workload sample in
-           let datapath =
-             Datapaths.cell_for (Registry.id e.packed)
-           in
-           Check.run ~n_pe:e.optimal.n_pe ~datapath ~max_len:e.max_len ~chars
-             e.packed)
+           Check.run ~n_pe:e.optimal.n_pe ~max_len:e.max_len ~chars e.packed)
          Dphls_kernels.Catalog.all)
     ^ "\n"
   in

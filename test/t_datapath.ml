@@ -1,51 +1,109 @@
-(* Symbolic datapath tests: every kernel's DSL description evaluates
-   bit-identically to its hand-written PE closure (the reproduction's
-   C-sim vs RTL co-sim check), validates structurally, and its operator
-   counts agree with the declared resource traits to within 2x. *)
+(* Symbolic datapath tests: every catalog kernel's datapath evaluates
+   bit-identically through the reference interpreter and the compiled
+   program the engines run (the reproduction's C-sim vs RTL co-sim
+   check), agrees cell by cell with an independent hand-written closure
+   of its recurrence ([Pe_oracles]), validates structurally, and its
+   operator counts agree with the declared resource traits to within
+   2x. *)
 open Dphls_core
 module Datapath = Dphls_core.Datapath
+module Score = Dphls_util.Score
+module Rng = Dphls_util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let substitute_pe packed dsl_pe =
-  let (Registry.Packed (k, p)) = packed in
-  (* pe_flat must go too, or the engines would keep the compiled datapath
-     and never run the substituted closure *)
-  Registry.Packed ({ k with Kernel.pe = (fun _ -> dsl_pe); pe_flat = None }, p)
+(* PE-level differential: [Datapath.eval] and the compiled program must
+   agree on every input. Neighbour layers are random scores of the
+   kernel's width with +-inf and the width extremes mixed in; characters
+   come from the kernel's own workload generator. *)
+let eval_vs_compiled_prop id =
+  let e = Dphls_kernels.Catalog.find id in
+  let (Registry.Packed (k, p)) = e.packed in
+  let n_layers = k.Kernel.n_layers in
+  let cell, bindings = k.Kernel.datapath p in
+  let eval = Datapath.eval cell bindings in
+  let flat = Kernel.flat_pe k p in
+  let bound = 1 lsl (k.Kernel.score_bits - 1) in
+  let extremes = [| Score.neg_inf; Score.pos_inf; -bound; bound - 1; 0 |] in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "kernel #%d eval == compiled" id)
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let w = e.Dphls_kernels.Catalog.gen rng ~len:(1 + Rng.int rng 16) in
+      let score () =
+        if Rng.int rng 4 = 0 then extremes.(Rng.int rng (Array.length extremes))
+        else Rng.int rng (2 * bound) - bound
+      in
+      let layers () = Array.init n_layers (fun _ -> score ()) in
+      let buf = Pe.create_buffers ~n_layers in
+      List.for_all
+        (fun _ ->
+          let row = Rng.int rng (Array.length w.Workload.query)
+          and col = Rng.int rng (Array.length w.Workload.reference) in
+          let input =
+            {
+              Pe.up = layers ();
+              diag = layers ();
+              left = layers ();
+              qry = w.Workload.query.(row);
+              rf = w.Workload.reference.(col);
+              row;
+              col;
+            }
+          in
+          let o = eval input in
+          buf.Pe.b_up <- input.Pe.up;
+          buf.Pe.b_diag <- input.Pe.diag;
+          buf.Pe.b_left <- input.Pe.left;
+          buf.Pe.b_qry <- input.Pe.qry;
+          buf.Pe.b_rf <- input.Pe.rf;
+          buf.Pe.b_row <- row;
+          buf.Pe.b_col <- col;
+          flat buf;
+          o.Pe.scores = buf.Pe.b_scores && o.Pe.tb = buf.Pe.b_tb)
+        [ 1; 2; 3; 4 ])
 
-let equivalence_prop id =
+(* Engine-level differential against the hand-written closure: a golden
+   run of the kernel's datapath, replayed cell by cell through the
+   closure from the neighbours it recorded, must agree on every layer
+   score (and on the pointer when the kernel keeps traceback). *)
+let closure_prop id =
   QCheck.Test.make
     ~name:(Printf.sprintf "kernel #%d datapath == closure" id)
     ~count:25
     QCheck.(int_range 4 48)
     (fun len ->
       let e = Dphls_kernels.Catalog.find id in
-      let cell, bindings = Dphls_kernels.Datapaths.cell_for id in
-      let dsl_pe = Datapath.eval cell bindings in
-      let rng = Dphls_util.Rng.create ((id * 71) + len) in
-      let w = e.Dphls_kernels.Catalog.gen rng ~len in
       let (Registry.Packed (k, p)) = e.packed in
-      let closure_result = Dphls_reference.Ref_engine.run k p w in
-      let (Registry.Packed (k', p')) = substitute_pe e.packed dsl_pe in
-      let dsl_result = Dphls_reference.Ref_engine.run k' p' w in
-      Result.equal_alignment closure_result dsl_result)
+      let rng = Rng.create ((id * 71) + len) in
+      let w = e.Dphls_kernels.Catalog.gen rng ~len in
+      let v, _ =
+        Dphls_vectors.Capture.reference k p ~n_pe:(Array.length w.Workload.query) w
+      in
+      match Dphls_vectors.Replay.run ~evaluator:(`Pe (Pe_oracles.for_id id)) k p v with
+      | Ok n -> n > 0
+      | Error d -> QCheck.Test.fail_report (Dphls_vectors.Stream.describe d))
 
 let equivalence_tests =
-  List.map (fun id -> qtest (equivalence_prop id)) Dphls_kernels.Catalog.ids
+  List.concat_map
+    (fun id -> [ qtest (closure_prop id); qtest (eval_vs_compiled_prop id) ])
+    Dphls_kernels.Catalog.ids
 
 let test_all_validate () =
   List.iter
     (fun id ->
-      let cell, _ = Dphls_kernels.Datapaths.cell_for id in
       let e = Dphls_kernels.Catalog.find id in
+      let cell, _ = Registry.datapath e.packed in
       Datapath.validate cell ~n_layers:(Registry.n_layers e.packed))
     Dphls_kernels.Catalog.ids
 
 let test_tb_widths_match_kernels () =
   List.iter
     (fun id ->
-      let cell, _ = Dphls_kernels.Datapaths.cell_for id in
       let e = Dphls_kernels.Catalog.find id in
+      let cell, _ = Registry.datapath e.packed in
       let dsl_bits =
         List.fold_left (fun acc f -> acc + f.Datapath.bits) 0 cell.Datapath.tb_fields
       in
@@ -57,8 +115,8 @@ let test_tb_widths_match_kernels () =
 let test_counts_cross_check_traits () =
   List.iter
     (fun id ->
-      let cell, _ = Dphls_kernels.Datapaths.cell_for id in
       let e = Dphls_kernels.Catalog.find id in
+      let cell, _ = Registry.datapath e.packed in
       let traits = Registry.traits e.packed in
       let c = Datapath.count cell in
       (* declared traits may fold constant additions into DSP cascades
@@ -104,11 +162,11 @@ let test_validate_guards () =
      with Invalid_argument _ -> true)
 
 let test_select_first_best_semantics () =
-  (* mirror Kdefs.best_of on concrete candidate values *)
+  (* the first candidate attaining the optimum wins *)
   let mk values =
     let cands = List.mapi (fun i v -> (Datapath.Const v, i)) values in
     let expr =
-      Dphls_kernels.Datapaths.select_first_best ~objective:Dphls_util.Score.Maximize
+      Dphls_kernels.Cells.select_first_best ~objective:Dphls_util.Score.Maximize
         cands
     in
     let pe =

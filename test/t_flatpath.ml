@@ -2,8 +2,9 @@
    compile-pass structure (CSE, constant folding, strict binding), an
    allocation regression pinning the O(1)-words-per-wavefront property of
    the compiled hot path, the golden engine's under-a-word-per-cell
-   allocation and its 16-bit pointer guard, and a catalog-wide differential fuzz of the
-   compiled planes against the boxed interpreter through both engines. *)
+   allocation and its 16-bit pointer guard, and a catalog-wide
+   differential fuzz of the compiled planes both engines run against the
+   boxed interpreter. *)
 open Dphls_core
 module Score = Dphls_util.Score
 module Datapath = Dphls_core.Datapath
@@ -35,7 +36,7 @@ let test_score_mul_abs_extremes () =
   Alcotest.(check int) "abs in range" 5 (Score.abs (-5))
 
 (* A two-layer cell exercising Mul and Abs; evaluated at extreme inputs
-   through the boxed interpreter AND the compiled evaluator, both must
+   through the interpreter AND the compiled evaluator, both must
    saturate identically (the historical bug: eval used raw [( * )] and
    an unsaturated [abs]). *)
 let mul_abs_cell =
@@ -125,10 +126,8 @@ let test_compile_guards () =
 (* ------------------------------------------------------------------ *)
 (* Allocation regression: the systolic wavefront loop with a compiled
    datapath must allocate O(1) minor words per run — strictly less than
-   one word per cell — while the boxed interpreter boxes input/output
-   records and score arrays per cell. An order-of-magnitude differential
-   gap keeps the check robust to setup-cost noise (grid, traceback,
-   per-run compilation). *)
+   one word per cell (an interpreted PE boxes input/output records and
+   score arrays per cell). *)
 
 let minor_words_of f =
   let before = Gc.minor_words () in
@@ -149,15 +148,11 @@ let test_allocation_regression () =
   let run k = Dphls_systolic.Engine.run cfg k K02.default w in
   ignore (run K02.kernel) (* warm-up *);
   let compiled = minor_words_of (fun () -> run K02.kernel) in
-  let boxed = minor_words_of (fun () -> run (Kernel.boxed K02.kernel)) in
   let cells = len * len in
   Alcotest.(check bool)
     (Printf.sprintf "compiled run allocates < 1 word/cell (%d words, %d cells)"
        compiled cells)
-    true (compiled < cells);
-  Alcotest.(check bool)
-    (Printf.sprintf "boxed allocates > 10x compiled (%d vs %d words)" boxed compiled)
-    true (boxed > 10 * compiled)
+    true (compiled < cells)
 
 (* The golden engine keeps a ring of score rows and a 2-byte-per-cell
    traceback plane, never the score matrix: a whole unbanded K02 run,
@@ -191,14 +186,26 @@ let test_golden_allocation () =
    plane is an error naming the cell, never a silent truncation. *)
 let test_golden_wide_pointer () =
   let module K01 = Dphls_kernels.K01_global_linear in
-  let k = K01.kernel in
-  let pe_flat p =
-    let inner = Kernel.flat_pe k p in
-    fun (buf : Pe.buffers) ->
-      inner buf;
-      if buf.Pe.b_row = 2 && buf.Pe.b_col = 1 then buf.Pe.b_tb <- 0x10000
+  (* kernel #1's cell with a 17-bit pointer field that only cell (2,1)
+     of ACGT x ACGT — the one G (2) against the one C (1) — fills *)
+  let wide =
+    {
+      K01.kernel with
+      Kernel.datapath =
+        (fun p ->
+          let cell, bindings = K01.kernel.Kernel.datapath p in
+          let ptr = (List.hd cell.Datapath.tb_fields).Datapath.value in
+          let at_2_1 =
+            Datapath.(
+              Ite
+                ( Eq (Qry 0, Const 2),
+                  Ite (Eq (Ref 0, Const 1), Const 0x10000, ptr),
+                  ptr ))
+          in
+          ( { cell with Datapath.tb_fields = [ { bits = 17; value = at_2_1 } ] },
+            bindings ));
+    }
   in
-  let wide = { k with Kernel.pe_flat = Some pe_flat } in
   let w =
     Workload.of_bases ~query:(Dphls_alphabet.Dna.of_string "ACGT")
       ~reference:(Dphls_alphabet.Dna.of_string "ACGT")
@@ -210,11 +217,13 @@ let test_golden_wide_pointer () =
     (fun () -> ignore (Dphls_reference.Ref_engine.run wide K01.default w))
 
 (* ------------------------------------------------------------------ *)
-(* Catalog-wide differential fuzz: compiled planes vs boxed interpreter
-   closures through BOTH engines, alignments AND cycle-level stats
-   bit-identical. Ids 16-18 put the adaptive band in the loop: the band
-   window is decided from run-time scores, so any score divergence would
-   cascade into a different pruned cell set. *)
+(* Catalog-wide differential fuzz: each engine's run of the compiled
+   planes is captured cell by cell and replayed through the boxed
+   interpreter [Datapath.eval], which must reproduce every recorded cell
+   from its recorded neighbours; the two engines must agree cell by cell
+   and on the alignment. Ids 16-18 put the adaptive band in the loop:
+   the band window is decided from run-time scores, so any score
+   divergence would cascade into a different pruned cell set. *)
 
 let prop_compiled_vs_boxed id =
   QCheck.Test.make
@@ -222,23 +231,24 @@ let prop_compiled_vs_boxed id =
     ~count:20
     QCheck.(pair (int_range 8 72) (int_range 1 16))
     (fun (len, n_pe) ->
+      let module Capture = Dphls_vectors.Capture in
+      let module Replay = Dphls_vectors.Replay in
+      let module Stream = Dphls_vectors.Stream in
       let e = Dphls_kernels.Catalog.find id in
       let (Registry.Packed (k, p)) = e.packed in
-      let kb = Kernel.boxed k in
       let rng = Dphls_util.Rng.create ((id * 733) + (len * 29) + n_pe) in
       let w = e.Dphls_kernels.Catalog.gen rng ~len in
-      let gold_c = Dphls_reference.Ref_engine.run ~band_pe:n_pe k p w in
-      let gold_b = Dphls_reference.Ref_engine.run ~band_pe:n_pe kb p w in
-      let cfg = Dphls_systolic.Config.create ~n_pe in
-      let sys_c, st_c = Dphls_systolic.Engine.run cfg k p w in
-      let sys_b, st_b = Dphls_systolic.Engine.run cfg kb p w in
-      Result.equal_alignment gold_c gold_b
-      && Result.equal_alignment sys_c sys_b
-      && Result.equal_alignment gold_c sys_c
-      && st_c.Dphls_systolic.Engine.pe_fires = st_b.Dphls_systolic.Engine.pe_fires
-      && st_c.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total
-         = st_b.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total
-      && st_c.Dphls_systolic.Engine.tb_words = st_b.Dphls_systolic.Engine.tb_words)
+      let check = function
+        | Ok _ -> ()
+        | Error d -> QCheck.Test.fail_report (Stream.describe d)
+      in
+      let v_gold, gold = Capture.reference k p ~n_pe w in
+      let v_sys, sys = Capture.systolic k p ~n_pe w in
+      List.iter (fun v -> check (Replay.run ~evaluator:`Eval k p v)) [ v_gold; v_sys ];
+      (match Stream.diff ~expected:v_gold ~actual:v_sys with
+      | None -> ()
+      | Some d -> QCheck.Test.fail_report (Stream.describe d));
+      Result.equal_alignment gold sys)
 
 let differential_tests =
   List.map (fun id -> qtest (prop_compiled_vs_boxed id)) Dphls_kernels.Catalog.ids

@@ -289,16 +289,22 @@ let test_cosim_passes () =
   let (Registry.Packed (k, p)) = e.packed in
   let rng = Dphls_util.Rng.create 99 in
   let workloads = List.init 8 (fun _ -> e.Dphls_kernels.Catalog.gen rng ~len:48) in
-  let cell, bindings = Dphls_kernels.Datapaths.cell_for 2 in
+  (* an equivalent alternate datapath (here the kernel's own) must agree *)
   let report =
-    Dphls_cosim.Cosim.verify ~n_pe:8
-      ~alt_pe:(Datapath.eval cell bindings)
-      k p workloads
+    Dphls_cosim.Cosim.verify ~n_pe:8 ~alt_pe:(k.Kernel.datapath p) k p workloads
   in
   Alcotest.(check bool) "passed" true (Dphls_cosim.Cosim.passed report);
   Alcotest.(check int) "all agreed" 8 report.Dphls_cosim.Cosim.agreed;
   Alcotest.(check bool) "cycle stats collected" true
     (report.Dphls_cosim.Cosim.mean_cycles > 0.0)
+
+(* A datapath that disagrees with kernel #1 on every workload (each
+   cell is its up neighbour plus one), to exercise bug detection and the
+   mismatch cap. *)
+let broken_pe =
+  let open Dphls_core.Datapath in
+  ( { layers = [| Add (Up 0, Const 1) |]; tb_fields = [ { bits = 2; value = Const 0 } ] },
+    { params = []; tables = [] } )
 
 let test_cosim_detects_bugs () =
   let open Dphls_core in
@@ -306,17 +312,9 @@ let test_cosim_detects_bugs () =
   let (Registry.Packed (k, p)) = e.packed in
   let rng = Dphls_util.Rng.create 100 in
   let workloads = List.init 4 (fun _ -> e.Dphls_kernels.Catalog.gen rng ~len:32) in
-  (* an intentionally wrong alternate PE must be caught *)
-  let broken (input : Pe.input) =
-    { Pe.scores = Array.map (fun s -> s + 1) input.Pe.up; tb = 0 }
-  in
-  let report = Dphls_cosim.Cosim.verify ~n_pe:8 ~alt_pe:broken k p workloads in
+  (* an intentionally wrong alternate datapath must be caught *)
+  let report = Dphls_cosim.Cosim.verify ~n_pe:8 ~alt_pe:broken_pe k p workloads in
   Alcotest.(check bool) "failure detected" false (Dphls_cosim.Cosim.passed report)
-
-(* A PE that disagrees on every workload, to exercise the mismatch cap. *)
-let broken_pe (input : Dphls_core.Pe.input) =
-  let open Dphls_core in
-  { Pe.scores = Array.map (fun s -> s + 1) input.Pe.up; tb = 0 }
 
 let cosim_broken ~max_mismatches ~trials =
   let open Dphls_core in

@@ -7,7 +7,7 @@ module Pe_gen = Dphls_rtl.Pe_gen
 
 let design_for ?(n_pe = 16) id =
   let e = Dphls_kernels.Catalog.find id in
-  let cell, bindings = Dphls_kernels.Datapaths.cell_for id in
+  let cell, bindings = Registry.datapath e.packed in
   let (Registry.Packed (k, _)) = e.packed in
   Emit.emit ~kernel_name:(Registry.name e.packed) ~cell ~bindings
     ~n_layers:k.Kernel.n_layers ~score_bits:k.Kernel.score_bits
@@ -45,7 +45,7 @@ let test_tb_depth_matches_schedule () =
   List.iter
     (fun (n_pe, q, r) ->
       let e = Dphls_kernels.Catalog.find 2 in
-      let cell, bindings = Dphls_kernels.Datapaths.cell_for 2 in
+      let cell, bindings = Registry.datapath e.packed in
       let (Registry.Packed (k, _)) = e.packed in
       let d =
         Emit.emit ~kernel_name:"k2" ~cell ~bindings ~n_layers:k.Kernel.n_layers

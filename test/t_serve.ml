@@ -1,7 +1,8 @@
 (* The serve layer: wire protocol golden tests, admission/backpressure,
    deadline expiry, cache determinism (differential against
-   Dphls.Align), draining, the SLO verdict, and the doc-coverage gate
-   that keeps docs/serve.md honest about every error code and field. *)
+   Dphls.Align), draining, the SLO verdict, a protocol fuzz over random
+   and mutated request lines, and the doc-coverage gate that keeps
+   docs/serve.md honest about every error code and field. *)
 
 module Proto = Dphls_serve.Proto
 module Cache = Dphls_serve.Cache
@@ -526,6 +527,117 @@ let test_docs_cover_protocol () =
       "code"; "message"; "mode"; "width"; "threshold";
     ]
 
+(* ---- protocol fuzz ---- *)
+
+(* Valid requests as (field, JSON text) lists, the seeds of mutation. *)
+let fuzz_seeds =
+  [|
+    [ ("id", {|"a"|}); ("kernel", "1"); ("qry", {|"ACGTACGT"|}); ("ref", {|"ACGAACGT"|}) ];
+    [
+      ("id", {|"b"|}); ("kernel", {|"local-affine"|}); ("qry", {|"ACGT"|});
+      ("ref", {|"ACGGT"|}); ("engine", {|"reference"|});
+    ];
+    [
+      ("kernel", "19"); ("qry", {|"ACGTTT"|}); ("ref", {|"ACGT"|});
+      ("engine", {|"bitpar"|}); ("deadline_ms", "50");
+    ];
+    [
+      ("id", {|"d"|}); ("kernel", "11"); ("qry", {|"ACGTAC"|}); ("ref", {|"ACGTAC"|});
+      ("band", {|{"mode":"fixed","width":2}|});
+    ];
+    [
+      ("id", {|"e"|}); ("kernel", "15"); ("qry", {|"MKVL"|}); ("ref", {|"MKIL"|});
+      ("band", {|{"mode":"adaptive","width":3,"threshold":10}|}); ("engine", {|"auto"|});
+    ];
+  |]
+
+let fuzz_values =
+  [|
+    "0"; "-1"; "1e400"; "-1e400"; "1e-400"; "123456789012345678901234567890";
+    "9223372036854775807"; "-9223372036854775808"; "0.5"; "true"; "null"; "[]";
+    "{}"; {|""|}; {|"x"|}; {|"\u0000"|}; "[1,2]"; {|{"mode":7}|};
+    {|{"mode":"fixed","width":1e30}|};
+  |]
+
+let render fields =
+  "{"
+  ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
+  ^ "}"
+
+let fuzz_line =
+  let open QCheck.Gen in
+  let pick a = map (fun i -> a.(i)) (int_bound (Array.length a - 1)) in
+  let field_mutation fields =
+    let n = List.length fields in
+    int_bound (n - 1) >>= fun i ->
+    let k, v = List.nth fields i in
+    oneof
+      [
+        (* drop the field *)
+        return (List.filteri (fun j _ -> j <> i) fields);
+        (* duplicate it *)
+        return (fields @ [ (k, v) ]);
+        (* swap its JSON type / push it to an extreme *)
+        map (fun v' -> List.mapi (fun j f -> if j = i then (k, v') else f) fields)
+          (pick fuzz_values);
+        (* an unknown field *)
+        return (fields @ [ ("bogus", "1") ]);
+      ]
+  in
+  let text_mutation line =
+    let n = String.length line in
+    oneof
+      [
+        map (fun cut -> String.sub line 0 cut) (int_bound n);
+        map
+          (fun at -> String.sub line 0 at ^ "\000" ^ String.sub line at (n - at))
+          (int_bound n);
+        map (fun c -> line ^ String.make 1 c) char;
+      ]
+  in
+  let mutated =
+    pick fuzz_seeds >>= fun fields ->
+    int_range 0 3 >>= fun rounds ->
+    let rec go k fields =
+      if k = 0 || fields = [] then return fields
+      else field_mutation fields >>= go (k - 1)
+    in
+    go rounds fields >>= fun fields ->
+    let line = render fields in
+    frequency [ (3, return line); (1, text_mutation line) ]
+  in
+  frequency
+    [
+      (4, mutated);
+      (1, string_size ~gen:char (int_bound 64));
+      (1, return "");
+    ]
+
+(* Whatever arrives, the server answers every submitted line exactly
+   once (immediately, in an auto-flush or at drain) and never lets an
+   exception escape. The fake clock advances 20 ms per line, so short
+   deadlines expire while their requests wait in a queue. *)
+let prop_protocol_fuzz =
+  QCheck.Test.make ~name:"server: fuzzed lines get one response each" ~count:150
+    (QCheck.make
+       ~print:(fun ls -> String.concat "\n" (List.map String.escaped ls))
+       QCheck.Gen.(list_size (int_range 1 12) fuzz_line))
+    (fun lines ->
+      let server, clock =
+        make_server ~queue_depth:4 ~batch_max:3 ~cache_capacity:8 ~max_seq_len:16
+          ~max_line_bytes:256 ()
+      in
+      let answered =
+        List.fold_left
+          (fun n line ->
+            clock := !clock +. 0.02;
+            n + List.length (Server.submit server line))
+          0 lines
+      in
+      let answered = answered + List.length (Server.drain server) in
+      Server.close server;
+      answered = List.length lines && Server.pending server = 0)
+
 let suite =
   [
     Alcotest.test_case "proto: valid request" `Quick test_parse_valid;
@@ -550,6 +662,7 @@ let suite =
     Alcotest.test_case "server: auto routes the fast path" `Quick
       test_auto_routes_fastpath;
     Alcotest.test_case "server: slo verdict" `Quick test_slo_verdict;
+    QCheck_alcotest.to_alcotest prop_protocol_fuzz;
     Alcotest.test_case "docs: serve.md covers the protocol" `Quick
       test_docs_cover_protocol;
   ]

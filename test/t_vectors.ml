@@ -195,11 +195,11 @@ let test_replay_both_datapaths () =
       let v = generate_exn s in
       let (Registry.Packed (k, p)) = resolve_kernel s.Harness.kernel_id s.Harness.band in
       List.iter
-        (fun datapath ->
-          match Replay.run ~datapath k p v with
+        (fun evaluator ->
+          match Replay.run ~evaluator k p v with
           | Ok n -> Alcotest.(check int) "all cells replayed" (cell_count v) n
           | Error d -> Alcotest.failf "replay diverged: %s" (Stream.describe d))
-        [ `Compiled; `Boxed ])
+        [ `Compiled; `Eval ])
     [ spec 1; spec 2 ~n_pe:8; spec 9; spec 16 ~len:32 ]
 
 let perturb_cell (v : Stream.t) ~index ~f =
@@ -341,6 +341,42 @@ let test_harness_catches_forged_n_pe () =
     Alcotest.(check bool)
       (Printf.sprintf "error %S names the params hash" msg)
       true (contains msg "params")
+
+(* The params hash covers the datapath bindings: a scoring-parameter
+   change moves the digest, and a vector recorded under other bindings
+   is rejected at its header before any stream is compared. *)
+let test_params_hash_covers_bindings () =
+  let module K01 = Dphls_kernels.K01_global_linear in
+  let module K08 = Dphls_kernels.K08_profile in
+  let module K15 = Dphls_kernels.K15_protein_local in
+  let k01 gap = Fingerprint.params_hash K01.kernel { K01.default with gap } ~n_pe:4 in
+  Alcotest.(check bool) "#1 gap -2 and gap -3 hash differently" true
+    (k01 (-2) <> k01 (-3));
+  Alcotest.(check string) "same bindings, same hash" (k01 (-2)) (k01 (-2));
+  (* match appears in the bindings only, not in the border values *)
+  Alcotest.(check bool) "#1 match 2 and match 3 hash differently" true
+    (Fingerprint.params_hash K01.kernel K01.default ~n_pe:4
+    <> Fingerprint.params_hash K01.kernel { K01.default with match_ = 3 } ~n_pe:4);
+  let k08 p = Fingerprint.params_hash K08.kernel p ~n_pe:4 in
+  Alcotest.(check bool) "#8 match baked into the cell is covered" true
+    (k08 K08.default <> k08 { K08.default with match_ = 3 });
+  let matrix = Array.map Array.copy K15.default.matrix in
+  matrix.(3).(5) <- matrix.(3).(5) + 1;
+  Alcotest.(check bool) "#15 one table entry is covered" true
+    (Fingerprint.params_hash K15.kernel K15.default ~n_pe:4
+    <> Fingerprint.params_hash K15.kernel { K15.default with matrix } ~n_pe:4);
+  let w =
+    Workload.of_bases ~query:(Dphls_alphabet.Dna.of_string "ACGTTACG")
+      ~reference:(Dphls_alphabet.Dna.of_string "ACGTACG")
+  in
+  let v, _ = Capture.systolic K01.kernel { K01.default with gap = -3 } ~n_pe:4 w in
+  match Harness.check v with
+  | Ok _ -> Alcotest.fail "vector from other bindings accepted"
+  | Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error %S names the params header field" msg)
+      true
+      (contains msg "header field \"params\"")
 
 let test_harness_catches_perturbed_window () =
   (* The acceptance-criterion scenario: an off-by-one band window in a
@@ -573,4 +609,6 @@ let suite =
     Alcotest.test_case "cli: drift exits 1 naming site" `Quick
       test_cli_check_drift;
     Alcotest.test_case "cli: diff" `Quick test_cli_diff;
+    Alcotest.test_case "params hash covers the bindings" `Quick
+      test_params_hash_covers_bindings;
   ]
