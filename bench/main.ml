@@ -268,14 +268,17 @@ let banding_bench ?(len = 512) () =
   close_out oc;
   Printf.printf "wrote BENCH_2.json\n%!"
 
-(* ---- PE datapath comparison: interpreter vs compiled program ----
+(* ---- PE datapath comparison: interpreter, bytecode, generated ----
 
-   Every cell of one workload through the kernel's datapath twice, at the
-   PE level (no engine around it): once through the reference
-   interpreter [Datapath.eval] and once through the compiled flat program
-   the engines run ([Kernel.flat_pe]), across three recurrence shapes.
-   Neighbour scores come from a rolling row of the DP itself. Best-of-5
-   wall-clock per sweep and cells/s per evaluator land in BENCH_3.json. *)
+   Every cell of one workload through the kernel's datapath three times,
+   at the PE level (no engine around it): through the reference
+   interpreter [Datapath.eval], through the compiled program's bytecode
+   loop [Datapath.flat], and through what the engines run
+   ([Kernel.flat_pe]: the generated straight-line evaluator, as these
+   catalog kernels run at their default parameters), across three
+   recurrence shapes. Neighbour scores come from a rolling row of the
+   DP itself. Best-of-5 wall-clock per sweep and cells/s per evaluator
+   land in BENCH_3.json. *)
 
 (* One row-major sweep of [w]'s matrix (zero borders): [cell] writes the
    layer scores of (i, j) into [out] from the neighbour rows. *)
@@ -322,8 +325,7 @@ let pe_bench ?(len = 256) () =
             let o = f { Pe.up; diag; left; qry; rf; row; col } in
             Array.blit o.Pe.scores 0 out 0 n_layers
         in
-        let compiled_cell =
-          let flat = Kernel.flat_pe k p in
+        let flat_cell flat =
           let b = Pe.create_buffers ~n_layers in
           fun ~up ~diag ~left ~qry ~rf ~row ~col ~out ->
             b.Pe.b_up <- up;
@@ -336,33 +338,41 @@ let pe_bench ?(len = 256) () =
             b.Pe.b_scores <- out;
             flat b
         in
+        let bytecode_cell =
+          let cell, bindings = k.Kernel.datapath p in
+          flat_cell (Datapath.flat (Datapath.compile cell bindings))
+        in
+        let generated_cell = flat_cell (Kernel.flat_pe k p) in
         {
           Dphls_host.Throughput.kernel = Printf.sprintf "%s(#%d)" shape id;
           cells = Workload.cells w;
           eval_ns = time_sweep (fun () -> pe_sweep ~n_layers w eval_cell);
-          compiled_ns = time_sweep (fun () -> pe_sweep ~n_layers w compiled_cell);
+          compiled_ns = time_sweep (fun () -> pe_sweep ~n_layers w bytecode_cell);
+          generated_ns = time_sweep (fun () -> pe_sweep ~n_layers w generated_cell);
         })
       shapes
   in
+  let mcps cells ns = Dphls_host.Throughput.pe_cells_per_sec ~cells ~ns /. 1e6 in
   Dphls_util.Pretty.print_table
     ~title:
-      (Printf.sprintf "PE datapath: Datapath.eval vs compiled flat (len=%d)" len)
-    ~header:[ "kernel"; "eval us"; "compiled us"; "compiled Mc/s"; "speedup" ]
+      (Printf.sprintf "PE datapath: Datapath.eval vs bytecode vs generated (len=%d)"
+         len)
+    ~header:
+      [ "kernel"; "eval Mc/s"; "bytecode Mc/s"; "generated Mc/s"; "bytecode/eval";
+        "generated/bytecode" ]
     (List.map
        (fun (r : Dphls_host.Throughput.pe_run) ->
          [
            r.kernel;
-           Printf.sprintf "%.1f" (r.eval_ns /. 1e3);
-           Printf.sprintf "%.1f" (r.compiled_ns /. 1e3);
-           Printf.sprintf "%.1f"
-             (Dphls_host.Throughput.pe_cells_per_sec ~cells:r.cells
-                ~ns:r.compiled_ns
-             /. 1e6);
+           Printf.sprintf "%.1f" (mcps r.cells r.eval_ns);
+           Printf.sprintf "%.1f" (mcps r.cells r.compiled_ns);
+           Printf.sprintf "%.1f" (mcps r.cells r.generated_ns);
            Printf.sprintf "%.2fx" (Dphls_host.Throughput.pe_speedup r);
+           Printf.sprintf "%.2fx" (r.compiled_ns /. r.generated_ns);
          ])
        runs);
   let speedups = List.map Dphls_host.Throughput.pe_speedup runs in
-  Printf.printf "speedup min %.2fx / geomean %.2fx over %d points\n"
+  Printf.printf "bytecode/eval speedup min %.2fx / geomean %.2fx over %d points\n"
     (List.fold_left min infinity speedups)
     (exp
        (List.fold_left (fun a s -> a +. log s) 0.0 speedups

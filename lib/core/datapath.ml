@@ -491,7 +491,8 @@ let program_insts p = p.n_insts
 (* [Score.add] restated branch-for-branch as a macro-style inline:
    additions dominate compiled programs and the compiler (no flambda)
    will not reliably inline the call; the eval-vs-compiled differential
-   suite pins the two implementations together. *)
+   suite pins the two implementations together. The generated
+   evaluators ([Pe_gen]) call this one too. *)
 let[@inline always] sat_add a b =
   if a <= Score.neg_inf / 2 || b <= Score.neg_inf / 2 then Score.neg_inf
   else if a >= Score.pos_inf / 2 || b >= Score.pos_inf / 2 then Score.pos_inf
@@ -501,18 +502,21 @@ let[@inline always] sat_add a b =
     else if s > Score.pos_inf then Score.pos_inf
     else s
 
-let exec p regs (buf : Pe.buffers) =
-  if Array.length buf.Pe.b_scores <> p.n_layers then
+let[@inline always] check_buffers n_layers (buf : Pe.buffers) =
+  if Array.length buf.Pe.b_scores <> n_layers then
     invalid_arg "Datapath.exec: score buffer layer count mismatch";
+  if
+    Array.length buf.Pe.b_up < n_layers
+    || Array.length buf.Pe.b_diag < n_layers
+    || Array.length buf.Pe.b_left < n_layers
+  then invalid_arg "Datapath.exec: input buffer layer count mismatch"
+
+let exec p regs (buf : Pe.buffers) =
+  check_buffers p.n_layers buf;
   let code = p.code in
   let n = p.n_insts in
   if Array.length regs < n then
     invalid_arg "Datapath.exec: register file too small";
-  if
-    Array.length buf.Pe.b_up < p.n_layers
-    || Array.length buf.Pe.b_diag < p.n_layers
-    || Array.length buf.Pe.b_left < p.n_layers
-  then invalid_arg "Datapath.exec: input buffer layer count mismatch";
   (* The unchecked accesses below are sound by construction: the code
      array is assembled by [compile] (which range-checks neighbour layer
      indices; the input arrays are length-checked just above), register
@@ -620,6 +624,7 @@ type view = {
   v_insts : view_inst array;
   v_layer_regs : int array;
   v_tb_regs : int array;
+  v_tb_shifts : int array;
   v_n_layers : int;
 }
 
@@ -657,8 +662,11 @@ let view p =
     v_insts = Array.init p.n_insts decode;
     v_layer_regs = Array.copy p.layer_regs;
     v_tb_regs = Array.copy p.tb_regs;
+    v_tb_shifts = Array.copy p.tb_shifts;
     v_n_layers = p.n_layers;
   }
+
+let luts p = p.luts
 
 type op_count = {
   adders : int;

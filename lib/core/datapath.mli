@@ -115,15 +115,34 @@ val program_insts : program -> int
 val exec : program -> int array -> Pe.buffers -> unit
 (** [exec p regs buf] evaluates one cell from/into [buf] using [regs] as
     the register file ([Array.length regs >= program_insts p]); performs
-    no allocation. Raises [Invalid_argument] if [buf]'s score array
-    length differs from the program's layer count. *)
+    no allocation. Raises [Invalid_argument] as {!check_buffers} does,
+    or if [regs] is too small. *)
 
 val flat : program -> Pe.flat
-(** The program closed over a private register file — the allocation-free
-    PE evaluator the engines run. The returned evaluator owns mutable
-    scratch: share it freely within a domain, but build one per domain
-    (e.g. per {!Dphls_host.Pool} worker) rather than sharing across
-    domains. *)
+(** The program closed over a private register file: the bytecode loop,
+    an allocation-free PE evaluator that runs any program.
+    {!Kernel.flat_pe} returns it for programs the generated table
+    ({!Pe_gen}) does not hold (user kernels, non-default parameters).
+    The returned evaluator owns mutable scratch: share it freely within
+    a domain, but build one per domain (e.g. per {!Dphls_host.Pool}
+    worker) rather than sharing across domains. *)
+
+val sat_add : int -> int -> int
+(** The saturating addition {!exec} runs: {!Dphls_util.Score.add}
+    restated so the compiler inlines it into the per-cell loop. The
+    generated evaluators ({!Pe_gen}) call it too, so both paths share
+    one definition. *)
+
+val check_buffers : int -> Pe.buffers -> unit
+(** [check_buffers n_layers buf] is the layer-count check every flat
+    evaluator of an [n_layers]-layer program makes before it reads:
+    raises [Invalid_argument] if [buf]'s score array length differs
+    from [n_layers] or an input array is shorter. *)
+
+val luts : program -> int array array array
+(** The program's lookup tables, indexed by [V_lookup]'s table id: what
+    a generated evaluator is built over (the tables are bound at
+    compile time, not baked into the generated code). *)
 
 (** Read-only decode of a compiled {!program}, for static analyses that
     walk the flat code the engines actually execute (the recurrence-II /
@@ -157,12 +176,16 @@ type view = {
   v_insts : view_inst array;
   v_layer_regs : int array;  (** register holding each layer's result *)
   v_tb_regs : int array;     (** register per pointer field, LSB-first *)
+  v_tb_shifts : int array;   (** bit offset of each pointer field *)
   v_n_layers : int;
 }
 
 val view : program -> view
 (** Decode the assembled code array back into a walkable instruction
-    list. Pure; the result shares nothing mutable with the program. *)
+    list. Pure; the result shares nothing mutable with the program.
+    Everything but the lookup tables' contents: two programs with equal
+    views run the same instructions, which is what makes a view the key
+    of the generated table ({!Pe_gen}). *)
 
 type op_count = {
   adders : int;       (** Add/Sub/Abs nodes *)

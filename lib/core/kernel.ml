@@ -51,4 +51,5 @@ let has_traceback k params = Option.is_some (k.traceback params)
 
 let flat_pe k params =
   let cell, bindings = k.datapath params in
-  Datapath.flat (Datapath.compile cell bindings)
+  let p = Datapath.compile cell bindings in
+  match Pe_gen.find p with Some f -> f | None -> Datapath.flat p

@@ -54,6 +54,10 @@ val has_traceback : 'p t -> 'p -> bool
 
 val flat_pe : 'p t -> 'p -> Pe.flat
 (** The evaluator the engines run: the kernel's datapath compiled
-    ({!Datapath.compile}) and closed over a private register file
-    ({!Datapath.flat}). Each call returns a fresh evaluator, so build
-    one per run or per domain. *)
+    ({!Datapath.compile}), then looked up in the generated table
+    ({!Pe_gen.find}). A hit (every catalog kernel at its default
+    parameters) returns the program's straight-line evaluator; a miss
+    (a user kernel, non-default parameters) returns the bytecode loop
+    closed over a private register file ({!Datapath.flat}). The program
+    decides which; both compute the same results. Build one per run or
+    per domain: the bytecode evaluator owns mutable scratch. *)

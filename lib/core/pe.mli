@@ -13,8 +13,11 @@
     - the flat {!flat}: an [buffers -> unit] evaluator that reads its
       inputs from and writes its results into a caller-owned {!buffers}
       record, allocating nothing. The engines run every PE through the
-      flat contract ([Datapath.flat] of the compiled datapath), which
-      is what keeps the wavefront hot path allocation-free. *)
+      flat contract ([Kernel.flat_pe]: a generated straight-line
+      evaluator from [Pe_gen] when the compiled datapath is one the
+      catalog ships, else the compiled program's bytecode loop
+      [Datapath.flat]), which is what keeps the wavefront hot path
+      allocation-free. *)
 
 type input = {
   up : Types.score array;    (** layer scores of cell (row-1, col) *)

@@ -48,6 +48,7 @@ type pe_run = {
   cells : int;
   eval_ns : float;
   compiled_ns : float;
+  generated_ns : float;
 }
 
 let pe_cells_per_sec ~cells ~ns =
@@ -67,11 +68,13 @@ let pe_json runs =
       Buffer.add_string buf
         (Printf.sprintf
            "  {\"kernel\": %S, \"cells\": %d, \"eval_ns\": %.0f, \
-            \"compiled_ns\": %.0f, \"eval_cells_per_sec\": %.0f, \
-            \"compiled_cells_per_sec\": %.0f, \"speedup\": %.3f}"
-           r.kernel r.cells r.eval_ns r.compiled_ns
+            \"compiled_ns\": %.0f, \"generated_ns\": %.0f, \
+            \"eval_cells_per_sec\": %.0f, \"compiled_cells_per_sec\": %.0f, \
+            \"generated_cells_per_sec\": %.0f, \"speedup\": %.3f}"
+           r.kernel r.cells r.eval_ns r.compiled_ns r.generated_ns
            (pe_cells_per_sec ~cells:r.cells ~ns:r.eval_ns)
            (pe_cells_per_sec ~cells:r.cells ~ns:r.compiled_ns)
+           (pe_cells_per_sec ~cells:r.cells ~ns:r.generated_ns)
            (pe_speedup r)))
     runs;
   Buffer.add_string buf "\n]\n";

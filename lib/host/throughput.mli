@@ -36,14 +36,17 @@ val band_json : band_run list -> string
 (** Renders the runs as a JSON array (the BENCH_2.json payload). *)
 
 (** One PE-level measurement of a kernel's datapath over every cell of
-    one workload: the reference interpreter [Datapath.eval] vs the
-    compiled flat program the engines run, as reported by
-    [bench --pe-only] (the BENCH_3.json payload). *)
+    one workload through three evaluators: the reference interpreter
+    [Datapath.eval], the compiled program's bytecode loop
+    [Datapath.flat], and [Kernel.flat_pe], the generated straight-line
+    evaluator the engines run, as reported by [bench --pe-only] (the
+    BENCH_3.json payload). *)
 type pe_run = {
   kernel : string;       (** shape label, e.g. "linear(#1)" *)
   cells : int;           (** DP cells per sweep *)
   eval_ns : float;       (** wall-clock per sweep, [Datapath.eval] *)
-  compiled_ns : float;   (** wall-clock per sweep, compiled program *)
+  compiled_ns : float;   (** wall-clock per sweep, bytecode loop *)
+  generated_ns : float;  (** wall-clock per sweep, [Kernel.flat_pe] *)
 }
 
 val pe_cells_per_sec : cells:int -> ns:float -> float

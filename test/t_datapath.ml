@@ -1,10 +1,12 @@
 (* Symbolic datapath tests: every catalog kernel's datapath evaluates
-   bit-identically through the reference interpreter and the compiled
-   program the engines run (the reproduction's C-sim vs RTL co-sim
-   check), agrees cell by cell with an independent hand-written closure
-   of its recurrence ([Pe_oracles]), validates structurally, and its
-   operator counts agree with the declared resource traits to within
-   2x. *)
+   bit-identically through the reference interpreter, the generated
+   straight-line evaluator the engines run and the compiled program's
+   bytecode loop (the reproduction's C-sim vs RTL co-sim check), hits
+   the generated table while programs outside it still run the
+   bytecode, agrees cell by cell with an independent hand-written
+   closure of its recurrence ([Pe_oracles]), validates structurally,
+   and its operator counts agree with the declared resource traits to
+   within 2x. *)
 open Dphls_core
 module Datapath = Dphls_core.Datapath
 module Score = Dphls_util.Score
@@ -12,58 +14,68 @@ module Rng = Dphls_util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* PE-level differential: [Datapath.eval] and the compiled program must
-   agree on every input. Neighbour layers are random scores of the
-   kernel's width with +-inf and the width extremes mixed in; characters
-   come from the kernel's own workload generator. *)
+(* PE-level differential: every flat evaluator in [flats] must agree
+   with [Datapath.eval] on four random cells. Neighbour layers are
+   random scores of width [score_bits] with +-inf and the width extremes
+   mixed in; characters come from a workload of [gen]. *)
+let agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed =
+  let bound = 1 lsl (score_bits - 1) in
+  let extremes = [| Score.neg_inf; Score.pos_inf; -bound; bound - 1; 0 |] in
+  let rng = Rng.create seed in
+  let w = gen rng ~len:(1 + Rng.int rng 16) in
+  let score () =
+    if Rng.int rng 4 = 0 then extremes.(Rng.int rng (Array.length extremes))
+    else Rng.int rng (2 * bound) - bound
+  in
+  let layers () = Array.init n_layers (fun _ -> score ()) in
+  let buf = Pe.create_buffers ~n_layers in
+  List.for_all
+    (fun _ ->
+      let row = Rng.int rng (Array.length w.Workload.query)
+      and col = Rng.int rng (Array.length w.Workload.reference) in
+      let input =
+        {
+          Pe.up = layers ();
+          diag = layers ();
+          left = layers ();
+          qry = w.Workload.query.(row);
+          rf = w.Workload.reference.(col);
+          row;
+          col;
+        }
+      in
+      let o = eval input in
+      buf.Pe.b_up <- input.Pe.up;
+      buf.Pe.b_diag <- input.Pe.diag;
+      buf.Pe.b_left <- input.Pe.left;
+      buf.Pe.b_qry <- input.Pe.qry;
+      buf.Pe.b_rf <- input.Pe.rf;
+      buf.Pe.b_row <- row;
+      buf.Pe.b_col <- col;
+      List.for_all
+        (fun flat ->
+          (* sentinels: an output the evaluator fails to write shows *)
+          Array.fill buf.Pe.b_scores 0 n_layers min_int;
+          buf.Pe.b_tb <- -1;
+          flat buf;
+          o.Pe.scores = buf.Pe.b_scores && o.Pe.tb = buf.Pe.b_tb)
+        flats)
+    [ 1; 2; 3; 4 ]
+
+(* [Datapath.eval], what the engines run ([Kernel.flat_pe]: for a
+   catalog kernel at its defaults, the generated straight-line
+   evaluator) and the bytecode loop must agree on every input. *)
 let eval_vs_compiled_prop id =
   let e = Dphls_kernels.Catalog.find id in
   let (Registry.Packed (k, p)) = e.packed in
-  let n_layers = k.Kernel.n_layers in
   let cell, bindings = k.Kernel.datapath p in
-  let eval = Datapath.eval cell bindings in
-  let flat = Kernel.flat_pe k p in
-  let bound = 1 lsl (k.Kernel.score_bits - 1) in
-  let extremes = [| Score.neg_inf; Score.pos_inf; -bound; bound - 1; 0 |] in
+  let flats = [ Kernel.flat_pe k p; Datapath.flat (Datapath.compile cell bindings) ] in
   QCheck.Test.make
     ~name:(Printf.sprintf "kernel #%d eval == compiled" id)
     ~count:100
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let w = e.Dphls_kernels.Catalog.gen rng ~len:(1 + Rng.int rng 16) in
-      let score () =
-        if Rng.int rng 4 = 0 then extremes.(Rng.int rng (Array.length extremes))
-        else Rng.int rng (2 * bound) - bound
-      in
-      let layers () = Array.init n_layers (fun _ -> score ()) in
-      let buf = Pe.create_buffers ~n_layers in
-      List.for_all
-        (fun _ ->
-          let row = Rng.int rng (Array.length w.Workload.query)
-          and col = Rng.int rng (Array.length w.Workload.reference) in
-          let input =
-            {
-              Pe.up = layers ();
-              diag = layers ();
-              left = layers ();
-              qry = w.Workload.query.(row);
-              rf = w.Workload.reference.(col);
-              row;
-              col;
-            }
-          in
-          let o = eval input in
-          buf.Pe.b_up <- input.Pe.up;
-          buf.Pe.b_diag <- input.Pe.diag;
-          buf.Pe.b_left <- input.Pe.left;
-          buf.Pe.b_qry <- input.Pe.qry;
-          buf.Pe.b_rf <- input.Pe.rf;
-          buf.Pe.b_row <- row;
-          buf.Pe.b_col <- col;
-          flat buf;
-          o.Pe.scores = buf.Pe.b_scores && o.Pe.tb = buf.Pe.b_tb)
-        [ 1; 2; 3; 4 ])
+    (agrees_with_eval ~gen:e.Dphls_kernels.Catalog.gen ~score_bits:k.Kernel.score_bits
+       ~n_layers:k.Kernel.n_layers (Datapath.eval cell bindings) flats)
 
 (* Engine-level differential against the hand-written closure: a golden
    run of the kernel's datapath, replayed cell by cell through the
@@ -136,6 +148,50 @@ let test_counts_cross_check_traits () =
         (c.Datapath.multipliers <= (2 * traits.Traits.muls_per_pe) + 2))
     Dphls_kernels.Catalog.ids
 
+(* Every catalog kernel at its default parameters compiles to a program
+   the generated table holds, so the engines never run its bytecode. *)
+let test_generated_covers_catalog () =
+  List.iter
+    (fun id ->
+      let cell, bindings = Registry.datapath (Dphls_kernels.Catalog.find id).packed in
+      Alcotest.(check bool)
+        (Printf.sprintf "kernel #%d hits the generated table" id)
+        true
+        (Option.is_some (Pe_gen.find (Datapath.compile cell bindings))))
+    Dphls_kernels.Catalog.ids
+
+(* Programs the table does not hold run the bytecode, and still equal
+   [Datapath.eval]: #2 at a non-default match score (an immediate
+   differs), and #19's cell with a 1-bit match-flag pointer, which no
+   catalog kernel has (#19 keeps no pointer). *)
+let test_generated_misses () =
+  let module K02 = Dphls_kernels.K02_global_affine in
+  let module K19 = Dphls_kernels.K19_global_edit in
+  let edit_with_ptr =
+    {
+      K19.kernel with
+      Kernel.datapath =
+        (fun p ->
+          let cell, bindings = K19.kernel.Kernel.datapath p in
+          let flag = Datapath.(Ite (Eq (Qry 0, Ref 0), Const 1, Const 0)) in
+          ({ cell with Datapath.tb_fields = [ { bits = 1; value = flag } ] }, bindings));
+    }
+  in
+  let check name k p gen =
+    let cell, bindings = k.Kernel.datapath p in
+    Alcotest.(check bool) (name ^ " misses the generated table") true
+      (Option.is_none (Pe_gen.find (Datapath.compile cell bindings)));
+    for seed = 0 to 199 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: flat_pe == eval (seed %d)" name seed)
+        true
+        (agrees_with_eval ~gen ~score_bits:k.Kernel.score_bits ~n_layers:k.Kernel.n_layers
+           (Datapath.eval cell bindings) [ Kernel.flat_pe k p ] seed)
+    done
+  in
+  check "#2 at match 3" K02.kernel { K02.default with match_ = 3 } K02.gen;
+  check "#19 with a pointer" edit_with_ptr K19.default K19.gen
+
 let test_eval_guards () =
   let bad = { Datapath.layers = [| Datapath.Param "nope" |]; tb_fields = [] } in
   let pe = Datapath.eval bad { Datapath.params = []; tables = [] } in
@@ -191,6 +247,10 @@ let suite =
       Alcotest.test_case "all datapaths validate" `Quick test_all_validate;
       Alcotest.test_case "pointer widths match" `Quick test_tb_widths_match_kernels;
       Alcotest.test_case "counts cross-check traits" `Quick test_counts_cross_check_traits;
+      Alcotest.test_case "generated PE table holds every catalog kernel" `Quick
+        test_generated_covers_catalog;
+      Alcotest.test_case "generated PE misses run the bytecode" `Quick
+        test_generated_misses;
       Alcotest.test_case "eval guards" `Quick test_eval_guards;
       Alcotest.test_case "validate guards" `Quick test_validate_guards;
       Alcotest.test_case "select_first_best semantics" `Quick

@@ -2,7 +2,8 @@
    compile-pass structure (CSE, constant folding, strict binding), an
    allocation regression pinning the O(1)-words-per-wavefront property of
    the compiled hot path, the golden engine's under-a-word-per-cell
-   allocation and its 16-bit pointer guard, and a catalog-wide
+   allocation (both on the generated and on the bytecode PE) and its
+   16-bit pointer guard, and a catalog-wide
    differential fuzz of the compiled planes both engines run against the
    boxed interpreter. *)
 open Dphls_core
@@ -127,7 +128,22 @@ let test_compile_guards () =
 (* Allocation regression: the systolic wavefront loop with a compiled
    datapath must allocate O(1) minor words per run — strictly less than
    one word per cell (an interpreted PE boxes input/output records and
-   score arrays per cell). *)
+   score arrays per cell). Both tests run K02 twice: at its defaults,
+   where [Kernel.flat_pe] returns the generated evaluator, and at a
+   match score the generated table does not hold, where it returns the
+   bytecode loop. *)
+
+module K02 = Dphls_kernels.K02_global_affine
+
+let k02_paths () =
+  let miss = { K02.default with match_ = 3 } in
+  let hits p =
+    let cell, bindings = K02.kernel.Kernel.datapath p in
+    Option.is_some (Pe_gen.find (Datapath.compile cell bindings))
+  in
+  Alcotest.(check (pair bool bool)) "defaults hit, match 3 misses" (true, false)
+    (hits K02.default, hits miss);
+  [ ("generated", K02.default); ("bytecode", miss) ]
 
 let minor_words_of f =
   let before = Gc.minor_words () in
@@ -136,7 +152,6 @@ let minor_words_of f =
   int_of_float (Gc.minor_words () -. before)
 
 let test_allocation_regression () =
-  let module K02 = Dphls_kernels.K02_global_affine in
   let len = 160 in
   let rng = Dphls_util.Rng.create 404 in
   let w =
@@ -145,14 +160,17 @@ let test_allocation_regression () =
       ~reference:(Dphls_alphabet.Dna.random rng len)
   in
   let cfg = Dphls_systolic.Config.create ~n_pe:16 in
-  let run k = Dphls_systolic.Engine.run cfg k K02.default w in
-  ignore (run K02.kernel) (* warm-up *);
-  let compiled = minor_words_of (fun () -> run K02.kernel) in
-  let cells = len * len in
-  Alcotest.(check bool)
-    (Printf.sprintf "compiled run allocates < 1 word/cell (%d words, %d cells)"
-       compiled cells)
-    true (compiled < cells)
+  List.iter
+    (fun (path, p) ->
+      let run () = Dphls_systolic.Engine.run cfg K02.kernel p w in
+      ignore (run ()) (* warm-up *);
+      let compiled = minor_words_of run in
+      let cells = len * len in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s run allocates < 1 word/cell (%d words, %d cells)" path
+           compiled cells)
+        true (compiled < cells))
+    (k02_paths ())
 
 (* The golden engine keeps a ring of score rows and a 2-byte-per-cell
    traceback plane, never the score matrix: a whole unbanded K02 run,
@@ -160,7 +178,6 @@ let test_allocation_regression () =
    stays under one word per cell. A full n_layers x q x r score matrix
    alone would be three. *)
 let test_golden_allocation () =
-  let module K02 = Dphls_kernels.K02_global_affine in
   let len = 256 in
   let rng = Dphls_util.Rng.create 405 in
   let w =
@@ -168,19 +185,22 @@ let test_golden_allocation () =
       ~query:(Dphls_alphabet.Dna.random rng len)
       ~reference:(Dphls_alphabet.Dna.random rng len)
   in
-  let run () = Dphls_reference.Ref_engine.run K02.kernel K02.default w in
-  ignore (run ()) (* warm-up *);
-  let minor0, promoted0, major0 = Gc.counters () in
-  ignore (Sys.opaque_identity (run ()));
-  let minor1, promoted1, major1 = Gc.counters () in
-  let words =
-    int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-  in
-  let cells = len * len in
-  Alcotest.(check bool)
-    (Printf.sprintf "golden run allocates < 1 word/cell (%d words, %d cells)" words
-       cells)
-    true (words < cells)
+  List.iter
+    (fun (path, p) ->
+      let run () = Dphls_reference.Ref_engine.run K02.kernel p w in
+      ignore (run ()) (* warm-up *);
+      let minor0, promoted0, major0 = Gc.counters () in
+      ignore (Sys.opaque_identity (run ()));
+      let minor1, promoted1, major1 = Gc.counters () in
+      let words =
+        int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+      in
+      let cells = len * len in
+      Alcotest.(check bool)
+        (Printf.sprintf "golden %s run allocates < 1 word/cell (%d words, %d cells)"
+           path words cells)
+        true (words < cells))
+    (k02_paths ())
 
 (* A PE pointer that does not fit the golden engine's 16-bit traceback
    plane is an error naming the cell, never a silent truncation. *)
