@@ -12,6 +12,14 @@ open Dphls_core
 let seed = 42
 let bench_len = 64
 
+(* a BENCH_N.json payload, newline-terminated *)
+let write_bench path json =
+  let oc = open_out path in
+  output_string oc json;
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n%!" path
+
 (* Pre-generated workloads so the benches measure engines, not RNG. *)
 let workload_for id =
   let e = Dphls_kernels.Catalog.find id in
@@ -263,10 +271,7 @@ let banding_bench ?(len = 512) () =
          -. float_of_int adaptive.cells_computed
             /. float_of_int (max 1 fixed.cells_computed)))
   | _ -> ());
-  let oc = open_out "BENCH_2.json" in
-  output_string oc (Dphls_host.Throughput.band_json runs);
-  close_out oc;
-  Printf.printf "wrote BENCH_2.json\n%!"
+  write_bench "BENCH_2.json" (Dphls_host.Throughput.band_json runs)
 
 (* ---- PE datapath comparison: interpreter, bytecode, generated ----
 
@@ -378,10 +383,7 @@ let pe_bench ?(len = 256) () =
        (List.fold_left (fun a s -> a +. log s) 0.0 speedups
        /. float_of_int (List.length speedups)))
     (List.length speedups);
-  let oc = open_out "BENCH_3.json" in
-  output_string oc (Dphls_host.Throughput.pe_json runs);
-  close_out oc;
-  Printf.printf "wrote BENCH_3.json\n%!"
+  write_bench "BENCH_3.json" (Dphls_host.Throughput.pe_json runs)
 
 (* ---- prologue overlap: sequential vs overlapped staged engine ----
 
@@ -485,10 +487,7 @@ let overlap_bench ?(len = 32) () =
      work either way)\n"
     r.freq_mhz
     (Dphls_host.Throughput.overlap_device_speedup r);
-  let oc = open_out "BENCH_4.json" in
-  output_string oc (Dphls_host.Throughput.overlap_json [ r ]);
-  close_out oc;
-  Printf.printf "wrote BENCH_4.json\n%!";
+  write_bench "BENCH_4.json" (Dphls_host.Throughput.overlap_json [ r ]);
   if r.overlapped_cycles >= r.seq_cycles then begin
     Printf.printf
       "FAIL: overlapped cycles %d not strictly below sequential %d\n%!"
@@ -646,10 +645,7 @@ let fastpath_bench ?(max_len = 8192) () =
            Printf.sprintf "%.2fx" (Dphls_host.Throughput.fastpath_speedup r);
          ])
        runs);
-  let oc = open_out "BENCH_5.json" in
-  output_string oc (Dphls_host.Throughput.fastpath_json runs);
-  close_out oc;
-  Printf.printf "wrote BENCH_5.json\n%!";
+  write_bench "BENCH_5.json" (Dphls_host.Throughput.fastpath_json runs);
   let gated =
     List.filter
       (fun (r : Dphls_host.Throughput.fastpath_run) -> r.fp_qry_len >= 1024)
@@ -731,9 +727,14 @@ let serve_bench ?(total = 1_000_000) () =
               else c)
             qry
         in
-        Printf.sprintf "{\"kernel\":%d,\"qry\":\"%s\",\"ref\":\"%s\"}"
-          (if i mod 2 = 0 then 19 else 1)
-          qry refs)
+        Dphls_util.Json.(
+          to_string
+            (Obj
+               [
+                 ("kernel", int (if i mod 2 = 0 then 19 else 1));
+                 ("qry", Str qry);
+                 ("ref", Str refs);
+               ])))
   in
   (* Zipf(s=1.1) over pair ranks, drawn by binary search on the CDF *)
   let cdf =
@@ -836,10 +837,7 @@ let serve_bench ?(total = 1_000_000) () =
         Printf.sprintf "%d / %d kB" soak.sv_rss_first_kb soak.sv_rss_last_kb;
       ];
     ];
-  let oc = open_out "BENCH_6.json" in
-  output_string oc (Dphls_host.Throughput.serve_json soak);
-  close_out oc;
-  Printf.printf "wrote BENCH_6.json\n%!";
+  write_bench "BENCH_6.json" (Dphls_host.Throughput.serve_json soak);
   if !errors > 0 then begin
     Printf.printf "FAIL: %d requests answered with an error\n%!" !errors;
     exit 1

@@ -32,8 +32,7 @@
       metrics sinks across worker domains;
     - {!Check} — runs all of the above on one kernel;
     - {!Report} — the severity-ranked findings report (text and JSON,
-      both directions — {!Json} is the strict parser behind
-      [Report.of_json]).
+      both directions, through the shared {!Dphls_util.Json}).
 
     See [docs/analysis.md] for the methodology and worked examples. *)
 
@@ -43,7 +42,6 @@ module Fastpath = Fastpath
 module Fsm_check = Fsm_check
 module Ii = Ii
 module Interval = Interval
-module Json = Json
 module Latency = Latency
 module Lint = Lint
 module Report = Report

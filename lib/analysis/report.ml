@@ -1,3 +1,5 @@
+module Json = Dphls_util.Json
+
 type severity = Error | Warning | Info
 
 type finding = { check : string; severity : severity; message : string }
@@ -49,41 +51,42 @@ let pp ppf t =
         f.message)
     t.findings
 
-(* Hand-rolled JSON: the repository deliberately avoids dependencies
-   beyond the baked-in toolchain. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let finding_to_value f =
+  Json.(
+    Obj
+      [
+        ("check", Str f.check);
+        ("severity", Str (severity_label f.severity));
+        ("message", Str f.message);
+      ])
 
-let finding_to_json f =
-  Printf.sprintf {|{"check": "%s", "severity": "%s", "message": "%s"}|}
-    (json_escape f.check)
-    (severity_label f.severity)
-    (json_escape f.message)
+let to_value t =
+  Json.(
+    Obj
+      [
+        ("kernel", Obj [ ("id", int t.kernel_id); ("name", Str t.kernel_name) ]);
+        ("max_len", int t.max_len);
+        ( "summary",
+          Obj
+            [
+              ("errors", int (errors t));
+              ("warnings", int (warnings t));
+              ("infos", int (infos t));
+            ] );
+        ("findings", Arr (List.map finding_to_value t.findings));
+      ])
 
-let to_json t =
-  Printf.sprintf
-    {|{"kernel": {"id": %d, "name": "%s"}, "max_len": %d, "summary": {"errors": %d, "warnings": %d, "infos": %d}, "findings": [%s]}|}
-    t.kernel_id (json_escape t.kernel_name) t.max_len (errors t) (warnings t)
-    (infos t)
-    (String.concat ", " (List.map finding_to_json t.findings))
+let to_json t = Json.to_string (to_value t)
 
 let list_to_json reports =
-  Printf.sprintf {|{"reports": [%s], "errors": %d}|}
-    (String.concat ", " (List.map to_json reports))
-    (List.fold_left (fun acc r -> acc + errors r) 0 reports)
+  Json.(
+    to_string
+      (Obj
+         [
+           ("reports", Arr (List.map to_value reports));
+           ( "errors",
+             int (List.fold_left (fun acc r -> acc + errors r) 0 reports) );
+         ]))
 
 let severity_of_label = function
   | "error" -> Some Error

@@ -43,17 +43,19 @@ val severity_label : severity -> string
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
-(** Schema: [{"kernel": {"id", "name"}, "max_len", "summary":
-    {"errors", "warnings", "infos"}, "findings": [{"check", "severity",
-    "message"}]}] — see docs/analysis.md. *)
+(** Compact JSON ({!Dphls_util.Json.to_string}). Schema: [{"kernel":
+    {"id", "name"}, "max_len", "summary": {"errors", "warnings",
+    "infos"}, "findings": [{"check", "severity", "message"}]}] — see
+    docs/analysis.md. *)
 
 val list_to_json : t list -> string
 (** [{"reports": [...], "errors": total}]. *)
 
 val of_json : string -> (t, string) result
-(** Strict inverse of {!to_json} (via {!Json}): validates the schema,
-    including that the embedded summary counts match the findings list.
-    Round-trip law (property tested): [of_json (to_json t) = Ok t]. *)
+(** Strict inverse of {!to_json} (via {!Dphls_util.Json.parse}):
+    validates the schema, including that the embedded summary counts
+    match the findings list. Round-trip law (property tested):
+    [of_json (to_json t) = Ok t]. *)
 
 val list_of_json : string -> (t list, string) result
 (** Inverse of {!list_to_json}; also validates the total error count.

@@ -1,3 +1,5 @@
+module Json = Dphls_util.Json
+
 let alignments_per_sec ~cycles_per_alignment ~freq_mhz ~n_b ~n_k =
   if cycles_per_alignment <= 0.0 then invalid_arg "Throughput: non-positive cycles";
   float_of_int (n_b * n_k) *. freq_mhz *. 1e6 /. cycles_per_alignment
@@ -25,23 +27,25 @@ let cells_fraction r =
   float_of_int r.cells_computed /. float_of_int r.total_cells
 
 let band_json runs =
-  let buf = Buffer.create 512 in
-  let opt_int = function None -> "null" | Some v -> string_of_int v in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"mode\": %S, \"width\": %s, \"threshold\": %s, \"score\": %d, \
-            \"cells_computed\": %d, \"total_cells\": %d, \"cells_fraction\": \
-            %.6f, \"device_cycles\": %d, \"wall_ns\": %.0f}"
-           r.mode (opt_int r.width) (opt_int r.threshold) r.score
-           r.cells_computed r.total_cells (cells_fraction r) r.device_cycles
-           r.wall_ns))
-    runs;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  let opt_int = function None -> Json.Null | Some v -> Json.int v in
+  Json.(
+    to_string
+      (Arr
+         (List.map
+            (fun r ->
+              Obj
+                [
+                  ("mode", Str r.mode);
+                  ("width", opt_int r.width);
+                  ("threshold", opt_int r.threshold);
+                  ("score", int r.score);
+                  ("cells_computed", int r.cells_computed);
+                  ("total_cells", int r.total_cells);
+                  ("cells_fraction", Num (cells_fraction r));
+                  ("device_cycles", int r.device_cycles);
+                  ("wall_ns", Num r.wall_ns);
+                ])
+            runs)))
 
 type pe_run = {
   kernel : string;
@@ -60,25 +64,27 @@ let pe_speedup r =
   r.eval_ns /. r.compiled_ns
 
 let pe_json runs =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"kernel\": %S, \"cells\": %d, \"eval_ns\": %.0f, \
-            \"compiled_ns\": %.0f, \"generated_ns\": %.0f, \
-            \"eval_cells_per_sec\": %.0f, \"compiled_cells_per_sec\": %.0f, \
-            \"generated_cells_per_sec\": %.0f, \"speedup\": %.3f}"
-           r.kernel r.cells r.eval_ns r.compiled_ns r.generated_ns
-           (pe_cells_per_sec ~cells:r.cells ~ns:r.eval_ns)
-           (pe_cells_per_sec ~cells:r.cells ~ns:r.compiled_ns)
-           (pe_cells_per_sec ~cells:r.cells ~ns:r.generated_ns)
-           (pe_speedup r)))
-    runs;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  Json.(
+    to_string
+      (Arr
+         (List.map
+            (fun r ->
+              Obj
+                [
+                  ("kernel", Str r.kernel);
+                  ("cells", int r.cells);
+                  ("eval_ns", Num r.eval_ns);
+                  ("compiled_ns", Num r.compiled_ns);
+                  ("generated_ns", Num r.generated_ns);
+                  ( "eval_cells_per_sec",
+                    Num (pe_cells_per_sec ~cells:r.cells ~ns:r.eval_ns) );
+                  ( "compiled_cells_per_sec",
+                    Num (pe_cells_per_sec ~cells:r.cells ~ns:r.compiled_ns) );
+                  ( "generated_cells_per_sec",
+                    Num (pe_cells_per_sec ~cells:r.cells ~ns:r.generated_ns) );
+                  ("speedup", Num (pe_speedup r));
+                ])
+            runs)))
 
 type overlap_run = {
   kernel : string;
@@ -106,27 +112,29 @@ let overlap_device_speedup r =
   float_of_int r.seq_cycles /. float_of_int r.overlapped_cycles
 
 let overlap_json runs =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"kernel\": %S, \"n_pe\": %d, \"alignments\": %d, \
-            \"freq_mhz\": %.1f, \"seq_cycles\": %d, \"overlapped_cycles\": \
-            %d, \"hidden_cycles\": %d, \"cycle_reduction\": %.6f, \
-            \"seq_device_ns\": %.0f, \"overlap_device_ns\": %.0f, \
-            \"device_wall_speedup\": %.3f, \"seq_host_ns\": %.0f, \
-            \"overlap_host_ns\": %.0f}"
-           r.kernel r.n_pe r.alignments r.freq_mhz r.seq_cycles
-           r.overlapped_cycles r.hidden_cycles (overlap_cycle_reduction r)
-           (overlap_device_ns r r.seq_cycles)
-           (overlap_device_ns r r.overlapped_cycles)
-           (overlap_device_speedup r) r.seq_host_ns r.overlap_host_ns))
-    runs;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  Json.(
+    to_string
+      (Arr
+         (List.map
+            (fun r ->
+              Obj
+                [
+                  ("kernel", Str r.kernel);
+                  ("n_pe", int r.n_pe);
+                  ("alignments", int r.alignments);
+                  ("freq_mhz", Num r.freq_mhz);
+                  ("seq_cycles", int r.seq_cycles);
+                  ("overlapped_cycles", int r.overlapped_cycles);
+                  ("hidden_cycles", int r.hidden_cycles);
+                  ("cycle_reduction", Num (overlap_cycle_reduction r));
+                  ("seq_device_ns", Num (overlap_device_ns r r.seq_cycles));
+                  ( "overlap_device_ns",
+                    Num (overlap_device_ns r r.overlapped_cycles) );
+                  ("device_wall_speedup", Num (overlap_device_speedup r));
+                  ("seq_host_ns", Num r.seq_host_ns);
+                  ("overlap_host_ns", Num r.overlap_host_ns);
+                ])
+            runs)))
 
 type scaling_point = {
   workers : int;
@@ -176,25 +184,31 @@ let fastpath_speedup r =
   r.fp_systolic_ns /. r.fp_bitpar_ns
 
 let fastpath_json runs =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"kernel\": %S, \"qry_len\": %d, \"ref_len\": %d, \
-            \"cells\": %d, \"n_pe\": %d, \"systolic_ns\": %.0f, \
-            \"bitpar_ns\": %.0f, \"systolic_mcells_s\": %.2f, \
-            \"bitpar_mcells_s\": %.2f, \"speedup\": %.2f}"
-           r.fp_kernel r.fp_qry_len r.fp_ref_len r.fp_cells r.fp_n_pe
-           r.fp_systolic_ns r.fp_bitpar_ns
-           (pe_cells_per_sec ~cells:r.fp_cells ~ns:r.fp_systolic_ns /. 1e6)
-           (pe_cells_per_sec ~cells:r.fp_cells ~ns:r.fp_bitpar_ns /. 1e6)
-           (fastpath_speedup r)))
-    runs;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  Json.(
+    to_string
+      (Arr
+         (List.map
+            (fun r ->
+              Obj
+                [
+                  ("kernel", Str r.fp_kernel);
+                  ("qry_len", int r.fp_qry_len);
+                  ("ref_len", int r.fp_ref_len);
+                  ("cells", int r.fp_cells);
+                  ("n_pe", int r.fp_n_pe);
+                  ("systolic_ns", Num r.fp_systolic_ns);
+                  ("bitpar_ns", Num r.fp_bitpar_ns);
+                  ( "systolic_mcells_s",
+                    Num
+                      (pe_cells_per_sec ~cells:r.fp_cells ~ns:r.fp_systolic_ns
+                      /. 1e6) );
+                  ( "bitpar_mcells_s",
+                    Num
+                      (pe_cells_per_sec ~cells:r.fp_cells ~ns:r.fp_bitpar_ns
+                      /. 1e6) );
+                  ("speedup", Num (fastpath_speedup r));
+                ])
+            runs)))
 
 type serve_soak = {
   sv_requests : int;
@@ -218,16 +232,27 @@ let serve_req_per_sec s =
   float_of_int s.sv_completed /. s.sv_wall_s
 
 let serve_json s =
-  Printf.sprintf
-    "{\"requests\": %d, \"completed\": %d, \"cache_hits\": %d, \
-     \"cache_hit_rate\": %.4f, \"rejected\": %d, \"expired\": %d, \
-     \"batches\": %d, \"distinct_pairs\": %d, \"wall_s\": %.3f, \
-     \"req_per_s\": %.0f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, \
-     \"max_ms\": %.4f, \"slo_p99_ms\": %.3f, \"rss_first_kb\": %d, \
-     \"rss_last_kb\": %d}\n"
-    s.sv_requests s.sv_completed s.sv_cache_hits
-    (if s.sv_completed = 0 then 0.0
-     else float_of_int s.sv_cache_hits /. float_of_int s.sv_completed)
-    s.sv_rejected s.sv_expired s.sv_batches s.sv_distinct_pairs s.sv_wall_s
-    (serve_req_per_sec s) s.sv_p50_ms s.sv_p99_ms s.sv_max_ms s.sv_slo_p99_ms
-    s.sv_rss_first_kb s.sv_rss_last_kb
+  Json.(
+    to_string
+      (Obj
+         [
+           ("requests", int s.sv_requests);
+           ("completed", int s.sv_completed);
+           ("cache_hits", int s.sv_cache_hits);
+           ( "cache_hit_rate",
+             Num
+               (if s.sv_completed = 0 then 0.0
+                else float_of_int s.sv_cache_hits /. float_of_int s.sv_completed) );
+           ("rejected", int s.sv_rejected);
+           ("expired", int s.sv_expired);
+           ("batches", int s.sv_batches);
+           ("distinct_pairs", int s.sv_distinct_pairs);
+           ("wall_s", Num s.sv_wall_s);
+           ("req_per_s", Num (serve_req_per_sec s));
+           ("p50_ms", Num s.sv_p50_ms);
+           ("p99_ms", Num s.sv_p99_ms);
+           ("max_ms", Num s.sv_max_ms);
+           ("slo_p99_ms", Num s.sv_slo_p99_ms);
+           ("rss_first_kb", int s.sv_rss_first_kb);
+           ("rss_last_kb", int s.sv_rss_last_kb);
+         ]))

@@ -1,3 +1,5 @@
+module Json = Dphls_util.Json
+
 type event = {
   name : string;
   cat : string;
@@ -24,210 +26,63 @@ let events_of_tracer tracer =
       })
     (Tracer.spans tracer)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let event_to_json e =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d}"
-    (escape e.name) (escape e.cat) (escape e.ph) e.ts e.dur e.pid e.tid
+let event_to_value e =
+  Json.(
+    Obj
+      [
+        ("name", Str e.name);
+        ("cat", Str e.cat);
+        ("ph", Str e.ph);
+        ("ts", Num e.ts);
+        ("dur", Num e.dur);
+        ("pid", int e.pid);
+        ("tid", int e.tid);
+      ])
 
 let to_json ?(process_name = "dphls") tracer =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",";
-  Buffer.add_string b
-    (Printf.sprintf "\"otherData\":{\"process_name\":\"%s\"},"
-       (escape process_name));
-  Buffer.add_string b "\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n";
-      Buffer.add_string b (event_to_json e))
-    (events_of_tracer tracer);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  Json.(
+    to_string
+      (Obj
+         [
+           ("displayTimeUnit", Str "ms");
+           ("otherData", Obj [ ("process_name", Str process_name) ]);
+           ("traceEvents", Arr (List.map event_to_value (events_of_tracer tracer)));
+         ]))
 
 let write_file path ?process_name tracer =
   let oc = open_out path in
   output_string oc (to_json ?process_name tracer);
+  output_char oc '\n';
   close_out oc
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader, enough for the round-trip check: objects,
-   arrays, strings (with the escapes [escape] emits), numbers, and the
-   three literals. Not a general-purpose parser — traces we did not
-   write ourselves only need to be close to the spec. *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Chrome.parse: %s at byte %d" msg !pos) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (if !pos >= n then fail "unterminated escape";
-         match s.[!pos] with
-         | '"' -> Buffer.add_char b '"'; advance ()
-         | '\\' -> Buffer.add_char b '\\'; advance ()
-         | '/' -> Buffer.add_char b '/'; advance ()
-         | 'n' -> Buffer.add_char b '\n'; advance ()
-         | 't' -> Buffer.add_char b '\t'; advance ()
-         | 'r' -> Buffer.add_char b '\r'; advance ()
-         | 'b' -> Buffer.add_char b '\b'; advance ()
-         | 'f' -> Buffer.add_char b '\012'; advance ()
-         | 'u' ->
-           if !pos + 4 >= n then fail "truncated \\u escape";
-           let hex = String.sub s (!pos + 1) 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-           | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-           | Some _ -> Buffer.add_char b '?'
-           | None -> fail "bad \\u escape");
-           pos := !pos + 5
-         | _ -> fail "unknown escape");
-        go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let parse_literal lit v =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
-    then begin
-      pos := !pos + String.length lit;
-      v
-    end
-    else fail "bad literal"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> J_str (parse_string ())
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); J_obj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((key, v) :: acc)
-          | '}' -> advance (); J_obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); J_arr [])
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elements (v :: acc)
-          | ']' -> advance (); J_arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | 't' -> parse_literal "true" (J_bool true)
-    | 'f' -> parse_literal "false" (J_bool false)
-    | 'n' -> parse_literal "null" J_null
-    | '-' | '0' .. '9' -> J_num (parse_number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 let parse text =
-  let top =
-    match parse_json text with
-    | J_obj fields -> fields
-    | _ -> failwith "Chrome.parse: top level is not an object"
-  in
+  let fail msg = failwith ("Chrome.parse: " ^ msg) in
   let events =
-    match List.assoc_opt "traceEvents" top with
-    | Some (J_arr es) -> es
-    | Some _ -> failwith "Chrome.parse: traceEvents is not an array"
-    | None -> failwith "Chrome.parse: no traceEvents array"
+    match Json.parse text with
+    | Error msg -> fail msg
+    | Ok top -> (
+      match Json.member "traceEvents" top with
+      | Some (Json.Arr es) -> es
+      | Some _ -> fail "traceEvents is not an array"
+      | None -> fail "no traceEvents array")
   in
-  let str fields key d =
-    match List.assoc_opt key fields with Some (J_str s) -> s | _ -> d
+  let str fields key =
+    match List.assoc_opt key fields with Some (Json.Str s) -> s | _ -> ""
   in
-  let num fields key d =
-    match List.assoc_opt key fields with Some (J_num f) -> f | _ -> d
+  let num fields key =
+    match List.assoc_opt key fields with Some (Json.Num f) -> f | _ -> 0.0
   in
   List.map
     (function
-      | J_obj fields ->
+      | Json.Obj fields ->
         {
-          name = str fields "name" "";
-          cat = str fields "cat" "";
-          ph = str fields "ph" "";
-          ts = num fields "ts" 0.0;
-          dur = num fields "dur" 0.0;
-          pid = int_of_float (num fields "pid" 0.0);
-          tid = int_of_float (num fields "tid" 0.0);
+          name = str fields "name";
+          cat = str fields "cat";
+          ph = str fields "ph";
+          ts = num fields "ts";
+          dur = num fields "dur";
+          pid = int_of_float (num fields "pid");
+          tid = int_of_float (num fields "tid");
         }
-      | _ -> failwith "Chrome.parse: traceEvents entry is not an object")
+      | _ -> fail "traceEvents entry is not an object")
     events

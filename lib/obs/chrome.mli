@@ -25,16 +25,18 @@ val events_of_tracer : Tracer.t -> event list
 (** The spans as complete events, in recording order. *)
 
 val to_json : ?process_name:string -> Tracer.t -> string
-(** The full trace file contents. Every event lives in pid 0;
-    [process_name] (default ["dphls"]) labels it via the top-level
-    ["otherData"] object. *)
+(** The trace as one compact JSON object ({!Dphls_util.Json.to_string}).
+    Every event lives in pid 0; [process_name] (default ["dphls"])
+    labels it via the top-level ["otherData"] object. *)
 
 val write_file : string -> ?process_name:string -> Tracer.t -> unit
+(** {!to_json} and a final newline. *)
 
 val parse : string -> event list
 (** Parse the ["traceEvents"] of a trace file back into events —
     the round-trip check used by the test suite and by consumers that
-    post-process traces. Accepts any JSON object with a
+    post-process traces. The text must be strict RFC 8259 JSON (read
+    with {!Dphls_util.Json.parse}) holding an object with a
     ["traceEvents"] array of flat event objects; unknown fields are
     ignored, missing fields default to [0]/[""]. Raises [Failure] on
     malformed JSON or a missing ["traceEvents"] array. *)

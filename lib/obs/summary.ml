@@ -1,4 +1,5 @@
 module Stats = Dphls_util.Stats
+module Json = Dphls_util.Json
 
 type span_stat = {
   span_name : string;
@@ -86,22 +87,26 @@ let to_text t =
   Buffer.contents b
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"counters\":{";
-  List.iteri
-    (fun i (c, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Counter.name c) v))
-    t.counters;
-  Buffer.add_string b "},\"spans\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"count\":%d,\"total_ms\":%.4f,\"mean_ms\":%.4f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"max_ms\":%.4f}"
-           s.span_name s.cat s.count (ms s.total_s) (ms s.mean_s)
-           (ms s.p50_s) (ms s.p99_s) (ms s.max_s)))
-    t.span_stats;
-  Buffer.add_string b (Printf.sprintf "],\"wall_ms\":%.4f}" (ms t.wall_s));
-  Buffer.contents b
+  let span s =
+    Json.(
+      Obj
+        [
+          ("name", Str s.span_name);
+          ("cat", Str s.cat);
+          ("count", int s.count);
+          ("total_ms", Num (ms s.total_s));
+          ("mean_ms", Num (ms s.mean_s));
+          ("p50_ms", Num (ms s.p50_s));
+          ("p99_ms", Num (ms s.p99_s));
+          ("max_ms", Num (ms s.max_s));
+        ])
+  in
+  Json.(
+    to_string
+      (Obj
+         [
+           ( "counters",
+             Obj (List.map (fun (c, v) -> (Counter.name c, int v)) t.counters) );
+           ("spans", Arr (List.map span t.span_stats));
+           ("wall_ms", Num (ms t.wall_s));
+         ]))

@@ -1,4 +1,4 @@
-module Json = Dphls_analysis.Json
+module Json = Dphls_util.Json
 module Engines = Dphls_engines.Engines
 module Banding = Dphls_core.Banding
 
@@ -50,25 +50,8 @@ type request = {
   ref_seq : string;
   band : band_spec;
   engine : Engines.choice;
-  engine_label : string;
   deadline_ms : float option;
 }
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* --- request parsing ------------------------------------------------- *)
 
@@ -172,13 +155,12 @@ let parse_request line =
         | Some v -> parse_band v
         | None -> Band_keep
       in
-      let engine, engine_label =
+      let engine =
         match List.assoc_opt "engine" fields with
-        | None -> (Engines.Auto, "auto")
+        | None -> Engines.Auto
         | Some v -> (
-          let s = str_field "engine" v in
-          match Engines.of_string s with
-          | Ok c -> (c, Engines.choice_name c)
+          match Engines.of_string (str_field "engine" v) with
+          | Ok c -> c
           | Error msg -> bad "%s" msg)
       in
       let deadline_ms =
@@ -187,8 +169,7 @@ let parse_request line =
         | Some (Json.Num f) when f > 0.0 -> Some f
         | Some _ -> bad "field \"deadline_ms\" must be a positive number"
       in
-      Ok { rid; kernel_spec; qry; ref_seq; band; engine; engine_label;
-           deadline_ms }
+      Ok { rid; kernel_spec; qry; ref_seq; band; engine; deadline_ms }
     with Reject (code, msg) -> Error (rid, code, msg))
   | Ok _ -> Error (None, Bad_request, "request must be a JSON object")
 
@@ -210,17 +191,27 @@ type response =
       message : string;
     }
 
-let response_line = function
-  | Ok_response { rid; score; cigar; cycles; engine; cached; latency_ms } ->
-    Printf.sprintf
-      "{\"id\":\"%s\",\"status\":\"ok\",\"score\":%d,\"cigar\":\"%s\",\"cycles\":%s,\"engine\":\"%s\",\"cached\":%b,\"latency_ms\":%.3f}"
-      (json_escape rid) score (json_escape cigar)
-      (match cycles with Some c -> string_of_int c | None -> "null")
-      (json_escape engine) cached latency_ms
-  | Error_response { rid; code; message } ->
-    Printf.sprintf
-      "{\"id\":%s,\"status\":\"error\",\"code\":\"%s\",\"message\":\"%s\"}"
-      (match rid with
-      | Some r -> Printf.sprintf "\"%s\"" (json_escape r)
-      | None -> "null")
-      (error_name code) (json_escape message)
+let response_line r =
+  Json.(
+    to_string
+      (match r with
+      | Ok_response { rid; score; cigar; cycles; engine; cached; latency_ms } ->
+        Obj
+          [
+            ("id", Str rid);
+            ("status", Str "ok");
+            ("score", int score);
+            ("cigar", Str cigar);
+            ("cycles", match cycles with Some c -> int c | None -> Null);
+            ("engine", Str engine);
+            ("cached", Bool cached);
+            ("latency_ms", Num latency_ms);
+          ]
+      | Error_response { rid; code; message } ->
+        Obj
+          [
+            ("id", match rid with Some r -> Str r | None -> Null);
+            ("status", Str "error");
+            ("code", Str (error_name code));
+            ("message", Str message);
+          ]))

@@ -1,7 +1,8 @@
 (** The serve wire protocol: one request per line in, one response per
-    line out, both RFC 8259 JSON objects (parsed with the strict
-    {!Dphls_analysis.Json} parser — the same one the report schema
-    uses, so the service rejects exactly what the toolchain rejects).
+    line out, both RFC 8259 JSON objects. Requests are read with the
+    strict {!Dphls_util.Json.parse} — the same parser the report schema
+    uses, so the service rejects exactly what the toolchain rejects —
+    and responses are printed by {!Dphls_util.Json.to_string}.
 
     Request fields (unknown fields are a [Bad_request]):
     - ["kernel"] (required): catalog kernel, by number or name;
@@ -55,7 +56,6 @@ type request = {
   ref_seq : string;
   band : band_spec;
   engine : Dphls_engines.Engines.choice;
-  engine_label : string;  (** normalized name, for grouping/response *)
   deadline_ms : float option;
 }
 
@@ -88,6 +88,3 @@ type response =
 
 val response_line : response -> string
 (** One JSON line (no trailing newline). *)
-
-val json_escape : string -> string
-(** RFC 8259 string-body escaping (quotes, backslash, control chars). *)

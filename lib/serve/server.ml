@@ -10,6 +10,7 @@ module Metrics = Dphls_obs.Metrics
 module Tracer = Dphls_obs.Tracer
 module Counter = Dphls_obs.Counter
 module Stats = Dphls_util.Stats
+module Json = Dphls_util.Json
 module Pool = Dphls_host.Pool
 
 type config = {
@@ -332,7 +333,7 @@ let find_group t (req : Proto.request) ~kid ~(entry : Catalog.entry) =
   let key =
     Printf.sprintf "%d|%s|%s" kid
       (Proto.band_signature req.Proto.band)
-      req.Proto.engine_label
+      (Engines.choice_name req.Proto.engine)
   in
   let g =
     match Hashtbl.find_opt t.groups key with
@@ -357,14 +358,15 @@ let find_group t (req : Proto.request) ~kid ~(entry : Catalog.entry) =
 let cache_key t g (req : Proto.request) ~kid =
   if Cache.capacity t.cache <= 0 then None
   else
-    (* the engine label is part of the identity: a forced engine must
+    (* the engine choice is part of the identity: a forced engine must
        report its own characteristics (cycles, cigar emptiness), not
        another backend's cached answer *)
     Some
       (Printf.sprintf "%d|%s|%s|%s|%s|%s" kid
          g.params_hash
          (Proto.band_signature req.Proto.band)
-         req.Proto.engine_label req.Proto.qry req.Proto.ref_seq)
+         (Engines.choice_name req.Proto.engine)
+         req.Proto.qry req.Proto.ref_seq)
 
 let admit t (req : Proto.request) ~t_admit ~tr0 =
   let reply code msg =
@@ -563,9 +565,19 @@ let summary_to_text s =
   Buffer.contents b
 
 let summary_to_json s =
-  Printf.sprintf
-    "{\"admitted\":%d,\"rejected\":%d,\"expired\":%d,\"cache_hits\":%d,\"completed\":%d,\"batches\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"max_ms\":%.3f,\"slo_p99_ms\":%s,\"slo_ok\":%b}"
-    s.admitted s.rejected s.expired s.cache_hits s.completed s.batches
-    s.p50_ms s.p99_ms s.max_ms
-    (match s.slo_p99_ms with Some v -> Printf.sprintf "%.3f" v | None -> "null")
-    s.slo_ok
+  Json.(
+    to_string
+      (Obj
+         [
+           ("admitted", int s.admitted);
+           ("rejected", int s.rejected);
+           ("expired", int s.expired);
+           ("cache_hits", int s.cache_hits);
+           ("completed", int s.completed);
+           ("batches", int s.batches);
+           ("p50_ms", Num s.p50_ms);
+           ("p99_ms", Num s.p99_ms);
+           ("max_ms", Num s.max_ms);
+           ("slo_p99_ms", match s.slo_p99_ms with Some v -> Num v | None -> Null);
+           ("slo_ok", Bool s.slo_ok);
+         ]))

@@ -190,3 +190,57 @@ let parse s =
   | exception Fail (msg, p) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+
+let int n = Num (float_of_int n)
+
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let add_number b f =
+  if Float.is_integer f && Float.abs f < 0x1p53 then
+    Buffer.add_string b (string_of_int (int_of_float f))
+  else if Float.is_finite f then begin
+    let short = Printf.sprintf "%.15g" f in
+    Buffer.add_string b
+      (if float_of_string short = f then short else Printf.sprintf "%.17g" f)
+  end
+  else Buffer.add_string b "null"
+
+let add_seq b l r add_item items =
+  Buffer.add_char b l;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      add_item b x)
+    items;
+  Buffer.add_char b r
+
+let rec add b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num f -> add_number b f
+  | Str s -> add_string b s
+  | Arr items -> add_seq b '[' ']' add items
+  | Obj fields ->
+    add_seq b '{' '}'
+      (fun b (k, v) ->
+        add_string b k;
+        Buffer.add_char b ':';
+        add b v)
+      fields
+
+let to_string v =
+  let b = Buffer.create 256 in
+  add b v;
+  Buffer.contents b

@@ -287,8 +287,8 @@ let test_report_json () =
       Alcotest.(check bool) (Printf.sprintf "json has %S" part) true
         (contains json part))
     [
-      {|"kernel": {"id": 3, "name": "demo"}|};
-      {|"errors": 1|};
+      {|"kernel":{"id":3,"name":"demo"}|};
+      {|"errors":1|};
       {|broke \"here\"\n|};
     ];
   (* errors sort first *)
@@ -296,14 +296,14 @@ let test_report_json () =
   | { Report.check = "b"; _ } :: _ -> ()
   | _ -> Alcotest.fail "error finding must sort first");
   Alcotest.(check bool) "list json totals errors" true
-    (contains (Report.list_to_json [ r; r ]) {|"errors": 2|})
+    (contains (Report.list_to_json [ r; r ]) {|"errors":2|})
 
 (* ---- datapath analyses: Depend / Ii / Fastpath (seeded-broken specs) ---- *)
 
 module Depend = Dphls_analysis.Depend
 module Ii = Dphls_analysis.Ii
 module Fastpath = Dphls_analysis.Fastpath
-module Json = Dphls_analysis.Json
+module Json = Dphls_util.Json
 module Lint = Dphls_analysis.Lint
 module Cells = Dphls_kernels.Cells
 module K19 = Dphls_kernels.K19_global_edit
@@ -553,9 +553,10 @@ let test_json_tamper_detected () =
     in
     go 0
   in
-  let tampered =
-    replace_once ~sub:{|"errors": 1|} ~by:{|"errors": 0|} (Report.to_json r)
-  in
+  let original = Report.to_json r in
+  let tampered = replace_once ~sub:{|"errors":1|} ~by:{|"errors":0|} original in
+  Alcotest.(check bool) "the tamper edited the text" false
+    (String.equal tampered original);
   match Report.of_json tampered with
   | Ok _ -> Alcotest.fail "summary/findings mismatch must be rejected"
   | Error e ->

@@ -218,12 +218,18 @@ let test_chrome_round_trip () =
       Alcotest.(check string) "cat" a.Dphls_obs.Chrome.cat b.Dphls_obs.Chrome.cat;
       Alcotest.(check string) "ph" a.Dphls_obs.Chrome.ph b.Dphls_obs.Chrome.ph;
       Alcotest.(check int) "tid" a.Dphls_obs.Chrome.tid b.Dphls_obs.Chrome.tid;
-      (* ts/dur are printed with .3f microsecond precision *)
-      Alcotest.(check bool) "ts close" true
-        (Float.abs (a.Dphls_obs.Chrome.ts -. b.Dphls_obs.Chrome.ts) < 0.01);
-      Alcotest.(check bool) "dur close" true
-        (Float.abs (a.Dphls_obs.Chrome.dur -. b.Dphls_obs.Chrome.dur) < 0.01))
+      (* ts/dur print at full round-trip precision *)
+      Alcotest.(check (float 0.0)) "ts" a.Dphls_obs.Chrome.ts b.Dphls_obs.Chrome.ts;
+      Alcotest.(check (float 0.0)) "dur" a.Dphls_obs.Chrome.dur b.Dphls_obs.Chrome.dur)
     direct parsed;
+  (match Dphls_obs.Chrome.parse {|{"traceEvents":[{"name":"\u00e9"}]}|} with
+  | [ e ] ->
+    Alcotest.(check string) "\\u00e9 decodes to UTF-8" "\xc3\xa9"
+      e.Dphls_obs.Chrome.name
+  | _ -> Alcotest.fail "expected one event");
+  Alcotest.(check bool) "leading zero rejected" true
+    (try ignore (Dphls_obs.Chrome.parse {|{"traceEvents":[{"ts":01}]}|}); false
+     with Failure _ -> true);
   Alcotest.(check bool) "malformed json rejected" true
     (try ignore (Dphls_obs.Chrome.parse "{\"traceEvents\": [}"); false
      with Failure _ -> true);

@@ -7,7 +7,8 @@
 module Proto = Dphls_serve.Proto
 module Cache = Dphls_serve.Cache
 module Server = Dphls_serve.Server
-module Json = Dphls_analysis.Json
+module Json = Dphls_util.Json
+module Engines = Dphls_engines.Engines
 module Metrics = Dphls_obs.Metrics
 module Counter = Dphls_obs.Counter
 
@@ -95,7 +96,8 @@ let test_parse_valid () =
     Alcotest.(check string) "ref" "ACGA" req.Proto.ref_seq;
     Alcotest.(check string) "band" "fixed:8"
       (Proto.band_signature req.Proto.band);
-    Alcotest.(check string) "engine" "systolic" req.Proto.engine_label;
+    Alcotest.(check string) "engine" "systolic"
+      (Engines.choice_name req.Proto.engine);
     Alcotest.(check (option (float 1e-9))) "deadline" (Some 50.0)
       req.Proto.deadline_ms
 
@@ -107,7 +109,8 @@ let test_parse_defaults () =
     Alcotest.(check string) "numeric kernel" "1" req.Proto.kernel_spec;
     Alcotest.(check string) "band keeps kernel" "keep"
       (Proto.band_signature req.Proto.band);
-    Alcotest.(check string) "engine auto" "auto" req.Proto.engine_label;
+    Alcotest.(check string) "engine auto" "auto"
+      (Engines.choice_name req.Proto.engine);
     Alcotest.(check (option (float 0.0))) "no deadline" None
       req.Proto.deadline_ms
 
@@ -176,7 +179,7 @@ let test_response_lines_golden () =
           { rid = None; code = Proto.Internal; message = "boom" }));
   Alcotest.(check string)
     "ok line"
-    "{\"id\":\"x\",\"status\":\"ok\",\"score\":5,\"cigar\":\"3M\",\"cycles\":null,\"engine\":\"reference\",\"cached\":false,\"latency_ms\":1.500}"
+    "{\"id\":\"x\",\"status\":\"ok\",\"score\":5,\"cigar\":\"3M\",\"cycles\":null,\"engine\":\"reference\",\"cached\":false,\"latency_ms\":1.5}"
     (Proto.response_line
        (Proto.Ok_response
           {
@@ -201,10 +204,6 @@ let test_response_lines_golden () =
           (member_str "code" j)
       | Error m -> Alcotest.failf "unparseable response: %s" m)
     Proto.error_codes
-
-let test_json_escape () =
-  Alcotest.(check string) "escapes" "a\\\"b\\\\c\\nd\\te\\u0001"
-    (Proto.json_escape "a\"b\\c\nd\te\x01")
 
 (* ---- cache ---- *)
 
@@ -647,7 +646,6 @@ let suite =
       test_parse_keeps_rid_on_error;
     Alcotest.test_case "proto: golden response lines" `Quick
       test_response_lines_golden;
-    Alcotest.test_case "proto: json escaping" `Quick test_json_escape;
     Alcotest.test_case "cache: lru eviction" `Quick test_cache_lru;
     Alcotest.test_case "server: every submit error code" `Quick
       test_submit_error_codes;

@@ -4,6 +4,7 @@ module Score = Dphls_util.Score
 module Bits = Dphls_util.Bits
 module Stats = Dphls_util.Stats
 module Pretty = Dphls_util.Pretty
+module Json = Dphls_util.Json
 
 let test_rng_deterministic () =
   let a = Rng.create 1 and b = Rng.create 1 in
@@ -198,6 +199,244 @@ let test_pretty () =
   Alcotest.(check bool) "aligned" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
+(* ---- Json: the printer every emitter shares ---- *)
+
+let test_json_escaping () =
+  Alcotest.(check string) "escapes" "\"a\\\"b\\\\c\\nd\\te\\u0001\""
+    (Json.to_string (Json.Str "a\"b\\c\nd\te\x01"))
+
+let test_json_numbers () =
+  List.iter
+    (fun (what, f, want) ->
+      Alcotest.(check string) what want (Json.to_string (Json.Num f)))
+    [
+      ("nan", Float.nan, "null");
+      ("infinity", Float.infinity, "null");
+      ("neg_infinity", Float.neg_infinity, "null");
+      ("integral", 5., "5");
+      ("fraction", 1.5, "1.5");
+    ]
+
+(* Byte-string keys and values; finite numbers from every bit pattern,
+   integers next to +-2^53 (where integer printing stops) and
+   subnormals. *)
+let json_arbitrary =
+  let open QCheck.Gen in
+  let bytes = string_size (0 -- 12) in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let num =
+    frequency
+      [
+        (2, map float_of_int (int_range (-1000) 1000));
+        (2, map (fun b -> finite (Int64.float_of_bits b)) ui64);
+        ( 2,
+          map2
+            (fun sign d -> sign *. (0x1p53 +. float_of_int d))
+            (oneofl [ 1.0; -1.0 ]) (int_range (-4) 4) );
+        (1, map2 Float.ldexp (float_range 0.5 1.0) (int_range (-1074) (-1000)));
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (4, map (fun f -> Json.Num f) num);
+        (4, map (fun s -> Json.Str s) bytes);
+      ]
+  in
+  let value =
+    sized_size (0 -- 16)
+      (fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 2))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 4) (pair bytes (self (n / 2)))) );
+               ]))
+  in
+  QCheck.make ~print:Json.to_string value
+
+let test_json_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"json: parse (to_string v) = Ok v"
+       json_arbitrary (fun v -> Json.parse (Json.to_string v) = Ok v))
+
+(* Every string field of every JSON emitter, fed quotes, a backslash,
+   control characters and UTF-8, must come back intact through the
+   strict parser. *)
+let hostile = "q\"b\\s\nn\tt\x01u\xc3\xa9"
+
+let test_emitters_strict_json () =
+  let module Report = Dphls_analysis.Report in
+  let module Tracer = Dphls_obs.Tracer in
+  let module Chrome = Dphls_obs.Chrome in
+  let module Summary = Dphls_obs.Summary in
+  let module Proto = Dphls_serve.Proto in
+  let module Server = Dphls_serve.Server in
+  let module Throughput = Dphls_host.Throughput in
+  let parse what text =
+    match Json.parse text with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s in %S" what e text
+  in
+  let get what v path =
+    List.fold_left
+      (fun v step ->
+        match (step, v) with
+        | `F k, _ -> (
+          match Json.member k v with
+          | Some x -> x
+          | None -> Alcotest.failf "%s: no field %S" what k)
+        | `N i, Json.Arr items -> List.nth items i
+        | `N _, _ -> Alcotest.failf "%s: not an array" what)
+      v path
+  in
+  let check what text path =
+    match get what (parse what text) path with
+    | Json.Str s -> Alcotest.(check string) what hostile s
+    | _ -> Alcotest.failf "%s: not a string" what
+  in
+  let report =
+    Report.create ~kernel_id:1 ~kernel_name:hostile ~max_len:8
+      [ Report.error ~check:"c" hostile ]
+  in
+  check "report kernel name" (Report.to_json report) [ `F "kernel"; `F "name" ];
+  check "report finding message" (Report.to_json report)
+    [ `F "findings"; `N 0; `F "message" ];
+  check "report list" (Report.list_to_json [ report ])
+    [ `F "reports"; `N 0; `F "findings"; `N 0; `F "message" ];
+  let tr = Tracer.create () in
+  Tracer.add_span tr ~cat:hostile ~t0:0.0 ~t1:1e-3 hostile;
+  let chrome = Chrome.to_json ~process_name:hostile tr in
+  check "chrome span name" chrome [ `F "traceEvents"; `N 0; `F "name" ];
+  check "chrome span cat" chrome [ `F "traceEvents"; `N 0; `F "cat" ];
+  check "chrome process name" chrome [ `F "otherData"; `F "process_name" ];
+  let summary = Summary.to_json (Summary.build ~tracer:tr ()) in
+  check "summary span name" summary [ `F "spans"; `N 0; `F "name" ];
+  check "summary span cat" summary [ `F "spans"; `N 0; `F "cat" ];
+  let ok =
+    Proto.response_line
+      (Proto.Ok_response
+         {
+           rid = hostile;
+           score = 1;
+           cigar = hostile;
+           cycles = Some 3;
+           engine = hostile;
+           cached = false;
+           latency_ms = 0.25;
+         })
+  in
+  List.iter (fun k -> check ("proto ok " ^ k) ok [ `F k ]) [ "id"; "cigar"; "engine" ];
+  let err =
+    Proto.response_line
+      (Proto.Error_response
+         { rid = Some hostile; code = Proto.Internal; message = hostile })
+  in
+  List.iter (fun k -> check ("proto error " ^ k) err [ `F k ]) [ "id"; "message" ];
+  (* no string fields; a non-finite latency must still print as JSON *)
+  let server =
+    parse "server summary"
+      (Server.summary_to_json
+         {
+           Server.admitted = 1;
+           rejected = 0;
+           expired = 0;
+           cache_hits = 0;
+           completed = 1;
+           batches = 1;
+           p50_ms = 0.5;
+           p99_ms = Float.infinity;
+           max_ms = Float.nan;
+           slo_p99_ms = Some 25.0;
+           slo_ok = false;
+         })
+  in
+  Alcotest.(check bool) "infinite p99 prints null" true
+    (Json.member "p99_ms" server = Some Json.Null);
+  check "band_json mode"
+    (Throughput.band_json
+       [
+         {
+           Throughput.mode = hostile;
+           width = Some 3;
+           threshold = None;
+           score = 1;
+           cells_computed = 1;
+           total_cells = 2;
+           device_cycles = 3;
+           wall_ns = 4.5;
+         };
+       ])
+    [ `N 0; `F "mode" ];
+  check "pe_json kernel"
+    (Throughput.pe_json
+       [
+         {
+           Throughput.kernel = hostile;
+           cells = 10;
+           eval_ns = 1.0;
+           compiled_ns = 2.0;
+           generated_ns = 3.0;
+         };
+       ])
+    [ `N 0; `F "kernel" ];
+  check "overlap_json kernel"
+    (Throughput.overlap_json
+       [
+         {
+           Throughput.kernel = hostile;
+           n_pe = 2;
+           alignments = 1;
+           freq_mhz = 250.0;
+           seq_cycles = 10;
+           overlapped_cycles = 8;
+           hidden_cycles = 2;
+           seq_host_ns = 1.0;
+           overlap_host_ns = 1.0;
+         };
+       ])
+    [ `N 0; `F "kernel" ];
+  check "fastpath_json kernel"
+    (Throughput.fastpath_json
+       [
+         {
+           Throughput.fp_kernel = hostile;
+           fp_qry_len = 4;
+           fp_ref_len = 4;
+           fp_cells = 16;
+           fp_n_pe = 2;
+           fp_systolic_ns = 10.0;
+           fp_bitpar_ns = 2.0;
+         };
+       ])
+    [ `N 0; `F "kernel" ];
+  ignore
+    (parse "serve_json"
+       (Throughput.serve_json
+          {
+            Throughput.sv_requests = 2;
+            sv_completed = 2;
+            sv_cache_hits = 1;
+            sv_rejected = 0;
+            sv_expired = 0;
+            sv_batches = 1;
+            sv_distinct_pairs = 1;
+            sv_wall_s = 0.5;
+            sv_p50_ms = 0.1;
+            sv_p99_ms = 0.2;
+            sv_max_ms = 0.3;
+            sv_slo_p99_ms = 25.0;
+            sv_rss_first_kb = 0;
+            sv_rss_last_kb = 0;
+          }))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -217,4 +456,9 @@ let suite =
       test_percentile_exact_edges;
     test_percentile_exact_oracle;
     Alcotest.test_case "pretty" `Quick test_pretty;
+    Alcotest.test_case "json: string escaping" `Quick test_json_escaping;
+    Alcotest.test_case "json: number printing" `Quick test_json_numbers;
+    test_json_round_trip;
+    Alcotest.test_case "json: every emitter writes strict JSON" `Quick
+      test_emitters_strict_json;
   ]
