@@ -49,7 +49,16 @@ let validate k params =
 
 let has_traceback k params = Option.is_some (k.traceback params)
 
-let flat_pe k params =
+let program k params =
   let cell, bindings = k.datapath params in
-  let p = Datapath.compile cell bindings in
+  Datapath.compile cell bindings
+
+let flat_pe k params =
+  let p = program k params in
   match Pe_gen.find p with Some f -> f | None -> Datapath.flat p
+
+let flat_row k params =
+  let p = program k params in
+  match Pe_gen.find_row p with
+  | Some f -> f
+  | None -> Pe.row_of_flat ~n_layers:k.n_layers (Datapath.flat p)

@@ -61,3 +61,10 @@ val flat_pe : 'p t -> 'p -> Pe.flat
     closed over a private register file ({!Datapath.flat}). The program
     decides which; both compute the same results. Build one per run or
     per domain: the bytecode evaluator owns mutable scratch. *)
+
+val flat_row : 'p t -> 'p -> Pe.row
+(** The row evaluator the golden engine runs, chosen like {!flat_pe}:
+    a hit in the generated table ({!Pe_gen.find_row}) returns the
+    program's fused row loop, a miss the generic row around the
+    bytecode loop ({!Pe.row_of_flat}). Build one per run or per
+    domain. *)

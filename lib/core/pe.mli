@@ -17,7 +17,11 @@
       evaluator from [Pe_gen] when the compiled datapath is one the
       catalog ships, else the compiled program's bytecode loop
       [Datapath.flat]), which is what keeps the wavefront hot path
-      allocation-free. *)
+      allocation-free.
+
+    The golden engine runs whole rows instead: a {!row} evaluator is
+    the PE inlined into a loop over an interval of one DP row, reading
+    and writing the engine's score ring directly ([Kernel.flat_row]). *)
 
 type input = {
   up : Types.score array;    (** layer scores of cell (row-1, col) *)
@@ -63,3 +67,57 @@ type flat = buffers -> unit
 val create_buffers : n_layers:int -> buffers
 (** Fresh register file with [n_layers]-sized score arrays and empty
     character slots. Raises [Invalid_argument] when [n_layers < 1]. *)
+
+(** {1 Row evaluators} *)
+
+type row =
+  ring:Types.score array ->
+  above:int ->
+  base:int ->
+  qry:Types.ch ->
+  reference:Types.seq ->
+  tb:Bytes.t ->
+  row:int ->
+  lo:int ->
+  hi:int ->
+  unit
+(** [f ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi] evaluates
+    cells [lo .. hi] of DP row [row], in column order; nothing when
+    [lo > hi]. A ring row is [ref_len + 1] cells of [n_layers] scores:
+    cell [c] starts at [base + (c + 1) * n_layers] and slot 0 is the
+    column -1 border. [above] and [base] are the offsets of row
+    [row - 1] and row [row]. Each cell reads up, diag and left from the
+    ring, its query character [qry] and reference character
+    [reference.(c)], writes its layer scores back at its own slot and,
+    when [tb] is not empty, stores its pointer into the 16-bit traceback
+    plane [tb] (2 bytes per cell, row-major over
+    [Array.length reference] columns) with {!store_pointer}. Raises
+    [Invalid_argument] as {!check_row} does, once per call. *)
+
+val check_row :
+  n_layers:int ->
+  ring:Types.score array ->
+  above:int ->
+  base:int ->
+  reference:Types.seq ->
+  lo:int ->
+  hi:int ->
+  unit
+(** The bounds check every row evaluator makes once per non-empty
+    interval, in place of a per-cell {!Datapath.check_buffers}: raises
+    [Invalid_argument] unless [0 <= lo], [hi < Array.length reference]
+    and cells [-1 .. hi] of the rows at [above] and [base] lie inside
+    [ring]. *)
+
+val store_pointer : Bytes.t -> ref_len:int -> row:int -> col:int -> int -> unit
+(** [store_pointer tb ~ref_len ~row ~col ptr] writes [ptr] into the
+    traceback plane (bounds-checked). Raises [Invalid_argument] naming
+    the cell when [ptr] is outside [0 .. 0xFFFF]; a pointer is never
+    truncated. *)
+
+val row_of_flat : n_layers:int -> flat -> row
+(** The generic row: a per-cell loop around any flat evaluator — copy
+    the neighbours into a private {!buffers}, call the PE, copy its
+    layers back, store its pointer. What [Kernel.flat_row] returns
+    for programs the generated table does not hold. Owns mutable
+    scratch: build one per run or per domain. *)

@@ -1,9 +1,13 @@
-let[@inline] observes rule ~qry_len ~ref_len ~row ~col =
+let[@inline] first_col rule ~qry_len ~ref_len ~row =
+  let last_row = row = qry_len - 1 in
   match (rule : Traceback.start_rule) with
-  | Bottom_right -> row = qry_len - 1 && col = ref_len - 1
-  | Global_best -> true
-  | Last_row_best -> row = qry_len - 1
-  | Last_row_or_col_best -> row = qry_len - 1 || col = ref_len - 1
+  | Bottom_right -> if last_row then ref_len - 1 else ref_len
+  | Global_best -> 0
+  | Last_row_best -> if last_row then 0 else ref_len
+  | Last_row_or_col_best -> if last_row then 0 else ref_len - 1
+
+let[@inline] observes rule ~qry_len ~ref_len ~row ~col =
+  col >= first_col rule ~qry_len ~ref_len ~row
 
 let resolve ~objective ~qry_len ~ref_len best =
   match Traceback.Best_cell.get best with

@@ -1,6 +1,7 @@
-(* Prints lib/core/pe_gen.ml: one straight-line OCaml evaluator per
-   distinct compiled datapath of the kernel catalog at its default
-   parameters, and the table [Kernel.flat_pe] looks programs up in.
+(* Prints lib/core/pe_gen.ml: per distinct compiled datapath of the
+   kernel catalog at its default parameters, one straight-line OCaml PE
+   evaluator and one row loop over the golden engine's ring, and the
+   table [Kernel.flat_pe] and [Kernel.flat_row] look programs up in.
 
    The key of each entry is the program's decoded view (every
    instruction with its immediates, the layer and pointer registers and
@@ -8,9 +9,11 @@
    evaluator when it is built. Each instruction becomes one let-binding
    that does what [Datapath.exec] does for it: the same saturating add
    ([Datapath.sat_add]), [Score.mul]/[Score.abs], left-fold 3-way
-   max/min, selects over two already-computed arms, bounds-checked
-   character and table reads, and the same [Datapath.check_buffers] on
-   entry.
+   max/min, selects over two already-computed arms, and bounds-checked
+   character and table reads. The PE makes the same
+   [Datapath.check_buffers] on entry; the row checks the ring once per
+   call ([Pe.check_row]) and stores pointers with the 16-bit range
+   check of [Pe.store_pointer].
 
    lib/core/dune runs this under @runtest and diffs the output against
    the committed file; `dune build @runtest --auto-promote` rewrites
@@ -27,13 +30,11 @@ let lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
 let r i = Printf.sprintf "r%d" i
 
-let rhs = function
+(* [input] renders the five reads of cell state (V_up, V_diag, V_left,
+   V_qry, V_ref): the PE reads its register file, a row the ring *)
+let rhs ~input = function
   | V_const c -> lit c
-  | V_up l -> Printf.sprintf "Array.unsafe_get up %d" l
-  | V_diag l -> Printf.sprintf "Array.unsafe_get diag %d" l
-  | V_left l -> Printf.sprintf "Array.unsafe_get left %d" l
-  | V_qry j -> Printf.sprintf "b.Pe.b_qry.(%d)" j
-  | V_ref j -> Printf.sprintf "b.Pe.b_rf.(%d)" j
+  | (V_up _ | V_diag _ | V_left _ | V_qry _ | V_ref _) as i -> input i
   | V_add (a, b) -> Printf.sprintf "Datapath.sat_add %s %s" (r a) (r b)
   | V_addi (a, c) -> Printf.sprintf "Datapath.sat_add %s %s" (r a) (lit c)
   | V_sub (a, b) -> Printf.sprintf "Datapath.sat_add %s (-%s)" (r a) (r b)
@@ -56,6 +57,30 @@ let rhs = function
   | V_sel_lt (a, b, t, f) ->
     Printf.sprintf "if %s < %s then %s else %s" (r a) (r b) (r t) (r f)
   | V_lookup (t, a, b) -> Printf.sprintf "t%d.(%s).(%s)" t (r a) (r b)
+
+let pe_input = function
+  | V_up l -> Printf.sprintf "Array.unsafe_get up %d" l
+  | V_diag l -> Printf.sprintf "Array.unsafe_get diag %d" l
+  | V_left l -> Printf.sprintf "Array.unsafe_get left %d" l
+  | V_qry j -> Printf.sprintf "b.Pe.b_qry.(%d)" j
+  | V_ref j -> Printf.sprintf "b.Pe.b_rf.(%d)" j
+  | _ -> assert false
+
+(* [v] plus a constant offset, as an argument *)
+let plus v = function
+  | 0 -> v
+  | k when k > 0 -> Printf.sprintf "(%s + %d)" v k
+  | k -> Printf.sprintf "(%s - %d)" v (-k)
+
+(* In a row, [u] and [a] are the ring offsets of the cell above and of
+   the cell itself: diag and left are the [n]-word slots before them. *)
+let row_input n = function
+  | V_up l -> Printf.sprintf "Array.unsafe_get ring %s" (plus "u" l)
+  | V_diag l -> Printf.sprintf "Array.unsafe_get ring %s" (plus "u" (l - n))
+  | V_left l -> Printf.sprintf "Array.unsafe_get ring %s" (plus "a" (l - n))
+  | V_qry j -> Printf.sprintf "q%d" j
+  | V_ref j -> Printf.sprintf "rf.(%d)" j
+  | _ -> assert false
 
 let key_inst = function
   | V_const c -> Printf.sprintf "V_const %s" (lit c)
@@ -95,32 +120,9 @@ let emit_key name v =
 let lookups v =
   Array.to_list v.v_insts |> List.filter_map (function V_lookup (t, _, _) -> Some t | _ -> None)
 
-(* Evaluators without lookups are closed one-argument functions; the
-   others take their tables first and return the per-cell closure (the
-   [let] between the two keeps the compiler from merging them into one
-   two-argument function, whose partial application would add a
-   currying wrapper to every cell's call). *)
-let emit_pe name v =
-  let uses p = Array.exists p v.v_insts in
-  let ind =
-    match lookups v with
-    | [] ->
-      pr "let pe_%s (b : Pe.buffers) =\n" name;
-      "  "
-    | ts ->
-      pr "let pe_%s (luts : int array array array) =\n" name;
-      List.iter (fun t -> pr "  let t%d = luts.(%d) in\n" t t) ts;
-      pr "  fun (b : Pe.buffers) ->\n";
-      "    "
-  in
-  let line fmt = Printf.ksprintf (fun s -> pr "%s%s\n" ind s) fmt in
-  line "Datapath.check_buffers %d b;" v.v_n_layers;
-  if uses (function V_up _ -> true | _ -> false) then line "let up = b.Pe.b_up in";
-  if uses (function V_diag _ -> true | _ -> false) then line "let diag = b.Pe.b_diag in";
-  if uses (function V_left _ -> true | _ -> false) then line "let left = b.Pe.b_left in";
-  Array.iteri (fun i inst -> line "let %s = %s in" (r i) (rhs inst)) v.v_insts;
-  Array.iteri (fun l reg -> line "Array.unsafe_set b.Pe.b_scores %d %s;" l (r reg)) v.v_layer_regs;
-  let fields =
+(* The packed pointer: the fields OR-ed at their shifts. *)
+let pointer v =
+  match
     Array.to_list
       (Array.mapi
          (fun i reg ->
@@ -128,8 +130,71 @@ let emit_pe name v =
            | 0 -> r reg
            | s -> Printf.sprintf "(%s lsl %d)" (r reg) s)
          v.v_tb_regs)
+  with
+  | [] -> "0"
+  | fs -> String.concat " lor " fs
+
+(* Evaluators without lookups are closed functions; the others take
+   their tables first and return the closure (the [let] between the two
+   keeps the compiler from merging them into one function, whose
+   partial application would add a currying wrapper to every call).
+   Returns the indentation of the body. *)
+let open_fn ~kind ~params name v =
+  match lookups v with
+  | [] ->
+    pr "let %s_%s %s =\n" kind name params;
+    "  "
+  | ts ->
+    pr "let %s_%s (luts : int array array array) =\n" kind name;
+    List.iter (fun t -> pr "  let t%d = luts.(%d) in\n" t t) ts;
+    pr "  fun %s ->\n" params;
+    "    "
+
+let uses v p = Array.exists p v.v_insts
+
+let emit_pe name v =
+  let ind = open_fn ~kind:"pe" ~params:"(b : Pe.buffers)" name v in
+  let line fmt = Printf.ksprintf (fun s -> pr "%s%s\n" ind s) fmt in
+  line "Datapath.check_buffers %d b;" v.v_n_layers;
+  if uses v (function V_up _ -> true | _ -> false) then line "let up = b.Pe.b_up in";
+  if uses v (function V_diag _ -> true | _ -> false) then line "let diag = b.Pe.b_diag in";
+  if uses v (function V_left _ -> true | _ -> false) then line "let left = b.Pe.b_left in";
+  Array.iteri (fun i inst -> line "let %s = %s in" (r i) (rhs ~input:pe_input inst)) v.v_insts;
+  Array.iteri (fun l reg -> line "Array.unsafe_set b.Pe.b_scores %d %s;" l (r reg)) v.v_layer_regs;
+  line "b.Pe.b_tb <- %s" (pointer v);
+  pr "\n"
+
+(* The same instructions inlined into a loop over cells [lo .. hi] of
+   one ring row ([Pe.row]): the bounds are checked once per call, the
+   query character's elements are read once per row, and each cell
+   writes its layers back into the ring and stores its pointer. *)
+let emit_row name v =
+  let n = v.v_n_layers in
+  let ind =
+    open_fn ~kind:"row" ~params:"~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi" name v
   in
-  line "b.Pe.b_tb <- %s" (match fields with [] -> "0" | fs -> String.concat " lor " fs);
+  let line depth fmt =
+    Printf.ksprintf (fun s -> pr "%s%s%s\n" ind (String.make (2 * depth) ' ') s) fmt
+  in
+  line 0 "if lo <= hi then begin";
+  line 1 "Pe.check_row ~n_layers:%d ~ring ~above ~base ~reference ~lo ~hi;" n;
+  let qry =
+    List.sort_uniq compare
+      (List.filter_map (function V_qry j -> Some j | _ -> None) (Array.to_list v.v_insts))
+  in
+  List.iter (fun j -> line 1 "let q%d = qry.(%d) in" j j) qry;
+  line 1 "let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in";
+  line 1 "for c = lo to hi do";
+  line 2 "let u = above + ((c + 1) * %d) and a = base + ((c + 1) * %d) in" n n;
+  if uses v (function V_ref _ -> true | _ -> false) then
+    line 2 "let rf = Array.unsafe_get reference c in";
+  Array.iteri (fun i inst -> line 2 "let %s = %s in" (r i) (rhs ~input:(row_input n) inst)) v.v_insts;
+  Array.iteri
+    (fun l reg -> line 2 "Array.unsafe_set ring %s %s;" (plus "a" l) (r reg))
+    v.v_layer_regs;
+  line 2 "if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (%s)" (pointer v);
+  line 1 "done";
+  line 0 "end";
   pr "\n"
 
 let () =
@@ -151,9 +216,11 @@ let () =
     \   datapaths at their default parameters; do not edit. `dune runtest`\n\
     \   diffs this file against a fresh generation and\n\
     \   `dune build @runtest --auto-promote` rewrites it.\n\n\
-    \   One straight-line evaluator per distinct compiled program: each\n\
-    \   instruction of the program's view is one let-binding, computed as\n\
-    \   Datapath.exec computes it. *)\n\n";
+    \   Per distinct compiled program, one straight-line PE evaluator and\n\
+    \   one row loop over the golden engine's ring: each instruction of\n\
+    \   the program's view is one let-binding, computed as Datapath.exec\n\
+    \   computes it. The row reads every cell's neighbours straight from\n\
+    \   the ring, whose bounds it checks once per call (Pe.check_row). *)\n\n";
   let named =
     List.map
       (fun (v, ks) -> (Printf.sprintf "k%02d" (fst (List.hd ks)), v, ks))
@@ -165,23 +232,20 @@ let () =
         (String.concat ", " (List.map (fun (id, n) -> Printf.sprintf "#%d %s" id n) ks))
         (Array.length v.v_insts);
       emit_key name v;
-      emit_pe name v)
+      emit_pe name v;
+      emit_row name v)
     named;
   pr "let table =\n  [|\n";
   List.iter
     (fun (name, v, _) ->
       match lookups v with
-      | [] -> pr "    (key_%s, fun _ -> pe_%s);\n" name name
-      | _ -> pr "    (key_%s, pe_%s);\n" name name)
+      | [] -> pr "    (key_%s, (fun _ -> pe_%s), fun _ -> row_%s);\n" name name name
+      | _ -> pr "    (key_%s, pe_%s, row_%s);\n" name name name)
     named;
   pr "  |]\n\n";
   pr
-    "let find p =\n\
+    "let entry p =\n\
     \  let v = Datapath.view p in\n\
-    \  let rec go i =\n\
-    \    if i = Array.length table then None\n\
-    \    else\n\
-    \      let key, make = table.(i) in\n\
-    \      if key = v then Some (make (Datapath.luts p)) else go (i + 1)\n\
-    \  in\n\
-    \  go 0\n"
+    \  Array.find_opt (fun (key, _, _) -> key = v) table\n\n\
+     let find p = Option.map (fun (_, pe, _) -> pe (Datapath.luts p)) (entry p)\n\n\
+     let find_row p = Option.map (fun (_, _, row) -> row (Datapath.luts p)) (entry p)\n"

@@ -4,6 +4,7 @@ module Score = Dphls_util.Score
 type matrices = {
   scores : Types.score array array array;
   pointers : int array array;
+  member : row:int -> col:int -> bool;
 }
 
 (* What one fill leaves behind. [ring] holds [ring_rows] score rows of
@@ -24,29 +25,32 @@ type fill = {
   member : row:int -> col:int -> bool;
 }
 
-let[@inline never] wide_pointer ~row ~col ptr =
-  invalid_arg
-    (Printf.sprintf
-       "Ref_engine: PE traceback pointer %d at cell (%d,%d) does not fit the \
-        16-bit traceback plane"
-       ptr row col)
-
-let[@inline] store_pointer tb ~ref_len ~row ~col ptr =
-  if ptr < 0 || ptr > 0xFFFF then wide_pointer ~row ~col ptr;
-  Bytes.set_uint16_le tb (2 * ((row * ref_len) + col)) ptr
-
 let pointer_at tb ~ref_len ~row ~col =
   Bytes.get_uint16_le tb (2 * ((row * ref_len) + col))
 
-(* One chunked traversal for every band mode: chunks of [h] query rows,
-   within a chunk wavefront [w] holds cells (r0 + k, w - k). Anti-
-   diagonal order respects all DP dependencies, so the scores equal a
-   row-major fill's; [h = 1] (unbanded and fixed bands) is row-major
-   order. Adaptive bands take [h = band_pe] because only completed
-   wavefronts steer their window, so the golden engine must replay the
-   systolic engine's chunking to prune the same cells. The ring keeps
-   the chunk's rows plus the previous chunk's last row ([h + 1] rows);
-   [full] keeps all [qry_len + 1] rows instead, for {!run_full}. *)
+(* Cells are evaluated only through the kernel's row evaluator
+   ([Kernel.flat_row]: the generated fused row loop for catalog
+   programs, the generic row around the bytecode otherwise), which
+   reads its neighbours from the ring, writes its layers back and
+   stores its pointers. Two traversals drive it:
+
+   - unbanded and fixed bands go row-major over a ring of two rows, one
+     row call per row over its band interval [max 0 (row - w) ..
+     min (ref_len - 1) (row + w)] (the whole row when unbanded); the
+     rest of the row is set to the worst value;
+   - adaptive bands replay the systolic engine's chunked traversal:
+     chunks of [h = band_pe] query rows, within a chunk wavefront [w]
+     holds cells (r0 + k, w - k), one call per decided cell. Only
+     completed wavefronts steer the window, so the golden engine must
+     replay the systolic engine's chunking to prune the same cells. The
+     ring keeps the chunk's rows plus the previous chunk's last row
+     ([h + 1] rows).
+
+   Anti-diagonal order respects every DP dependency, so both orders
+   give a row-major fill's scores. [full] keeps all [qry_len + 1] rows
+   instead, for {!run_full}. Score-site candidates are observed as
+   cells retire; [Best_cell] breaks ties canonically, so the order does
+   not matter. *)
 let fill ?band_pe ~full kernel params (w : Workload.t) =
   let query = w.Workload.query and reference = w.Workload.reference in
   let qry_len = Array.length query and ref_len = Array.length reference in
@@ -70,14 +74,10 @@ let fill ?band_pe ~full kernel params (w : Workload.t) =
              ~ref_len) )
     | Some (Banding.Fixed _) | None -> (1, None)
   in
-  let unbanded = Option.is_none kernel.Kernel.banding in
   let member =
     match tracker with
     | Some tr -> Banding.Tracker.member tr
     | None -> Banding.in_band kernel.Kernel.banding
-  in
-  let decide =
-    match tracker with Some tr -> Banding.Tracker.decide tr | None -> member
   in
   (* Border values come from the shared Grid logic, written into the
      ring once per row; stored cells are never read through it. *)
@@ -102,76 +102,74 @@ let fill ?band_pe ~full kernel params (w : Workload.t) =
   for col = -1 to ref_len - 1 do
     load_border ~row:(-1) ~col
   done;
-  let has_tb = Kernel.has_traceback kernel params in
   let tb =
-    if has_tb then Bytes.make (2 * qry_len * ref_len) '\000' else Bytes.empty
+    if Kernel.has_traceback kernel params then
+      Bytes.make (2 * qry_len * ref_len) '\000'
+    else Bytes.empty
   in
-  let flat_pe = Kernel.flat_pe kernel params in
-  let buf = Pe.create_buffers ~n_layers in
-  let up = buf.Pe.b_up
-  and diag = buf.Pe.b_diag
-  and left = buf.Pe.b_left
-  and out = buf.Pe.b_scores in
+  let eval_row = Kernel.flat_row kernel params in
   let rule = kernel.Kernel.score_site in
   let best = Traceback.Best_cell.create objective in
   let cells = ref 0 in
-  (* bases.(k + 1): ring offset of chunk row r0 + k, for k = -1 .. rows - 1 *)
-  let bases = Array.make (height + 1) 0 in
-  for chunk = 0 to ((qry_len + h - 1) / h) - 1 do
-    let r0 = chunk * h in
-    let rows = min h (qry_len - r0) in
-    (match tracker with
-    | Some tr -> Banding.Tracker.start_chunk tr ~chunk
-    | None -> ());
-    for k = -1 to rows - 1 do
-      bases.(k + 1) <- row_base (r0 + k)
-    done;
-    for k = 0 to rows - 1 do
-      load_border ~row:(r0 + k) ~col:(-1)
-    done;
-    for wavefront = 0 to rows + ref_len - 2 do
-      for k = max 0 (wavefront - ref_len + 1) to min (rows - 1) wavefront do
-        let row = r0 + k and col = wavefront - k in
-        let at = bases.(k + 1) + ((col + 1) * n_layers) in
-        if unbanded || decide ~row ~col then begin
-          (* Unchecked ring and register-file accesses: [at] and [above]
-             address cells 0..ref_len of a ring row, whose cell -1
-             neighbours (diag, left) are the border slot, and the four
-             register arrays hold [n_layers] scores each. *)
-          let above = bases.(k) + ((col + 1) * n_layers) in
-          for layer = 0 to n_layers - 1 do
-            Array.unsafe_set up layer (Array.unsafe_get ring (above + layer));
-            Array.unsafe_set diag layer
-              (Array.unsafe_get ring (above - n_layers + layer));
-            Array.unsafe_set left layer
-              (Array.unsafe_get ring (at - n_layers + layer))
-          done;
-          buf.Pe.b_qry <- query.(row);
-          buf.Pe.b_rf <- reference.(col);
-          buf.Pe.b_row <- row;
-          buf.Pe.b_col <- col;
-          flat_pe buf;
-          for layer = 0 to n_layers - 1 do
-            Array.unsafe_set ring (at + layer) (Array.unsafe_get out layer)
-          done;
-          if has_tb then store_pointer tb ~ref_len ~row ~col buf.Pe.b_tb;
-          (match tracker with
-          | Some tr -> Banding.Tracker.observe tr ~row ~col ~score:out.(0)
-          | None -> ());
-          if Score_site.observes rule ~qry_len ~ref_len ~row ~col then
-            Traceback.Best_cell.observe_rc best ~row ~col out.(0);
-          incr cells
-        end
-        else
-          for layer = 0 to n_layers - 1 do
-            ring.(at + layer) <- worst
-          done
-      done;
-      match tracker with
-      | Some tr -> Banding.Tracker.end_wavefront tr
-      | None -> ()
+  (match tracker with
+  | None ->
+    let width =
+      match kernel.Kernel.banding with
+      | Some (Banding.Fixed { width }) -> width
+      | _ -> qry_len + ref_len (* every column of every row *)
+    in
+    for row = 0 to qry_len - 1 do
+      let base = row_base row in
+      load_border ~row ~col:(-1);
+      let lo = max 0 (row - width) and hi = min (ref_len - 1) (row + width) in
+      if lo > hi then Array.fill ring (base + n_layers) (ref_len * n_layers) worst
+      else begin
+        Array.fill ring (base + n_layers) (lo * n_layers) worst;
+        Array.fill ring
+          (base + ((hi + 2) * n_layers))
+          ((ref_len - 1 - hi) * n_layers)
+          worst;
+        eval_row ~ring ~above:(row_base (row - 1)) ~base ~qry:query.(row)
+          ~reference ~tb ~row ~lo ~hi;
+        for col = max lo (Score_site.first_col rule ~qry_len ~ref_len ~row) to hi do
+          Traceback.Best_cell.observe_rc best ~row ~col
+            ring.(base + ((col + 1) * n_layers))
+        done;
+        cells := !cells + (hi - lo + 1)
+      end
     done
-  done;
+  | Some tr ->
+    (* bases.(k + 1): ring offset of chunk row r0 + k, for k = -1 .. rows - 1 *)
+    let bases = Array.make (height + 1) 0 in
+    for chunk = 0 to ((qry_len + h - 1) / h) - 1 do
+      let r0 = chunk * h in
+      let rows = min h (qry_len - r0) in
+      Banding.Tracker.start_chunk tr ~chunk;
+      for k = -1 to rows - 1 do
+        bases.(k + 1) <- row_base (r0 + k)
+      done;
+      for k = 0 to rows - 1 do
+        load_border ~row:(r0 + k) ~col:(-1)
+      done;
+      for wavefront = 0 to rows + ref_len - 2 do
+        for k = max 0 (wavefront - ref_len + 1) to min (rows - 1) wavefront do
+          let row = r0 + k and col = wavefront - k in
+          let base = bases.(k + 1) in
+          let at = base + ((col + 1) * n_layers) in
+          if Banding.Tracker.decide tr ~row ~col then begin
+            eval_row ~ring ~above:bases.(k) ~base ~qry:query.(row) ~reference
+              ~tb ~row ~lo:col ~hi:col;
+            let score = ring.(at) in
+            Banding.Tracker.observe tr ~row ~col ~score;
+            if Score_site.observes rule ~qry_len ~ref_len ~row ~col then
+              Traceback.Best_cell.observe_rc best ~row ~col score;
+            incr cells
+          end
+          else Array.fill ring at n_layers worst
+        done;
+        Banding.Tracker.end_wavefront tr
+      done
+    done);
   {
     qry_len;
     ref_len;
@@ -246,6 +244,7 @@ let matrices_of kernel f =
           Array.init f.ref_len (fun col ->
               if Bytes.length f.tb = 0 then 0
               else pointer_at f.tb ~ref_len:f.ref_len ~row ~col));
+    member = f.member;
   }
 
 let run_full ?band_pe ?metrics ?tracer kernel params w =
@@ -258,4 +257,6 @@ let run ?band_pe ?metrics ?tracer kernel params w =
 let score_only ?band_pe kernel params w = (run ?band_pe kernel params w).Result.score
 
 let band_map ?band_pe kernel params w =
-  (fill ?band_pe ~full:false kernel params w).member
+  match kernel.Kernel.banding with
+  | Some (Banding.Adaptive _) -> (fill ?band_pe ~full:false kernel params w).member
+  | band -> Banding.in_band band

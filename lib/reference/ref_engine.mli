@@ -3,24 +3,36 @@
     The correctness oracle for the systolic engine (the paper's
     C-simulation verification step) and the default [Golden] engine of
     [Dphls.Align]/[Dphls.Batch]. Like the paper's generated array it
-    never holds the score matrix: one chunked traversal walks the matrix
-    over a ring of score rows, reads every neighbour (borders and pruned
-    cells included) straight from the ring, and keeps only a 16-bit
-    traceback plane for the whole matrix. The score site is tracked as
-    cells retire ({!Dphls_core.Score_site}).
+    never holds the score matrix: it walks the matrix over a ring of
+    score rows, reads every neighbour (borders and pruned cells
+    included) straight from the ring, and keeps only a 16-bit traceback
+    plane for the whole matrix. The score site is tracked as cells
+    retire ({!Dphls_core.Score_site}).
+
+    Cells are evaluated only through the kernel's row evaluator
+    ({!Dphls_core.Kernel.flat_row}), as the paper's compiler inlines
+    [PE_func] into the array's loop nest: for a catalog program the
+    generated loop over one row interval ({!Dphls_core.Pe_gen.find_row}),
+    which reads up, diag and left from the ring, writes each cell's
+    layers back and packs its pointer into the plane; for any other
+    program the generic row around the bytecode PE. The program picks
+    the loop; both compute the same cells.
 
     Unbanded and fixed-band kernels traverse row-major over a ring of
-    two rows: O([n_layers * ref_len]) words of scores plus 2 bytes per
-    cell of traceback plane (none when the kernel has no traceback).
-    Adaptive-band kernels replay the systolic engine's chunked
-    anti-diagonal traversal (chunks of [band_pe] query rows) over a ring
-    of [band_pe + 1] rows, because the adaptive window is steered by
-    completed wavefronts and therefore depends on the array height: pass
-    the systolic run's N_PE as [band_pe] to prune exactly the same
-    cells. The default ([band_pe] = query length) is the canonical
-    single-chunk, full-height wavefront, whose ring holds every row.
-    Adaptive bands also keep the band tracker's 1-byte-per-cell
-    membership map. [band_pe] is ignored for non-adaptive kernels.
+    two rows, one row-evaluator call per row over its band interval
+    ([max 0 (row - w) .. min (ref_len - 1) (row + w)], the whole row
+    when unbanded): O([n_layers * ref_len]) words of scores plus 2
+    bytes per cell of traceback plane (none when the kernel has no
+    traceback). Adaptive-band kernels replay the systolic engine's
+    chunked anti-diagonal traversal (chunks of [band_pe] query rows)
+    over a ring of [band_pe + 1] rows, one call per decided cell,
+    because the adaptive window is steered by completed wavefronts and
+    therefore depends on the array height: pass the systolic run's N_PE
+    as [band_pe] to prune exactly the same cells. The default
+    ([band_pe] = query length) is the canonical single-chunk,
+    full-height wavefront, whose ring holds every row. Adaptive bands
+    also keep the band tracker's 1-byte-per-cell membership map.
+    [band_pe] is ignored for non-adaptive kernels.
 
     A PE traceback pointer outside [0 .. 0xFFFF] raises
     [Invalid_argument] naming the cell ({!Dphls_core.Kernel.validate}
@@ -33,6 +45,9 @@ type matrices = {
   pointers : int array array;
       (** [pointers.(row).(col)], 0 when pruned or when the kernel has no
           traceback *)
+  member : row:int -> col:int -> bool;
+      (** the band membership the fill computed: {!band_map}'s
+          predicate, without a second fill *)
 }
 
 val run :
@@ -55,8 +70,9 @@ val run_full :
   'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t ->
   Dphls_core.Result.t * matrices
 (** Same traversal with the ring sized to every row, also exposing the
-    filled matrices (O([n_layers * qry_len * ref_len]) words; the vector
-    harness's reference capture). *)
+    filled matrices (O([n_layers * qry_len * ref_len]) words) and the
+    band membership the fill computed (the vector harness's reference
+    capture). *)
 
 val score_only :
   ?band_pe:int ->
@@ -68,6 +84,7 @@ val band_map :
   'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t ->
   (row:int -> col:int -> bool)
 (** Band membership this engine's fill computes for the workload — the
-    static predicate for [None]/[Fixed] banding, the realized adaptive
-    window (at [band_pe]) otherwise. Used by trace checkers to predict
-    exactly which cells the systolic engine fires. *)
+    static predicate for [None]/[Fixed] banding (no fill runs), the
+    realized adaptive window (at [band_pe]) otherwise, which takes a
+    whole fill. Used by trace checkers to predict exactly which cells
+    the systolic engine fires. *)

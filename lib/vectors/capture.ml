@@ -99,7 +99,7 @@ let systolic ?(overlap = false) (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
 
 let reference (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
   let result, m = Dphls_reference.Ref_engine.run_full ~band_pe:n_pe k p workload in
-  let in_band = Dphls_reference.Ref_engine.band_map ~band_pe:n_pe k p workload in
+  let in_band = m.Dphls_reference.Ref_engine.member in
   let qry_len, ref_len = Workload.sizes workload in
   let sched = Schedule.create ~n_pe ~qry_len ~ref_len in
   let has_tb = Kernel.has_traceback k p in

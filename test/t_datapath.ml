@@ -1,12 +1,12 @@
 (* Symbolic datapath tests: every catalog kernel's datapath evaluates
    bit-identically through the reference interpreter, the generated
-   straight-line evaluator the engines run and the compiled program's
-   bytecode loop (the reproduction's C-sim vs RTL co-sim check), hits
-   the generated table while programs outside it still run the
-   bytecode, agrees cell by cell with an independent hand-written
-   closure of its recurrence ([Pe_oracles]), validates structurally,
-   and its operator counts agree with the declared resource traits to
-   within 2x. *)
+   straight-line evaluator the engines run, the compiled program's
+   bytecode loop (the reproduction's C-sim vs RTL co-sim check) and the
+   row loops the golden engine runs (generated and generic), hits the
+   generated table while programs outside it still run the bytecode,
+   agrees cell by cell with an independent hand-written closure of its
+   recurrence ([Pe_oracles]), validates structurally, and its operator
+   counts agree with the declared resource traits to within 2x. *)
 open Dphls_core
 module Datapath = Dphls_core.Datapath
 module Score = Dphls_util.Score
@@ -14,19 +14,23 @@ module Rng = Dphls_util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* PE-level differential: every flat evaluator in [flats] must agree
-   with [Datapath.eval] on four random cells. Neighbour layers are
-   random scores of width [score_bits] with +-inf and the width extremes
-   mixed in; characters come from a workload of [gen]. *)
-let agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed =
+(* Random scores of width [score_bits], with +-inf and the width
+   extremes mixed in. *)
+let random_score rng ~score_bits =
   let bound = 1 lsl (score_bits - 1) in
   let extremes = [| Score.neg_inf; Score.pos_inf; -bound; bound - 1; 0 |] in
-  let rng = Rng.create seed in
-  let w = gen rng ~len:(1 + Rng.int rng 16) in
-  let score () =
+  fun () ->
     if Rng.int rng 4 = 0 then extremes.(Rng.int rng (Array.length extremes))
     else Rng.int rng (2 * bound) - bound
-  in
+
+(* PE-level differential: every flat evaluator in [flats] must agree
+   with [Datapath.eval] on four random cells. Neighbour layers are
+   random scores ([random_score]); characters come from a workload of
+   [gen]. *)
+let agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed =
+  let rng = Rng.create seed in
+  let w = gen rng ~len:(1 + Rng.int rng 16) in
+  let score = random_score rng ~score_bits in
   let layers () = Array.init n_layers (fun _ -> score ()) in
   let buf = Pe.create_buffers ~n_layers in
   List.for_all
@@ -62,20 +66,84 @@ let agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed =
         flats)
     [ 1; 2; 3; 4 ]
 
-(* [Datapath.eval], what the engines run ([Kernel.flat_pe]: for a
-   catalog kernel at its defaults, the generated straight-line
-   evaluator) and the bytecode loop must agree on every input. *)
+(* Row-level differential: every row evaluator in [rows], run over a
+   random interval [lo .. hi] of one row of a three-row ring of random
+   scores ([random_score]), must leave the ring and the traceback plane
+   exactly as [Datapath.eval] applied cell by cell in column order
+   leaves them: each cell reads up and diag from the row above and left
+   from its own row (the previous cell's output past [lo]), writes its
+   layers at its own slot and its pointer at its plane entry, and
+   nothing else changes. [lo > 0] and [hi < ref_len - 1], so both ends
+   border cells the call must not touch; the plane starts as random
+   bytes, and every run is repeated without a plane. *)
+let row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed =
+  let rng = Rng.create (seed + 1_000_003) in
+  let rec draw len =
+    let w = gen rng ~len in
+    if Array.length w.Workload.reference >= 3 then w else draw (len + 4)
+  in
+  let w = draw (3 + Rng.int rng 16) in
+  let query = w.Workload.query and reference = w.Workload.reference in
+  let qry_len = Array.length query and ref_len = Array.length reference in
+  let score = random_score rng ~score_bits in
+  let stride = (ref_len + 1) * n_layers in
+  let ring0 = Array.init (3 * stride) (fun _ -> score ()) in
+  let slot = Rng.int rng 3 in
+  let above = slot * stride and base = (slot + 1 + Rng.int rng 2) mod 3 * stride in
+  let row = Rng.int rng qry_len in
+  let lo = 1 + Rng.int rng (ref_len - 2) in
+  let hi = lo + Rng.int rng (ref_len - 1 - lo) in
+  let expected = Array.copy ring0 in
+  let plane0 = Bytes.init (2 * qry_len * ref_len) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let plane = Bytes.copy plane0 in
+  for col = lo to hi do
+    let layers at = Array.sub expected at n_layers in
+    let u = above + ((col + 1) * n_layers) and at = base + ((col + 1) * n_layers) in
+    let o =
+      eval
+        {
+          Pe.up = layers u;
+          diag = layers (u - n_layers);
+          left = layers (at - n_layers);
+          qry = query.(row);
+          rf = reference.(col);
+          row;
+          col;
+        }
+    in
+    Array.blit o.Pe.scores 0 expected at n_layers;
+    Bytes.set_uint16_le plane (2 * ((row * ref_len) + col)) o.Pe.tb
+  done;
+  List.for_all
+    (fun (f : Pe.row) ->
+      List.for_all
+        (fun (tb, want) ->
+          let ring = Array.copy ring0 in
+          f ~ring ~above ~base ~qry:query.(row) ~reference ~tb ~row ~lo ~hi;
+          ring = expected && Bytes.equal tb want)
+        [ (Bytes.copy plane0, plane); (Bytes.empty, Bytes.empty) ])
+    rows
+
+(* [Datapath.eval], what the engines run ([Kernel.flat_pe] and
+   [Kernel.flat_row]: for a catalog kernel at its defaults, the
+   generated straight-line evaluator and row loop), the bytecode loop
+   and the generic row around it must agree on every input. *)
 let eval_vs_compiled_prop id =
   let e = Dphls_kernels.Catalog.find id in
   let (Registry.Packed (k, p)) = e.packed in
   let cell, bindings = k.Kernel.datapath p in
-  let flats = [ Kernel.flat_pe k p; Datapath.flat (Datapath.compile cell bindings) ] in
+  let n_layers = k.Kernel.n_layers and score_bits = k.Kernel.score_bits in
+  let gen = e.Dphls_kernels.Catalog.gen and eval = Datapath.eval cell bindings in
+  let bytecode () = Datapath.flat (Datapath.compile cell bindings) in
+  let flats = [ Kernel.flat_pe k p; bytecode () ] in
+  let rows = [ Kernel.flat_row k p; Pe.row_of_flat ~n_layers (bytecode ()) ] in
   QCheck.Test.make
     ~name:(Printf.sprintf "kernel #%d eval == compiled" id)
     ~count:100
     QCheck.(int_range 0 1_000_000)
-    (agrees_with_eval ~gen:e.Dphls_kernels.Catalog.gen ~score_bits:k.Kernel.score_bits
-       ~n_layers:k.Kernel.n_layers (Datapath.eval cell bindings) flats)
+    (fun seed ->
+      agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed
+      && row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed)
 
 (* Engine-level differential against the hand-written closure: a golden
    run of the kernel's datapath, replayed cell by cell through the
@@ -149,21 +217,23 @@ let test_counts_cross_check_traits () =
     Dphls_kernels.Catalog.ids
 
 (* Every catalog kernel at its default parameters compiles to a program
-   the generated table holds, so the engines never run its bytecode. *)
+   the generated table holds, PE and row, so the engines never run its
+   bytecode. *)
 let test_generated_covers_catalog () =
   List.iter
     (fun id ->
       let cell, bindings = Registry.datapath (Dphls_kernels.Catalog.find id).packed in
+      let p = Datapath.compile cell bindings in
       Alcotest.(check bool)
         (Printf.sprintf "kernel #%d hits the generated table" id)
         true
-        (Option.is_some (Pe_gen.find (Datapath.compile cell bindings))))
+        (Option.is_some (Pe_gen.find p) && Option.is_some (Pe_gen.find_row p)))
     Dphls_kernels.Catalog.ids
 
-(* Programs the table does not hold run the bytecode, and still equal
-   [Datapath.eval]: #2 at a non-default match score (an immediate
-   differs), and #19's cell with a 1-bit match-flag pointer, which no
-   catalog kernel has (#19 keeps no pointer). *)
+(* Programs the table does not hold run the bytecode, PE and generic
+   row, and still equal [Datapath.eval]: #2 at a non-default match score
+   (an immediate differs), and #19's cell with a 1-bit match-flag
+   pointer, which no catalog kernel has (#19 keeps no pointer). *)
 let test_generated_misses () =
   let module K02 = Dphls_kernels.K02_global_affine in
   let module K19 = Dphls_kernels.K19_global_edit in
@@ -179,14 +249,20 @@ let test_generated_misses () =
   in
   let check name k p gen =
     let cell, bindings = k.Kernel.datapath p in
+    let program = Datapath.compile cell bindings in
     Alcotest.(check bool) (name ^ " misses the generated table") true
-      (Option.is_none (Pe_gen.find (Datapath.compile cell bindings)));
+      (Option.is_none (Pe_gen.find program) && Option.is_none (Pe_gen.find_row program));
+    let score_bits = k.Kernel.score_bits and n_layers = k.Kernel.n_layers in
+    let eval = Datapath.eval cell bindings in
     for seed = 0 to 199 do
       Alcotest.(check bool)
         (Printf.sprintf "%s: flat_pe == eval (seed %d)" name seed)
         true
-        (agrees_with_eval ~gen ~score_bits:k.Kernel.score_bits ~n_layers:k.Kernel.n_layers
-           (Datapath.eval cell bindings) [ Kernel.flat_pe k p ] seed)
+        (agrees_with_eval ~gen ~score_bits ~n_layers eval [ Kernel.flat_pe k p ] seed);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: flat_row == eval (seed %d)" name seed)
+        true
+        (row_agrees_with_eval ~gen ~score_bits ~n_layers eval [ Kernel.flat_row k p ] seed)
     done
   in
   check "#2 at match 3" K02.kernel { K02.default with match_ = 3 } K02.gen;

@@ -122,7 +122,32 @@ let test_compile_guards () =
   let wrong = Pe.create_buffers ~n_layers:2 in
   Alcotest.(check bool) "layer-count mismatch rejected at exec" true
     (try Datapath.exec one_layer (Array.make 16 0) wrong; false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a row evaluator checks its interval against the ring once per call:
+     the generated row (#2 at its defaults) and the generic one (#2 at a
+     match score the table does not hold) alike *)
+  let module K02 = Dphls_kernels.K02_global_affine in
+  let w = K02.gen (Dphls_util.Rng.create 1) ~len:8 in
+  let reference = w.Workload.reference in
+  let ref_len = Array.length reference in
+  let stride = (ref_len + 1) * 3 in
+  List.iter
+    (fun p ->
+      let row = Kernel.flat_row K02.kernel p in
+      List.iter
+        (fun (what, above, base, lo, hi) ->
+          Alcotest.check_raises what (Invalid_argument "Pe: row interval outside the ring")
+            (fun () ->
+              row ~ring:(Array.make (2 * stride) 0) ~above ~base ~qry:w.Workload.query.(0)
+                ~reference ~tb:Bytes.empty ~row:0 ~lo ~hi))
+        [
+          ("lo below column 0", 0, stride, -1, 0);
+          ("hi past the last column", 0, stride, 0, ref_len);
+          ("row past the ring's end", 0, stride + 3, 0, ref_len - 1);
+          ("row above before the ring", -3, stride, 0, 0);
+          ("offset that would overflow", max_int - 1, stride, 0, 0);
+        ])
+    [ K02.default; { K02.default with match_ = 3 } ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation regression: the systolic wavefront loop with a compiled

@@ -208,27 +208,45 @@ let scalar_banded_nw (p : K11.params) ~width ~query ~reference =
   done;
   d.(m).(n)
 
+(* Shapes: the bottom-right corner inside the band, and both
+   orientations with the corner pruned ([m > n + w], [n > m + w]), whose
+   rows include empty band intervals and intervals clipped at column 0
+   and at the last column. The corner-pruned shapes score the objective's
+   worst value, and the systolic engine must agree as well. *)
 let test_k11_narrow_band_scalar () =
   let p = K11.default in
+  let check ~label ~width ~systolic rng ~m ~n =
+    let k = K11.kernel_with ~bandwidth:width in
+    let query = Dphls_alphabet.Dna.random rng m in
+    let reference =
+      Dphls_seqgen.Dna_gen.mutate_point rng
+        (Array.init n (fun j -> if j < m then query.(j) else 0))
+        ~rate:0.2
+    in
+    let w = Workload.of_bases ~query ~reference in
+    let want = scalar_banded_nw p ~width ~query ~reference in
+    Alcotest.(check int) label want (Dphls_reference.Ref_engine.run k p w).Result.score;
+    if systolic then
+      let cfg = Dphls_systolic.Config.create ~n_pe:(1 + Dphls_util.Rng.int rng 8) in
+      Alcotest.(check int) (label ^ " systolic") want
+        (fst (Dphls_systolic.Engine.run cfg k p w)).Result.score
+  in
   List.iter
     (fun width ->
-      let k = K11.kernel_with ~bandwidth:width in
       for seed = 1 to 15 do
         let rng = Dphls_util.Rng.create ((seed * 229) + width) in
         let m = 1 + Dphls_util.Rng.int rng 30 in
         (* keep the bottom-right corner inside the band *)
         let n = max 1 (m - width + Dphls_util.Rng.int rng ((2 * width) + 1)) in
-        let query = Dphls_alphabet.Dna.random rng m in
-        let reference =
-          Dphls_seqgen.Dna_gen.mutate_point rng
-            (Array.init n (fun j -> if j < m then query.(j) else 0))
-            ~rate:0.2
-        in
-        let w = Workload.of_bases ~query ~reference in
-        Alcotest.(check int)
-          (Printf.sprintf "w=%d seed %d" width seed)
-          (scalar_banded_nw p ~width ~query ~reference)
-          (Dphls_reference.Ref_engine.run k p w).Result.score
+        check ~label:(Printf.sprintf "w=%d seed %d" width seed) ~width ~systolic:false rng ~m
+          ~n;
+        let rng = Dphls_util.Rng.create ((seed * 331) + width) in
+        let short = 1 + Dphls_util.Rng.int rng 20 in
+        let long = short + width + 1 + Dphls_util.Rng.int rng 12 in
+        check ~label:(Printf.sprintf "w=%d seed %d, m > n + w" width seed) ~width
+          ~systolic:true rng ~m:long ~n:short;
+        check ~label:(Printf.sprintf "w=%d seed %d, n > m + w" width seed) ~width
+          ~systolic:true rng ~m:short ~n:long
       done)
     [ 1; 2; 3; 5; 8 ]
 
