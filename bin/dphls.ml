@@ -43,25 +43,49 @@ let parse_sequence (e : Dphls_kernels.Catalog.entry) s =
   else Types.seq_of_bases (Dphls_alphabet.Dna.of_string s)
 
 (* --band none|fixed|adaptive overrides the kernel's own banding;
-   "kernel" (the default) keeps it. Returns None for "keep". *)
-let band_override ~mode ~width ~threshold =
-  match mode with
-  | "kernel" -> None
-  | "none" -> Some None
-  | "fixed" -> Some (Some (Banding.fixed width))
-  | "adaptive" -> Some (Some (Banding.adaptive ~threshold width))
-  | other ->
-    Printf.eprintf "unknown band mode %S (kernel | none | fixed | adaptive)\n"
-      other;
-    exit 2
+   "kernel" (the default) keeps it (None). One term for every command
+   that takes a band, each with its own width default. An unknown mode
+   or a width or threshold Banding rejects exits 2 with the reason. *)
+let band_term ~width_default =
+  let mode =
+    Arg.(
+      value & opt string "kernel"
+      & info [ "band" ]
+          ~doc:"Band override: kernel (keep), none, fixed or adaptive")
+  in
+  let width =
+    Arg.(
+      value & opt int width_default
+      & info [ "band-width" ] ~doc:"Band half-width W")
+  in
+  let threshold =
+    Arg.(
+      value
+      & opt int Banding.default_threshold
+      & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
+  in
+  let override mode width threshold =
+    try
+      match mode with
+      | "kernel" -> None
+      | "none" -> Some None
+      | "fixed" -> Some (Some (Banding.fixed width))
+      | "adaptive" -> Some (Some (Banding.adaptive ~threshold width))
+      | other ->
+        Printf.eprintf
+          "unknown band mode %S (kernel | none | fixed | adaptive)\n" other;
+        exit 2
+    with Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
+  Term.(const override $ mode $ width $ threshold)
 
-let band_doc = "Band override: kernel (keep), none, fixed or adaptive"
-
-(* --engine selects the backend through the registry; "auto" defers to
-   Engines.select per workload. Unknown names exit 2 listing the valid
-   values, like the other enum flags. *)
-let engine_override ~mode =
-  match Dphls_engines.Engines.of_string mode with
+(* --engine names an Engines.choice; "auto" defers to Engines.select per
+   workload. Unknown names exit 2 listing the valid values, like the
+   other enum flags. *)
+let engine_choice ~n_pe mode =
+  match Dphls_engines.Engines.of_string ~n_pe mode with
   | Ok choice -> choice
   | Error msg ->
     Printf.eprintf "%s\n" msg;
@@ -70,8 +94,16 @@ let engine_override ~mode =
 let engine_doc =
   "Engine: auto (fast path when provably safe), systolic, reference or bitpar"
 
-let align_run kernel_spec query reference n_pe vcd_path band_mode band_width
-    band_threshold engine_mode overlap =
+(* An engine that refuses the kernel (bitpar on a traceback kernel)
+   exits 2 with the reason, like a bad flag value. *)
+let refusing f =
+  try f ()
+  with Dphls_engines.Engine_intf.Unsupported msg ->
+    Printf.eprintf "%s\n" msg;
+    exit 2
+
+let align_run kernel_spec query reference n_pe vcd_path band engine_mode
+    overlap =
   let e = find_kernel kernel_spec in
   let id = Registry.id e.packed in
   if List.mem id [ 8; 9; 14 ] then begin
@@ -86,14 +118,8 @@ let align_run kernel_spec query reference n_pe vcd_path band_mode band_width
       ~reference:(parse_sequence e reference)
   in
   let (Registry.Packed (k, p)) = e.packed in
-  let k =
-    match
-      band_override ~mode:band_mode ~width:band_width ~threshold:band_threshold
-    with
-    | None -> k
-    | Some banding -> { k with Kernel.banding }
-  in
-  let choice = engine_override ~mode:engine_mode in
+  let k = Kernel.with_band k band in
+  let choice = engine_choice ~n_pe engine_mode in
   let metrics = Dphls_obs.Metrics.create () in
   let qry_len, ref_len = Workload.sizes w in
   let engine =
@@ -111,12 +137,9 @@ let align_run kernel_spec query reference n_pe vcd_path band_mode band_width
   let cfg = Dphls_engines.Engine_intf.config ~n_pe () in
   let trace = Dphls_systolic.Trace.create ~enabled:(vcd_path <> None) in
   let result, stats =
-    try
-      if E.caps.Dphls_engines.Engine_intf.capture then E.run ~trace cfg k p w
-      else E.run cfg k p w
-    with Dphls_engines.Engine_intf.Unsupported msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+    refusing (fun () ->
+        if E.caps.Dphls_engines.Engine_intf.capture then E.run ~trace cfg k p w
+        else E.run cfg k p w)
   in
   (match vcd_path with
   | Some path ->
@@ -128,9 +151,7 @@ let align_run kernel_spec query reference n_pe vcd_path band_mode band_width
      historical output stable for scripts that parse it *)
   if engine_mode <> "systolic" then
     Printf.printf "engine      : %s%s\n" engine_name
-      (match choice with
-      | Dphls_engines.Engines.Auto -> " (auto)"
-      | Dphls_engines.Engines.Forced _ -> "");
+      (match choice with Dphls_engines.Engines.Auto _ -> " (auto)" | _ -> "");
   Printf.printf "score       : %s\n" (Dphls_util.Score.to_string result.Result.score);
   if result.Result.path <> [] then
     Printf.printf "cigar       : %s\n" (Result.cigar result);
@@ -181,16 +202,6 @@ let align_cmd =
   let vcd =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~doc:"Write a VCD waveform")
   in
-  let band = Arg.(value & opt string "kernel" & info [ "band" ] ~doc:band_doc) in
-  let band_width =
-    Arg.(value & opt int 32 & info [ "band-width" ] ~doc:"Band half-width W")
-  in
-  let band_threshold =
-    Arg.(
-      value
-      & opt int Banding.default_threshold
-      & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
-  in
   let engine =
     Arg.(value & opt string "systolic" & info [ "engine" ] ~doc:engine_doc)
   in
@@ -205,8 +216,8 @@ let align_cmd =
   Cmd.v
     (Cmd.info "align" ~doc:"Align two sequences on the systolic simulator")
     Term.(
-      const align_run $ kernel $ query $ reference $ n_pe $ vcd $ band
-      $ band_width $ band_threshold $ engine $ overlap)
+      const align_run $ kernel $ query $ reference $ n_pe $ vcd
+      $ band_term ~width_default:32 $ engine $ overlap)
 
 (* ---- resources ---- *)
 
@@ -343,15 +354,8 @@ let map_cmd =
 
 (* ---- batch ---- *)
 
-let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
-    band_width band_threshold engine_mode =
-  let band =
-    match
-      band_override ~mode:band_mode ~width:band_width ~threshold:band_threshold
-    with
-    | None | Some None -> None
-    | Some (Some b) -> Some b
-  in
+let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
+    engine_mode =
   let kind =
     try Dphls.Batch.kind_of_string kind_s
     with Invalid_argument _ ->
@@ -369,21 +373,16 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band_mode
       match n_pe with
       | None -> Dphls.Align.Golden
       | Some n -> Dphls.Align.Systolic n)
-    | Some mode -> (
-      let n = Option.value n_pe ~default:32 in
-      match engine_override ~mode with
-      | Dphls_engines.Engines.Auto -> Dphls.Align.Auto n
-      | Dphls_engines.Engines.Forced e -> (
-        match Dphls_engines.Engines.name e with
-        | "systolic" -> Dphls.Align.Systolic n
-        | "reference" -> Dphls.Align.Golden
-        | _ -> Dphls.Align.Bitpar))
+    | Some mode -> engine_choice ~n_pe:(Option.value n_pe ~default:32) mode
   in
   let workers =
     (* default to real parallelism even on boxes that report one core *)
     if workers > 0 then workers
     else max 2 (Domain.recommended_domain_count ())
   in
+  (* every pass below (the streamed rows, the --overlap and --compare
+     re-runs) runs the chosen engine *)
+  refusing @@ fun () ->
   print_endline "#idx\tquery\treference\tscore\tcigar\tidentity\tcycles";
   Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
     ~overlap ~path:pairs_path
@@ -502,16 +501,6 @@ let batch_cmd =
              compute (per-worker slices) and report recovered cycles on \
              stderr")
   in
-  let band = Arg.(value & opt string "kernel" & info [ "band" ] ~doc:band_doc) in
-  let band_width =
-    Arg.(value & opt int 32 & info [ "band-width" ] ~doc:"Band half-width W")
-  in
-  let band_threshold =
-    Arg.(
-      value
-      & opt int Dphls_core.Banding.default_threshold
-      & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
-  in
   let engine =
     Arg.(value & opt (some string) None & info [ "engine" ] ~doc:engine_doc)
   in
@@ -520,7 +509,7 @@ let batch_cmd =
        ~doc:"Align a FASTA pair file in parallel across CPU domains")
     Term.(
       const batch_run $ pairs $ kind $ workers $ n_pe $ chunk $ compare
-      $ overlap $ band $ band_width $ band_threshold $ engine)
+      $ overlap $ band_term ~width_default:32 $ engine)
 
 (* ---- cosim ---- *)
 
@@ -561,8 +550,7 @@ let cosim_cmd =
 
 module Vectors = Dphls_vectors
 
-let vectors_gen_run kernel_spec corpus_dir output n_pe len seed band_mode
-    band_width band_threshold =
+let vectors_gen_run kernel_spec corpus_dir output n_pe len seed band =
   match corpus_dir with
   | Some dir ->
     (* Regenerate the standard committed corpus. *)
@@ -589,14 +577,6 @@ let vectors_gen_run kernel_spec corpus_dir output n_pe len seed band_mode
         exit 2
     in
     let e = find_kernel kernel_spec in
-    let band =
-      match
-        band_override ~mode:band_mode ~width:band_width
-          ~threshold:band_threshold
-      with
-      | None -> None
-      | Some banding -> Some (Vectors.Stream.band_spec_of_banding banding)
-    in
     let spec =
       {
         Vectors.Harness.kernel_id = Registry.id e.packed;
@@ -632,21 +612,11 @@ let vectors_gen_cmd =
   let n_pe = Arg.(value & opt int 4 & info [ "n-pe" ] ~doc:"Processing elements") in
   let len = Arg.(value & opt int 32 & info [ "len" ] ~doc:"Workload length") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload RNG seed") in
-  let band = Arg.(value & opt string "kernel" & info [ "band" ] ~doc:band_doc) in
-  let band_width =
-    Arg.(value & opt int 16 & info [ "band-width" ] ~doc:"Band half-width")
-  in
-  let band_threshold =
-    Arg.(
-      value
-      & opt int Banding.default_threshold
-      & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
-  in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate golden vector files")
     Term.(
       const vectors_gen_run $ kernel $ corpus $ output $ n_pe $ len $ seed
-      $ band $ band_width $ band_threshold)
+      $ band_term ~width_default:16)
 
 let vectors_check_run overlap files =
   if files = [] then begin
@@ -710,13 +680,7 @@ let vectors_regen_run out_dir files =
           failed := true
         | e ->
           let (Registry.Packed (k, p)) = e.packed in
-          let k =
-            {
-              k with
-              Kernel.banding =
-                Vectors.Stream.banding_of_spec h.Vectors.Stream.band;
-            }
-          in
+          let k = { k with Kernel.banding = h.Vectors.Stream.band } in
           let w =
             Workload.of_seqs ~query:h.Vectors.Stream.query
               ~reference:h.Vectors.Stream.reference
@@ -823,51 +787,44 @@ let rtl_cmd =
 
 (* ---- profile ---- *)
 
-let profile_run kernel_spec n_pe trials len band_mode band_width band_threshold
-    workers json trace_path engine_mode overlap =
+let profile_run kernel_spec n_pe trials len band workers json trace_path
+    engine_mode overlap =
   let e = find_kernel kernel_spec in
   let (Registry.Packed (k, p)) = e.packed in
-  let k =
-    match
-      band_override ~mode:band_mode ~width:band_width ~threshold:band_threshold
-    with
-    | None -> k
-    | Some banding -> { k with Kernel.banding }
-  in
+  let k = Kernel.with_band k band in
   if trials < 1 then begin
     Printf.eprintf "profile: trials must be >= 1\n";
     exit 2
   end;
-  let choice = engine_override ~mode:engine_mode in
+  let choice = engine_choice ~n_pe engine_mode in
+  (match choice with
+  | Dphls_engines.Engines.Systolic _ -> ()
+  | _ ->
+    if overlap then begin
+      Printf.eprintf "--overlap requires --engine systolic\n";
+      exit 2
+    end);
   let metrics = Dphls_obs.Metrics.create () in
   let tracer = Dphls_obs.Tracer.create () in
-  let cfg = Dphls_engines.Engine_intf.config ~n_pe () in
-  (* auto re-decides per workload (each decision bumps a dispatch
-     counter into [sink]); a forced engine is a constant *)
-  let select_for ?sink w =
-    match choice with
-    | Dphls_engines.Engines.Forced e -> e
-    | Dphls_engines.Engines.Auto ->
-      let qry_len, ref_len = Workload.sizes w in
-      Dphls_engines.Engines.select ?metrics:sink ~qry_len ~ref_len k p
-  in
-  let run_one ?sink ?metrics ?tracer w =
-    let (module E : Dphls_engines.Engine_intf.S) = select_for ?sink w in
-    try ignore (E.run ?metrics ?tracer cfg k p w)
-    with Dphls_engines.Engine_intf.Unsupported msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+  (* auto re-decides per workload, each decision bumping a dispatch
+     counter into [metrics] when one is given *)
+  let run ?metrics ?tracer ws =
+    refusing (fun () ->
+        ignore
+          (Dphls_engines.Engines.run_batch ~overlap ?metrics ?tracer choice k
+             p ws))
   in
   let rng = Dphls_util.Rng.create 2026 in
   let workloads =
     Array.init trials (fun _ -> e.Dphls_kernels.Catalog.gen rng ~len)
   in
-  (* Sequential phase: engine counters and phase spans. The closed-form
+  (* Sequential phase: engine counters and phase spans, the workloads
+     run one after another through Engines.run_batch. The closed-form
      expected cell count is summed per workload because generated
      lengths can differ from [len] for some kernels. With [--overlap]
-     the same workloads go through the staged batch instead, so the
-     exported trace shows alignment i+1's prologue span (tid 1) running
-     under alignment i's compute span. *)
+     the batch pipelines prologues, so the exported trace shows
+     alignment i+1's prologue span (tid 1) running under alignment i's
+     compute span. *)
   let expected_cells = ref 0 in
   Array.iter
     (fun w ->
@@ -877,17 +834,7 @@ let profile_run kernel_spec n_pe trials len band_mode band_width band_threshold
             ~qry_len:(Array.length w.Workload.query)
             ~ref_len:(Array.length w.Workload.reference))
     workloads;
-  (if overlap then
-     match choice with
-     | Dphls_engines.Engines.Forced e
-       when Dphls_engines.Engines.name e = "systolic" ->
-       let (module E : Dphls_engines.Engine_intf.S) = e in
-       ignore (E.run_batch ~overlap:true ~metrics ~tracer cfg k p workloads)
-     | _ ->
-       Printf.eprintf "--overlap requires --engine systolic\n";
-       exit 2
-   else
-     Array.iter (fun w -> run_one ~sink:metrics ~metrics ~tracer w) workloads);
+  run ~metrics ~tracer workloads;
   (* Optional pool phase: re-run the same workloads as a parallel batch
      to exercise the pool's task/steal/idle counters and per-worker
      chunk spans. Engine metrics stay out of the worker tasks — the
@@ -898,7 +845,7 @@ let profile_run kernel_spec n_pe trials len band_mode band_width band_threshold
           Dphls_host.Pool.run ~metrics ~tracer pool
             (* no sink in the tasks: the counter sink is not domain-safe,
                so auto decisions inside workers go unrecorded *)
-            (fun i -> run_one workloads.(i))
+            (fun i -> run [| workloads.(i) |])
             trials
         in
         ());
@@ -950,16 +897,6 @@ let profile_cmd =
     Arg.(value & opt int 8 & info [ "trials" ] ~doc:"Workloads to profile")
   in
   let len = Arg.(value & opt int 128 & info [ "len" ] ~doc:"Workload length") in
-  let band = Arg.(value & opt string "kernel" & info [ "band" ] ~doc:band_doc) in
-  let band_width =
-    Arg.(value & opt int 32 & info [ "band-width" ] ~doc:"Band half-width W")
-  in
-  let band_threshold =
-    Arg.(
-      value
-      & opt int Banding.default_threshold
-      & info [ "band-threshold" ] ~doc:"Adaptive-band score drop threshold")
-  in
   let workers =
     Arg.(
       value & opt int 0
@@ -993,8 +930,8 @@ let profile_cmd =
          "Run workloads with performance counters and span tracing enabled; \
           print a counter/latency summary and export a Chrome trace")
     Term.(
-      const profile_run $ kernel $ n_pe $ trials $ len $ band $ band_width
-      $ band_threshold $ workers $ json $ trace $ engine $ overlap)
+      const profile_run $ kernel $ n_pe $ trials $ len
+      $ band_term ~width_default:32 $ workers $ json $ trace $ engine $ overlap)
 
 (* ---- experiment ---- *)
 

@@ -17,6 +17,12 @@ let adaptive ?(threshold = default_threshold) width =
 
 let width = function Fixed { width } | Adaptive { width; _ } -> width
 
+let to_string = function
+  | None -> "none"
+  | Some (Fixed { width }) -> Printf.sprintf "fixed %d" width
+  | Some (Adaptive { width; threshold }) ->
+    Printf.sprintf "adaptive %d %d" width threshold
+
 let in_band band ~row ~col =
   match band with
   | None -> true

@@ -9,7 +9,13 @@
     cells scoring within [threshold] of the wavefront best (X-drop-style
     pruning), so well-matching regions compute strictly fewer cells than
     a fixed band of equal width. Pruned cells read as the objective's
-    worst value in both engines. *)
+    worst value in both engines.
+
+    A kernel's banding is a [t option] ([None] is unbanded), and an
+    override of it — the CLI's [--band] flags, the serve ["band"]
+    field, a vector spec — is a [t option option], [None] keeping the
+    kernel's own. Build bands with {!fixed} and {!adaptive}, which
+    refuse bad widths and thresholds. *)
 
 type t =
   | Fixed of { width : int }
@@ -30,6 +36,12 @@ val adaptive : ?threshold:int -> int -> t
 
 val width : t -> int
 (** The band half-width of either variant. *)
+
+val to_string : t option -> string
+(** The one spelling of a kernel's banding: ["none"], ["fixed W"] or
+    ["adaptive W T"]. The [.dpv] header's band line, the
+    {!Fingerprint.params_hash} input and the serve group and cache keys
+    all use it. *)
 
 val in_band : t option -> row:int -> col:int -> bool
 (** Static membership. [None] means unbanded (always true). Virtual

@@ -55,11 +55,7 @@ let params_hash (k : 'p Kernel.t) p ~n_pe =
     k.Kernel.n_layers k.Kernel.score_bits k.Kernel.tb_bits tr.Traits.adds_per_pe
     tr.Traits.muls_per_pe tr.Traits.cmps_per_pe tr.Traits.ii tr.Traits.logic_depth
     tr.Traits.char_bits tr.Traits.param_bits
-    (match k.Kernel.banding with
-    | None -> "none"
-    | Some (Banding.Fixed { width }) -> Printf.sprintf "fixed %d" width
-    | Some (Banding.Adaptive { width; threshold }) ->
-      Printf.sprintf "adaptive %d %d" width threshold)
+    (Banding.to_string k.Kernel.banding)
     n_pe;
   let cell, bindings = k.Kernel.datapath p in
   Buffer.add_string b ";cell=";

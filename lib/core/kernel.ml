@@ -49,6 +49,8 @@ let validate k params =
 
 let has_traceback k params = Option.is_some (k.traceback params)
 
+let with_band k = function None -> k | Some banding -> { k with banding }
+
 let program k params =
   let cell, bindings = k.datapath params in
   Datapath.compile cell bindings

@@ -52,6 +52,10 @@ val validate : 'p t -> 'p -> unit
 
 val has_traceback : 'p t -> 'p -> bool
 
+val with_band : 'p t -> Banding.t option option -> 'p t
+(** Apply a band override: [None] keeps the kernel's banding, [Some b]
+    replaces it with [b] ([Some None] runs unbanded). *)
+
 val flat_pe : 'p t -> 'p -> Pe.flat
 (** The evaluator the engines run: the kernel's datapath compiled
     ({!Datapath.compile}), then looked up in the generated table

@@ -1,8 +1,11 @@
 open Dphls_core
 module Engines = Dphls_engines.Engines
-module Engine_intf = Dphls_engines.Engine_intf
 
-type engine = Golden | Systolic of int | Bitpar | Auto of int
+type engine = Engines.choice =
+  | Golden
+  | Systolic of int
+  | Bitpar
+  | Auto of int
 
 type alignment = {
   score : int;
@@ -47,60 +50,17 @@ let view_of_result (w : Workload.t) result cycles ~decode =
       device_cycles = cycles;
     }
 
-let cycles_of_stats stats =
-  Option.map
-    (fun s -> s.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total)
-    stats
-
-let run_via (type p) (e : Engine_intf.t) cfg ~overlap ?metrics ?tracer
-    (kernel : p Kernel.t) (params : p) (ws : Workload.t array) ~decode =
-  let (module E : Engine_intf.S) = e in
-  let results, batch =
-    E.run_batch ~overlap ?metrics ?tracer cfg kernel params ws
+let run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine kernel params
+    (ws : Workload.t array) ~decode =
+  let ran, batch =
+    Engines.run_batch ?overlap ?metrics ?tracer engine
+      (Kernel.with_band kernel band) params ws
   in
   ( Array.mapi
-      (fun i (r, stats) ->
-        view_of_result ws.(i) r (cycles_of_stats stats) ~decode)
-      results,
+      (fun i (r : Engines.ran) ->
+        view_of_result ws.(i) r.Engines.result r.Engines.cycles ~decode)
+      ran,
     batch )
-
-let run_kernel_batch (type p) ?band ?(overlap = false)
-    ?metrics ?tracer ~engine (kernel : p Kernel.t) (params : p)
-    (ws : Workload.t array) ~decode =
-  let kernel =
-    match band with
-    | Some b -> { kernel with Kernel.banding = Some b }
-    | None -> kernel
-  in
-  let go e cfg = run_via e cfg ~overlap ?metrics ?tracer kernel params ws ~decode in
-  match engine with
-  | Golden -> go Engines.reference (Engine_intf.config ~n_pe:1 ())
-  | Systolic n_pe -> go Engines.systolic (Engine_intf.config ~n_pe ())
-  | Bitpar -> go Engines.bitpar (Engine_intf.config ~n_pe:1 ())
-  | Auto n_pe ->
-    let cfg = Engine_intf.config ~n_pe () in
-    (* One observable dispatch decision per workload. Selections for a
-       single kernel+params are uniform in practice, so the whole array
-       still runs as one staged batch (keeping overlap accounting);
-       a mixed batch would fall back to per-workload singletons. *)
-    let choices =
-      Array.map
-        (fun w ->
-          let qry_len, ref_len = Workload.sizes w in
-          Engines.select ?metrics ~qry_len ~ref_len kernel params)
-        ws
-    in
-    if Array.length ws = 0 then go Engines.systolic cfg
-    else if Array.for_all (fun e -> e == choices.(0)) choices then
-      go choices.(0) cfg
-    else
-      ( Array.mapi
-          (fun i w ->
-            (fst
-               (run_via choices.(i) cfg ~overlap:false ?metrics ?tracer kernel
-                  params [| w |] ~decode)).(0))
-          ws,
-        None )
 
 let run_kernel ?band ?metrics ?tracer ~engine kernel params w ~decode
     =

@@ -3,21 +3,21 @@
     For programs that just want alignments (not hardware modeling):
     string in, scored alignment out. Every call runs the requested
     engine — the exact golden engine by default, or the systolic
-    simulator to obtain device-cycle estimates too. *)
+    simulator to obtain device-cycle estimates too — through
+    {!Dphls_engines.Engines.run_batch}, the same dispatch [dphls batch],
+    [dphls profile] and [dphls serve] use. *)
 
-type engine =
-  | Golden                   (** exact rolling-row DP engine *)
-  | Systolic of int          (** cycle-level array with the given N_PE *)
+(** The registry's engine choice ({!Dphls_engines.Engines.choice}),
+    re-exported: [Golden] (the default here), [Systolic n_pe], [Bitpar]
+    (score-only; raises {!Dphls_engines.Engine_intf.Unsupported} outside
+    the fast-path shape) or [Auto n_pe]. Under [Auto] the routing is
+    visible as the [engine_fastpath_hits]/[engine_fastpath_fallbacks]
+    counters and never changes results. *)
+type engine = Dphls_engines.Engines.choice =
+  | Golden
+  | Systolic of int
   | Bitpar
-      (** bit-parallel Myers engine: score-only, no traceback; raises
-          {!Dphls_engines.Engine_intf.Unsupported} for kernels outside
-          the fast-path shape ({!Dphls_analysis.Fastpath}) *)
   | Auto of int
-      (** {!Dphls_engines.Engines.select} per workload: [Bitpar] when
-          the kernel+workload is fully fast-path eligible, else
-          [Systolic] with the given N_PE. Results never depend on the
-          routing; the decision is visible as the
-          [engine_fastpath_hits]/[engine_fastpath_fallbacks] counters. *)
 
 type alignment = {
   score : int;
@@ -30,14 +30,16 @@ type alignment = {
 }
 
 val global :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
 (** Needleman-Wunsch (kernel #1 defaults) over DNA strings.
 
-    All five helpers accept [?band] to override the kernel's banding
-    (e.g. [Dphls_core.Banding.fixed 32] or [Banding.adaptive 32]).
+    All five helpers accept [?band] to override the kernel's banding:
+    absent keeps it, [~band:None] runs unbanded and
+    [~band:(Some (Dphls_core.Banding.fixed 32))] (or [Banding.adaptive])
+    runs under that band.
     Under an adaptive band the Golden engine decides the band at its
     canonical single-chunk trajectory; the Systolic engine decides it
     with [N_PE]-row chunks, so their pruning (and possibly scores) may
@@ -48,35 +50,35 @@ val global :
     cover the engine phases. See {!Dphls_obs} and [dphls profile]. *)
 
 val global_affine :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
 (** Gotoh (kernel #2 defaults). *)
 
 val local :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
 (** Smith-Waterman (kernel #3 defaults). *)
 
 val semi_global :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
 (** Query end-to-end within the reference (kernel #7 defaults). *)
 
 val protein_local :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
 (** BLOSUM62 Smith-Waterman over amino-acid strings (kernel #15). *)
 
 val global_batch :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -94,7 +96,7 @@ val global_batch :
     (no device cycle model — [overlap] is then a no-op). *)
 
 val global_affine_batch :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -104,7 +106,7 @@ val global_affine_batch :
 (** Batched {!global_affine}. *)
 
 val local_batch :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -114,7 +116,7 @@ val local_batch :
 (** Batched {!local}. *)
 
 val semi_global_batch :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -124,7 +126,7 @@ val semi_global_batch :
 (** Batched {!semi_global}. *)
 
 val protein_local_batch :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->

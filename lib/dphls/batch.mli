@@ -20,11 +20,12 @@ val kind_of_string : string -> kind
 (** Parses ["global" | "global-affine" | "local" | "semi-global" |
     "protein-local"]; raises [Invalid_argument] otherwise.
 
-    All batch entry points also accept [?band] (forwarded to {!Align})
-    to run the chosen kernel under a fixed or adaptive band. *)
+    All batch entry points also accept [?band], the {!Align} band
+    override: absent keeps the kernel's band, [None] strips it, [Some b]
+    runs under [b]. *)
 
 val align_one :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine -> kind -> query:string -> reference:string
   -> Align.alignment
 (** Single-pair reference semantics: exactly the corresponding
@@ -32,7 +33,7 @@ val align_one :
     this. *)
 
 val align_all :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
   -> (string * string) array -> Align.alignment array
 (** [align_all pairs] aligns every [(query, reference)] pair in
@@ -49,7 +50,7 @@ val align_all :
     cycles (and wall clock) change. A no-op on the golden engine. *)
 
 val align_all_report :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine ->
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
@@ -70,7 +71,7 @@ val align_all_report :
     single alignment with {!Align.global} and friends. *)
 
 val align_all_overlap_report :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
@@ -84,7 +85,7 @@ val align_all_overlap_report :
     hidden. All-zero on the golden engine (no device model). *)
 
 val iter :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
   -> ?chunk:int
   -> f:(int -> query:string -> reference:string -> Align.alignment -> unit)
@@ -95,7 +96,7 @@ val iter :
     [f] in input order. Memory stays bounded by the chunk size. *)
 
 val iter_fasta_file :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
   -> ?chunk:int
   -> path:string
@@ -108,7 +109,7 @@ val iter_fasta_file :
     2i+1 form pair i. Raises [Failure] on an odd record count. *)
 
 val scaling :
-  ?band:Dphls_core.Banding.t ->
+  ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> workers:int list
   -> (string * string) array
   -> Dphls_host.Throughput.scaling_point list

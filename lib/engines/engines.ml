@@ -1,4 +1,5 @@
-(* The engine registry and the auto-dispatch policy. *)
+(* The engine registry, the engine-choice vocabulary and the one
+   auto-dispatch policy. *)
 
 let systolic : Engine_intf.t = (module Backends.Systolic)
 let reference : Engine_intf.t = (module Backends.Reference)
@@ -6,22 +7,23 @@ let bitpar : Engine_intf.t = (module Backends.Bitpar)
 let all = [ systolic; reference; bitpar ]
 let name (e : Engine_intf.t) = let (module E) = e in E.name
 let caps (e : Engine_intf.t) = let (module E) = e in E.caps
-let names = List.map name all
-let find n = List.find_opt (fun e -> name e = n) all
 
-type choice = Auto | Forced of Engine_intf.t
+type choice = Golden | Systolic of int | Bitpar | Auto of int
 
-let of_string = function
-  | "auto" -> Ok Auto
-  | s -> (
-    match find s with
-    | Some e -> Ok (Forced e)
-    | None ->
-      Error
-        (Printf.sprintf "unknown engine %S (valid: auto | %s)" s
-           (String.concat " | " names)))
+let choice_name = function
+  | Golden -> name reference
+  | Systolic _ -> name systolic
+  | Bitpar -> name bitpar
+  | Auto _ -> "auto"
 
-let choice_name = function Auto -> "auto" | Forced e -> name e
+let of_string ~n_pe s =
+  let choices = [ Auto n_pe; Systolic n_pe; Golden; Bitpar ] in
+  match List.find_opt (fun c -> choice_name c = s) choices with
+  | Some c -> Ok c
+  | None ->
+    Error
+      (Printf.sprintf "unknown engine %S (valid: %s)" s
+         (String.concat " | " (List.map choice_name choices)))
 
 let select ?(metrics = Dphls_obs.Metrics.disabled) ~qry_len ~ref_len k p =
   match
@@ -37,8 +39,50 @@ let select ?(metrics = Dphls_obs.Metrics.disabled) ~qry_len ~ref_len k p =
 
 let resolve ?metrics ~qry_len ~ref_len choice k p =
   match choice with
-  | Forced e -> e
-  | Auto -> select ?metrics ~qry_len ~ref_len k p
+  | Golden -> reference
+  | Systolic _ -> systolic
+  | Bitpar -> bitpar
+  | Auto _ -> select ?metrics ~qry_len ~ref_len k p
+
+type ran = { result : Dphls_core.Result.t; engine : string; cycles : int option }
+
+let cycles stats =
+  Option.map
+    (fun s -> s.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total)
+    stats
+
+let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
+  let cfg =
+    match choice with
+    | Systolic n_pe | Auto n_pe -> Engine_intf.config ~n_pe ()
+    | Golden | Bitpar -> Engine_intf.config ~n_pe:1 ()
+  in
+  let run =
+    match run with
+    | Some run -> run
+    | None ->
+      fun (module E : Engine_intf.S) cfg ws ->
+        E.run_batch ~overlap ?metrics ?tracer cfg k p ws
+  in
+  let go e ws =
+    let engine = name e in
+    let results, batch = run e cfg ws in
+    ( Array.map
+        (fun (result, stats) -> { result; engine; cycles = cycles stats })
+        results,
+      batch )
+  in
+  (* one observable dispatch decision per workload *)
+  let picks =
+    Array.map
+      (fun w ->
+        let qry_len, ref_len = Dphls_core.Workload.sizes w in
+        resolve ?metrics ~qry_len ~ref_len choice k p)
+      ws
+  in
+  if Array.length ws = 0 then ([||], None)
+  else if Array.for_all (fun e -> e == picks.(0)) picks then go picks.(0) ws
+  else (Array.mapi (fun i w -> (fst (go picks.(i) [| w |])).(0)) ws, None)
 
 let tile_runner ?metrics ?tracer (e : Engine_intf.t)
     (cfg : Engine_intf.config) k p =
@@ -50,7 +94,4 @@ let tile_runner ?metrics ?tracer (e : Engine_intf.t)
       | None -> k
     in
     let result, stats = E.run ?metrics ?tracer cfg k p w in
-    ( result,
-      match stats with
-      | Some s -> s.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total
-      | None -> 0 )
+    (result, Option.value (cycles stats) ~default:0)

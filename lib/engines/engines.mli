@@ -1,8 +1,10 @@
-(** The engine registry.
+(** The engine registry and the one vocabulary for choosing an engine.
 
-    Every backend implementing {!Engine_intf.S} registers here; hosts,
-    the CLI, cosim and the vector harness pick engines by name (or let
-    {!select} pick) instead of hard-wiring module calls.
+    Every backend implementing {!Engine_intf.S} registers here. A caller
+    says which engine it wants with a {!choice} — the CLI's [--engine],
+    the serve ["engine"] field and [Dphls.Align.engine] are all this one
+    type, parsed by {!of_string} — and {!run_batch} is the one place a
+    choice becomes engine runs.
 
     Auto dispatch routes a request to the bit-parallel Myers engine
     exactly when the whole eligibility chain holds — the
@@ -33,19 +35,29 @@ val all : Engine_intf.t list
 val name : Engine_intf.t -> string
 val caps : Engine_intf.t -> Engine_intf.caps
 
-val names : string list
+(** How an alignment runs. [N_PE], the systolic array height, lives in
+    the constructors that reach the array; the other engines have no
+    array. *)
+type choice =
+  | Golden  (** the exact rolling-row engine, {!reference} *)
+  | Systolic of int  (** the cycle-level array, {!systolic}, at this N_PE *)
+  | Bitpar
+      (** the bit-parallel engine, {!bitpar}: score-only, and it raises
+          {!Engine_intf.Unsupported} for kernels outside the fast-path
+          shape ({!Dphls_analysis.Fastpath}) *)
+  | Auto of int
+      (** {!select} per workload: {!bitpar} when the kernel and workload
+          are fully fast-path eligible, else {!systolic} at this N_PE.
+          Results never depend on the routing. *)
 
-val find : string -> Engine_intf.t option
-
-(** A CLI-level engine request: a concrete engine, or per-workload auto
-    dispatch. *)
-type choice = Auto | Forced of Engine_intf.t
-
-val of_string : string -> (choice, string) result
-(** ["auto"], ["systolic"], ["reference"] or ["bitpar"]; the error
-    message lists the valid values. *)
+val of_string : n_pe:int -> string -> (choice, string) result
+(** ["auto"], ["systolic"], ["reference"] or ["bitpar"], with [n_pe]
+    for the constructors that carry one. The error message lists the
+    valid values. [of_string ~n_pe (choice_name c) = Ok c] whenever [c]
+    carries [n_pe]. *)
 
 val choice_name : choice -> string
+(** ["auto"], or the registry {!name} of the engine the choice forces. *)
 
 val select :
   ?metrics:Dphls_obs.Metrics.t ->
@@ -67,7 +79,40 @@ val resolve :
   'p Dphls_core.Kernel.t ->
   'p ->
   Engine_intf.t
-(** [Forced e] is [e]; [Auto] is {!select}. *)
+(** The engine a choice runs on a workload of this shape: {!select}
+    for [Auto], the named engine otherwise. *)
+
+(** One workload's result, tagged with the engine that ran it and its
+    modeled device cycles ([None] for engines without a cycle model). *)
+type ran = { result : Dphls_core.Result.t; engine : string; cycles : int option }
+
+val run_batch :
+  ?overlap:bool ->
+  ?metrics:Dphls_obs.Metrics.t ->
+  ?tracer:Dphls_obs.Tracer.t ->
+  ?run:
+    (Engine_intf.t ->
+    Engine_intf.config ->
+    Dphls_core.Workload.t array ->
+    (Dphls_core.Result.t * Dphls_systolic.Engine.stats option) array
+    * Dphls_systolic.Engine.batch_stats option) ->
+  choice ->
+  'p Dphls_core.Kernel.t ->
+  'p ->
+  Dphls_core.Workload.t array ->
+  ran array * Dphls_systolic.Engine.batch_stats option
+(** The one dispatch policy. Resolves each workload ({!resolve}: one
+    fast-path counter bump per workload under [Auto]); when they all
+    pick the same engine the whole array runs as one staged batch, and
+    that batch's stats are returned, otherwise each workload runs alone
+    and the stats are [None]. Results are in workload order.
+
+    [run e cfg ws] executes one of those batches; the default is [e]'s
+    own [run_batch ?overlap ?metrics ?tracer cfg] on the kernel. A
+    caller that fans batches out over domains (the serve layer) passes
+    its own. [cfg] carries the choice's [N_PE] (1 for [Golden] and
+    [Bitpar], which have no array). An empty array runs nothing.
+    Engine refusals ({!Engine_intf.Unsupported}) propagate. *)
 
 val tile_runner :
   ?metrics:Dphls_obs.Metrics.t ->

@@ -1,5 +1,4 @@
 module Json = Dphls_util.Json
-module Engines = Dphls_engines.Engines
 module Banding = Dphls_core.Banding
 
 type error_code =
@@ -31,25 +30,13 @@ let error_name = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Internal -> "internal"
 
-type band_spec =
-  | Band_keep
-  | Band_none
-  | Band_fixed of int
-  | Band_adaptive of int * int
-
-let band_signature = function
-  | Band_keep -> "keep"
-  | Band_none -> "none"
-  | Band_fixed w -> Printf.sprintf "fixed:%d" w
-  | Band_adaptive (w, t) -> Printf.sprintf "adaptive:%d:%d" w t
-
 type request = {
   rid : string option;
   kernel_spec : string;
   qry : string;
   ref_seq : string;
-  band : band_spec;
-  engine : Engines.choice;
+  band : Banding.t option option;
+  engine : string;
   deadline_ms : float option;
 }
 
@@ -96,13 +83,13 @@ let parse_band = function
     (match mode with
     | "none" ->
       no_width_fields ();
-      Band_none
+      None
     | "fixed" ->
       if List.mem_assoc "threshold" fields then
         bad "band mode \"fixed\" takes no threshold";
       let w = width () in
       if w < 1 then bad "band width must be >= 1 (got %d)" w;
-      Band_fixed w
+      Some (Banding.fixed w)
     | "adaptive" ->
       let w = width () in
       let t =
@@ -112,7 +99,7 @@ let parse_band = function
       in
       if w < 1 then bad "band width must be >= 1 (got %d)" w;
       if t < 0 then bad "band threshold must be >= 0 (got %d)" t;
-      Band_adaptive (w, t)
+      Some (Banding.adaptive ~threshold:t w)
     | m -> bad "unknown band mode %S (none, fixed or adaptive)" m)
   | _ -> bad "field \"band\" must be an object"
 
@@ -150,18 +137,11 @@ let parse_request line =
       in
       let qry = required "qry" in
       let ref_seq = required "ref" in
-      let band =
-        match List.assoc_opt "band" fields with
-        | Some v -> parse_band v
-        | None -> Band_keep
-      in
+      let band = Option.map parse_band (List.assoc_opt "band" fields) in
       let engine =
         match List.assoc_opt "engine" fields with
-        | None -> Engines.Auto
-        | Some v -> (
-          match Engines.of_string (str_field "engine" v) with
-          | Ok c -> c
-          | Error msg -> bad "%s" msg)
+        | Some v -> str_field "engine" v
+        | None -> "auto"
       in
       let deadline_ms =
         match List.assoc_opt "deadline_ms" fields with

@@ -14,7 +14,8 @@
       [{"mode": "adaptive", "width": W, "threshold": T}] override it;
       absent keeps the kernel's catalog banding;
     - ["engine"] (optional): ["auto"] (default), ["systolic"],
-      ["reference"] or ["bitpar"];
+      ["reference"] or ["bitpar"]. The parser keeps the name as sent;
+      the server resolves it at admission, with its own [--n-pe];
     - ["deadline_ms"] (optional): per-request deadline, measured from
       admission; a request still queued when it expires is answered
       [deadline_exceeded] and never run.
@@ -42,20 +43,15 @@ val error_codes : error_code list
 val error_name : error_code -> string
 (** Wire spelling, e.g. ["deadline_exceeded"]. *)
 
-(** Band override requested for one alignment. *)
-type band_spec =
-  | Band_keep  (** no ["band"] field: kernel's catalog banding *)
-  | Band_none
-  | Band_fixed of int
-  | Band_adaptive of int * int  (** width, threshold *)
-
 type request = {
   rid : string option;
   kernel_spec : string;  (** number or name, as sent *)
   qry : string;
   ref_seq : string;
-  band : band_spec;
-  engine : Dphls_engines.Engines.choice;
+  band : Dphls_core.Banding.t option option;
+      (** the band override: [None] (no ["band"] field) keeps the
+          kernel's catalog banding, [Some None] strips it *)
+  engine : string;  (** the ["engine"] name as sent, ["auto"] if absent *)
   deadline_ms : float option;
 }
 
@@ -64,10 +60,6 @@ val parse_request :
 (** Parse one request line. [Error (rid, code, message)] carries the
     request id when the line parsed far enough to recover one, so the
     error response can still be correlated. *)
-
-val band_signature : band_spec -> string
-(** Stable short form (["keep"], ["none"], ["fixed:8"],
-    ["adaptive:8:40"]) used in coalescing-group and cache keys. *)
 
 type response =
   | Ok_response of {

@@ -139,11 +139,6 @@ let end_request_span t ~tr0 =
 
 let err rid code message = Proto.Error_response { rid; code; message }
 
-let cycles_of stats =
-  Option.map
-    (fun s -> s.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total)
-    stats
-
 let get_pool t =
   match t.pool with
   | Some p -> p
@@ -162,73 +157,54 @@ let slices_of arr n =
       let stop = ((i + 1) * base) + min (i + 1) extra in
       Array.sub arr start (stop - start))
 
-(* run [ws] on one concrete engine as a single coalesced batch, slicing
-   across the pool when it is big enough to amortize the dispatch *)
-let run_uniform (type p) t e (k : p Kernel.t) (p : p)
+(* one coalesced engine batch, sliced across the pool when it is big
+   enough to amortize the dispatch *)
+let exec (type p) t (k : p Kernel.t) (p : p) (module E : Engine_intf.S) ecfg
     (ws : Workload.t array) =
-  let (module E : Engine_intf.S) = e in
-  let ecfg = Engine_intf.config ~n_pe:t.cfg.n_pe () in
   t.batches <- t.batches + 1;
-  let results =
-    if t.cfg.workers > 1 && Array.length ws >= 2 * t.cfg.workers then begin
-      let pool = get_pool t in
-      let slices = slices_of ws (Pool.workers pool) in
-      let per, _stats =
-        Pool.run ~metrics:t.cfg.metrics pool
-          (fun i ->
-            (* per-worker sink, merged below: Metrics.t is not
-               domain-safe, so workers never touch the shared one *)
-            let local = Metrics.create () in
-            let rs, _ = E.run_batch ~overlap:true ~metrics:local ecfg k p
-                slices.(i)
-            in
-            (rs, local))
-          (Array.length slices)
-      in
-      Array.iter
-        (fun (_, local) -> Metrics.merge_into ~into:t.cfg.metrics local)
-        per;
-      Array.concat (Array.to_list (Array.map fst per))
-    end
-    else
-      fst
-        (E.run_batch ~overlap:true ~metrics:t.cfg.metrics
-           ~tracer:t.cfg.tracer ecfg k p ws)
-  in
-  Array.map
-    (fun (r, stats) ->
-      {
-        Cache.score = r.Res.score;
-        cigar = Res.cigar r;
-        cycles = cycles_of stats;
-        engine = E.name;
-      })
-    results
+  if t.cfg.workers > 1 && Array.length ws >= 2 * t.cfg.workers then begin
+    let pool = get_pool t in
+    let slices = slices_of ws (Pool.workers pool) in
+    let per, _stats =
+      Pool.run ~metrics:t.cfg.metrics pool
+        (fun i ->
+          (* per-worker sink, merged below: Metrics.t is not
+             domain-safe, so workers never touch the shared one *)
+          let local = Metrics.create () in
+          let rs, _ =
+            E.run_batch ~overlap:true ~metrics:local ecfg k p slices.(i)
+          in
+          (rs, local))
+        (Array.length slices)
+    in
+    Array.iter
+      (fun (_, local) -> Metrics.merge_into ~into:t.cfg.metrics local)
+      per;
+    (Array.concat (Array.to_list (Array.map fst per)), None)
+  end
+  else
+    E.run_batch ~overlap:true ~metrics:t.cfg.metrics ~tracer:t.cfg.tracer ecfg
+      k p ws
 
 (* one Cache.value per workload, or one error for the whole run *)
 let compute t g (ws : Workload.t array) =
   match g.banded with
   | Registry.Packed (k, p) -> (
     try
+      let ran, _ =
+        Engines.run_batch ~metrics:t.cfg.metrics ~run:(exec t k p) g.choice k
+          p ws
+      in
       Ok
-        (match g.choice with
-        | Engines.Forced e -> run_uniform t e k p ws
-        | Engines.Auto ->
-          let choices =
-            Array.map
-              (fun w ->
-                let qry_len, ref_len = Workload.sizes w in
-                Engines.select ~metrics:t.cfg.metrics ~qry_len ~ref_len k p)
-              ws
-          in
-          if
-            Array.length ws > 0
-            && Array.for_all (fun e -> e == choices.(0)) choices
-          then run_uniform t choices.(0) k p ws
-          else
-            Array.mapi
-              (fun i w -> (run_uniform t choices.(i) k p [| w |]).(0))
-              ws)
+        (Array.map
+           (fun (r : Engines.ran) ->
+             {
+               Cache.score = r.Engines.result.Res.score;
+               cigar = Res.cigar r.Engines.result;
+               cycles = r.Engines.cycles;
+               engine = r.Engines.engine;
+             })
+           ran)
     with
     | Engine_intf.Unsupported msg -> Error (Proto.Unsupported, msg)
     | Stack_overflow -> Error (Proto.Internal, "stack overflow")
@@ -316,36 +292,27 @@ let flush_group t g =
 
 (* --- admission ------------------------------------------------------- *)
 
-let apply_band band packed =
-  match packed with
-  | Registry.Packed (k, p) ->
-    let k' =
-      match band with
-      | Proto.Band_keep -> k
-      | Proto.Band_none -> { k with Kernel.banding = None }
-      | Proto.Band_fixed w -> { k with Kernel.banding = Some (Banding.fixed w) }
-      | Proto.Band_adaptive (w, th) ->
-        { k with Kernel.banding = Some (Banding.adaptive ~threshold:th w) }
-    in
-    Registry.Packed (k', p)
-
-let find_group t (req : Proto.request) ~kid ~(entry : Catalog.entry) =
+(* The group key: kernel, band override ("keep" when there is none) and
+   engine choice. *)
+let find_group t (req : Proto.request) choice ~kid ~(entry : Catalog.entry) =
   let key =
     Printf.sprintf "%d|%s|%s" kid
-      (Proto.band_signature req.Proto.band)
-      (Engines.choice_name req.Proto.engine)
+      (match req.Proto.band with
+      | None -> "keep"
+      | Some b -> Banding.to_string b)
+      (Engines.choice_name choice)
   in
   let g =
     match Hashtbl.find_opt t.groups key with
     | Some g -> g
     | None ->
-      let banded = apply_band req.Proto.band entry.Catalog.packed in
-      let (Registry.Packed (k, p)) = banded in
+      let (Registry.Packed (k, p)) = entry.Catalog.packed in
+      let k = Kernel.with_band k req.Proto.band in
       let g =
         {
-          banded;
+          banded = Registry.Packed (k, p);
           params_hash = Dphls_core.Fingerprint.params_hash k p ~n_pe:t.cfg.n_pe;
-          choice = req.Proto.engine;
+          choice;
           q = Queue.create ();
         }
       in
@@ -355,20 +322,16 @@ let find_group t (req : Proto.request) ~kid ~(entry : Catalog.entry) =
   in
   (key, g)
 
-let cache_key t g (req : Proto.request) ~kid =
+(* The group key is part of the identity: a forced engine must report
+   its own characteristics (cycles, cigar emptiness), not another
+   backend's cached answer. *)
+let cache_key t ~key g (req : Proto.request) =
   if Cache.capacity t.cache <= 0 then None
   else
-    (* the engine choice is part of the identity: a forced engine must
-       report its own characteristics (cycles, cigar emptiness), not
-       another backend's cached answer *)
     Some
-      (Printf.sprintf "%d|%s|%s|%s|%s|%s" kid
-         g.params_hash
-         (Proto.band_signature req.Proto.band)
-         (Engines.choice_name req.Proto.engine)
-         req.Proto.qry req.Proto.ref_seq)
+      (String.concat "|" [ key; g.params_hash; req.Proto.qry; req.Proto.ref_seq ])
 
-let admit t (req : Proto.request) ~t_admit ~tr0 =
+let admit t (req : Proto.request) choice ~t_admit ~tr0 =
   let reply code msg =
     end_request_span t ~tr0;
     [ err req.Proto.rid code msg ]
@@ -411,7 +374,7 @@ let admit t (req : Proto.request) ~t_admit ~tr0 =
         with
         | exception Invalid_argument msg -> reply Proto.Bad_request msg
         | w -> (
-          let _key, g = find_group t req ~kid ~entry in
+          let key, g = find_group t req choice ~kid ~entry in
           let prid =
             match req.Proto.rid with
             | Some r -> r
@@ -419,7 +382,7 @@ let admit t (req : Proto.request) ~t_admit ~tr0 =
               t.next_rid <- t.next_rid + 1;
               Printf.sprintf "r%d" t.next_rid
           in
-          let ckey = cache_key t g req ~kid in
+          let ckey = cache_key t ~key g req in
           let cached =
             match ckey with Some k -> Cache.find t.cache k | None -> None
           in
@@ -474,7 +437,10 @@ let submit t line =
       else
         match Proto.parse_request line with
         | Error (rid, code, msg) -> [ err rid code msg ]
-        | Ok req -> admit t req ~t_admit ~tr0)
+        | Ok req -> (
+          match Engines.of_string ~n_pe:t.cfg.n_pe req.Proto.engine with
+          | Error msg -> [ err req.Proto.rid Proto.Bad_request msg ]
+          | Ok choice -> admit t req choice ~t_admit ~tr0))
 
 let flush t =
   List.concat_map

@@ -2,15 +2,16 @@
 
     One server owns a set of bounded coalescing queues, one per
     (kernel, band override, engine) group. {!submit} is the admission
-    stage: it parses one request line, answers protocol errors, cache
-    hits and backpressure rejections immediately, and enqueues the
-    rest. A group reaching [batch_max] pending requests is flushed
-    automatically; {!flush}/{!drain} force the rest out. A flush pops
-    requests in admission order, answers [deadline_exceeded] for any
-    whose deadline passed while queued (they are never run), and
-    executes the survivors as one {!Dphls_engines} batch with
-    [~overlap:true] — auto requests go through the registry's
-    fast-path dispatch exactly like [Dphls.Align]. With [workers > 1]
+    stage: it parses one request line, resolves its ["engine"] name
+    with [n_pe] ({!Dphls_engines.Engines.of_string}), answers protocol
+    errors, cache hits and backpressure rejections immediately, and
+    enqueues the rest. A group reaching [batch_max] pending requests is
+    flushed automatically; {!flush}/{!drain} force the rest out. A flush
+    pops requests in admission order, answers [deadline_exceeded] for
+    any whose deadline passed while queued (they are never run), and
+    runs the survivors through {!Dphls_engines.Engines.run_batch}, the
+    dispatch [Dphls.Align] uses, each engine batch with
+    [~overlap:true]. With [workers > 1]
     a flush large enough to matter is sliced across a persistent
     {!Dphls_host.Pool}; per-worker metric sinks are merged back on the
     admission thread, so counters stay exact without sharing a sink
@@ -38,7 +39,9 @@ type config = {
   max_line_bytes : int;  (** request-line cap; above it is [oversized] *)
   default_deadline_ms : float option;
       (** applied when a request has no ["deadline_ms"] *)
-  n_pe : int;  (** systolic array height for every group *)
+  n_pe : int;
+      (** systolic array height for every group: the N_PE that
+          ["systolic"] and ["auto"] resolve to *)
   workers : int;  (** [> 1] slices large flushes across a domain pool *)
   slo_p99_ms : float option;  (** latency objective checked by {!summary} *)
   now : unit -> float;

@@ -8,7 +8,7 @@ let header (k : 'p Kernel.t) p ~n_pe (w : Workload.t) =
     kernel_id = k.Kernel.id;
     kernel_name = k.Kernel.name;
     params_hash = Fingerprint.params_hash k p ~n_pe;
-    band = Stream.band_spec_of_banding k.Kernel.banding;
+    band = k.Kernel.banding;
     n_pe;
     qry_len;
     ref_len;

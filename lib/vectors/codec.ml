@@ -27,7 +27,7 @@ let to_string (v : Stream.t) =
   line "%s %d" magic h.Stream.version;
   line "kernel %d %s" h.Stream.kernel_id h.Stream.kernel_name;
   line "params %s" h.Stream.params_hash;
-  line "band %s" (Stream.band_spec_to_string h.Stream.band);
+  line "band %s" (Banding.to_string h.Stream.band);
   line "n_pe %d" h.Stream.n_pe;
   line "lens %d %d" h.Stream.qry_len h.Stream.ref_len;
   line "layers %d" h.Stream.n_layers;
@@ -171,18 +171,23 @@ let parse_exn s =
   (* band *)
   let lineno, rest = keyword_line cur "band" in
   let band =
-    match rest with
-    | [ "none" ] -> Stream.Unbanded
-    | [ "fixed"; w ] -> Stream.Fixed (int_field ~lineno ~field:"band width" w)
-    | [ "adaptive"; w; t ] ->
-      Stream.Adaptive
-        ( int_field ~lineno ~field:"band width" w,
-          int_field ~lineno ~field:"band threshold" t )
-    | _ ->
-      fail
-        "line %d: header field \"band\" must be \"none\", \"fixed <w>\" or \
-         \"adaptive <w> <t>\""
-        lineno
+    let int field s = int_field ~lineno ~field s in
+    try
+      match rest with
+      | [ "none" ] -> None
+      | [ "fixed"; w ] -> Some (Banding.fixed (int "band width" w))
+      | [ "adaptive"; w; t ] ->
+        Some
+          (Banding.adaptive
+             ~threshold:(int "band threshold" t)
+             (int "band width" w))
+      | _ ->
+        fail
+          "line %d: header field \"band\" must be \"none\", \"fixed <w>\" \
+           or \"adaptive <w> <t>\""
+          lineno
+    with Invalid_argument msg ->
+      fail "line %d: header field \"band\": %s" lineno msg
   in
   (* n_pe *)
   let lineno, rest = keyword_line cur "n_pe" in

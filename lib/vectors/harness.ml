@@ -5,7 +5,7 @@ type spec = {
   kernel_id : int;
   n_pe : int;
   len : int;
-  band : Stream.band_spec option;
+  band : Banding.t option option;
   seed : int;
 }
 
@@ -22,7 +22,8 @@ let corpus =
     { kernel_id = 10; n_pe = 4; len = 24; band = None; seed = 20 };
     (* k11's default width (32) prunes nothing at len 32; narrow it so
        the corpus actually exercises fixed-band pruning *)
-    { kernel_id = 11; n_pe = 4; len = 32; band = Some (Stream.Fixed 8); seed = 21 };
+    { kernel_id = 11; n_pe = 4; len = 32; band = Some (Some (Banding.fixed 8));
+      seed = 21 };
     { kernel_id = 16; n_pe = 4; len = 32; band = None; seed = 26 };
   ]
 
@@ -35,13 +36,6 @@ let filename s =
   Printf.sprintf "k%02d_%s_npe%d_len%d.dpv" s.kernel_id (slug name) s.n_pe
     s.len
 
-let override_band (k : 'p Kernel.t) = function
-  | None -> Ok k
-  | Some spec -> (
-    match Stream.banding_of_spec spec with
-    | banding -> Ok { k with Kernel.banding }
-    | exception Invalid_argument msg -> Error msg)
-
 let generate s =
   match Catalog.find s.kernel_id with
   | exception Not_found ->
@@ -49,12 +43,10 @@ let generate s =
   | entry -> (
     let workload = entry.Catalog.gen (Dphls_util.Rng.create s.seed) ~len:s.len in
     let (Registry.Packed (k, p)) = entry.Catalog.packed in
-    match override_band k s.band with
-    | Error msg ->
-      Error (Printf.sprintf "kernel %d: bad band override: %s" s.kernel_id msg)
-    | Ok k ->
-      let v, _result = Capture.systolic k p ~n_pe:s.n_pe workload in
-      Ok (v, filename s))
+    let v, _result =
+      Capture.systolic (Kernel.with_band k s.band) p ~n_pe:s.n_pe workload
+    in
+    Ok (v, filename s))
 
 type outcome = {
   o_cells : int;
@@ -86,19 +78,16 @@ let resolve (h : Stream.header) =
             vector says %d"
            k.Kernel.name k.Kernel.n_layers h.Stream.n_layers)
     else
-      match override_band k (Some h.Stream.band) with
-      | Error msg ->
-        Error (Printf.sprintf "header field \"band\": %s" msg)
-      | Ok k ->
-        let hash = Fingerprint.params_hash k p ~n_pe:h.Stream.n_pe in
-        if hash <> h.Stream.params_hash then
-          Error
-            (Printf.sprintf
-               "header field \"params\": this build hashes to %s, vector \
-                says %s — kernel configuration changed; regenerate the \
-                corpus"
-               hash h.Stream.params_hash)
-        else Ok (Registry.Packed (k, p)))
+      let k = { k with Kernel.banding = h.Stream.band } in
+      let hash = Fingerprint.params_hash k p ~n_pe:h.Stream.n_pe in
+      if hash <> h.Stream.params_hash then
+        Error
+          (Printf.sprintf
+             "header field \"params\": this build hashes to %s, vector \
+              says %s — kernel configuration changed; regenerate the \
+              corpus"
+             hash h.Stream.params_hash)
+      else Ok (Registry.Packed (k, p)))
 
 let count_records (v : Stream.t) =
   Array.fold_left

@@ -11,8 +11,9 @@ type spec = {
   kernel_id : int;
   n_pe : int;
   len : int;          (** workload length fed to the catalog generator *)
-  band : Stream.band_spec option;
-      (** [None] keeps the kernel's own banding *)
+  band : Dphls_core.Banding.t option option;
+      (** [None] keeps the kernel's own banding; [Some b] runs under
+          [b] ([Some None] strips the band) *)
   seed : int;
 }
 
@@ -25,8 +26,8 @@ val filename : spec -> string
 
 val generate : spec -> (Stream.t * string, string) result
 (** Regenerate the spec's vector (systolic capture of the seeded
-    catalog workload) and its basename. [Error] on unknown kernel id or
-    a band override the kernel rejects. *)
+    catalog workload) and its basename. [Error] on an unknown kernel
+    id. *)
 
 type outcome = {
   o_cells : int;      (** cell records in the vector *)

@@ -19,8 +19,8 @@ let run ?(evaluator = `Compiled) (k : 'p Kernel.t) (p : 'p) (v : Stream.t) =
      rules (adaptive trackers admit all border reads). *)
   let virtual_member ~row ~col =
     match h.Stream.band with
-    | Stream.Unbanded | Stream.Adaptive _ -> true
-    | Stream.Fixed w -> abs (row - col) <= w
+    | None | Some (Banding.Adaptive _) -> true
+    | Some (Banding.Fixed { width }) -> abs (row - col) <= width
   in
   let in_band ~row ~col =
     if row < 0 || col < 0 then virtual_member ~row ~col

@@ -1,31 +1,11 @@
 open Dphls_core
 
-type band_spec =
-  | Unbanded
-  | Fixed of int
-  | Adaptive of int * int
-
-let band_spec_of_banding = function
-  | None -> Unbanded
-  | Some (Banding.Fixed { width }) -> Fixed width
-  | Some (Banding.Adaptive { width; threshold }) -> Adaptive (width, threshold)
-
-let banding_of_spec = function
-  | Unbanded -> None
-  | Fixed w -> Some (Banding.fixed w)
-  | Adaptive (w, t) -> Some (Banding.adaptive ~threshold:t w)
-
-let band_spec_to_string = function
-  | Unbanded -> "none"
-  | Fixed w -> Printf.sprintf "fixed %d" w
-  | Adaptive (w, t) -> Printf.sprintf "adaptive %d %d" w t
-
 type header = {
   version : int;
   kernel_id : int;
   kernel_name : string;
   params_hash : string;
-  band : band_spec;
+  band : Banding.t option;
   n_pe : int;
   qry_len : int;
   ref_len : int;
@@ -255,7 +235,7 @@ let diff ~expected ~actual =
       (fun () -> field "kernel id" string_of_int h.kernel_id g.kernel_id);
       (fun () -> field "kernel name" Fun.id h.kernel_name g.kernel_name);
       (fun () -> field "params hash" Fun.id h.params_hash g.params_hash);
-      (fun () -> field "band" band_spec_to_string h.band g.band);
+      (fun () -> field "band" Banding.to_string h.band g.band);
       (fun () -> field "n_pe" string_of_int h.n_pe g.n_pe);
       (fun () -> field "qry_len" string_of_int h.qry_len g.qry_len);
       (fun () -> field "ref_len" string_of_int h.ref_len g.ref_len);

@@ -10,15 +10,6 @@
     or what a cell's layer scores are is visible even when the final
     alignment score happens to agree. *)
 
-type band_spec =
-  | Unbanded
-  | Fixed of int                (** half-width *)
-  | Adaptive of int * int       (** half-width, threshold *)
-
-val band_spec_of_banding : Dphls_core.Banding.t option -> band_spec
-val banding_of_spec : band_spec -> Dphls_core.Banding.t option
-val band_spec_to_string : band_spec -> string
-
 type header = {
   version : int;          (** on-disk format version (see {!Codec.version}) *)
   kernel_id : int;
@@ -26,7 +17,9 @@ type header = {
   params_hash : string;
       (** {!Dphls_core.Fingerprint.params_hash} of the producing
           kernel, its parameters and [N_PE] *)
-  band : band_spec;       (** effective banding of the run *)
+  band : Dphls_core.Banding.t option;
+      (** effective banding of the run, written with
+          {!Dphls_core.Banding.to_string} *)
   n_pe : int;
   qry_len : int;
   ref_len : int;

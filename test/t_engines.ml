@@ -265,16 +265,20 @@ let test_auto_dispatch_catalog () =
 let test_registry_lookup () =
   Alcotest.(check (list string)) "registry names"
     [ "systolic"; "reference"; "bitpar" ]
-    Engines.names;
-  Alcotest.(check bool) "find systolic" true
-    (match Engines.find "systolic" with
-    | Some e -> e == Engines.systolic
-    | None -> false);
-  Alcotest.(check bool) "of_string auto" true
-    (match Engines.of_string "auto" with
-    | Ok Engines.Auto -> true
-    | _ -> false);
-  (match Engines.of_string "bogus" with
+    (List.map Engines.name Engines.all);
+  (* every choice spells itself back, N_PE included *)
+  List.iter
+    (fun n_pe ->
+      List.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "of_string ~n_pe:%d %S round-trips" n_pe
+               (Engines.choice_name c))
+            true
+            (Engines.of_string ~n_pe (Engines.choice_name c) = Ok c))
+        Engines.[ Golden; Systolic n_pe; Bitpar; Auto n_pe ])
+    [ 1; 32 ];
+  (match Engines.of_string ~n_pe:32 "bogus" with
   | Ok _ -> Alcotest.fail "bogus accepted"
   | Error msg ->
     Alcotest.(check string) "error lists the valid values"
@@ -384,12 +388,46 @@ let test_cli_engine_auto_fallback () =
     (contains out "golden check: match")
 
 let test_cli_engine_bitpar_refusal () =
-  let code, out =
-    run_cli [ "align"; "-k"; "1"; "-q"; "ACGT"; "-r"; "ACGT"; "--engine"; "bitpar" ]
+  List.iter
+    (fun args ->
+      let code, out = run_cli args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (what ^ ": explains the refusal") true
+        (contains out "not bit-parallel eligible"))
+    [
+      [ "align"; "-k"; "1"; "-q"; "ACGT"; "-r"; "ACGT"; "--engine"; "bitpar" ];
+      [ "batch"; "--pairs"; "data/batch_pairs.fa"; "--engine"; "bitpar" ];
+    ]
+
+(* ---- CLI: the shared band flags refuse what Banding refuses ---- *)
+
+let test_cli_bad_band () =
+  let commands =
+    [
+      [ "align"; "-k"; "1"; "-q"; "ACGT"; "-r"; "ACGT" ];
+      [ "batch"; "--pairs"; "data/batch_pairs.fa" ];
+      [ "profile"; "-k"; "1"; "--trials"; "1"; "--len"; "16"; "--trace"; "/dev/null" ];
+      [ "vectors"; "gen"; "-k"; "1"; "-o"; "/dev/null" ];
+    ]
+  and bands =
+    [
+      ([ "--band"; "fixed"; "--band-width"; "0" ], "width must be >= 1");
+      ([ "--band"; "adaptive"; "--band-threshold=-1" ], "threshold must be >= 0");
+    ]
   in
-  Alcotest.(check int) "exit 2" 2 code;
-  Alcotest.(check bool) "explains the refusal" true
-    (contains out "not bit-parallel eligible")
+  List.iter
+    (fun command ->
+      List.iter
+        (fun (band, reason) ->
+          let args = command @ band in
+          let code, out = run_cli args in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ ": exit 2") 2 code;
+          Alcotest.(check bool) (what ^ ": gives the reason") true
+            (contains out reason))
+        bands)
+    commands
 
 let suite =
   [
@@ -412,4 +450,5 @@ let suite =
       test_cli_engine_auto_fallback;
     Alcotest.test_case "cli: --engine bitpar refusal" `Quick
       test_cli_engine_bitpar_refusal;
+    Alcotest.test_case "cli: bad band values exit 2" `Quick test_cli_bad_band;
   ]

@@ -8,7 +8,7 @@ module Proto = Dphls_serve.Proto
 module Cache = Dphls_serve.Cache
 module Server = Dphls_serve.Server
 module Json = Dphls_util.Json
-module Engines = Dphls_engines.Engines
+module Banding = Dphls_core.Banding
 module Metrics = Dphls_obs.Metrics
 module Counter = Dphls_obs.Counter
 
@@ -94,10 +94,9 @@ let test_parse_valid () =
     Alcotest.(check string) "kernel" "local-linear" req.Proto.kernel_spec;
     Alcotest.(check string) "qry" "ACGT" req.Proto.qry;
     Alcotest.(check string) "ref" "ACGA" req.Proto.ref_seq;
-    Alcotest.(check string) "band" "fixed:8"
-      (Proto.band_signature req.Proto.band);
-    Alcotest.(check string) "engine" "systolic"
-      (Engines.choice_name req.Proto.engine);
+    Alcotest.(check bool) "band" true
+      (req.Proto.band = Some (Some (Banding.fixed 8)));
+    Alcotest.(check string) "engine" "systolic" req.Proto.engine;
     Alcotest.(check (option (float 1e-9))) "deadline" (Some 50.0)
       req.Proto.deadline_ms
 
@@ -107,10 +106,8 @@ let test_parse_defaults () =
   | Ok req ->
     Alcotest.(check (option string)) "no id" None req.Proto.rid;
     Alcotest.(check string) "numeric kernel" "1" req.Proto.kernel_spec;
-    Alcotest.(check string) "band keeps kernel" "keep"
-      (Proto.band_signature req.Proto.band);
-    Alcotest.(check string) "engine auto" "auto"
-      (Engines.choice_name req.Proto.engine);
+    Alcotest.(check bool) "band keeps kernel" true (req.Proto.band = None);
+    Alcotest.(check string) "engine auto" "auto" req.Proto.engine;
     Alcotest.(check (option (float 0.0))) "no deadline" None
       req.Proto.deadline_ms
 
@@ -145,8 +142,6 @@ let bad_requests =
     ( "none band with width",
       "{\"kernel\":1,\"qry\":\"A\",\"ref\":\"C\",\"band\":{\"mode\":\"none\",\"width\":4}}"
     );
-    ( "unknown engine",
-      "{\"kernel\":1,\"qry\":\"A\",\"ref\":\"C\",\"engine\":\"quantum\"}" );
     ( "negative deadline",
       "{\"kernel\":1,\"qry\":\"A\",\"ref\":\"C\",\"deadline_ms\":-5}" );
     ( "deadline string",
@@ -259,6 +254,19 @@ let test_submit_error_codes () =
     (one (Server.submit server "{\"kernel\":1,\"qry\":\"AXA\",\"ref\":\"C\"}"));
   expect_error Proto.Bad_request
     (one (Server.submit server "{\"kernel\":1,\"qry\":\"\",\"ref\":\"C\"}"));
+  (* the engine name is resolved at admission, before the kernel *)
+  (match
+     one
+       (Server.submit server
+          "{\"kernel\":42,\"qry\":\"A\",\"ref\":\"C\",\"engine\":\"quantum\"}")
+   with
+  | Proto.Error_response e ->
+    Alcotest.(check string) "unknown engine" "bad_request"
+      (Proto.error_name e.code);
+    Alcotest.(check string) "lists the valid names"
+      "unknown engine \"quantum\" (valid: auto | systolic | reference | bitpar)"
+      e.message
+  | Proto.Ok_response _ -> Alcotest.fail "unknown engine accepted");
   (* a forced engine that refuses the kernel shape surfaces as
      unsupported at flush *)
   let rs =

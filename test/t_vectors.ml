@@ -19,10 +19,7 @@ let generate_exn s =
 let resolve_kernel kernel_id band =
   let e = Dphls_kernels.Catalog.find kernel_id in
   let (Registry.Packed (k, p)) = e.packed in
-  match band with
-  | None -> Registry.Packed (k, p)
-  | Some b ->
-    Registry.Packed ({ k with Kernel.banding = Stream.banding_of_spec b }, p)
+  Registry.Packed (Kernel.with_band k band, p)
 
 let cell_count (v : Stream.t) =
   Array.fold_left
@@ -47,7 +44,7 @@ let test_codec_roundtrip () =
           Alcotest.failf "round-trip diverges: %s" (Stream.describe d));
         Alcotest.(check string)
           "re-serialization is byte-identical" text (Codec.to_string v2))
-    [ spec 1; spec 10; spec ~band:(Stream.Fixed 6) 11; spec 16 ]
+    [ spec 1; spec 10; spec ~band:(Some (Banding.fixed 6)) 11; spec 16 ]
 
 let test_codec_file_roundtrip () =
   let v = generate_exn (spec 2 ~n_pe:8) in
@@ -124,6 +121,21 @@ let test_codec_rejects_malformed_record () =
   in
   expect_parse_error ~substring:"malformed cell record" (String.concat "\n" ls)
 
+let test_codec_rejects_bad_band () =
+  (* A header band Banding.fixed refuses, behind a valid checksum: the
+     reader rejects it at the band line instead of loading it. *)
+  let v = generate_exn (spec 1) in
+  let v =
+    {
+      v with
+      Stream.header =
+        { v.Stream.header with Stream.band = Some (Banding.Fixed { width = 0 }) };
+    }
+  in
+  let text = Codec.to_string v in
+  expect_parse_error ~substring:"line 4: header field \"band\"" text;
+  expect_parse_error ~substring:"width must be >= 1" text
+
 let test_codec_rejects_layer_count_skew () =
   (* Drop the score from one cell record: the diagnostic names the
      record's chunk and wavefront. *)
@@ -169,7 +181,7 @@ let test_capture_matches_reference () =
       spec 2 ~n_pe:8;
       spec 9;
       spec 10;
-      spec ~band:(Stream.Fixed 6) 11;
+      spec ~band:(Some (Banding.fixed 6)) 11;
       spec 16 ~len:32;
     ]
 
@@ -611,4 +623,6 @@ let suite =
     Alcotest.test_case "cli: diff" `Quick test_cli_diff;
     Alcotest.test_case "params hash covers the bindings" `Quick
       test_params_hash_covers_bindings;
+    Alcotest.test_case "codec rejects a bad header band" `Quick
+      test_codec_rejects_bad_band;
   ]
