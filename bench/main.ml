@@ -9,16 +9,30 @@ open Bechamel
 open Toolkit
 open Dphls_core
 
+module Throughput = Dphls_host.Throughput
+
 let seed = 42
 let bench_len = 64
 
-(* a BENCH_N.json payload, newline-terminated *)
-let write_bench path json =
+(* a BENCH_N.json payload: the mode's rows, newline-terminated *)
+let write_bench path rows =
   let oc = open_out path in
-  output_string oc json;
+  output_string oc (Throughput.rows_json rows);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n%!" path
+
+(* one BENCH row; a mode fixes the workload columns once, by partial
+   application *)
+let row ?len ?n_pe ?workers ~rung ~kernel metric unit value =
+  { Throughput.rung; kernel; len; n_pe; workers; metric; unit; value }
+
+(* the value of [metric] among one variant's rows: the stdout tables and
+   the gates read back the numbers the JSON holds *)
+let value rows metric =
+  (List.find (fun (r : Throughput.row) -> r.metric = metric) rows).value
+
+let ivalue rows metric = int_of_float (value rows metric)
 
 (* Pre-generated workloads so the benches measure engines, not RNG. *)
 let workload_for id =
@@ -211,6 +225,7 @@ let banding_bench ?(len = 512) () =
   in
   let cfg = Dphls_systolic.Config.create ~n_pe in
   let p = K11.default in
+  (* one mode's rows; width and threshold only where the mode has them *)
   let run_mode mode kernel ~width ~threshold =
     let result, stats = Dphls_systolic.Engine.run cfg kernel p w in
     let reps = 3 in
@@ -219,18 +234,28 @@ let banding_bench ?(len = 512) () =
       ignore (Dphls_systolic.Engine.run cfg kernel p w)
     done;
     let wall_ns = (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9 in
-    {
-      Dphls_host.Throughput.mode;
-      width;
-      threshold;
-      score = result.Result.score;
-      cells_computed = stats.Dphls_systolic.Engine.pe_fires;
-      total_cells;
-      device_cycles = stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
-      wall_ns;
-    }
+    let cells = stats.Dphls_systolic.Engine.pe_fires in
+    let row =
+      row ~len ~n_pe ~rung:("engine.systolic.band_" ^ mode)
+        ~kernel:"banded-global-linear(#11)"
+    in
+    let count metric unit v = row metric unit (float_of_int v) in
+    ( mode,
+      List.filter_map
+        (fun (metric, unit, v) -> Option.map (count metric unit) v)
+        [ ("width", "cells", width); ("threshold", "score", threshold) ]
+      @ [
+          count "score" "score" result.Result.score;
+          count "cells_computed" "cells" cells;
+          count "total_cells" "cells" total_cells;
+          row "cells_fraction" "share"
+            (float_of_int cells /. float_of_int total_cells);
+          count "device_cycles" "cycles"
+            stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
+          row "wall_ns" "ns" wall_ns;
+        ] )
   in
-  let runs =
+  let modes =
     [
       run_mode "none"
         { K11.kernel with Kernel.banding = None }
@@ -250,28 +275,28 @@ let banding_bench ?(len = 512) () =
          len n_pe width)
     ~header:[ "mode"; "score"; "cells"; "of full"; "cycles"; "wall us" ]
     (List.map
-       (fun (r : Dphls_host.Throughput.band_run) ->
+       (fun (mode, rows) ->
          [
-           r.mode;
-           string_of_int r.score;
-           string_of_int r.cells_computed;
-           Printf.sprintf "%.1f%%"
-             (100.0 *. Dphls_host.Throughput.cells_fraction r);
-           string_of_int r.device_cycles;
-           Printf.sprintf "%.1f" (r.wall_ns /. 1e3);
+           mode;
+           string_of_int (ivalue rows "score");
+           string_of_int (ivalue rows "cells_computed");
+           Printf.sprintf "%.1f%%" (100.0 *. value rows "cells_fraction");
+           string_of_int (ivalue rows "device_cycles");
+           Printf.sprintf "%.1f" (value rows "wall_ns" /. 1e3);
          ])
-       runs);
-  (match runs with
-  | [ _; fixed; adaptive ] ->
+       modes);
+  (match modes with
+  | [ _; (_, fixed); (_, adaptive) ] ->
+    let cells rows = ivalue rows "cells_computed" in
     Printf.printf
       "adaptive computes %d of the fixed band's %d cells (%.1f%% saved)\n"
-      adaptive.cells_computed fixed.cells_computed
+      (cells adaptive) (cells fixed)
       (100.0
       *. (1.0
-         -. float_of_int adaptive.cells_computed
-            /. float_of_int (max 1 fixed.cells_computed)))
+         -. float_of_int (cells adaptive)
+            /. float_of_int (max 1 (cells fixed))))
   | _ -> ());
-  write_bench "BENCH_2.json" (Dphls_host.Throughput.band_json runs)
+  write_bench "BENCH_2.json" (List.concat_map snd modes)
 
 (* ---- PE datapath comparison: interpreter, bytecode, generated ----
 
@@ -348,16 +373,30 @@ let pe_bench ?(len = 256) () =
           flat_cell (Datapath.flat (Datapath.compile cell bindings))
         in
         let generated_cell = flat_cell (Kernel.flat_pe k p) in
-        {
-          Dphls_host.Throughput.kernel = Printf.sprintf "%s(#%d)" shape id;
-          cells = Workload.cells w;
-          eval_ns = time_sweep (fun () -> pe_sweep ~n_layers w eval_cell);
-          compiled_ns = time_sweep (fun () -> pe_sweep ~n_layers w bytecode_cell);
-          generated_ns = time_sweep (fun () -> pe_sweep ~n_layers w generated_cell);
-        })
+        let kernel = Printf.sprintf "%s(#%d)" shape id
+        and cells = Workload.cells w in
+        (* one evaluator's rows, its metrics named [<tier>_...] *)
+        let tier rung name cell =
+          let ns = time_sweep (fun () -> pe_sweep ~n_layers w cell) in
+          let row = row ~len ~rung ~kernel in
+          [
+            row "cells" "cells" (float_of_int cells);
+            row (name ^ "_ns") "ns" ns;
+            row (name ^ "_cells_per_sec") "cells/s"
+              (float_of_int cells /. (ns /. 1e9));
+          ]
+        in
+        let eval = tier "pe.eval" "eval" eval_cell in
+        let bytecode = tier "pe.bytecode" "compiled" bytecode_cell in
+        let generated = tier "pe.generated" "generated" generated_cell in
+        let speedup =
+          row ~len ~rung:"pe.bytecode" ~kernel "speedup" "x"
+            (value eval "eval_ns" /. value bytecode "compiled_ns")
+        in
+        (kernel, eval, bytecode @ [ speedup ], generated))
       shapes
   in
-  let mcps cells ns = Dphls_host.Throughput.pe_cells_per_sec ~cells ~ns /. 1e6 in
+  let mcps rows name = value rows (name ^ "_cells_per_sec") /. 1e6 in
   Dphls_util.Pretty.print_table
     ~title:
       (Printf.sprintf "PE datapath: Datapath.eval vs bytecode vs generated (len=%d)"
@@ -366,24 +405,26 @@ let pe_bench ?(len = 256) () =
       [ "kernel"; "eval Mc/s"; "bytecode Mc/s"; "generated Mc/s"; "bytecode/eval";
         "generated/bytecode" ]
     (List.map
-       (fun (r : Dphls_host.Throughput.pe_run) ->
+       (fun (kernel, eval, bytecode, generated) ->
          [
-           r.kernel;
-           Printf.sprintf "%.1f" (mcps r.cells r.eval_ns);
-           Printf.sprintf "%.1f" (mcps r.cells r.compiled_ns);
-           Printf.sprintf "%.1f" (mcps r.cells r.generated_ns);
-           Printf.sprintf "%.2fx" (Dphls_host.Throughput.pe_speedup r);
-           Printf.sprintf "%.2fx" (r.compiled_ns /. r.generated_ns);
+           kernel;
+           Printf.sprintf "%.1f" (mcps eval "eval");
+           Printf.sprintf "%.1f" (mcps bytecode "compiled");
+           Printf.sprintf "%.1f" (mcps generated "generated");
+           Printf.sprintf "%.2fx" (value bytecode "speedup");
+           Printf.sprintf "%.2fx"
+             (value bytecode "compiled_ns" /. value generated "generated_ns");
          ])
        runs);
-  let speedups = List.map Dphls_host.Throughput.pe_speedup runs in
+  let speedups = List.map (fun (_, _, b, _) -> value b "speedup") runs in
   Printf.printf "bytecode/eval speedup min %.2fx / geomean %.2fx over %d points\n"
     (List.fold_left min infinity speedups)
     (exp
        (List.fold_left (fun a s -> a +. log s) 0.0 speedups
        /. float_of_int (List.length speedups)))
     (List.length speedups);
-  write_bench "BENCH_3.json" (Dphls_host.Throughput.pe_json runs)
+  write_bench "BENCH_3.json"
+    (List.concat_map (fun (_, e, b, g) -> e @ b @ g) runs)
 
 (* ---- prologue overlap: sequential vs overlapped staged engine ----
 
@@ -449,18 +490,39 @@ let overlap_bench ?(len = 32) () =
       assert (s.Dphls.Align.score = o.Dphls.Align.score);
       assert (s.Dphls.Align.cigar = o.Dphls.Align.cigar))
     !seq_results;
-  let r =
-    {
-      Dphls_host.Throughput.kernel = "global-linear(#1)";
-      n_pe;
-      alignments = b.Dphls_systolic.Engine.alignments;
-      freq_mhz = 250.0;
-      seq_cycles = b.Dphls_systolic.Engine.seq_cycles;
-      overlapped_cycles = b.Dphls_systolic.Engine.overlapped_cycles;
-      hidden_cycles = b.Dphls_systolic.Engine.hidden_cycles;
-      seq_host_ns;
-      overlap_host_ns;
-    }
+  let freq_mhz = 250.0 in
+  let seq = b.Dphls_systolic.Engine.seq_cycles
+  and ov = b.Dphls_systolic.Engine.overlapped_cycles
+  and hidden = b.Dphls_systolic.Engine.hidden_cycles in
+  (* device wall-clock of a cycle count at the modeled clock: where the
+     overlap wins, since the host simulator does the same work either
+     way and only reorders it *)
+  let device_ns cycles = float_of_int cycles /. freq_mhz *. 1e3 in
+  let reduction = float_of_int hidden /. float_of_int seq
+  and speedup = float_of_int seq /. float_of_int ov in
+  let variant rung rows =
+    let row = row ~len ~n_pe ~workers ~rung ~kernel:"global-linear(#1)" in
+    row "alignments" "alignments"
+      (float_of_int b.Dphls_systolic.Engine.alignments)
+    :: row "freq_mhz" "MHz" freq_mhz
+    :: List.map (fun (metric, unit, v) -> row metric unit v) rows
+  in
+  let rows =
+    variant "batch.sequential"
+      [
+        ("seq_cycles", "cycles", float_of_int seq);
+        ("seq_device_ns", "ns", device_ns seq);
+        ("seq_host_ns", "ns", seq_host_ns);
+      ]
+    @ variant "batch.overlapped"
+        [
+          ("overlapped_cycles", "cycles", float_of_int ov);
+          ("hidden_cycles", "cycles", float_of_int hidden);
+          ("cycle_reduction", "share", reduction);
+          ("overlap_device_ns", "ns", device_ns ov);
+          ("device_wall_speedup", "x", speedup);
+          ("overlap_host_ns", "ns", overlap_host_ns);
+        ]
   in
   Dphls_util.Pretty.print_table
     ~title:
@@ -470,33 +532,26 @@ let overlap_bench ?(len = 32) () =
     ~header:
       [ "mode"; "device cycles"; "hidden"; "reduction"; "device us"; "host ms" ]
     [
-      [ "sequential"; string_of_int r.seq_cycles; "--"; "--";
-        Printf.sprintf "%.1f"
-          (Dphls_host.Throughput.overlap_device_ns r r.seq_cycles /. 1e3);
-        Printf.sprintf "%.2f" (r.seq_host_ns /. 1e6) ];
-      [ "overlapped"; string_of_int r.overlapped_cycles;
-        string_of_int r.hidden_cycles;
-        Printf.sprintf "%.1f%%"
-          (100.0 *. Dphls_host.Throughput.overlap_cycle_reduction r);
-        Printf.sprintf "%.1f"
-          (Dphls_host.Throughput.overlap_device_ns r r.overlapped_cycles /. 1e3);
-        Printf.sprintf "%.2f" (r.overlap_host_ns /. 1e6) ];
+      [ "sequential"; string_of_int seq; "--"; "--";
+        Printf.sprintf "%.1f" (device_ns seq /. 1e3);
+        Printf.sprintf "%.2f" (seq_host_ns /. 1e6) ];
+      [ "overlapped"; string_of_int ov; string_of_int hidden;
+        Printf.sprintf "%.1f%%" (100.0 *. reduction);
+        Printf.sprintf "%.1f" (device_ns ov /. 1e3);
+        Printf.sprintf "%.2f" (overlap_host_ns /. 1e6) ];
     ];
   Printf.printf
     "device wall-clock win at %.0f MHz: %.2fx (host simulator does the same \
      work either way)\n"
-    r.freq_mhz
-    (Dphls_host.Throughput.overlap_device_speedup r);
-  write_bench "BENCH_4.json" (Dphls_host.Throughput.overlap_json [ r ]);
-  if r.overlapped_cycles >= r.seq_cycles then begin
+    freq_mhz speedup;
+  write_bench "BENCH_4.json" rows;
+  if ov >= seq then begin
     Printf.printf
-      "FAIL: overlapped cycles %d not strictly below sequential %d\n%!"
-      r.overlapped_cycles r.seq_cycles;
+      "FAIL: overlapped cycles %d not strictly below sequential %d\n%!" ov seq;
     exit 1
   end;
   Printf.printf "overlap gate: %d -> %d modeled cycles (%.1f%% hidden)\n%!"
-    r.seq_cycles r.overlapped_cycles
-    (100.0 *. Dphls_host.Throughput.overlap_cycle_reduction r)
+    seq ov (100.0 *. reduction)
 
 (* ---- observability overhead: sinks disabled vs enabled ----
 
@@ -587,7 +642,7 @@ let profile_overhead_bench ?(len = 96) () =
    (pass --len to cap the largest length, e.g. for CI smoke). *)
 let fastpath_bench ?(max_len = 8192) () =
   let module I = Dphls_engines.Engine_intf in
-  let n_pe = 32 in
+  let n_pe = 32 and kernel = "global-edit(#19)" in
   let cfg = I.config ~n_pe () in
   let e = Dphls_kernels.Catalog.find 19 in
   let (Registry.Packed (k, p)) = e.packed in
@@ -613,15 +668,28 @@ let fastpath_bench ?(max_len = 8192) () =
         let reps = if len >= 4096 then 2 else 5 in
         let module Sy = Dphls_engines.Backends.Systolic in
         let module Bp = Dphls_engines.Backends.Bitpar in
-        {
-          Dphls_host.Throughput.fp_kernel = Printf.sprintf "global-edit(#%d)" 19;
-          fp_qry_len = qry_len;
-          fp_ref_len = ref_len;
-          fp_cells = qry_len * ref_len;
-          fp_n_pe = n_pe;
-          fp_systolic_ns = time_run ~reps (fun w -> Sy.run cfg k p w) w;
-          fp_bitpar_ns = time_run ~reps:5 (fun w -> Bp.run cfg k p w) w;
-        })
+        let systolic_ns = time_run ~reps (fun w -> Sy.run cfg k p w) w in
+        let bitpar_ns = time_run ~reps:5 (fun w -> Bp.run cfg k p w) w in
+        let cells = qry_len * ref_len in
+        (* bitpar has no array: its rows carry no n_pe *)
+        let engine ?n_pe rung name ns rows =
+          let row = row ~len:qry_len ?n_pe ~rung ~kernel in
+          List.map
+            (fun (metric, unit, v) -> row metric unit v)
+            ([
+               ("ref_len", "bases", float_of_int ref_len);
+               ("cells", "cells", float_of_int cells);
+               (name ^ "_ns", "ns", ns);
+               ( name ^ "_mcells_s",
+                 "Mcells/s",
+                 float_of_int cells /. (ns /. 1e9) /. 1e6 );
+             ]
+            @ rows)
+        in
+        ( qry_len,
+          engine ~n_pe "engine.systolic" "systolic" systolic_ns [],
+          engine "engine.bitpar" "bitpar" bitpar_ns
+            [ ("speedup", "x", systolic_ns /. bitpar_ns) ] ))
       lengths
   in
   Dphls_util.Pretty.print_table
@@ -632,32 +700,25 @@ let fastpath_bench ?(max_len = 8192) () =
     ~header:
       [ "kernel"; "len"; "systolic us"; "bitpar us"; "bitpar Mc/s"; "speedup" ]
     (List.map
-       (fun (r : Dphls_host.Throughput.fastpath_run) ->
+       (fun (qry_len, systolic, bitpar) ->
          [
-           r.fp_kernel;
-           string_of_int r.fp_qry_len;
-           Printf.sprintf "%.1f" (r.fp_systolic_ns /. 1e3);
-           Printf.sprintf "%.1f" (r.fp_bitpar_ns /. 1e3);
-           Printf.sprintf "%.1f"
-             (Dphls_host.Throughput.pe_cells_per_sec ~cells:r.fp_cells
-                ~ns:r.fp_bitpar_ns
-             /. 1e6);
-           Printf.sprintf "%.2fx" (Dphls_host.Throughput.fastpath_speedup r);
+           kernel;
+           string_of_int qry_len;
+           Printf.sprintf "%.1f" (value systolic "systolic_ns" /. 1e3);
+           Printf.sprintf "%.1f" (value bitpar "bitpar_ns" /. 1e3);
+           Printf.sprintf "%.1f" (value bitpar "bitpar_mcells_s");
+           Printf.sprintf "%.2fx" (value bitpar "speedup");
          ])
        runs);
-  write_bench "BENCH_5.json" (Dphls_host.Throughput.fastpath_json runs);
-  let gated =
-    List.filter
-      (fun (r : Dphls_host.Throughput.fastpath_run) -> r.fp_qry_len >= 1024)
-      runs
-  in
+  write_bench "BENCH_5.json"
+    (List.concat_map (fun (_, systolic, bitpar) -> systolic @ bitpar) runs);
+  let gated = List.filter (fun (qry_len, _, _) -> qry_len >= 1024) runs in
   List.iter
-    (fun r ->
-      let s = Dphls_host.Throughput.fastpath_speedup r in
+    (fun (qry_len, _, bitpar) ->
+      let s = value bitpar "speedup" in
       if s < 5.0 then begin
         Printf.printf
-          "FAIL: bit-parallel speedup %.2fx < 5x at qry_len %d\n%!" s
-          r.Dphls_host.Throughput.fp_qry_len;
+          "FAIL: bit-parallel speedup %.2fx < 5x at qry_len %d\n%!" s qry_len;
         exit 1
       end)
     gated;
@@ -756,15 +817,15 @@ let serve_bench ?(total = 1_000_000) () =
     done;
     !lo
   in
-  let server =
-    Server.create
-      {
-        (Server.default_config ()) with
-        Server.slo_p99_ms = Some slo_p99_ms;
-        cache_capacity = 4096;
-        batch_max = 64;
-      }
+  let cfg =
+    {
+      (Server.default_config ()) with
+      Server.slo_p99_ms = Some slo_p99_ms;
+      cache_capacity = 4096;
+      batch_max = 64;
+    }
   in
+  let server = Server.create cfg in
   (* a long-lived daemon keeps its heap close to the live set; OCaml
      5.1 cannot return pages to the OS (compaction landed in 5.2), so
      without this the major heap's default 120% slack absorbs transient
@@ -793,23 +854,35 @@ let serve_bench ?(total = 1_000_000) () =
   let rss_last = rss_kb () in
   let s = Server.summary server in
   Server.close server;
-  let soak =
-    {
-      Dphls_host.Throughput.sv_requests = total;
-      sv_completed = s.Server.completed;
-      sv_cache_hits = s.Server.cache_hits;
-      sv_rejected = s.Server.rejected;
-      sv_expired = s.Server.expired;
-      sv_batches = s.Server.batches;
-      sv_distinct_pairs = n_pairs;
-      sv_wall_s = wall_s;
-      sv_p50_ms = s.Server.p50_ms;
-      sv_p99_ms = s.Server.p99_ms;
-      sv_max_ms = s.Server.max_ms;
-      sv_slo_p99_ms = slo_p99_ms;
-      sv_rss_first_kb = !rss_first;
-      sv_rss_last_kb = rss_last;
-    }
+  let req_per_s = float_of_int s.Server.completed /. wall_s in
+  let hit_rate =
+    if s.Server.completed = 0 then 0.0
+    else float_of_int s.Server.cache_hits /. float_of_int s.Server.completed
+  in
+  let row =
+    row ~n_pe:cfg.Server.n_pe ~workers:cfg.Server.workers
+      ~rung:"serve.in_process" ~kernel:"global-linear(#1)+global-edit(#19)"
+  in
+  let count metric unit v = row metric unit (float_of_int v) in
+  let rows =
+    [
+      count "requests" "requests" total;
+      count "completed" "requests" s.Server.completed;
+      count "cache_hits" "requests" s.Server.cache_hits;
+      row "cache_hit_rate" "share" hit_rate;
+      count "rejected" "requests" s.Server.rejected;
+      count "expired" "requests" s.Server.expired;
+      count "batches" "batches" s.Server.batches;
+      count "distinct_pairs" "pairs" n_pairs;
+      row "wall_s" "s" wall_s;
+      row "req_per_s" "1/s" req_per_s;
+      row "p50_ms" "ms" s.Server.p50_ms;
+      row "p99_ms" "ms" s.Server.p99_ms;
+      row "max_ms" "ms" s.Server.max_ms;
+      row "slo_p99_ms" "ms" slo_p99_ms;
+      count "rss_first_kb" "kB" !rss_first;
+      count "rss_last_kb" "kB" rss_last;
+    ]
   in
   Dphls_util.Pretty.print_table
     ~title:
@@ -818,51 +891,38 @@ let serve_bench ?(total = 1_000_000) () =
          n_pairs)
     ~header:[ "metric"; "value" ]
     [
-      [ "completed"; string_of_int soak.sv_completed ];
-      [
-        "sustained req/s";
-        Printf.sprintf "%.0f" (Dphls_host.Throughput.serve_req_per_sec soak);
-      ];
-      [
-        "cache hit rate";
-        Dphls_util.Pretty.percent
-          (float_of_int soak.sv_cache_hits /. float_of_int soak.sv_completed);
-      ];
-      [ "p50"; Printf.sprintf "%.4f ms" soak.sv_p50_ms ];
-      [ "p99"; Printf.sprintf "%.4f ms" soak.sv_p99_ms ];
-      [ "max"; Printf.sprintf "%.4f ms" soak.sv_max_ms ];
-      [ "engine batches"; string_of_int soak.sv_batches ];
-      [
-        "RSS first/last";
-        Printf.sprintf "%d / %d kB" soak.sv_rss_first_kb soak.sv_rss_last_kb;
-      ];
+      [ "completed"; string_of_int s.Server.completed ];
+      [ "sustained req/s"; Printf.sprintf "%.0f" req_per_s ];
+      [ "cache hit rate"; Dphls_util.Pretty.percent hit_rate ];
+      [ "p50"; Printf.sprintf "%.4f ms" s.Server.p50_ms ];
+      [ "p99"; Printf.sprintf "%.4f ms" s.Server.p99_ms ];
+      [ "max"; Printf.sprintf "%.4f ms" s.Server.max_ms ];
+      [ "engine batches"; string_of_int s.Server.batches ];
+      [ "RSS first/last"; Printf.sprintf "%d / %d kB" !rss_first rss_last ];
     ];
-  write_bench "BENCH_6.json" (Dphls_host.Throughput.serve_json soak);
+  write_bench "BENCH_6.json" rows;
   if !errors > 0 then begin
     Printf.printf "FAIL: %d requests answered with an error\n%!" !errors;
     exit 1
   end;
-  if soak.sv_completed <> total then begin
-    Printf.printf "FAIL: %d of %d requests completed\n%!" soak.sv_completed
+  if s.Server.completed <> total then begin
+    Printf.printf "FAIL: %d of %d requests completed\n%!" s.Server.completed
       total;
     exit 1
   end;
-  if soak.sv_p99_ms > slo_p99_ms then begin
+  if s.Server.p99_ms > slo_p99_ms then begin
     Printf.printf "FAIL: p99 %.3f ms exceeds the %.1f ms SLO\n%!"
-      soak.sv_p99_ms slo_p99_ms;
+      s.Server.p99_ms slo_p99_ms;
     exit 1
   end;
-  if soak.sv_cache_hits = 0 then begin
+  if s.Server.cache_hits = 0 then begin
     Printf.printf "FAIL: the result cache never hit\n%!";
     exit 1
   end;
-  if
-    soak.sv_rss_first_kb > 0
-    && float_of_int soak.sv_rss_last_kb
-       > 1.10 *. float_of_int soak.sv_rss_first_kb
+  if !rss_first > 0 && float_of_int rss_last > 1.10 *. float_of_int !rss_first
   then begin
     Printf.printf "FAIL: RSS grew %d -> %d kB (> 10%%) during the soak\n%!"
-      soak.sv_rss_first_kb soak.sv_rss_last_kb;
+      !rss_first rss_last;
     exit 1
   end;
   Gc.set prior_gc;

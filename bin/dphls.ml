@@ -81,6 +81,39 @@ let band_term ~width_default =
   in
   Term.(const override $ mode $ width $ threshold)
 
+(* Count flags: a value below 1, or above [max] where the flag has one,
+   exits 2 naming the flag and its range, like a bad band or engine
+   value, instead of failing inside an engine. A [None] default means
+   "not given". *)
+let count_opt ?max ~doc name default =
+  let check v =
+    if v < 1 || Option.fold max ~none:false ~some:(fun m -> v > m) then begin
+      Printf.eprintf "--%s must be %s (got %d)\n" name
+        (match max with
+        | Some m -> Printf.sprintf "in 1..%d" m
+        | None -> ">= 1")
+        v;
+      exit 2
+    end;
+    v
+  in
+  let arg = Arg.(value & opt (some int) default & info [ name ] ~doc) in
+  Term.(const (Option.map check) $ arg)
+
+let count ?max ~doc name default =
+  let given = count_opt ?max ~doc name (Some default) in
+  Term.(const Option.get $ given)
+
+(* --n-pe, one definition for every command; where the command runs the
+   systolic engine it is also capped at the Systolic.Config range *)
+let n_pe_opt ?(systolic = true) ?(doc = "Processing elements") default =
+  let max = if systolic then Some Dphls_systolic.Config.max_n_pe else None in
+  count_opt ?max ~doc "n-pe" default
+
+let n_pe ?systolic default =
+  let given = n_pe_opt ?systolic (Some default) in
+  Term.(const Option.get $ given)
+
 (* --engine names an Engines.choice; "auto" defers to Engines.select per
    workload. Unknown names exit 2 listing the valid values, like the
    other enum flags. *)
@@ -198,7 +231,6 @@ let align_cmd =
   let reference =
     Arg.(required & opt (some string) None & info [ "r"; "reference" ] ~doc:"Reference sequence")
   in
-  let n_pe = Arg.(value & opt int 32 & info [ "n-pe" ] ~doc:"Processing elements") in
   let vcd =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~doc:"Write a VCD waveform")
   in
@@ -216,7 +248,7 @@ let align_cmd =
   Cmd.v
     (Cmd.info "align" ~doc:"Align two sequences on the systolic simulator")
     Term.(
-      const align_run $ kernel $ query $ reference $ n_pe $ vcd
+      const align_run $ kernel $ query $ reference $ n_pe 32 $ vcd
       $ band_term ~width_default:32 $ engine $ overlap)
 
 (* ---- resources ---- *)
@@ -241,13 +273,14 @@ let resources_cmd =
   let kernel =
     Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel id or name")
   in
-  let n_pe = Arg.(value & opt int 32 & info [ "n-pe" ] ~doc:"Processing elements") in
   let n_b = Arg.(value & opt int 1 & info [ "n-b" ] ~doc:"Blocks per kernel") in
   let n_k = Arg.(value & opt int 1 & info [ "n-k" ] ~doc:"Kernel channels") in
-  let max_len = Arg.(value & opt int 256 & info [ "max-len" ] ~doc:"Max sequence length") in
+  let max_len = count "max-len" 256 ~doc:"Max sequence length" in
   Cmd.v
     (Cmd.info "resources" ~doc:"Estimate FPGA resources for a configuration")
-    Term.(const resources_run $ kernel $ n_pe $ n_b $ n_k $ max_len)
+    Term.(
+      const resources_run $ kernel $ n_pe ~systolic:false 32 $ n_b $ n_k
+      $ max_len)
 
 (* ---- gen ---- *)
 
@@ -347,10 +380,9 @@ let map_cmd =
   let reference =
     Arg.(required & opt (some file) None & info [ "reference" ] ~doc:"FASTA reference file")
   in
-  let n_pe = Arg.(value & opt int 32 & info [ "n-pe" ] ~doc:"Processing elements") in
   Cmd.v
     (Cmd.info "map" ~doc:"Map FASTA reads semi-globally and emit PAF records")
-    Term.(const map_run $ reads $ reference $ n_pe)
+    Term.(const map_run $ reads $ reference $ n_pe 32)
 
 (* ---- batch ---- *)
 
@@ -478,14 +510,9 @@ let batch_cmd =
       & info [ "workers" ] ~doc:"Worker domains (0 = auto, at least 2)")
   in
   let n_pe =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n-pe" ] ~doc:"Run on the systolic engine with this many PEs")
+    n_pe_opt ~doc:"Run on the systolic engine with this many PEs" None
   in
-  let chunk =
-    Arg.(value & opt int 256 & info [ "chunk" ] ~doc:"Pairs per work chunk")
-  in
+  let chunk = count "chunk" 256 ~doc:"Pairs per work chunk" in
   let compare =
     Arg.(
       value & flag
@@ -531,9 +558,8 @@ let cosim_cmd =
   let kernel =
     Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel id or name")
   in
-  let n_pe = Arg.(value & opt int 16 & info [ "n-pe" ] ~doc:"Processing elements") in
-  let trials = Arg.(value & opt int 25 & info [ "trials" ] ~doc:"Workloads to verify") in
-  let len = Arg.(value & opt int 128 & info [ "len" ] ~doc:"Workload length") in
+  let trials = count "trials" 25 ~doc:"Workloads to verify" in
+  let len = count "len" 128 ~doc:"Workload length" in
   let vectors =
     Arg.(
       value
@@ -544,7 +570,7 @@ let cosim_cmd =
   Cmd.v
     (Cmd.info "cosim"
        ~doc:"Verify the golden engine against the systolic engine")
-    Term.(const cosim_run $ kernel $ n_pe $ trials $ len $ vectors)
+    Term.(const cosim_run $ kernel $ n_pe 16 $ trials $ len $ vectors)
 
 (* ---- vectors ---- *)
 
@@ -609,13 +635,12 @@ let vectors_gen_cmd =
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file")
   in
-  let n_pe = Arg.(value & opt int 4 & info [ "n-pe" ] ~doc:"Processing elements") in
-  let len = Arg.(value & opt int 32 & info [ "len" ] ~doc:"Workload length") in
+  let len = count "len" 32 ~doc:"Workload length" in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload RNG seed") in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate golden vector files")
     Term.(
-      const vectors_gen_run $ kernel $ corpus $ output $ n_pe $ len $ seed
+      const vectors_gen_run $ kernel $ corpus $ output $ n_pe 4 $ len $ seed
       $ band_term ~width_default:16)
 
 let vectors_check_run overlap files =
@@ -774,16 +799,17 @@ let rtl_cmd =
   let kernel =
     Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel id or name")
   in
-  let n_pe = Arg.(value & opt int 32 & info [ "n-pe" ] ~doc:"Processing elements") in
   let n_b = Arg.(value & opt int 1 & info [ "n-b" ] ~doc:"Blocks per kernel") in
   let n_k = Arg.(value & opt int 1 & info [ "n-k" ] ~doc:"Kernel channels") in
-  let max_len = Arg.(value & opt int 256 & info [ "max-len" ] ~doc:"Max sequence length") in
+  let max_len = count "max-len" 256 ~doc:"Max sequence length" in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output .v file")
   in
   Cmd.v
     (Cmd.info "rtl" ~doc:"Emit structural Verilog for a kernel's systolic design")
-    Term.(const rtl_run $ kernel $ n_pe $ n_b $ n_k $ max_len $ output)
+    Term.(
+      const rtl_run $ kernel $ n_pe ~systolic:false 32 $ n_b $ n_k $ max_len
+      $ output)
 
 (* ---- profile ---- *)
 
@@ -792,10 +818,6 @@ let profile_run kernel_spec n_pe trials len band workers json trace_path
   let e = find_kernel kernel_spec in
   let (Registry.Packed (k, p)) = e.packed in
   let k = Kernel.with_band k band in
-  if trials < 1 then begin
-    Printf.eprintf "profile: trials must be >= 1\n";
-    exit 2
-  end;
   let choice = engine_choice ~n_pe engine_mode in
   (match choice with
   | Dphls_engines.Engines.Systolic _ -> ()
@@ -892,11 +914,8 @@ let profile_cmd =
       & opt (some string) None
       & info [ "k"; "kernel" ] ~doc:"Kernel id or name")
   in
-  let n_pe = Arg.(value & opt int 32 & info [ "n-pe" ] ~doc:"Processing elements") in
-  let trials =
-    Arg.(value & opt int 8 & info [ "trials" ] ~doc:"Workloads to profile")
-  in
-  let len = Arg.(value & opt int 128 & info [ "len" ] ~doc:"Workload length") in
+  let trials = count "trials" 8 ~doc:"Workloads to profile" in
+  let len = count "len" 128 ~doc:"Workload length" in
   let workers =
     Arg.(
       value & opt int 0
@@ -930,7 +949,7 @@ let profile_cmd =
          "Run workloads with performance counters and span tracing enabled; \
           print a counter/latency summary and export a Chrome trace")
     Term.(
-      const profile_run $ kernel $ n_pe $ trials $ len
+      const profile_run $ kernel $ n_pe 32 $ trials $ len
       $ band_term ~width_default:32 $ workers $ json $ trace $ engine $ overlap)
 
 (* ---- experiment ---- *)
@@ -1050,17 +1069,13 @@ let serve_cmd =
           ~doc:"With --socket: exit after this many connections (0 = forever)")
   in
   let queue_depth =
-    Arg.(
-      value & opt int 256
-      & info [ "queue-depth" ]
-          ~doc:
-            "Bounded pending-request queue per (kernel, band, engine) group; \
-             a request beyond it is answered $(b,overloaded)")
+    count "queue-depth" 256
+      ~doc:
+        "Bounded pending-request queue per (kernel, band, engine) group; a \
+         request beyond it is answered $(b,overloaded)"
   in
   let batch_max =
-    Arg.(
-      value & opt int 64
-      & info [ "batch" ] ~doc:"Coalesce up to this many requests per engine batch")
+    count "batch" 64 ~doc:"Coalesce up to this many requests per engine batch"
   in
   let cache_capacity =
     Arg.(
@@ -1068,10 +1083,8 @@ let serve_cmd =
       & info [ "cache" ] ~doc:"Result-cache entries, LRU-evicted (0 disables)")
   in
   let max_len =
-    Arg.(
-      value & opt int 4096
-      & info [ "max-len" ]
-          ~doc:"Per-sequence length cap; above it is $(b,oversized)")
+    count "max-len" 4096
+      ~doc:"Per-sequence length cap; above it is $(b,oversized)"
   in
   let deadline_ms =
     Arg.(
@@ -1081,14 +1094,8 @@ let serve_cmd =
             "Default per-request deadline in ms (0 = none); requests may \
              override with their own $(b,deadline_ms) field")
   in
-  let n_pe =
-    Arg.(value & opt int 32 & info [ "n-pe" ] ~doc:"Processing elements")
-  in
   let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ]
-          ~doc:"Slice large batches across this many worker domains")
+    count "workers" 1 ~doc:"Slice large batches across this many worker domains"
   in
   let slo_p99_ms =
     Arg.(
@@ -1126,7 +1133,7 @@ let serve_cmd =
           SLO-gated shutdown summary")
     Term.(
       const serve_run $ socket $ max_conns $ queue_depth $ batch_max
-      $ cache_capacity $ max_len $ deadline_ms $ n_pe $ workers $ slo_p99_ms
+      $ cache_capacity $ max_len $ deadline_ms $ n_pe 32 $ workers $ slo_p99_ms
       $ check $ json $ trace)
 
 (* ---- check ---- *)
@@ -1220,11 +1227,8 @@ let check_cmd =
   in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Check the whole catalog") in
   let max_len =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-len" ]
-          ~doc:"Workload length bound to verify (default: catalog max_len)")
+    count_opt "max-len" None
+      ~doc:"Workload length bound to verify (default: catalog max_len)"
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"JSON report") in
   let explain =

@@ -69,15 +69,11 @@ let run_in_pool ?band ?engine ?(overlap = false) ?metrics ?tracer
     in
     (results, stats, zero_batch_stats)
   else begin
-    let n = Array.length pairs in
-    let n_slices = min (Pool.workers pool) (max 1 n) in
+    let slices = Pool.slices (Pool.workers pool) pairs in
     let nested, stats =
       Pool.run ?metrics ?tracer pool ~chunk:1
-        (fun s ->
-          let lo = s * n / n_slices and hi = (s + 1) * n / n_slices in
-          align_slice ?band ?engine ~overlap:true kind
-            (Array.sub pairs lo (hi - lo)))
-        n_slices
+        (fun s -> align_slice ?band ?engine ~overlap:true kind slices.(s))
+        (Array.length slices)
     in
     let results = Array.concat (Array.to_list (Array.map fst nested)) in
     let batch =
@@ -159,19 +155,20 @@ let iter_fasta_file ?band ?engine ?overlap ?(kind = Global) ?workers
           results
       in
       (* fold the file record by record, flushing a chunk of pairs at a
-         time so only [chunk] pairs are ever resident *)
-      let base, pending_pair, buffered =
-        Dphls_io.Fasta.fold_file path ~init:(0, None, [])
-          ~f:(fun (base, pending, buf) record ->
+         time so only [chunk] pairs are ever resident; [n] counts the
+         buffered pairs *)
+      let base, pending_pair, (buffered, _) =
+        Dphls_io.Fasta.fold_file path ~init:(0, None, ([], 0))
+          ~f:(fun (base, pending, (buf, n)) record ->
             match pending with
-            | None -> (base, Some record, buf)
+            | None -> (base, Some record, (buf, n))
             | Some q ->
-              let buf = (q, record) :: buf in
-              if List.length buf >= chunk then begin
+              let buf = (q, record) :: buf and n = n + 1 in
+              if n >= chunk then begin
                 emit base (Array.of_list (List.rev buf));
-                (base + List.length buf, None, [])
+                (base + n, None, ([], 0))
               end
-              else (base, None, buf))
+              else (base, None, (buf, n)))
       in
       (match pending_pair with
       | Some q ->

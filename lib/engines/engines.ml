@@ -88,10 +88,6 @@ let tile_runner ?metrics ?tracer (e : Engine_intf.t)
     (cfg : Engine_intf.config) k p =
   let (module E : Engine_intf.S) = e in
   fun ~band w ->
-    let k =
-      match band with
-      | Some _ -> { k with Dphls_core.Kernel.banding = band }
-      | None -> k
-    in
+    let k = Dphls_core.Kernel.with_band k (Option.map Option.some band) in
     let result, stats = E.run ?metrics ?tracer cfg k p w in
     (result, Option.value (cycles stats) ~default:0)

@@ -8,8 +8,9 @@
       independent alignments, with a chunked shared work queue and
       wall-clock stats in the same report shape as {!Scheduler}, so
       measured and modeled concurrency compare side by side;
-    - {!Throughput} — alignments/s arithmetic and measured-vs-modeled
-      scaling points ({!Throughput.scaling});
+    - {!Throughput} — alignments/s arithmetic, measured-vs-modeled
+      scaling points ({!Throughput.scaling}) and the bench row schema
+      ({!Throughput.row});
     - {!Link} — heterogeneous kernel mixes on one device, validated.
 
     See [docs/batch.md] for the batch runtime built on top

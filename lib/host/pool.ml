@@ -197,3 +197,11 @@ let map_seeded ?chunk t ~seed f n =
     streams.(i) <- Dphls_util.Rng.split base
   done;
   map ?chunk t (fun i -> f streams.(i) i) n
+
+let slices k arr =
+  if k < 1 then invalid_arg "Pool.slices: k < 1";
+  let n = Array.length arr in
+  let k = min k (max 1 n) in
+  Array.init k (fun s ->
+      let lo = s * n / k and hi = (s + 1) * n / k in
+      Array.sub arr lo (hi - lo))

@@ -78,3 +78,11 @@ val map_seeded :
     derived deterministically from [(seed, i)] by repeated
     [Rng.split] — results are independent of worker count and
     chunking. *)
+
+val slices : int -> 'a array -> 'a array array
+(** [slices k arr] cuts the [n] elements of [arr] into
+    [m = min k (max 1 n)] contiguous slices in input order, slice [s]
+    holding indices [s*n/m] to [(s+1)*n/m - 1]: sizes differ by at most
+    one, and an empty [arr] gives one empty slice. This is the
+    per-worker cut of a batch whose slices each run as one engine
+    batch. Raises [Invalid_argument] if [k < 1]. *)

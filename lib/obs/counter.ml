@@ -17,6 +17,8 @@ type t =
   | Serve_requests_rejected
   | Serve_requests_expired
   | Serve_cache_hits
+  | Serve_requests_completed
+  | Serve_batches
 
 let all =
   [|
@@ -38,6 +40,8 @@ let all =
     Serve_requests_rejected;
     Serve_requests_expired;
     Serve_cache_hits;
+    Serve_requests_completed;
+    Serve_batches;
   |]
 
 let count = Array.length all
@@ -63,6 +67,8 @@ let index = function
   | Serve_requests_rejected -> 15
   | Serve_requests_expired -> 16
   | Serve_cache_hits -> 17
+  | Serve_requests_completed -> 18
+  | Serve_batches -> 19
 
 let name = function
   | Cells_evaluated -> "cells_evaluated"
@@ -83,6 +89,8 @@ let name = function
   | Serve_requests_rejected -> "serve_requests_rejected"
   | Serve_requests_expired -> "serve_requests_expired"
   | Serve_cache_hits -> "serve_cache_hits"
+  | Serve_requests_completed -> "serve_requests_completed"
+  | Serve_batches -> "serve_batches"
 
 let unit_name = function
   | Cells_evaluated | Cells_band_skipped -> "cells"
@@ -98,8 +106,9 @@ let unit_name = function
   | Pool_idle_waits -> "waits"
   | Engine_fastpath_hits | Engine_fastpath_fallbacks -> "dispatches"
   | Serve_requests_admitted | Serve_requests_rejected
-  | Serve_requests_expired | Serve_cache_hits ->
+  | Serve_requests_expired | Serve_cache_hits | Serve_requests_completed ->
     "requests"
+  | Serve_batches -> "batches"
 
 let describe = function
   | Cells_evaluated ->
@@ -140,5 +149,9 @@ let describe = function
   | Serve_cache_hits ->
     "requests answered from the result cache without recompute — \
      Serve.Server.submit"
+  | Serve_requests_completed ->
+    "requests answered `ok`, from the cache or computed — Serve.Server"
+  | Serve_batches ->
+    "coalesced engine batches a flush ran — Serve.Server flush"
 
 let of_name s = Array.find_opt (fun c -> name c = s) all

@@ -30,6 +30,9 @@ type t =
   | Serve_requests_expired
       (** requests whose deadline passed before dequeue (never run) *)
   | Serve_cache_hits (** requests answered from the serve result cache *)
+  | Serve_requests_completed
+      (** requests answered [ok], from the cache or computed *)
+  | Serve_batches (** coalesced engine batches run by serve flushes *)
 
 val all : t array
 (** Every counter, in catalog (display) order. *)

@@ -72,21 +72,17 @@ let lat_reservoir_cap = 1 lsl 17
 
 type t = {
   cfg : config;
+  counts : Metrics.t;
+      (* the one store of the six serve counts: [cfg.metrics] when it is
+         enabled, a private sink otherwise *)
   groups : (string, group) Hashtbl.t;
   mutable order : string list;  (* group keys, creation order reversed *)
   cache : Cache.t;
   mutable pool : Pool.t option;
   mutable next_rid : int;
   lat_rng : Dphls_util.Rng.t;
-  mutable admitted : int;
-  mutable rejected : int;
-  mutable expired : int;
-  mutable cache_hits : int;
-  mutable completed : int;
-  mutable batches : int;
-  mutable lat : float array;
-  mutable lat_n : int;
-  mutable lat_seen : int;
+  lat : float array;
+      (* the first [min completed lat_reservoir_cap] slots are filled *)
   mutable lat_max : float;
   mutable closed : bool;
 }
@@ -99,38 +95,31 @@ let create cfg =
   if cfg.workers < 1 then invalid_arg "Server.create: workers < 1";
   {
     cfg;
+    counts =
+      (if Metrics.enabled cfg.metrics then cfg.metrics else Metrics.create ());
     groups = Hashtbl.create 16;
     order = [];
     cache = Cache.create ~capacity:cfg.cache_capacity;
     pool = None;
     next_rid = 0;
     lat_rng = Dphls_util.Rng.create 0x5e7e;
-    admitted = 0;
-    rejected = 0;
-    expired = 0;
-    cache_hits = 0;
-    completed = 0;
-    batches = 0;
     (* preallocated to the cap (1 MiB of floats) so the server's
        footprint is constant from the first request — the soak's flat-RSS
        gate would otherwise see the reservoir ramping for the first 128k
        completions *)
     lat = Array.make lat_reservoir_cap 0.0;
-    lat_n = 0;
-    lat_seen = 0;
     lat_max = 0.0;
     closed = false;
   }
 
-let record_latency t ms =
-  t.lat_seen <- t.lat_seen + 1;
+let count t c = Metrics.get t.counts c
+
+(* the [seen]-th completed request's latency *)
+let record_latency t ~seen ms =
   if ms > t.lat_max then t.lat_max <- ms;
-  if t.lat_n < lat_reservoir_cap then begin
-    t.lat.(t.lat_n) <- ms;
-    t.lat_n <- t.lat_n + 1
-  end
+  if seen <= lat_reservoir_cap then t.lat.(seen - 1) <- ms
   else
-    let j = Dphls_util.Rng.int t.lat_rng t.lat_seen in
+    let j = Dphls_util.Rng.int t.lat_rng seen in
     if j < lat_reservoir_cap then t.lat.(j) <- ms
 
 let end_request_span t ~tr0 =
@@ -147,24 +136,14 @@ let get_pool t =
     t.pool <- Some p;
     p
 
-(* contiguous slices for the worker pool; at most [n] non-empty ones *)
-let slices_of arr n =
-  let len = Array.length arr in
-  let n = max 1 (min n len) in
-  let base = len / n and extra = len mod n in
-  Array.init n (fun i ->
-      let start = (i * base) + min i extra in
-      let stop = ((i + 1) * base) + min (i + 1) extra in
-      Array.sub arr start (stop - start))
-
 (* one coalesced engine batch, sliced across the pool when it is big
    enough to amortize the dispatch *)
 let exec (type p) t (k : p Kernel.t) (p : p) (module E : Engine_intf.S) ecfg
     (ws : Workload.t array) =
-  t.batches <- t.batches + 1;
+  Metrics.incr t.counts Counter.Serve_batches;
   if t.cfg.workers > 1 && Array.length ws >= 2 * t.cfg.workers then begin
     let pool = get_pool t in
-    let slices = slices_of ws (Pool.workers pool) in
+    let slices = Pool.slices (Pool.workers pool) ws in
     let per, _stats =
       Pool.run ~metrics:t.cfg.metrics pool
         (fun i ->
@@ -216,8 +195,8 @@ let take_chunk q n =
 
 let ok_response t (pnd : pending) (v : Cache.value) ~cached ~done_s =
   let latency_ms = (done_s -. pnd.admit_s) *. 1e3 in
-  t.completed <- t.completed + 1;
-  record_latency t latency_ms;
+  Metrics.incr t.counts Counter.Serve_requests_completed;
+  record_latency t ~seen:(count t Counter.Serve_requests_completed) latency_ms;
   end_request_span t ~tr0:pnd.tr0;
   Proto.Ok_response
     {
@@ -245,8 +224,7 @@ let flush_group t g =
         (fun i pnd ->
           match pnd.deadline_s with
           | Some d when now_s > d ->
-            t.expired <- t.expired + 1;
-            Metrics.incr t.cfg.metrics Counter.Serve_requests_expired;
+            Metrics.incr t.counts Counter.Serve_requests_expired;
             end_request_span t ~tr0:pnd.tr0;
             slots.(i) <-
               Some
@@ -388,18 +366,15 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
           in
           match cached with
           | Some v ->
-            t.admitted <- t.admitted + 1;
-            t.cache_hits <- t.cache_hits + 1;
-            Metrics.incr t.cfg.metrics Counter.Serve_requests_admitted;
-            Metrics.incr t.cfg.metrics Counter.Serve_cache_hits;
+            Metrics.incr t.counts Counter.Serve_requests_admitted;
+            Metrics.incr t.counts Counter.Serve_cache_hits;
             let pnd =
               { prid; w; admit_s = t_admit; tr0; deadline_s = None; ckey }
             in
             [ ok_response t pnd v ~cached:true ~done_s:(t.cfg.now ()) ]
           | None ->
             if Queue.length g.q >= t.cfg.queue_depth then begin
-              t.rejected <- t.rejected + 1;
-              Metrics.incr t.cfg.metrics Counter.Serve_requests_rejected;
+              Metrics.incr t.counts Counter.Serve_requests_rejected;
               reply Proto.Overloaded
                 (Printf.sprintf
                    "kernel #%d queue is full (%d pending); retry later" kid
@@ -417,8 +392,7 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
               in
               Queue.push { prid; w; admit_s = t_admit; tr0; deadline_s; ckey }
                 g.q;
-              t.admitted <- t.admitted + 1;
-              Metrics.incr t.cfg.metrics Counter.Serve_requests_admitted;
+              Metrics.incr t.counts Counter.Serve_requests_admitted;
               if Queue.length g.q >= t.cfg.batch_max then flush_group t g
               else []
             end)))
@@ -479,24 +453,26 @@ type summary = {
 }
 
 let summary t =
+  let completed = count t Counter.Serve_requests_completed in
+  let lat_n = min completed lat_reservoir_cap in
   let p50, p99 =
-    if t.lat_n = 0 then (0.0, 0.0)
+    if lat_n = 0 then (0.0, 0.0)
     else
-      let xs = Array.sub t.lat 0 t.lat_n in
+      let xs = Array.sub t.lat 0 lat_n in
       (Stats.percentile_exact xs 50.0, Stats.percentile_exact xs 99.0)
   in
   let slo_ok =
     match t.cfg.slo_p99_ms with
     | None -> true
-    | Some s -> t.lat_n = 0 || p99 <= s
+    | Some s -> lat_n = 0 || p99 <= s
   in
   {
-    admitted = t.admitted;
-    rejected = t.rejected;
-    expired = t.expired;
-    cache_hits = t.cache_hits;
-    completed = t.completed;
-    batches = t.batches;
+    admitted = count t Counter.Serve_requests_admitted;
+    rejected = count t Counter.Serve_requests_rejected;
+    expired = count t Counter.Serve_requests_expired;
+    cache_hits = count t Counter.Serve_cache_hits;
+    completed;
+    batches = count t Counter.Serve_batches;
     p50_ms = p50;
     p99_ms = p99;
     max_ms = t.lat_max;

@@ -20,7 +20,7 @@
     Backpressure is the point of the bounded queues: a full queue
     answers [overloaded] instead of growing, so memory stays flat no
     matter how fast clients push (the [bench --serve] soak gates on
-    this). Every stage feeds {!Dphls_obs}: the four [serve_*] counters,
+    this). Every stage feeds {!Dphls_obs}: the six [serve_*] counters,
     per-request [request] spans (cat ["serve"]) plus [admit]/[compute]
     spans when a tracer is enabled, and a per-request latency record
     that {!summary} turns into nearest-rank p50/p99 for the SLO gate.
@@ -48,6 +48,13 @@ type config = {
       (** wall clock in seconds; injectable so deadline tests are
           deterministic. Default: [Unix.gettimeofday]. *)
   metrics : Dphls_obs.Metrics.t;
+      (** engine, dispatch and pool counters, and the six [serve_*]
+          counts. Those counts are the server's only store of them:
+          with this sink disabled the server keeps them in a private
+          one, so {!summary} always has them. Give each server an
+          enabled sink of its own: the summary's counts, and the latency
+          sample it indexes by the completed count, would otherwise mix
+          servers. *)
   tracer : Dphls_obs.Tracer.t;
 }
 
@@ -81,7 +88,8 @@ val close : t -> unit
     call {!drain} first. Idempotent. *)
 
 (** End-of-run operational summary; [dphls serve] prints it on
-    shutdown and [--check] gates its exit status on [slo_ok]. *)
+    shutdown and [--check] gates its exit status on [slo_ok]. The six
+    counts are read back from the [serve_*] counters. *)
 type summary = {
   admitted : int;  (** accepted: enqueued or answered from cache *)
   rejected : int;  (** answered [overloaded] *)

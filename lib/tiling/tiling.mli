@@ -47,8 +47,9 @@ val align :
     its kernel's [banding] field with the given band when it is [Some].
     Default [None] keeps the kernel's own banding.
 
-    Both engines execute the kernel's compiled datapath
-    ({!Dphls_core.Kernel.flat_pe}), so tiled alignments get the
+    The systolic engine runs the kernel's compiled PE
+    ({!Dphls_core.Kernel.flat_pe}) and the golden engine its fused row
+    loop ({!Dphls_core.Kernel.flat_row}), so tiled alignments get the
     allocation-free hot path per tile.
 
     [metrics] (default: disabled) receives the [tiles] counter once at

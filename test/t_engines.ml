@@ -345,7 +345,9 @@ let dphls_exe = "../bin/dphls.exe"
 let run_cli args =
   let out = Filename.temp_file "dphls_cli" ".txt" in
   let code =
-    Sys.command (Filename.quote_command dphls_exe ~stdout:out ~stderr:out args)
+    Sys.command
+      (Filename.quote_command dphls_exe ~stdin:Filename.null ~stdout:out
+         ~stderr:out args)
   in
   let ic = open_in out in
   let text = really_input_string ic (in_channel_length ic) in
@@ -429,6 +431,48 @@ let test_cli_bad_band () =
         bands)
     commands
 
+(* ---- CLI: count flags refuse zero (and --n-pe the array range) ---- *)
+
+let test_cli_bad_counts () =
+  let pairs = "data/batch_pairs.fa" in
+  let align = [ "align"; "-k"; "1"; "-q"; "ACGT"; "-r"; "ACGT" ] in
+  List.iter
+    (fun (args, reason) ->
+      let code, out = run_cli args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (what ^ ": gives the range") true
+        (contains out reason))
+    ([
+       (align @ [ "--n-pe"; "5000" ], "--n-pe must be in 1..1024");
+       ([ "resources"; "-k"; "1"; "--n-pe"; "0" ], "--n-pe must be >= 1");
+       ([ "rtl"; "-k"; "1"; "--n-pe"; "0"; "-o"; "/dev/null" ], "--n-pe must be >= 1");
+       ([ "check"; "-k"; "1"; "--max-len"; "0" ], "--max-len must be >= 1");
+       ([ "cosim"; "-k"; "1"; "--trials"; "0" ], "--trials must be >= 1");
+       ([ "batch"; "--pairs"; pairs; "--chunk"; "0" ], "--chunk must be >= 1");
+     ]
+    @ List.map
+        (fun command -> (command @ [ "--n-pe"; "0" ], "--n-pe must be in 1..1024"))
+        [
+          align;
+          [ "profile"; "-k"; "1"; "--trace"; "/dev/null" ];
+          [ "cosim"; "-k"; "1" ];
+          [ "batch"; "--pairs"; pairs ];
+          [ "vectors"; "gen"; "-k"; "1"; "-o"; "/dev/null" ];
+          [ "map"; "--reads"; pairs; "--reference"; pairs ];
+          [ "serve" ];
+        ]
+    @ List.map
+        (fun command -> (command @ [ "--len"; "0" ], "--len must be >= 1"))
+        [
+          [ "profile"; "-k"; "1"; "--trace"; "/dev/null" ];
+          [ "cosim"; "-k"; "1" ];
+          [ "vectors"; "gen"; "-k"; "1"; "-o"; "/dev/null" ];
+        ]
+    @ List.map
+        (fun flag -> ([ "serve"; flag; "0" ], flag ^ " must be >= 1"))
+        [ "--batch"; "--queue-depth"; "--workers"; "--max-len" ])
+
 let suite =
   [
     Alcotest.test_case "myers word-boundary lengths" `Quick test_myers_boundaries;
@@ -451,4 +495,5 @@ let suite =
     Alcotest.test_case "cli: --engine bitpar refusal" `Quick
       test_cli_engine_bitpar_refusal;
     Alcotest.test_case "cli: bad band values exit 2" `Quick test_cli_bad_band;
+    Alcotest.test_case "cli: bad counts exit 2" `Quick test_cli_bad_counts;
   ]

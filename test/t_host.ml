@@ -204,6 +204,19 @@ let test_pool_large_batch_ordering () =
         (Array.for_all (fun x -> x >= 0) results
         && Array.to_list results = List.init n (fun i -> 3 * i)))
 
+(* Pool.slices: contiguous, in order, [min k (max 1 n)] slices whose
+   sizes differ by at most one *)
+let prop_slices =
+  QCheck.Test.make ~count:500 ~name:"pool slices partition the input"
+    QCheck.(pair (int_range 1 12) (small_list small_nat))
+    (fun (k, xs) ->
+      let arr = Array.of_list xs in
+      let slices = Pool.slices k arr in
+      let sizes = Array.map Array.length slices in
+      Array.to_list (Array.concat (Array.to_list slices)) = xs
+      && Array.length slices = min k (max 1 (Array.length arr))
+      && Array.fold_left max 0 sizes - Array.fold_left min max_int sizes <= 1)
+
 let suite =
   [
     Alcotest.test_case "throughput arithmetic" `Quick test_throughput_arithmetic;
@@ -228,4 +241,5 @@ let suite =
     Alcotest.test_case "N_B scaling near linear" `Quick test_nb_scaling_near_linear;
     Alcotest.test_case "utilizations bounded" `Quick test_utilizations_bounded;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
+    QCheck_alcotest.to_alcotest prop_slices;
   ]

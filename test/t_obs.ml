@@ -32,10 +32,11 @@ let test_counter_catalog () =
   Alcotest.(check bool) "unknown name rejected" true
     (Counter.of_name "nope" = None);
   (* the engine-dispatch counters joined the catalog in the pluggable
-     engine refactor and the serve admission counters in the service
-     layer; pin the catalog size so an accidental removal (or a summary
-     consumer missing them) fails loudly *)
-  Alcotest.(check int) "catalog holds 18 counters" 18 Counter.count;
+     engine refactor, the serve admission counters in the service layer,
+     and the completed/batches counts when the serve summary moved onto
+     the catalog; pin the catalog size so an accidental removal (or a
+     summary consumer missing them) fails loudly *)
+  Alcotest.(check int) "catalog holds 20 counters" 20 Counter.count;
   Alcotest.(check bool) "dispatch counters present" true
     (Counter.of_name "engine_fastpath_hits" = Some Counter.Engine_fastpath_hits
     && Counter.of_name "engine_fastpath_fallbacks"
@@ -47,7 +48,10 @@ let test_counter_catalog () =
        = Some Counter.Serve_requests_rejected
     && Counter.of_name "serve_requests_expired"
        = Some Counter.Serve_requests_expired
-    && Counter.of_name "serve_cache_hits" = Some Counter.Serve_cache_hits)
+    && Counter.of_name "serve_cache_hits" = Some Counter.Serve_cache_hits
+    && Counter.of_name "serve_requests_completed"
+       = Some Counter.Serve_requests_completed
+    && Counter.of_name "serve_batches" = Some Counter.Serve_batches)
 
 let test_metrics_sink () =
   let m = Metrics.create () in
@@ -374,6 +378,26 @@ let test_instrumented_allocation_regression () =
   Alcotest.(check int) "and the counters are still exact" cells
     (Metrics.get m Counter.Cells_evaluated)
 
+(* The counter table in docs/observability.md must have a row for every
+   catalog counter; adding a variant without documenting it fails
+   here. *)
+let test_docs_list_every_counter () =
+  let doc =
+    In_channel.with_open_bin "../docs/observability.md" In_channel.input_all
+  in
+  let contains s =
+    let n = String.length doc and m = String.length s in
+    let rec go i = i + m <= n && (String.sub doc i m = s || go (i + 1)) in
+    go 0
+  in
+  Array.iter
+    (fun c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "counter %S has a table row" (Counter.name c))
+        true
+        (contains (Printf.sprintf "| `%s` |" (Counter.name c))))
+    Counter.all
+
 let suite =
   [
     Alcotest.test_case "counter catalog" `Quick test_counter_catalog;
@@ -391,4 +415,6 @@ let suite =
       test_pool_counters_and_spans;
     Alcotest.test_case "instrumented hot path stays allocation-free" `Quick
       test_instrumented_allocation_regression;
+    Alcotest.test_case "docs: observability.md lists every counter" `Quick
+      test_docs_list_every_counter;
   ]

@@ -645,6 +645,58 @@ let prop_protocol_fuzz =
       Server.close server;
       answered = List.length lines && Server.pending server = 0)
 
+(* ---- one counter store ---- *)
+
+(* One scripted session: a computed request, an expiry, a reject, a
+   bitpar refusal, a cache hit and a two-request batch. Returns the
+   summary. *)
+let counted_session metrics =
+  let server, clock = make_server ~queue_depth:2 ~batch_max:4 ~metrics () in
+  let line ?(kernel = 1) ?(extra = "") id qry =
+    Printf.sprintf "{\"id\":%S,\"kernel\":%d,\"qry\":%S,\"ref\":\"ACGTACGT\"%s}"
+      id kernel qry extra
+  in
+  let submit l = ignore (Server.submit server l) in
+  submit (line "a" "ACGTACGT");
+  submit (line "late" "ACGAACGT" ~extra:",\"deadline_ms\":10");
+  expect_error Proto.Overloaded
+    (one (Server.submit server (line "full" "ACGTACGA")));
+  submit (line "bp" "ACGTACGT" ~extra:",\"engine\":\"bitpar\"");
+  clock := 0.05;
+  (match Server.flush server with
+  | [ a; late; bp ] ->
+    ignore (expect_ok a);
+    expect_error Proto.Deadline_exceeded late;
+    expect_error Proto.Unsupported bp
+  | rs -> Alcotest.failf "first flush gave %d responses" (List.length rs));
+  let hit = expect_ok (one (Server.submit server (line "hit" "ACGTACGT"))) in
+  Alcotest.(check bool) "answered from the cache" true hit.cached;
+  submit (line ~kernel:19 "e1" "ACGTACGT");
+  submit (line ~kernel:19 "e2" "ACGTTCGT");
+  ignore (Server.drain server);
+  let s = Server.summary server in
+  Server.close server;
+  s
+
+let test_one_counter_store () =
+  let metrics = Metrics.create () in
+  let s = counted_session metrics in
+  Alcotest.(check bool) "same summary with the sink disabled" true
+    (counted_session Metrics.disabled = s);
+  List.iter
+    (fun (what, field, counter, expected) ->
+      Alcotest.(check int) what expected field;
+      Alcotest.(check int) (what ^ " = its counter") field
+        (Metrics.get metrics counter))
+    [
+      ("admitted", s.Server.admitted, Counter.Serve_requests_admitted, 6);
+      ("rejected", s.Server.rejected, Counter.Serve_requests_rejected, 1);
+      ("expired", s.Server.expired, Counter.Serve_requests_expired, 1);
+      ("cache hits", s.Server.cache_hits, Counter.Serve_cache_hits, 1);
+      ("completed", s.Server.completed, Counter.Serve_requests_completed, 4);
+      ("batches", s.Server.batches, Counter.Serve_batches, 3);
+    ]
+
 let suite =
   [
     Alcotest.test_case "proto: valid request" `Quick test_parse_valid;
@@ -671,4 +723,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_protocol_fuzz;
     Alcotest.test_case "docs: serve.md covers the protocol" `Quick
       test_docs_cover_protocol;
+    Alcotest.test_case "server: one counter store" `Quick
+      test_one_counter_store;
   ]

@@ -360,82 +360,39 @@ let test_emitters_strict_json () =
   in
   Alcotest.(check bool) "infinite p99 prints null" true
     (Json.member "p99_ms" server = Some Json.Null);
-  check "band_json mode"
-    (Throughput.band_json
-       [
-         {
-           Throughput.mode = hostile;
-           width = Some 3;
-           threshold = None;
-           score = 1;
-           cells_computed = 1;
-           total_cells = 2;
-           device_cycles = 3;
-           wall_ns = 4.5;
-         };
-       ])
-    [ `N 0; `F "mode" ];
-  check "pe_json kernel"
-    (Throughput.pe_json
-       [
-         {
-           Throughput.kernel = hostile;
-           cells = 10;
-           eval_ns = 1.0;
-           compiled_ns = 2.0;
-           generated_ns = 3.0;
-         };
-       ])
-    [ `N 0; `F "kernel" ];
-  check "overlap_json kernel"
-    (Throughput.overlap_json
-       [
-         {
-           Throughput.kernel = hostile;
-           n_pe = 2;
-           alignments = 1;
-           freq_mhz = 250.0;
-           seq_cycles = 10;
-           overlapped_cycles = 8;
-           hidden_cycles = 2;
-           seq_host_ns = 1.0;
-           overlap_host_ns = 1.0;
-         };
-       ])
-    [ `N 0; `F "kernel" ];
-  check "fastpath_json kernel"
-    (Throughput.fastpath_json
-       [
-         {
-           Throughput.fp_kernel = hostile;
-           fp_qry_len = 4;
-           fp_ref_len = 4;
-           fp_cells = 16;
-           fp_n_pe = 2;
-           fp_systolic_ns = 10.0;
-           fp_bitpar_ns = 2.0;
-         };
-       ])
-    [ `N 0; `F "kernel" ];
-  ignore
-    (parse "serve_json"
-       (Throughput.serve_json
-          {
-            Throughput.sv_requests = 2;
-            sv_completed = 2;
-            sv_cache_hits = 1;
-            sv_rejected = 0;
-            sv_expired = 0;
-            sv_batches = 1;
-            sv_distinct_pairs = 1;
-            sv_wall_s = 0.5;
-            sv_p50_ms = 0.1;
-            sv_p99_ms = 0.2;
-            sv_max_ms = 0.3;
-            sv_slo_p99_ms = 25.0;
-            sv_rss_first_kb = 0;
-            sv_rss_last_kb = 0;
-          }))
+  (* bench rows: a hostile workload label, a [None] column and a
+     non-finite value must still print as strict JSON *)
+  let rows =
+    Throughput.rows_json
+      [
+        {
+          Throughput.rung = "pe.generated";
+          kernel = hostile;
+          len = Some 64;
+          n_pe = None;
+          workers = Some 2;
+          metric = "generated_ns";
+          unit = "ns";
+          value = 1.5;
+        };
+        {
+          Throughput.rung = "engine.bitpar";
+          kernel = hostile;
+          len = None;
+          n_pe = None;
+          workers = None;
+          metric = "speedup";
+          unit = "x";
+          value = Float.infinity;
+        };
+      ]
+  in
+  check "rows_json kernel" rows [ `N 0; `F "kernel" ];
+  check "rows_json kernel (second row)" rows [ `N 1; `F "kernel" ];
+  Alcotest.(check bool) "None column prints null" true
+    (get "rows_json" (parse "rows_json" rows) [ `N 0; `F "n_pe" ] = Json.Null);
+  Alcotest.(check bool) "infinite value prints null" true
+    (get "rows_json" (parse "rows_json" rows) [ `N 1; `F "value" ] = Json.Null)
 
 let suite =
   [
