@@ -89,8 +89,9 @@ module Tracker = struct
       hi = width;
       bitmap = Bytes.make (qry_len * ref_len) '\000';
       count = 0;
-      wf_off = Array.make chunk_rows 0;
-      wf_score = Array.make chunk_rows 0;
+      (* a wavefront holds at most one cell per row of its chunk *)
+      wf_off = Array.make (min chunk_rows qry_len) 0;
+      wf_score = Array.make (min chunk_rows qry_len) 0;
       wf_n = 0;
       last_row = min chunk_rows qry_len - 1;
       row_best_col = -1;

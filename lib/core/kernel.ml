@@ -64,3 +64,9 @@ let flat_row k params =
   match Pe_gen.find_row p with
   | Some f -> f
   | None -> Pe.row_of_flat ~n_layers:k.n_layers (Datapath.flat p)
+
+let flat_wave k params =
+  let p = program k params in
+  match Pe_gen.find_wave p with
+  | Some f -> f
+  | None -> Pe.wave_of_flat ~n_layers:k.n_layers (Datapath.flat p)

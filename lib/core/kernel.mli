@@ -27,8 +27,9 @@ type 'p t = {
           bindings of its named parameters and tables. A function of the
           parameters because a cell may bake them in (#8 embeds its
           sum-of-pairs matrix as constants). This one definition feeds
-          the engines ({!flat_pe}), the RTL emitter and the static
-          analyses; {!Datapath.eval} is its reference semantics. *)
+          the engines ({!flat_row}, {!flat_wave}), the RTL emitter and
+          the static analyses; {!Datapath.eval} is its reference
+          semantics. *)
   score_site : Traceback.start_rule;
       (** Where the kernel's objective value is read (and where traceback
           starts when enabled). *)
@@ -57,14 +58,15 @@ val with_band : 'p t -> Banding.t option option -> 'p t
     replaces it with [b] ([Some None] runs unbanded). *)
 
 val flat_pe : 'p t -> 'p -> Pe.flat
-(** The evaluator the engines run: the kernel's datapath compiled
+(** The kernel's PE as one flat evaluator: the kernel's datapath compiled
     ({!Datapath.compile}), then looked up in the generated table
     ({!Pe_gen.find}). A hit (every catalog kernel at its default
     parameters) returns the program's straight-line evaluator; a miss
     (a user kernel, non-default parameters) returns the bytecode loop
     closed over a private register file ({!Datapath.flat}). The program
     decides which; both compute the same results. Build one per run or
-    per domain: the bytecode evaluator owns mutable scratch. *)
+    per domain: the bytecode evaluator owns mutable scratch. Neither
+    engine calls it per cell: they run {!flat_row} and {!flat_wave}. *)
 
 val flat_row : 'p t -> 'p -> Pe.row
 (** The row evaluator the golden engine runs, chosen like {!flat_pe}:
@@ -72,3 +74,10 @@ val flat_row : 'p t -> 'p -> Pe.row
     program's fused row loop, a miss the generic row around the
     bytecode loop ({!Pe.row_of_flat}). Build one per run or per
     domain. *)
+
+val flat_wave : 'p t -> 'p -> Pe.wave
+(** The wave evaluator the systolic engine runs, chosen like
+    {!flat_pe}: a hit in the generated table ({!Pe_gen.find_wave})
+    returns the program's fused wave loop, a miss the generic wave
+    around the bytecode loop ({!Pe.wave_of_flat}). Build one per run or
+    per domain. *)

@@ -99,3 +99,65 @@ let row_of_flat ~n_layers (pe : flat) : row =
         if has_tb then store_pointer tb ~ref_len ~row ~col b.b_tb
       done
     end
+
+type wave =
+  w1:Types.score array ->
+  w2:Types.score array ->
+  w_new:Types.score array ->
+  query:Types.seq ->
+  reference:Types.seq ->
+  tb:int array ->
+  tb_at:int ->
+  tb_step:int ->
+  row0:int ->
+  wavefront:int ->
+  lo:int ->
+  hi:int ->
+  unit
+
+let check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0
+    ~wavefront ~lo ~hi =
+  let outside () = invalid_arg "Pe: wave interval outside the planes" in
+  (* the slot counts, rows and columns are compared against rather than
+     added to, so no index can overflow past the check *)
+  let slots =
+    Int.min (Array.length w1) (Int.min (Array.length w2) (Array.length w_new)) / n_layers
+  in
+  if lo < 0 || hi >= slots - 1 then outside ();
+  if row0 < -lo || row0 >= Array.length query - hi then outside ();
+  if wavefront < hi || wavefront - lo >= Array.length reference then outside ();
+  let len = Array.length tb in
+  if len > 0 then
+    if tb_at < 0 || tb_step < 0 || tb_at >= len then outside ()
+    else if tb_step > 0 && hi > (len - 1 - tb_at) / tb_step then outside ()
+
+let wave_of_flat ~n_layers (pe : flat) : wave =
+  let b = create_buffers ~n_layers in
+  let up = b.b_up and diag = b.b_diag and left = b.b_left and out = b.b_scores in
+  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi ->
+    if lo <= hi then begin
+      check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0
+        ~wavefront ~lo ~hi;
+      let has_tb = Array.length tb > 0 in
+      for p = lo to hi do
+        (* unchecked: [check_wave] bounds slots 0 .. hi + 1 of the
+           planes, the rows, the columns and the pointer words, and the
+           register arrays hold [n_layers] scores each *)
+        let s = p * n_layers in
+        for layer = 0 to n_layers - 1 do
+          Array.unsafe_set up layer (Array.unsafe_get w1 (s + layer));
+          Array.unsafe_set diag layer (Array.unsafe_get w2 (s + layer));
+          Array.unsafe_set left layer (Array.unsafe_get w1 (s + n_layers + layer))
+        done;
+        let row = row0 + p and col = wavefront - p in
+        b.b_qry <- Array.unsafe_get query row;
+        b.b_rf <- Array.unsafe_get reference col;
+        b.b_row <- row;
+        b.b_col <- col;
+        pe b;
+        for layer = 0 to n_layers - 1 do
+          Array.unsafe_set w_new (s + n_layers + layer) (Array.unsafe_get out layer)
+        done;
+        if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) b.b_tb
+      done
+    end

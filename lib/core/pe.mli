@@ -12,16 +12,19 @@
       a kernel's symbolic datapath, returns;
     - the flat {!flat}: an [buffers -> unit] evaluator that reads its
       inputs from and writes its results into a caller-owned {!buffers}
-      record, allocating nothing. The engines run every PE through the
-      flat contract ([Kernel.flat_pe]: a generated straight-line
-      evaluator from [Pe_gen] when the compiled datapath is one the
-      catalog ships, else the compiled program's bytecode loop
-      [Datapath.flat]), which is what keeps the wavefront hot path
-      allocation-free.
+      record, allocating nothing ([Kernel.flat_pe]: a generated
+      straight-line evaluator from [Pe_gen] when the compiled datapath
+      is one the catalog ships, else the compiled program's bytecode
+      loop [Datapath.flat]). The generic loops below, the vector replay
+      and the width analysis run cells through it.
 
-    The golden engine runs whole rows instead: a {!row} evaluator is
-    the PE inlined into a loop over an interval of one DP row, reading
-    and writing the engine's score ring directly ([Kernel.flat_row]). *)
+    Neither engine calls a PE per cell. The golden engine runs whole
+    rows: a {!row} evaluator is the PE inlined into a loop over an
+    interval of one DP row, reading and writing the engine's score ring
+    directly ([Kernel.flat_row]). The systolic engine runs whole
+    wavefronts: a {!wave} evaluator is the PE inlined into a loop over a
+    run of PEs, reading and writing the array's wavefront planes
+    directly ([Kernel.flat_wave]). *)
 
 type input = {
   up : Types.score array;    (** layer scores of cell (row-1, col) *)
@@ -121,3 +124,64 @@ val row_of_flat : n_layers:int -> flat -> row
     layers back, store its pointer. What [Kernel.flat_row] returns
     for programs the generated table does not hold. Owns mutable
     scratch: build one per run or per domain. *)
+
+(** {1 Wavefront evaluators} *)
+
+type wave =
+  w1:Types.score array ->
+  w2:Types.score array ->
+  w_new:Types.score array ->
+  query:Types.seq ->
+  reference:Types.seq ->
+  tb:int array ->
+  tb_at:int ->
+  tb_step:int ->
+  row0:int ->
+  wavefront:int ->
+  lo:int ->
+  hi:int ->
+  unit
+(** [f ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0
+    ~wavefront ~lo ~hi] evaluates PEs [lo .. hi] of one wavefront of the
+    systolic array, in PE order; nothing when [lo > hi]. PE [p] computes
+    cell [(row0 + p, wavefront - p)]. A plane is a run of slots of
+    [n_layers] scores; slot [s] starts at [s * n_layers] and holds
+    PE [s - 1]'s output, so slot 0 belongs to the PE above PE 0 (the
+    engine's preserved-row read port). [w1] and [w2] are the previous
+    two wavefronts' planes: PE [p] reads up from slot [p] of [w1], diag
+    from slot [p] of [w2] and left from slot [p + 1] of [w1], its query
+    character [query.(row0 + p)] and its reference character
+    [reference.(wavefront - p)], and writes its layer scores into slot
+    [p + 1] of [w_new], which must not alias [w1] or [w2]. When [tb] is
+    not empty it stores its pointer at [tb.(tb_at + p * tb_step)].
+    Raises [Invalid_argument] as {!check_wave} does, once per call. *)
+
+val check_wave :
+  n_layers:int ->
+  w1:Types.score array ->
+  w2:Types.score array ->
+  w_new:Types.score array ->
+  query:Types.seq ->
+  reference:Types.seq ->
+  tb:int array ->
+  tb_at:int ->
+  tb_step:int ->
+  row0:int ->
+  wavefront:int ->
+  lo:int ->
+  hi:int ->
+  unit
+(** The bounds check every wave evaluator makes once per non-empty
+    interval, in place of a per-cell {!Datapath.check_buffers}: raises
+    [Invalid_argument] unless [0 <= lo], slots [0 .. hi + 1] lie inside
+    all three planes, rows [row0 + lo .. row0 + hi] inside [query],
+    columns [wavefront - hi .. wavefront - lo] inside [reference] and,
+    when [tb] is not empty, [0 <= tb_at], [0 <= tb_step] and
+    [tb_at + hi * tb_step < Array.length tb]. *)
+
+val wave_of_flat : n_layers:int -> flat -> wave
+(** The generic wave: a per-cell loop around any flat evaluator — copy
+    the neighbours into a private {!buffers}, call the PE, copy its
+    layers back, store its pointer. What [Kernel.flat_wave] returns for
+    programs the generated table does not hold. Owns mutable scratch:
+    build one per run or per domain. *)

@@ -5,7 +5,8 @@
     packed traceback fields. The kXX modules pair these cells with their
     parameter bindings in [Kernel.t]'s [datapath] field — the kernel's
     one definition, which the engines run compiled
-    ([Dphls_core.Kernel.flat_pe]), the RTL emitter lowers and the static
+    ([Dphls_core.Kernel.flat_row], [Dphls_core.Kernel.flat_wave]), the
+    RTL emitter lowers and the static
     analyses ([Dphls_analysis]) read.
 
     This module deliberately depends only on [Kdefs], [Dphls_core] and

@@ -1,7 +1,9 @@
 (* Prints lib/core/pe_gen.ml: per distinct compiled datapath of the
    kernel catalog at its default parameters, one straight-line OCaml PE
-   evaluator and one row loop over the golden engine's ring, and the
-   table [Kernel.flat_pe] and [Kernel.flat_row] look programs up in.
+   evaluator, one row loop over the golden engine's ring and one wave
+   loop over the systolic array's wavefront planes, and the table
+   [Kernel.flat_pe], [Kernel.flat_row] and [Kernel.flat_wave] look
+   programs up in.
 
    The key of each entry is the program's decoded view (every
    instruction with its immediates, the layer and pointer registers and
@@ -13,7 +15,8 @@
    character and table reads. The PE makes the same
    [Datapath.check_buffers] on entry; the row checks the ring once per
    call ([Pe.check_row]) and stores pointers with the 16-bit range
-   check of [Pe.store_pointer].
+   check of [Pe.store_pointer]; the wave checks its planes, rows,
+   columns and pointer words once per call ([Pe.check_wave]).
 
    lib/core/dune runs this under @runtest and diffs the output against
    the committed file; `dune build @runtest --auto-promote` rewrites
@@ -79,6 +82,17 @@ let row_input n = function
   | V_diag l -> Printf.sprintf "Array.unsafe_get ring %s" (plus "u" (l - n))
   | V_left l -> Printf.sprintf "Array.unsafe_get ring %s" (plus "a" (l - n))
   | V_qry j -> Printf.sprintf "q%d" j
+  | V_ref j -> Printf.sprintf "rf.(%d)" j
+  | _ -> assert false
+
+(* In a wave, [s] is the offset of PE [p]'s slot [p] (up in [w1], diag
+   in [w2]); left is the next slot of [w1], where [p] wrote last
+   wavefront. *)
+let wave_input n = function
+  | V_up l -> Printf.sprintf "Array.unsafe_get w1 %s" (plus "s" l)
+  | V_diag l -> Printf.sprintf "Array.unsafe_get w2 %s" (plus "s" l)
+  | V_left l -> Printf.sprintf "Array.unsafe_get w1 %s" (plus "s" (n + l))
+  | V_qry j -> Printf.sprintf "q.(%d)" j
   | V_ref j -> Printf.sprintf "rf.(%d)" j
   | _ -> assert false
 
@@ -197,6 +211,42 @@ let emit_row name v =
   line 0 "end";
   pr "\n"
 
+(* The same instructions inlined into a loop over PEs [lo .. hi] of one
+   systolic wavefront ([Pe.wave]): the bounds are checked once per call,
+   and each PE reads its neighbours from the previous two planes, writes
+   its layers into its slot of the new plane and stores its pointer at
+   its bank's word. *)
+let emit_wave name v =
+  let n = v.v_n_layers in
+  let ind =
+    open_fn ~kind:"wave"
+      ~params:"~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi"
+      name v
+  in
+  let line depth fmt =
+    Printf.ksprintf (fun s -> pr "%s%s%s\n" ind (String.make (2 * depth) ' ') s) fmt
+  in
+  line 0 "if lo <= hi then begin";
+  line 1
+    "Pe.check_wave ~n_layers:%d ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 \
+     ~wavefront ~lo ~hi;"
+    n;
+  line 1 "let has_tb = Array.length tb > 0 in";
+  line 1 "for p = lo to hi do";
+  line 2 "let s = p * %d in" n;
+  if uses v (function V_qry _ -> true | _ -> false) then
+    line 2 "let q = Array.unsafe_get query (row0 + p) in";
+  if uses v (function V_ref _ -> true | _ -> false) then
+    line 2 "let rf = Array.unsafe_get reference (wavefront - p) in";
+  Array.iteri (fun i inst -> line 2 "let %s = %s in" (r i) (rhs ~input:(wave_input n) inst)) v.v_insts;
+  Array.iteri
+    (fun l reg -> line 2 "Array.unsafe_set w_new %s %s;" (plus "s" (n + l)) (r reg))
+    v.v_layer_regs;
+  line 2 "if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (%s)" (pointer v);
+  line 1 "done";
+  line 0 "end";
+  pr "\n"
+
 let () =
   (* distinct programs in catalog order, each with the kernels that
      compile to it *)
@@ -216,11 +266,13 @@ let () =
     \   datapaths at their default parameters; do not edit. `dune runtest`\n\
     \   diffs this file against a fresh generation and\n\
     \   `dune build @runtest --auto-promote` rewrites it.\n\n\
-    \   Per distinct compiled program, one straight-line PE evaluator and\n\
-    \   one row loop over the golden engine's ring: each instruction of\n\
-    \   the program's view is one let-binding, computed as Datapath.exec\n\
+    \   Per distinct compiled program, one straight-line PE evaluator,\n\
+    \   one row loop over the golden engine's ring and one wave loop over\n\
+    \   the systolic array's wavefront planes: each instruction of the\n\
+    \   program's view is one let-binding, computed as Datapath.exec\n\
     \   computes it. The row reads every cell's neighbours straight from\n\
-    \   the ring, whose bounds it checks once per call (Pe.check_row). *)\n\n";
+    \   the ring, whose bounds it checks once per call (Pe.check_row); the\n\
+    \   wave reads them straight from the planes (Pe.check_wave). *)\n\n";
   let named =
     List.map
       (fun (v, ks) -> (Printf.sprintf "k%02d" (fst (List.hd ks)), v, ks))
@@ -235,17 +287,24 @@ let () =
       emit_pe name v;
       emit_row name v)
     named;
+  (* the waves follow every PE and row: interleaved with them, they
+     moved the golden engine's row loops in the binary, which cost
+     batch-golden 4-8% on a 2-vCPU VM *)
+  List.iter (fun (name, v, _) -> emit_wave name v) named;
   pr "let table =\n  [|\n";
   List.iter
     (fun (name, v, _) ->
       match lookups v with
-      | [] -> pr "    (key_%s, (fun _ -> pe_%s), fun _ -> row_%s);\n" name name name
-      | _ -> pr "    (key_%s, pe_%s, row_%s);\n" name name name)
+      | [] ->
+        pr "    (key_%s, (fun _ -> pe_%s), (fun _ -> row_%s), fun _ -> wave_%s);\n" name name
+          name name
+      | _ -> pr "    (key_%s, pe_%s, row_%s, wave_%s);\n" name name name name)
     named;
   pr "  |]\n\n";
   pr
     "let entry p =\n\
     \  let v = Datapath.view p in\n\
-    \  Array.find_opt (fun (key, _, _) -> key = v) table\n\n\
-     let find p = Option.map (fun (_, pe, _) -> pe (Datapath.luts p)) (entry p)\n\n\
-     let find_row p = Option.map (fun (_, _, row) -> row (Datapath.luts p)) (entry p)\n"
+    \  Array.find_opt (fun (key, _, _, _) -> key = v) table\n\n\
+     let find p = Option.map (fun (_, pe, _, _) -> pe (Datapath.luts p)) (entry p)\n\n\
+     let find_row p = Option.map (fun (_, _, row, _) -> row (Datapath.luts p)) (entry p)\n\n\
+     let find_wave p = Option.map (fun (_, _, _, wave) -> wave (Datapath.luts p)) (entry p)\n"

@@ -58,11 +58,15 @@ let cycles_estimate config kernel _params ~qry_len ~ref_len ~tb_steps =
    task context, the compute stage runs the wavefront pipeline over it,
    then reduction and traceback consume its outputs. Stages hand off
    through bounded {!Fifo}s; because each task owns all of its mutable
-   state (score planes, validity bitmaps, preserved-row buffer, border
-   scratch, traceback memory), two tasks can be in flight at once — the
-   double buffering that lets {!run_batch} overlap alignment [i+1]'s
-   prologue with alignment [i]'s compute — and results stay bit-identical
-   to the fully sequential order by construction. *)
+   state (wavefront planes, validity bitmaps, preserved-row buffer,
+   traceback memory), two tasks can be in flight at once — the double
+   buffering that lets {!run_batch} overlap alignment [i+1]'s prologue
+   with alignment [i]'s compute — and results stay bit-identical to the
+   fully sequential order by construction.
+
+   Per-alignment state is sized to the PEs that own a row,
+   [rows = min n_pe qry_len]: an array taller than the query models the
+   same cycles and slots but allocates and loops over only those PEs. *)
 type 'p task = {
   kernel : 'p Kernel.t;
   w : Workload.t;
@@ -71,45 +75,44 @@ type 'p task = {
   n_pe : int;
   n_layers : int;
   worst : Types.score;
-  worst_layers : Types.score array;
   schedule : Schedule.t;
-  tb_spec : Traceback.spec option;
-  has_tb : bool;
-  tb_mem : Tb_memory.t;
+  tb : (Traceback.spec * Tb_memory.t) option;
+  tb_store : int array;  (* [Tb_memory.store], [[||]] without a traceback *)
+  tb_step : int;
   band_tracker : Banding.Tracker.t option;
   in_band : row:int -> col:int -> bool;
   decide : row:int -> col:int -> bool;
   unbanded : bool;
   grid : 'p Grid.t;
-  (* Scratch destinations for border reads: one dedicated array per input
-     port, so a cell touching several borders never aliases them. *)
-  border_up : Types.score array;
-  border_diag : Types.score array;
-  border_left : Types.score array;
-  (* Preserved Row Score Buffer: outputs of each chunk's last row (copied
-     out of the retiring plane), tagged with the chunk that wrote them so
-     stale entries are never consumed. *)
-  preserved : Types.score array array;
+  (* Preserved Row Score Buffer: the outputs of each chunk's last row,
+     [n_layers] scores per column with column [c] at slot [c + 1] and
+     the column -1 border at slot 0, each column tagged with the chunk
+     that wrote it so a stale entry is never consumed. It starts as the
+     init row, the preserved row of chunk -1 (slot 0 is the corner). *)
+  preserved : Types.score array;
   preserved_tag : int array;
-  flat_pe : Pe.flat;
-  buf : Pe.buffers;
+  wave : Pe.wave;
   trackers : Traceback.Best_cell.t array;
-  (* Wavefront registers as preallocated score planes indexed [pe][layer]:
-     the previous ([w1]) and the one-before ([w2]) wavefront's outputs plus
-     the plane being written ([w_new]), rotated by reference each
-     wavefront; validity bitmaps replace the old [option] boxing. PE 0's
-     remembered up-input (its diag source) lives in its own scratch row,
-     tagged with the column it belongs to — adaptive bands can make a
-     row's membership non-contiguous, so a stale register must fall back
-     to the preserved-row buffer instead of being consumed. *)
-  mutable w1 : Types.score array array;
-  mutable w2 : Types.score array array;
-  mutable w_new : Types.score array array;
-  mutable v1 : bool array;
-  mutable v2 : bool array;
-  mutable v_new : bool array;
-  pe0_up : Types.score array;
-  mutable pe0_up_col : int;
+  first_col : int array;  (* per PE: [Score_site.first_col] of its row this chunk *)
+  mutable observed_from : int;  (* this chunk's first wavefront with a score-site cell *)
+  (* Wavefront registers: the previous ([w1]) and the one-before ([w2])
+     wavefront's planes plus the plane being written ([w_new]), rotated
+     by reference each wavefront. Slot [s] of a plane ([n_layers]
+     scores at [s * n_layers], see {!Pe.wave}) holds PE [s - 1]'s
+     output; slot 0 is the preserved row's read port into PE 0, a
+     virtual PE -1 that loads row [r0 - 1] at column [wavefront + 1].
+     The init column enters as each PE's column -1 output, on wavefront
+     [pe - 1]. So every cell reads up and diag from slot [pe] of [w1]
+     and [w2] and left from slot [pe + 1] of [w1], and writes slot
+     [pe + 1] of [w_new]. The validity bitmaps mark the slots written on
+     that wavefront; a slot read unwritten must be out of band, and
+     reads as the worst value. *)
+  mutable w1 : Types.score array;
+  mutable w2 : Types.score array;
+  mutable w_new : Types.score array;
+  mutable v1 : Bytes.t;
+  mutable v2 : Bytes.t;
+  mutable v_new : Bytes.t;
   mutable fires : int;
   mutable slots : int;
   mutable active_wf : int;
@@ -118,8 +121,10 @@ type 'p task = {
 (* Stage 1 — fetch/init, the prologue. Everything the RTL does before
    the first wavefront: stream the packed query in, write the init-row/
    init-col border buffers, reset the score planes and the preserved-row
-   tags. Costed by {!Schedule.prologue_cycles}. *)
-let fetch config kernel params (w : Workload.t) =
+   tags. Costed by {!Schedule.prologue_cycles}. [wave] is the kernel's
+   wave evaluator, resolved once per {!run} or {!run_batch} call and
+   forced here, after the kernel and the workload are validated. *)
+let fetch config kernel params ~wave (w : Workload.t) =
   Kernel.validate kernel params;
   let qry_len = Array.length w.Workload.query
   and ref_len = Array.length w.Workload.reference in
@@ -165,8 +170,20 @@ let fetch config kernel params (w : Workload.t) =
               the array reads neighbours from wavefront registers only"
              row col))
   in
-  let plane () = Array.init n_pe (fun _ -> Array.make n_layers worst) in
-  let tb_spec = kernel.Kernel.traceback params in
+  let tb =
+    Option.map (fun spec -> (spec, Tb_memory.create schedule)) (kernel.Kernel.traceback params)
+  in
+  let wave = Lazy.force wave in
+  let rows = min n_pe qry_len in
+  let plane () = Array.make ((rows + 1) * n_layers) worst in
+  let valid () = Bytes.make (rows + 1) '\000' in
+  let preserved = Array.make ((ref_len + 1) * n_layers) worst in
+  for col = -1 to ref_len - 1 do
+    for layer = 0 to n_layers - 1 do
+      preserved.(((col + 1) * n_layers) + layer) <-
+        Grid.neighbor grid ~row:(-1) ~col ~layer
+    done
+  done;
   {
     kernel;
     w;
@@ -175,11 +192,10 @@ let fetch config kernel params (w : Workload.t) =
     n_pe;
     n_layers;
     worst;
-    worst_layers = Array.make n_layers worst;
     schedule;
-    tb_spec;
-    has_tb = Option.is_some tb_spec;
-    tb_mem = Tb_memory.create schedule;
+    tb;
+    tb_store = (match tb with Some (_, mem) -> Tb_memory.store mem | None -> [||]);
+    tb_step = (match tb with Some (_, mem) -> Tb_memory.wave_step mem | None -> 0);
     band_tracker;
     in_band;
     decide;
@@ -187,169 +203,184 @@ let fetch config kernel params (w : Workload.t) =
        path (the common case for unbanded kernels). *)
     unbanded = Option.is_none banding;
     grid;
-    border_up = Array.make n_layers worst;
-    border_diag = Array.make n_layers worst;
-    border_left = Array.make n_layers worst;
-    preserved = Array.init ref_len (fun _ -> Array.make n_layers worst);
-    preserved_tag = Array.make ref_len (-1);
-    flat_pe = Kernel.flat_pe kernel params;
-    buf = Pe.create_buffers ~n_layers;
-    trackers = Array.init n_pe (fun _ -> Traceback.Best_cell.create objective);
+    preserved;
+    preserved_tag = Array.make (ref_len + 1) (-1);
+    wave;
+    trackers = Array.init rows (fun _ -> Traceback.Best_cell.create objective);
+    first_col = Array.make rows 0;
+    observed_from = 0;
     w1 = plane ();
     w2 = plane ();
     w_new = plane ();
-    v1 = Array.make n_pe false;
-    v2 = Array.make n_pe false;
-    v_new = Array.make n_pe false;
-    pe0_up = Array.make n_layers worst;
-    pe0_up_col = -1;
+    v1 = valid ();
+    v2 = valid ();
+    v_new = valid ();
     fires = 0;
     slots = 0;
     active_wf = 0;
   }
 
-let border_into t dst ~row ~col =
-  for layer = 0 to t.n_layers - 1 do
-    dst.(layer) <- Grid.neighbor t.grid ~row ~col ~layer
-  done;
-  dst
+(* The border cells that enter the plane of [wavefront] (before any
+   wavefront ran, the planes [wf_lo - 2] and [wf_lo - 1] leave): the
+   preserved row's read port loads row [r0 - 1] at column
+   [wavefront + 1] into slot 0, and PE [wavefront + 1] outputs its
+   column -1 border cell. The last PE's border output is also its row's
+   column -1 entry in the preserved row. *)
+let load_edges t ~chunk ~rows ~wavefront plane valid =
+  let n = t.n_layers and r0 = chunk * t.n_pe in
+  let col = wavefront + 1 in
+  if col < t.ref_len then begin
+    let row = r0 - 1 in
+    if not (t.unbanded || t.in_band ~row ~col) then Array.fill plane 0 n t.worst
+    else if t.preserved_tag.(col + 1) <> chunk - 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Systolic.Engine: preserved-row buffer at col %d holds chunk %d, \
+            chunk %d expected (reading cell (%d,%d)) — in-band cells must be \
+            computed exactly once per chunk"
+           col t.preserved_tag.(col + 1) (chunk - 1) row col)
+    else Array.blit t.preserved ((col + 1) * n) plane 0 n;
+    Bytes.set valid 0 '\001'
+  end;
+  let pe = wavefront + 1 in
+  if pe >= 0 && pe < rows then begin
+    let at = (pe + 1) * n in
+    for layer = 0 to n - 1 do
+      plane.(at + layer) <- Grid.neighbor t.grid ~row:(r0 + pe) ~col:(-1) ~layer
+    done;
+    Bytes.set valid (pe + 1) '\001';
+    if pe = t.n_pe - 1 then begin
+      Array.blit plane at t.preserved 0 n;
+      t.preserved_tag.(0) <- chunk
+    end
+  end
 
-let read_prev_row t ~chunk ~col ~row =
-  (* row = chunk*n_pe - 1, the previous chunk's last row *)
-  if not (t.unbanded || t.in_band ~row ~col) then t.worst_layers
-  else if t.preserved_tag.(col) <> chunk - 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Systolic.Engine: preserved-row buffer at col %d holds chunk %d, \
-          chunk %d expected (reading cell (%d,%d)) — in-band cells must be \
-          computed exactly once per chunk"
-         col t.preserved_tag.(col) (chunk - 1) row col)
-  else t.preserved.(col)
-
-let reg_value t plane valid idx ~chunk ~row ~col =
-  if not (t.unbanded || t.in_band ~row ~col) then t.worst_layers
-  else if not valid.(idx) then
+(* A register a cell reads that nothing wrote on its wavefront: fine
+   for an out-of-band cell, which reads as the worst value from now
+   on; an invariant violation for an in-band one. *)
+let[@inline never] unwritten t plane valid ~chunk ~slot ~row ~col =
+  if t.unbanded || t.in_band ~row ~col then
     invalid_arg
       (Printf.sprintf
          "Systolic.Engine: missing wavefront register for in-band cell \
           (%d,%d) (chunk %d, PE %d) — in-band cells are always computed"
-         row col chunk idx)
-  else plane.(idx)
+         row col chunk (slot - 1))
+  else begin
+    Array.fill plane (slot * t.n_layers) t.n_layers t.worst;
+    Bytes.set valid slot '\001'
+  end
+
+(* Fire PEs [lo .. hi] of [wavefront], a non-empty run of in-band cells: check the
+   registers they read, evaluate them in one wave call, then retire
+   them in PE order (preserved row, adaptive band, best cells, trace). *)
+let fire t ~trace ~chunk ~wavefront ~lo ~hi =
+  let n = t.n_layers and r0 = chunk * t.n_pe in
+  let w1 = t.w1 and w2 = t.w2 and v1 = t.v1 and v2 = t.v2 and w_new = t.w_new in
+  for pe = lo to hi do
+    (* up, diag and left: slot [pe] of both planes, slot [pe + 1] of w1 *)
+    let col = wavefront - pe in
+    if Bytes.unsafe_get v1 pe = '\000' then
+      unwritten t w1 v1 ~chunk ~slot:pe ~row:(r0 + pe - 1) ~col;
+    if Bytes.unsafe_get v2 pe = '\000' then
+      unwritten t w2 v2 ~chunk ~slot:pe ~row:(r0 + pe - 1) ~col:(col - 1);
+    if Bytes.unsafe_get v1 (pe + 1) = '\000' then
+      unwritten t w1 v1 ~chunk ~slot:(pe + 1) ~row:(r0 + pe) ~col:(col - 1)
+  done;
+  let tb = t.tb_store and tb_step = t.tb_step in
+  let tb_at =
+    match t.tb with Some (_, mem) -> Tb_memory.wave_base mem ~chunk ~wavefront | None -> 0
+  in
+  t.wave ~w1 ~w2 ~w_new ~query:t.w.Workload.query ~reference:t.w.Workload.reference ~tb
+    ~tb_at ~tb_step ~row0:r0 ~wavefront ~lo ~hi;
+  let count = hi - lo + 1 in
+  Bytes.fill t.v_new (lo + 1) count '\001';
+  t.fires <- t.fires + count;
+  (match t.tb with Some (_, mem) -> Tb_memory.stored mem count | None -> ());
+  if hi = t.n_pe - 1 then begin
+    (* the chunk's last row feeds the next chunk's PE 0 *)
+    let col = wavefront - hi in
+    Array.blit w_new ((hi + 1) * n) t.preserved ((col + 1) * n) n;
+    t.preserved_tag.(col + 1) <- chunk
+  end;
+  if wavefront >= t.observed_from then
+    for pe = lo to hi do
+      let col = wavefront - pe in
+      if col >= t.first_col.(pe) then
+        Traceback.Best_cell.observe_rc t.trackers.(pe) ~row:(r0 + pe) ~col
+          w_new.((pe + 1) * n)
+    done;
+  (match t.band_tracker with
+  | Some tr ->
+    for pe = lo to hi do
+      Banding.Tracker.observe tr ~row:(r0 + pe) ~col:(wavefront - pe)
+        ~score:w_new.((pe + 1) * n)
+    done
+  | None -> ());
+  if Trace.enabled trace then
+    for pe = lo to hi do
+      Trace.record trace
+        {
+          Trace.chunk;
+          wavefront;
+          pe;
+          cell = { Types.row = r0 + pe; col = wavefront - pe };
+          tb = (if Array.length tb > 0 then tb.(tb_at + (pe * tb_step)) else 0);
+          scores =
+            (if Trace.capturing trace then Array.sub w_new ((pe + 1) * n) n else [||]);
+        }
+    done
 
 (* Stage 2 — the wavefront compute pipeline. Runs the whole chunk loop
-   over one task's planes; the hot path allocates nothing. *)
+   over one task's planes; it allocates nothing but trace events. Each
+   wavefront makes one wave call per maximal run of in-band PEs: the
+   whole in-matrix run when unbanded. *)
 let compute_stage (t : _ task) ~trace =
   let n_pe = t.n_pe
-  and n_layers = t.n_layers
   and qry_len = t.qry_len
   and ref_len = t.ref_len
   and banding = t.kernel.Kernel.banding
-  and unbanded = t.unbanded
-  and decide = t.decide
-  and in_band = t.in_band
-  and buf = t.buf
-  and flat_pe = t.flat_pe
-  and w = t.w
-  and worst_layers = t.worst_layers
-  and pe0_up = t.pe0_up
-  and has_tb = t.has_tb
   and score_site = t.kernel.Kernel.score_site in
-  let trace_on = Trace.enabled trace in
-  let trace_capture = Trace.capturing trace in
   for chunk = 0 to t.schedule.Schedule.n_chunks - 1 do
-    Array.fill t.v1 0 n_pe false;
-    Array.fill t.v2 0 n_pe false;
-    t.pe0_up_col <- -1;
+    let r0 = chunk * n_pe in
+    let rows = Int.min n_pe (qry_len - r0) in
+    t.observed_from <- max_int;
+    for pe = 0 to rows - 1 do
+      let first = Score_site.first_col score_site ~qry_len ~ref_len ~row:(r0 + pe) in
+      t.first_col.(pe) <- first;
+      t.observed_from <- Int.min t.observed_from (first + pe)
+    done;
     (match t.band_tracker with
     | Some tr -> Banding.Tracker.start_chunk tr ~chunk
     | None -> ());
     match Schedule.active_wavefronts t.schedule ~banding ~chunk with
     | None -> ()
     | Some (wf_lo, wf_hi) ->
+      Bytes.fill t.v2 0 (rows + 1) '\000';
+      load_edges t ~chunk ~rows ~wavefront:(wf_lo - 2) t.w2 t.v2;
+      Bytes.fill t.v1 0 (rows + 1) '\000';
+      load_edges t ~chunk ~rows ~wavefront:(wf_lo - 1) t.w1 t.v1;
       for wavefront = wf_lo to wf_hi do
-        Array.fill t.v_new 0 n_pe false;
+        Bytes.fill t.v_new 0 (rows + 1) '\000';
         let fires_before = t.fires in
-        (* per-wavefront views of the rotating planes: no field derefs in
-           the per-PE loop *)
-        let p1 = t.w1 and vl1 = t.v1 and p2 = t.w2 and vl2 = t.v2 in
-        let pn = t.w_new and vln = t.v_new in
         t.slots <- t.slots + n_pe;
-        for pe = 0 to n_pe - 1 do
-          (* Schedule.cell_of, inlined without its option/cell boxing *)
-          let row = (chunk * n_pe) + pe in
-          let col = wavefront - pe in
-          if
-            row < qry_len && col >= 0 && col < ref_len
-            && (unbanded || decide ~row ~col)
-          then begin
-            let up =
-              if pe = 0 then
-                if row = 0 then border_into t t.border_up ~row:(-1) ~col
-                else read_prev_row t ~chunk ~col ~row:(row - 1)
-              else reg_value t p1 vl1 (pe - 1) ~chunk ~row:(row - 1) ~col
-            in
-            let diag =
-              if col = 0 then border_into t t.border_diag ~row:(row - 1) ~col:(-1)
-              else if pe = 0 then
-                if row = 0 then
-                  border_into t t.border_diag ~row:(-1) ~col:(col - 1)
-                else if not (unbanded || in_band ~row:(row - 1) ~col:(col - 1))
-                then worst_layers
-                else if t.pe0_up_col = col - 1 then pe0_up
-                else
-                  (* PE 0 skipped (row, col-1) as out-of-band, so its
-                     up-read there never happened; the previous row's
-                     value is still live in the preserved buffer. *)
-                  read_prev_row t ~chunk ~col:(col - 1) ~row:(row - 1)
-              else reg_value t p2 vl2 (pe - 1) ~chunk ~row:(row - 1) ~col:(col - 1)
-            in
-            let left =
-              if col = 0 then border_into t t.border_left ~row ~col:(-1)
-              else reg_value t p1 vl1 pe ~chunk ~row ~col:(col - 1)
-            in
-            let out = pn.(pe) in
-            buf.Pe.b_up <- up;
-            buf.Pe.b_diag <- diag;
-            buf.Pe.b_left <- left;
-            buf.Pe.b_qry <- w.Workload.query.(row);
-            buf.Pe.b_rf <- w.Workload.reference.(col);
-            buf.Pe.b_row <- row;
-            buf.Pe.b_col <- col;
-            buf.Pe.b_scores <- out;
-            flat_pe buf;
-            vln.(pe) <- true;
-            if pe = 0 then begin
-              (* remember the up-input PE 0 just consumed: it is next
-                 wavefront's diag. Copied (not aliased) because at
-                 n_pe = 1 the source may be the preserved row, which this
-                 same chunk overwrites column by column. *)
-              Array.blit up 0 pe0_up 0 n_layers;
-              t.pe0_up_col <- col
-            end;
-            (match t.band_tracker with
-            | Some tr -> Banding.Tracker.observe tr ~row ~col ~score:out.(0)
-            | None -> ());
-            if has_tb then Tb_memory.write_at t.tb_mem ~chunk ~pe ~col buf.Pe.b_tb;
-            if row = (chunk * n_pe) + n_pe - 1 then begin
-              (* last row of the chunk feeds the next chunk's PE 0 *)
-              Array.blit out 0 t.preserved.(col) 0 n_layers;
-              t.preserved_tag.(col) <- chunk
-            end;
-            if Score_site.observes score_site ~qry_len ~ref_len ~row ~col then
-              Traceback.Best_cell.observe_rc t.trackers.(pe) ~row ~col out.(0);
-            t.fires <- t.fires + 1;
-            if trace_on then
-              Trace.record trace
-                {
-                  Trace.chunk;
-                  wavefront;
-                  pe;
-                  cell = { Types.row; col };
-                  tb = (if has_tb then buf.Pe.b_tb else 0);
-                  scores = (if trace_capture then Array.copy out else [||]);
-                }
-          end
-        done;
+        (* the PEs whose cell lies in the matrix (Schedule.cell_of) *)
+        let lo = Int.max 0 (wavefront - ref_len + 1) and hi = Int.min (rows - 1) wavefront in
+        if t.unbanded then fire t ~trace ~chunk ~wavefront ~lo ~hi
+        else begin
+          (* the in-band ones, decided in PE order, in maximal runs *)
+          let start = ref (-1) in
+          for pe = lo to hi do
+            if t.decide ~row:(r0 + pe) ~col:(wavefront - pe) then begin
+              if !start < 0 then start := pe
+            end
+            else if !start >= 0 then begin
+              fire t ~trace ~chunk ~wavefront ~lo:!start ~hi:(pe - 1);
+              start := -1
+            end
+          done;
+          if !start >= 0 then fire t ~trace ~chunk ~wavefront ~lo:!start ~hi
+        end;
+        load_edges t ~chunk ~rows ~wavefront t.w_new t.v_new;
         (* rotate the planes: w2 <- w1, w1 <- w_new, recycle old w2 *)
         let p2 = t.w2 and vv2 = t.v2 in
         t.w2 <- t.w1;
@@ -361,7 +392,7 @@ let compute_stage (t : _ task) ~trace =
         (match t.band_tracker with
         | Some tr ->
           Banding.Tracker.end_wavefront tr;
-          if trace_capture then begin
+          if Trace.capturing trace then begin
             let w_lo, w_hi = Banding.Tracker.window tr in
             Trace.record_window trace
               { Trace.w_chunk = chunk; w_wavefront = wavefront; w_lo; w_hi }
@@ -384,7 +415,7 @@ let reduce_stage (t : _ task) =
 (* Stage 4 — traceback: walk the banked pointer memory from the best
    cell. *)
 let traceback_stage (t : _ task) ~metrics (start_cell, score) =
-  match t.tb_spec with
+  match t.tb with
   | None ->
     ( {
         Result.score;
@@ -394,8 +425,8 @@ let traceback_stage (t : _ task) ~metrics (start_cell, score) =
         cells_computed = t.fires;
       },
       0 )
-  | Some spec ->
-    let ptr_at ~row ~col = Tb_memory.read t.tb_mem ~row ~col in
+  | Some (spec, mem) ->
+    let ptr_at ~row ~col = Tb_memory.read mem ~row ~col in
     let outcome =
       Walker.walk ~metrics ~fsm:spec.Traceback.fsm ~stop:spec.Traceback.stop
         ~ptr_at ~start:start_cell ~qry_len:t.qry_len ~ref_len:t.ref_len ()
@@ -450,7 +481,7 @@ let finish_stats (t : _ task) ~metrics ~tb_steps =
     utilization =
       (if t.slots = 0 then 0.0
        else float_of_int t.fires /. float_of_int t.slots);
-    tb_words = Tb_memory.words_written t.tb_mem;
+    tb_words = (match t.tb with Some (_, mem) -> Tb_memory.words_written mem | None -> 0);
   }
 
 (* Run one fetched task through compute → reduce → traceback, recording
@@ -470,9 +501,9 @@ let drain_task (t : _ task) ~trace ~metrics ~tracer =
     ~t1:(Dphls_obs.Tracer.now tracer) "traceback";
   (result, finish_stats t ~metrics ~tb_steps)
 
-let fetch_traced ?(tid = 0) config kernel params w ~tracer =
+let fetch_traced ?(tid = 0) config kernel params ~wave w ~tracer =
   let t0 = Dphls_obs.Tracer.now tracer in
-  let t = fetch config kernel params w in
+  let t = fetch config kernel params ~wave w in
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~tid ~t0
     ~t1:(Dphls_obs.Tracer.now tracer) "prologue";
   t
@@ -485,7 +516,8 @@ let run ?(trace = Trace.create ~enabled:false)
      FIFOs (fetch→compute two deep, the rest one deep), they just never
      hold more than one task. *)
   let fetched = Fifo.create ~capacity:2 in
-  Fifo.push fetched (fetch_traced config kernel params w ~tracer);
+  let wave = lazy (Kernel.flat_wave kernel params) in
+  Fifo.push fetched (fetch_traced config kernel params ~wave w ~tracer);
   drain_task (Fifo.pop fetched) ~trace ~metrics ~tracer
 
 let run_batch ?(overlap = false) ?traces
@@ -504,7 +536,10 @@ let run_batch ?(overlap = false) ?traces
   let n = Array.length ws in
   let out = Array.make n None in
   let fetched = Fifo.create ~capacity:2 in
-  if n > 0 then Fifo.push fetched (fetch_traced config kernel params ws.(0) ~tracer);
+  (* one wave for the batch: its tasks run one after another *)
+  let wave = lazy (Kernel.flat_wave kernel params) in
+  let fetch_traced ?tid w = fetch_traced ?tid config kernel params ~wave w ~tracer in
+  if n > 0 then Fifo.push fetched (fetch_traced ws.(0));
   for i = 0 to n - 1 do
     let t = Fifo.pop fetched in
     if overlap && i + 1 < n then
@@ -513,10 +548,10 @@ let run_batch ?(overlap = false) ?traces
          flight, each on its own (double-buffered) planes and borders.
          Recorded on tracer track 1 so `dphls profile` shows the
          prologue hiding under the compute track. *)
-      Fifo.push fetched (fetch_traced ~tid:1 config kernel params ws.(i + 1) ~tracer);
+      Fifo.push fetched (fetch_traced ~tid:1 ws.(i + 1));
     out.(i) <- Some (drain_task t ~trace:(trace_for i) ~metrics ~tracer);
     if (not overlap) && i + 1 < n then
-      Fifo.push fetched (fetch_traced config kernel params ws.(i + 1) ~tracer)
+      Fifo.push fetched (fetch_traced ws.(i + 1))
   done;
   let results = Array.map Option.get out in
   (* Batch cycle accounting. Sequentially the totals just add. With

@@ -6,7 +6,12 @@
     registers, chunk-to-chunk rows through the Preserved Row Score Buffer,
     traceback pointers into banked, address-coalesced memory, and the
     alignment's best cell found by per-PE local tracking plus a final
-    reduction. Alignment results are bit-identical to {!Dphls_reference}
+    reduction. A wavefront evaluates its cells in one call of the
+    kernel's wave loop ({!Dphls_core.Kernel.flat_wave}, resolved once
+    per {!run} or {!run_batch} call), the software form of the
+    wavefront loop with [PE_func] inlined; per-alignment state is sized
+    to the PEs that own a row, however tall the array.
+    Alignment results are bit-identical to {!Dphls_reference}
     (enforced by the differential test suite); in addition the simulator
     reports the cycle breakdown that drives every throughput number in
     the reproduction.

@@ -1,34 +1,39 @@
+(* Bank-major backing store. Bank [pe] is [span] words at
+   [pe * span]; within a bank, chunk [c] takes [ref_len] words, one per
+   column. The coalesced address [c * wavefronts_per_chunk + pe + col]
+   is the modeled one; the [n_pe - 1] addresses of each chunk on which a
+   PE idles, and the banks of PEs that own no row, take no storage. *)
 type t = {
   schedule : Schedule.t;
-  banks : int array array;
+  span : int;
+  store : int array;
   mutable words : int;
 }
 
 let create schedule =
-  let depth = Schedule.tb_depth schedule in
-  {
-    schedule;
-    banks = Array.init schedule.Schedule.n_pe (fun _ -> Array.make depth 0);
-    words = 0;
-  }
+  let s = schedule in
+  let banks = min s.Schedule.n_pe s.Schedule.qry_len in
+  let span = s.Schedule.n_chunks * s.Schedule.ref_len in
+  { schedule; span; store = Array.make (banks * span) 0; words = 0 }
 
-let write_at t ~chunk ~pe ~col ptr =
-  (* Schedule.tb_address inlined without its result tuple or the row
-     division (the engine already knows chunk and PE): this runs once per
-     traceback-enabled cell on the allocation-free hot path. *)
-  let addr = (chunk * t.schedule.Schedule.wavefronts_per_chunk) + pe + col in
-  t.banks.(pe).(addr) <- ptr;
-  t.words <- t.words + 1
+let index t ~row ~col =
+  let s = t.schedule in
+  let chunk = Schedule.chunk_of_row s row and pe = Schedule.pe_of_row s row in
+  (pe * t.span) + (chunk * s.Schedule.ref_len) + col
 
 let write t ~row ~col ptr =
-  let s = t.schedule in
-  write_at t ~chunk:(Schedule.chunk_of_row s row) ~pe:(Schedule.pe_of_row s row)
-    ~col ptr
+  t.store.(index t ~row ~col) <- ptr;
+  t.words <- t.words + 1
 
-let read t ~row ~col =
-  let bank, addr = Schedule.tb_address t.schedule ~row ~col in
-  t.banks.(bank).(addr)
+let read t ~row ~col = t.store.(index t ~row ~col)
 
+let store t = t.store
+
+(* PE [p]'s word at [wavefront] is [p * span + chunk * ref_len +
+   (wavefront - p)]: a base plus [p] steps of [span - 1]. *)
+let wave_base t ~chunk ~wavefront = (chunk * t.schedule.Schedule.ref_len) + wavefront
+let wave_step t = t.span - 1
+let stored t n = t.words <- t.words + n
 let words_written t = t.words
-let bank_count t = Array.length t.banks
+let bank_count t = t.schedule.Schedule.n_pe
 let depth t = Schedule.tb_depth t.schedule

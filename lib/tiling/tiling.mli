@@ -47,10 +47,10 @@ val align :
     its kernel's [banding] field with the given band when it is [Some].
     Default [None] keeps the kernel's own banding.
 
-    The systolic engine runs the kernel's compiled PE
-    ({!Dphls_core.Kernel.flat_pe}) and the golden engine its fused row
-    loop ({!Dphls_core.Kernel.flat_row}), so tiled alignments get the
-    allocation-free hot path per tile.
+    The systolic engine runs the kernel's fused wave loop
+    ({!Dphls_core.Kernel.flat_wave}) and the golden engine its fused
+    row loop ({!Dphls_core.Kernel.flat_row}), so tiled alignments get
+    the allocation-free hot path per tile.
 
     [metrics] (default: disabled) receives the [tiles] counter once at
     the end; per-cell counters come from whatever engine [run] invokes

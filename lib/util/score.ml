@@ -35,7 +35,7 @@ let min2 (a : int) b = if a <= b then a else b
 
 type objective = Maximize | Minimize
 
-let better obj a b =
+let better obj (a : t) b =
   match obj with Maximize -> a > b | Minimize -> a < b
 
 let best obj a b = match obj with Maximize -> max2 a b | Minimize -> min2 a b

@@ -1,9 +1,10 @@
 (* Symbolic datapath tests: every catalog kernel's datapath evaluates
    bit-identically through the reference interpreter, the generated
-   straight-line evaluator the engines run, the compiled program's
-   bytecode loop (the reproduction's C-sim vs RTL co-sim check) and the
-   row loops the golden engine runs (generated and generic), hits the
-   generated table while programs outside it still run the bytecode,
+   straight-line evaluator, the compiled program's bytecode loop (the
+   reproduction's C-sim vs RTL co-sim check), the row loops the golden
+   engine runs and the wave loops the systolic engine runs (generated
+   and generic), hits the generated table while programs outside it
+   still run the bytecode,
    agrees cell by cell with an independent hand-written closure of its
    recurrence ([Pe_oracles]), validates structurally, and its operator
    counts agree with the declared resource traits to within 2x. *)
@@ -124,10 +125,69 @@ let row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed =
         [ (Bytes.copy plane0, plane); (Bytes.empty, Bytes.empty) ])
     rows
 
-(* [Datapath.eval], what the engines run ([Kernel.flat_pe] and
-   [Kernel.flat_row]: for a catalog kernel at its defaults, the
-   generated straight-line evaluator and row loop), the bytecode loop
-   and the generic row around it must agree on every input. *)
+(* Wave-level differential: every wave evaluator in [waves], run over a
+   random PE interval [lo .. hi] of three random planes ([random_score])
+   and a random pointer store, must leave the planes and the store
+   exactly as [Datapath.eval] applied PE by PE leaves them: PE [p] reads
+   up and diag from slot [p] of the previous two planes and left from
+   slot [p + 1] of the previous one, writes its layers at slot [p + 1]
+   of the new plane and its pointer at [tb_at + p * tb_step], and
+   nothing else changes (the planes have a slot past [hi + 1], and
+   slots below [lo] when [lo > 0]). Every run is repeated without a
+   store. *)
+let wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed =
+  let rng = Rng.create (seed + 2_000_003) in
+  let w = gen rng ~len:(2 + Rng.int rng 16) in
+  let query = w.Workload.query and reference = w.Workload.reference in
+  let qry_len = Array.length query and ref_len = Array.length reference in
+  let score = random_score rng ~score_bits in
+  (* a run of up to 8 PEs that fits the matrix: rows row0 + lo .. row0 +
+     hi of the query, columns wavefront - hi .. wavefront - lo *)
+  let width = 1 + Rng.int rng (min 8 (min qry_len ref_len)) in
+  let lo = Rng.int rng 3 in
+  let hi = lo + width - 1 in
+  let row0 = Rng.int rng (qry_len - width + 1) - lo in
+  let wavefront = hi + Rng.int rng (ref_len - width + 1) in
+  let slots = hi + 3 in
+  let plane () = Array.init (slots * n_layers) (fun _ -> score ()) in
+  let w1 = plane () and w2 = plane () and w_new0 = plane () in
+  let tb_step = 1 + Rng.int rng 3 and tb_at = Rng.int rng 4 in
+  let tb0 = Array.init (tb_at + (hi * tb_step) + 1 + Rng.int rng 3) (fun _ -> Rng.int rng 1000) in
+  let expected = Array.copy w_new0 and expected_tb = Array.copy tb0 in
+  for p = lo to hi do
+    let layers plane slot = Array.sub plane (slot * n_layers) n_layers in
+    let row = row0 + p and col = wavefront - p in
+    let o =
+      eval
+        {
+          Pe.up = layers w1 p;
+          diag = layers w2 p;
+          left = layers w1 (p + 1);
+          qry = query.(row);
+          rf = reference.(col);
+          row;
+          col;
+        }
+    in
+    Array.blit o.Pe.scores 0 expected ((p + 1) * n_layers) n_layers;
+    expected_tb.(tb_at + (p * tb_step)) <- o.Pe.tb
+  done;
+  let w1_0 = Array.copy w1 and w2_0 = Array.copy w2 in
+  List.for_all
+    (fun (f : Pe.wave) ->
+      List.for_all
+        (fun (tb, want) ->
+          let w_new = Array.copy w_new0 in
+          f ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
+          w_new = expected && tb = want && w1 = w1_0 && w2 = w2_0)
+        [ (Array.copy tb0, expected_tb); ([||], [||]) ])
+    waves
+
+(* [Datapath.eval], what the engines run ([Kernel.flat_row] and
+   [Kernel.flat_wave]: for a catalog kernel at its defaults, the
+   generated row and wave loops), the generated straight-line PE
+   ([Kernel.flat_pe]), the bytecode loop and the generic row and wave
+   around it must agree on every input. *)
 let eval_vs_compiled_prop id =
   let e = Dphls_kernels.Catalog.find id in
   let (Registry.Packed (k, p)) = e.packed in
@@ -137,13 +197,15 @@ let eval_vs_compiled_prop id =
   let bytecode () = Datapath.flat (Datapath.compile cell bindings) in
   let flats = [ Kernel.flat_pe k p; bytecode () ] in
   let rows = [ Kernel.flat_row k p; Pe.row_of_flat ~n_layers (bytecode ()) ] in
+  let waves = [ Kernel.flat_wave k p; Pe.wave_of_flat ~n_layers (bytecode ()) ] in
   QCheck.Test.make
     ~name:(Printf.sprintf "kernel #%d eval == compiled" id)
     ~count:100
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed
-      && row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed)
+      && row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed
+      && wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed)
 
 (* Engine-level differential against the hand-written closure: a golden
    run of the kernel's datapath, replayed cell by cell through the
@@ -217,8 +279,8 @@ let test_counts_cross_check_traits () =
     Dphls_kernels.Catalog.ids
 
 (* Every catalog kernel at its default parameters compiles to a program
-   the generated table holds, PE and row, so the engines never run its
-   bytecode. *)
+   the generated table holds, PE, row and wave, so the engines never run
+   its bytecode. *)
 let test_generated_covers_catalog () =
   List.iter
     (fun id ->
@@ -227,11 +289,13 @@ let test_generated_covers_catalog () =
       Alcotest.(check bool)
         (Printf.sprintf "kernel #%d hits the generated table" id)
         true
-        (Option.is_some (Pe_gen.find p) && Option.is_some (Pe_gen.find_row p)))
+        (Option.is_some (Pe_gen.find p)
+        && Option.is_some (Pe_gen.find_row p)
+        && Option.is_some (Pe_gen.find_wave p)))
     Dphls_kernels.Catalog.ids
 
 (* Programs the table does not hold run the bytecode, PE and generic
-   row, and still equal [Datapath.eval]: #2 at a non-default match score
+   row and wave, and still equal [Datapath.eval]: #2 at a non-default match score
    (an immediate differs), and #19's cell with a 1-bit match-flag
    pointer, which no catalog kernel has (#19 keeps no pointer). *)
 let test_generated_misses () =
@@ -251,7 +315,9 @@ let test_generated_misses () =
     let cell, bindings = k.Kernel.datapath p in
     let program = Datapath.compile cell bindings in
     Alcotest.(check bool) (name ^ " misses the generated table") true
-      (Option.is_none (Pe_gen.find program) && Option.is_none (Pe_gen.find_row program));
+      (Option.is_none (Pe_gen.find program)
+      && Option.is_none (Pe_gen.find_row program)
+      && Option.is_none (Pe_gen.find_wave program));
     let score_bits = k.Kernel.score_bits and n_layers = k.Kernel.n_layers in
     let eval = Datapath.eval cell bindings in
     for seed = 0 to 199 do
@@ -262,7 +328,11 @@ let test_generated_misses () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: flat_row == eval (seed %d)" name seed)
         true
-        (row_agrees_with_eval ~gen ~score_bits ~n_layers eval [ Kernel.flat_row k p ] seed)
+        (row_agrees_with_eval ~gen ~score_bits ~n_layers eval [ Kernel.flat_row k p ] seed);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: flat_wave == eval (seed %d)" name seed)
+        true
+        (wave_agrees_with_eval ~gen ~score_bits ~n_layers eval [ Kernel.flat_wave k p ] seed)
     done
   in
   check "#2 at match 3" K02.kernel { K02.default with match_ = 3 } K02.gen;

@@ -3,9 +3,11 @@
    allocation regression pinning the O(1)-words-per-wavefront property of
    the compiled hot path, the golden engine's under-a-word-per-cell
    allocation (both on the generated and on the bytecode PE) and its
-   16-bit pointer guard, and a catalog-wide
+   16-bit pointer guard, a catalog-wide
    differential fuzz of the compiled planes both engines run against the
-   boxed interpreter. *)
+   boxed interpreter, and the systolic engine's allocation on the
+   generated and the generic wave: its per-alignment state, sized to the
+   rows present, and nothing per cell or per wavefront. *)
 open Dphls_core
 module Score = Dphls_util.Score
 module Datapath = Dphls_core.Datapath
@@ -170,11 +172,24 @@ let k02_paths () =
     (hits K02.default, hits miss);
   [ ("generated", K02.default); ("bytecode", miss) ]
 
+(* Every reading starts right after a full major collection: a
+   collection inside the measured call inflates the runtime's counters
+   (by up to a minor heap's worth of words), so without it a reading
+   depends on what the suites before it allocated. *)
 let minor_words_of f =
+  Gc.full_major ();
   let before = Gc.minor_words () in
   let r = f () in
   ignore (Sys.opaque_identity r);
   int_of_float (Gc.minor_words () -. before)
+
+(* Words [f ()] allocates on both heaps. *)
+let words_of f =
+  Gc.full_major ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
 
 let test_allocation_regression () =
   let len = 160 in
@@ -214,12 +229,7 @@ let test_golden_allocation () =
     (fun (path, p) ->
       let run () = Dphls_reference.Ref_engine.run K02.kernel p w in
       ignore (run ()) (* warm-up *);
-      let minor0, promoted0, major0 = Gc.counters () in
-      ignore (Sys.opaque_identity (run ()));
-      let minor1, promoted1, major1 = Gc.counters () in
-      let words =
-        int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-      in
+      let words = words_of run in
       let cells = len * len in
       Alcotest.(check bool)
         (Printf.sprintf "golden %s run allocates < 1 word/cell (%d words, %d cells)"
@@ -298,6 +308,86 @@ let prop_compiled_vs_boxed id =
 let differential_tests =
   List.map (fun id -> qtest (prop_compiled_vs_boxed id)) Dphls_kernels.Catalog.ids
 
+(* A steady-state systolic run allocates its per-alignment state only.
+   At N_PE 1 every wavefront holds one cell, so one word per wavefront
+   or per cell would be [cells] words; the run stays under a quarter of
+   that on the minor heap at N_PE 1 and 16, both on K02's generated
+   wave and on the generic wave around the bytecode (K02 at a match
+   score the table does not hold). The traceback banks and the
+   preserved row, per-alignment arrays of more than a few hundred
+   words, live on the major heap. *)
+let test_systolic_allocation () =
+  let len = 256 in
+  let rng = Dphls_util.Rng.create 406 in
+  let w =
+    Workload.of_bases
+      ~query:(Dphls_alphabet.Dna.random rng len)
+      ~reference:(Dphls_alphabet.Dna.random rng len)
+  in
+  let waves p =
+    let cell, bindings = K02.kernel.Kernel.datapath p in
+    Option.is_some (Pe_gen.find_wave (Datapath.compile cell bindings))
+  in
+  List.iter
+    (fun (path, p) ->
+      Alcotest.(check bool) (path ^ " wave") (path = "generated") (waves p);
+      List.iter
+        (fun n_pe ->
+          let cfg = Dphls_systolic.Config.create ~n_pe in
+          let run () = Dphls_systolic.Engine.run cfg K02.kernel p w in
+          ignore (run ()) (* warm-up *);
+          let words = minor_words_of run and cells = len * len in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s wave at N_PE %d allocates %d minor words for %d cells" path
+               n_pe words cells)
+            true
+            (words < cells / 4))
+        [ 1; 16 ])
+    (k02_paths ())
+
+(* Per-alignment state is sized to the PEs that own a row: an array far
+   taller than the query keeps its modeled banks, depth, slots and
+   cycles but allocates within 2x of a 32-PE one (state sized by N_PE,
+   banks of the full modeled depth, would be about 9.5 MB here against
+   0.1 MB), and its result is the same. *)
+let test_tall_array_sized_to_rows () =
+  let module Engine = Dphls_systolic.Engine in
+  let len = 100 in
+  let rng = Dphls_util.Rng.create 57 in
+  let w =
+    Workload.of_bases
+      ~query:(Dphls_alphabet.Dna.random rng len)
+      ~reference:(Dphls_alphabet.Dna.random rng len)
+  in
+  let run n_pe = Engine.run (Dphls_systolic.Config.create ~n_pe) K02.kernel K02.default w in
+  let words n_pe =
+    ignore (run n_pe) (* warm-up *);
+    words_of (fun () -> run n_pe)
+  in
+  let short = words 32 and tall = words 1024 in
+  Alcotest.(check bool)
+    (Printf.sprintf "N_PE 1024 allocates %d words, N_PE 32 %d" tall short)
+    true
+    (tall <= 2 * short);
+  let r32, _ = run 32 and r1024, s = run 1024 in
+  Alcotest.(check bool) "same result" true (r32 = r1024);
+  Alcotest.(check bool) "golden result" true
+    (Result.equal_alignment r1024 (Dphls_reference.Ref_engine.run K02.kernel K02.default w));
+  (* one chunk of 100 rows: 199 wavefronts of 1024 slots *)
+  Alcotest.(check int) "pe_slots" (1024 * (len + len - 1)) s.Engine.pe_slots;
+  Alcotest.(check int) "pe_fires" (len * len) s.Engine.pe_fires;
+  Alcotest.(check int) "tb_words" (len * len) s.Engine.tb_words;
+  let est =
+    Engine.cycles_estimate (Dphls_systolic.Config.create ~n_pe:1024) K02.kernel K02.default
+      ~qry_len:len ~ref_len:len ~tb_steps:s.Engine.cycles.Engine.traceback
+  in
+  Alcotest.(check bool) "cycles" true (est = s.Engine.cycles);
+  let mem =
+    Dphls_systolic.(Tb_memory.create (Schedule.create ~n_pe:1024 ~qry_len:len ~ref_len:len))
+  in
+  Alcotest.(check (pair int int)) "modeled banks and depth" (1024, len + 1023)
+    Dphls_systolic.Tb_memory.(bank_count mem, depth mem)
+
 let suite =
   [
     Alcotest.test_case "Score.mul/abs extremes" `Quick test_score_mul_abs_extremes;
@@ -314,3 +404,8 @@ let suite =
       test_golden_wide_pointer;
   ]
   @ differential_tests
+  @ [
+      Alcotest.test_case "systolic engine allocates nothing per wavefront" `Quick
+        test_systolic_allocation;
+      Alcotest.test_case "tall array sized to its rows" `Quick test_tall_array_sized_to_rows;
+    ]

@@ -1,5 +1,6 @@
 (* Tests for the systolic back-end: schedule arithmetic, traceback memory
-   addressing, activity-trace invariants and cycle accounting. *)
+   addressing, activity-trace invariants, cycle accounting and agreement
+   with the golden engine at the array's edge heights. *)
 open Dphls_core
 module Schedule = Dphls_systolic.Schedule
 module Tb_memory = Dphls_systolic.Tb_memory
@@ -303,6 +304,57 @@ let test_rtl_cycles_beat_dphls () =
         (rtl.Dphls_baselines.Rtl_model.total < stats.Engine.cycles.Engine.total))
     [ 4; 16; 64 ]
 
+(* The systolic engine against the golden engine replaying its chunking
+   ([golden_chunked]: [Ref_engine.run ~band_pe:n_pe]) for all 19 kernels
+   at N_PE 1 (PE 0 is also the last PE, so it writes the preserved row
+   it reads from), 2, 3 and 5 (most chunks end partly filled), 32 and
+   64, on query and reference lengths 1..70 drawn independently, each
+   with its own band, a fixed band or an adaptive one; plus #2 at a
+   match score the generated table does not hold, which runs the
+   generic wave. Results must be equal, cells computed included. *)
+let prop_systolic_equals_golden =
+  let ids = Array.of_list Dphls_kernels.Catalog.ids in
+  let n_pes = [| 1; 2; 3; 5; 32; 64 |] in
+  let agree (type p) (k : p Kernel.t) (p : p) gen ~n_pe ~qry_len ~ref_len ~seed =
+    let rng = Dphls_util.Rng.create seed in
+    let w = gen rng ~len:80 in
+    let prefix s n = Array.sub s 0 (max 1 (min n (Array.length s))) in
+    let w =
+      Workload.of_seqs ~query:(prefix w.Workload.query qry_len)
+        ~reference:(prefix w.Workload.reference ref_len)
+    in
+    let band =
+      match seed mod 3 with
+      | 0 -> None
+      | 1 -> Some (Some (Banding.fixed (1 + (seed / 3 mod 8))))
+      | _ -> Some (Some (Banding.adaptive ~threshold:(seed / 3 mod 30) (1 + (seed / 90 mod 6))))
+    in
+    let k = Kernel.with_band k band in
+    let sys, _ = Engine.run (Dphls_systolic.Config.create ~n_pe) k p w in
+    let gold = Dphls_reference.Ref_engine.run ~band_pe:n_pe k p w in
+    sys = gold
+    || QCheck.Test.fail_reportf "#%d n_pe %d %dx%d band %s: systolic %s, golden %s"
+         k.Kernel.id n_pe (Array.length w.Workload.query) (Array.length w.Workload.reference)
+         (Banding.to_string k.Kernel.banding) (Format.asprintf "%a" Result.pp sys)
+         (Format.asprintf "%a" Result.pp gold)
+  in
+  QCheck.Test.make ~name:"systolic == golden_chunked (19 kernels, N_PE 1-64, bands)"
+    ~count:400
+    QCheck.(
+      quad (int_range 0 (Array.length ids)) (int_range 0 (Array.length n_pes - 1))
+        (pair (int_range 1 70) (int_range 1 70))
+        (int_range 0 1_000_000))
+    (fun (ki, ni, (qry_len, ref_len), seed) ->
+      let n_pe = n_pes.(ni) in
+      if ki < Array.length ids then
+        let e = Dphls_kernels.Catalog.find ids.(ki) in
+        let (Registry.Packed (k, p)) = e.packed in
+        agree k p e.Dphls_kernels.Catalog.gen ~n_pe ~qry_len ~ref_len ~seed
+      else
+        let module K02 = Dphls_kernels.K02_global_affine in
+        agree K02.kernel { K02.default with match_ = 3 } K02.gen ~n_pe ~qry_len ~ref_len
+          ~seed)
+
 let suite =
   [
     Alcotest.test_case "schedule shape" `Quick test_schedule_shape;
@@ -324,4 +376,5 @@ let suite =
     Alcotest.test_case "prologue partial word" `Quick test_prologue_partial_word;
     Alcotest.test_case "bad n_pe rejected" `Quick test_bad_n_pe_rejected;
     Alcotest.test_case "rtl cycle model faster" `Quick test_rtl_cycles_beat_dphls;
+    qtest prop_systolic_equals_golden;
   ]
