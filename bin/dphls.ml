@@ -153,11 +153,8 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
   let (Registry.Packed (k, p)) = e.packed in
   let k = Kernel.with_band k band in
   let choice = engine_choice ~n_pe engine_mode in
-  let metrics = Dphls_obs.Metrics.create () in
   let qry_len, ref_len = Workload.sizes w in
-  let engine =
-    Dphls_engines.Engines.resolve ~metrics ~qry_len ~ref_len choice k p
-  in
+  let engine = Dphls_engines.Engines.resolve ~qry_len ~ref_len choice k p in
   let engine_name = Dphls_engines.Engines.name engine in
   if vcd_path <> None && not (Dphls_engines.Engines.caps engine).capture
   then begin
@@ -166,13 +163,17 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
       engine_name;
     exit 2
   end;
-  let (module E : Dphls_engines.Engine_intf.S) = engine in
-  let cfg = Dphls_engines.Engine_intf.config ~n_pe () in
   let trace = Dphls_systolic.Trace.create ~enabled:(vcd_path <> None) in
-  let result, stats =
+  (* the shared dispatch (auto's modeled cycles included), with the
+     capture stream handed to the engine that can fill it *)
+  let run (module E : Dphls_engines.Engine_intf.S) cfg ws =
+    if E.caps.Dphls_engines.Engine_intf.capture then
+      E.run_batch ~traces:[| trace |] cfg k p ws
+    else E.run_batch cfg k p ws
+  in
+  let { Dphls_engines.Engines.result; cycles; stats; _ } =
     refusing (fun () ->
-        if E.caps.Dphls_engines.Engine_intf.capture then E.run ~trace cfg k p w
-        else E.run cfg k p w)
+        (fst (Dphls_engines.Engines.run_batch ~run choice k p [| w |])).(0))
   in
   (match vcd_path with
   | Some path ->
@@ -191,22 +192,21 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
   (match result.Result.start_cell with
   | Some c -> Printf.printf "start cell  : (%d,%d)\n" c.Types.row c.Types.col
   | None -> ());
-  (match stats with
+  (match cycles with
   | None -> ()
-  | Some stats ->
+  | Some c ->
     Printf.printf "cycles      : %d (prologue %d, compute %d, traceback %d)\n"
-      stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total
-      stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.prologue
-      stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.compute
-      stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.traceback;
-    if overlap then begin
-      let c = stats.Dphls_systolic.Engine.cycles in
+      c.Dphls_systolic.Engine.total c.Dphls_systolic.Engine.prologue
+      c.Dphls_systolic.Engine.compute c.Dphls_systolic.Engine.traceback;
+    if overlap then
       Printf.printf
         "overlapped  : %d steady-state (prologue hidden under a neighbouring \
          alignment's compute recovers %d cycles)\n"
         c.Dphls_systolic.Engine.total_overlapped
-        (c.Dphls_systolic.Engine.total - c.Dphls_systolic.Engine.total_overlapped)
-    end;
+        (c.Dphls_systolic.Engine.total - c.Dphls_systolic.Engine.total_overlapped));
+  (match stats with
+  | None -> ()
+  | Some stats ->
     Printf.printf "PE util     : %.2f over %d PEs\n"
       stats.Dphls_systolic.Engine.utilization n_pe);
   match engine_name with

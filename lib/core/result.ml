@@ -4,10 +4,18 @@ type t = {
   end_cell : Types.cell option;
   path : Traceback.op list;
   cells_computed : int;
+  tb_steps : int;
 }
 
 let score_only ~score ~cells =
-  { score; start_cell = None; end_cell = None; path = []; cells_computed = cells }
+  {
+    score;
+    start_cell = None;
+    end_cell = None;
+    path = [];
+    cells_computed = cells;
+    tb_steps = 0;
+  }
 
 let op_char (op : Traceback.op) =
   match op with Mmi -> 'M' | Ins -> 'I' | Del -> 'D'

@@ -7,6 +7,9 @@ type t = {
   end_cell : Types.cell option;    (** last in-matrix cell on the path *)
   path : Traceback.op list;        (** operations in sequence order (5'->3') *)
   cells_computed : int;            (** DP cells evaluated (band-aware) *)
+  tb_steps : int;
+      (** traceback FSM steps (pointer reads) the walk took, 0 without a
+          traceback: the traceback term of the device cycle model *)
 }
 
 val score_only : score:Types.score -> cells:int -> t

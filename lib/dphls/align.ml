@@ -58,7 +58,11 @@ let run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine kernel params
   in
   ( Array.mapi
       (fun i (r : Engines.ran) ->
-        view_of_result ws.(i) r.Engines.result r.Engines.cycles ~decode)
+        view_of_result ws.(i) r.Engines.result
+          (Option.map
+             (fun c -> c.Dphls_systolic.Engine.total)
+             r.Engines.cycles)
+          ~decode)
       ran,
     batch )
 

@@ -2,8 +2,8 @@
 
     For programs that just want alignments (not hardware modeling):
     string in, scored alignment out. Every call runs the requested
-    engine — the exact golden engine by default, or the systolic
-    simulator to obtain device-cycle estimates too — through
+    engine — the exact golden engine by default, the systolic
+    simulator, or [Auto], which also reports device cycles — through
     {!Dphls_engines.Engines.run_batch}, the same dispatch [dphls batch],
     [dphls profile] and [dphls serve] use. *)
 
@@ -26,7 +26,10 @@ type alignment = {
   query_span : int * int;    (** first consumed, one past last (0-based) *)
   reference_span : int * int;
   view : string;             (** three-line rendering *)
-  device_cycles : int option;  (** Some when run on the systolic engine *)
+  device_cycles : int option;
+      (** Some on the systolic engine, and under [Auto] for answers the
+          golden engine gave (the closed-form model, equal to the
+          simulated count); None otherwise *)
 }
 
 val global :

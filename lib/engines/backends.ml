@@ -72,7 +72,11 @@ module Reference : Engine_intf.S = struct
       raise
         (Engine_intf.Unsupported "reference engine has no capture stream")
     | None -> ());
-    (Array.map (fun w -> run ?metrics ?tracer cfg k p w) ws, None)
+    ( Array.map
+        (fun r -> (r, None))
+        (Dphls_reference.Ref_engine.run_batch ?band_pe:(band_pe cfg) ?metrics
+           ?tracer k p ws),
+      None )
 end
 
 module Bitpar : sig
@@ -80,9 +84,9 @@ module Bitpar : sig
 
   val mapping_for :
     'p Kernel.t -> 'p -> (Dphls_bitpar.Engine.mapping, string) result
-  (** Shape proof (Fastpath on the kernel's catalog datapath) plus the
-      live cost constants probed from the kernel's own PE. Does not
-      check banding or borders — see {!supports}. *)
+  (** Shape proof (Fastpath on the kernel's own datapath and bindings)
+      plus the cost constants it resolves from them. Does not check
+      banding or borders — see {!supports}. *)
 
   val supports :
     qry_len:int ->

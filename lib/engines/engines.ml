@@ -33,9 +33,14 @@ let select ?(metrics = Dphls_obs.Metrics.disabled) ~qry_len ~ref_len k p =
   | false, Ok _ ->
     Dphls_obs.Metrics.incr metrics Dphls_obs.Counter.Engine_fastpath_hits;
     bitpar
-  | _ ->
+  | _ -> (
     Dphls_obs.Metrics.incr metrics Dphls_obs.Counter.Engine_fastpath_fallbacks;
-    systolic
+    (* an adaptive window depends on the array height, so only the
+       simulator prunes (and counts the live wavefronts) as the array
+       would; every other band is a closed form of the golden run *)
+    match k.Dphls_core.Kernel.banding with
+    | Some (Dphls_core.Banding.Adaptive _) -> systolic
+    | Some (Dphls_core.Banding.Fixed _) | None -> reference)
 
 let resolve ?metrics ~qry_len ~ref_len choice k p =
   match choice with
@@ -44,12 +49,14 @@ let resolve ?metrics ~qry_len ~ref_len choice k p =
   | Bitpar -> bitpar
   | Auto _ -> select ?metrics ~qry_len ~ref_len k p
 
-type ran = { result : Dphls_core.Result.t; engine : string; cycles : int option }
+module Sim = Dphls_systolic.Engine
 
-let cycles stats =
-  Option.map
-    (fun s -> s.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total)
-    stats
+type ran = {
+  result : Dphls_core.Result.t;
+  engine : string;
+  cycles : Sim.cycles option;
+  stats : Sim.stats option;
+}
 
 let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
   let cfg =
@@ -66,11 +73,37 @@ let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
   in
   let go e ws =
     let engine = name e in
-    let results, batch = run e cfg ws in
-    ( Array.map
-        (fun (result, stats) -> { result; engine; cycles = cycles stats })
-        results,
-      batch )
+    match choice with
+    | Auto n_pe when e == reference ->
+      (* Auto's golden answers carry the cycles the array would take:
+         the simulator's own closed form at the choice's N_PE, from the
+         golden walk's step count *)
+      let array = Dphls_systolic.Config.create ~n_pe in
+      let results, _ = run e cfg ws in
+      let cycles =
+        Array.map2
+          (fun w (result, _) ->
+            let qry_len, ref_len = Dphls_core.Workload.sizes w in
+            Sim.cycles_estimate array k p ~qry_len ~ref_len
+              ~tb_steps:result.Dphls_core.Result.tb_steps)
+          ws results
+      in
+      ( Array.map2
+          (fun (result, _) c -> { result; engine; cycles = Some c; stats = None })
+          results cycles,
+        Some (Sim.batch_stats_of ?metrics ~overlap cycles) )
+    | _ ->
+      let results, batch = run e cfg ws in
+      ( Array.map
+          (fun (result, stats) ->
+            {
+              result;
+              engine;
+              cycles = Option.map (fun s -> s.Sim.cycles) stats;
+              stats;
+            })
+          results,
+        batch )
   in
   (* one observable dispatch decision per workload *)
   let picks =
@@ -90,4 +123,4 @@ let tile_runner ?metrics ?tracer (e : Engine_intf.t)
   fun ~band w ->
     let k = Dphls_core.Kernel.with_band k (Option.map Option.some band) in
     let result, stats = E.run ?metrics ?tracer cfg k p w in
-    (result, Option.value (cycles stats) ~default:0)
+    (result, match stats with Some s -> s.Sim.cycles.Sim.total | None -> 0)

@@ -8,10 +8,14 @@
 
     Auto dispatch routes a request to the bit-parallel Myers engine
     exactly when the whole eligibility chain holds — the
-    {!Dphls_analysis.Fastpath} shape proof on the kernel's catalog
-    datapath, the live-parameter cost probe, the global init-border
-    ramp, an unbanded or fixed band, and no traceback — and otherwise
-    falls back to the systolic engine. Either way the decision is
+    {!Dphls_analysis.Fastpath} shape proof on the kernel's own datapath
+    and bindings, the global init-border ramp, an unbanded or fixed
+    band, and no traceback. Otherwise it falls back to the golden
+    engine for unbanded and fixed-band kernels, whose answers carry the
+    device cycles of the closed-form model
+    ({!Dphls_systolic.Engine.cycles_estimate}) at the choice's N_PE,
+    and to the systolic simulator for adaptive bands, whose window
+    depends on the array height. Either way the decision is
     observable: one [engine_fastpath_hits] or [engine_fastpath_fallbacks]
     bump per dispatch. *)
 
@@ -47,8 +51,9 @@ type choice =
           shape ({!Dphls_analysis.Fastpath}) *)
   | Auto of int
       (** {!select} per workload: {!bitpar} when the kernel and workload
-          are fully fast-path eligible, else {!systolic} at this N_PE.
-          Results never depend on the routing. *)
+          are fully fast-path eligible, else {!reference} with modeled
+          cycles at this N_PE, or {!systolic} at this N_PE for adaptive
+          bands. Results never depend on the routing. *)
 
 val of_string : n_pe:int -> string -> (choice, string) result
 (** ["auto"], ["systolic"], ["reference"] or ["bitpar"], with [n_pe]
@@ -67,9 +72,11 @@ val select :
   'p ->
   Engine_intf.t
 (** The auto-dispatch policy: {!bitpar} iff the kernel+workload is fully
-    fast-path eligible (and needs no traceback), else {!systolic}.
-    Never changes results — the routed engine computes the same scores.
-    Bumps [Engine_fastpath_hits] or [Engine_fastpath_fallbacks]. *)
+    fast-path eligible (and needs no traceback); else {!reference} when
+    the kernel's band is [None] or [Fixed]; else (an adaptive band)
+    {!systolic}. Never changes results — the routed engine computes the
+    same scores. Bumps [Engine_fastpath_hits] or
+    [Engine_fastpath_fallbacks]. *)
 
 val resolve :
   ?metrics:Dphls_obs.Metrics.t ->
@@ -82,9 +89,18 @@ val resolve :
 (** The engine a choice runs on a workload of this shape: {!select}
     for [Auto], the named engine otherwise. *)
 
-(** One workload's result, tagged with the engine that ran it and its
-    modeled device cycles ([None] for engines without a cycle model). *)
-type ran = { result : Dphls_core.Result.t; engine : string; cycles : int option }
+(** One workload's result, tagged with the engine that ran it. *)
+type ran = {
+  result : Dphls_core.Result.t;
+  engine : string;
+  cycles : Dphls_systolic.Engine.cycles option;
+      (** device cycles: the simulator's on {!systolic}; under [Auto],
+          the closed-form model's for {!reference} answers; [None]
+          otherwise (forced [Golden], {!bitpar}) *)
+  stats : Dphls_systolic.Engine.stats option;
+      (** the simulator's own stats (PE fires, slots, utilization):
+          {!systolic} runs only *)
+}
 
 val run_batch :
   ?overlap:bool ->
@@ -106,6 +122,12 @@ val run_batch :
     pick the same engine the whole array runs as one staged batch, and
     that batch's stats are returned, otherwise each workload runs alone
     and the stats are [None]. Results are in workload order.
+
+    Under [Auto n], a batch the golden engine answers is tagged with
+    the modeled cycles at N_PE [n] and its stats come from
+    {!Dphls_systolic.Engine.batch_stats_of} over them with [overlap]
+    (adding the overlap counters to [metrics]): the same numbers
+    [Systolic n] simulates.
 
     [run e cfg ws] executes one of those batches; the default is [e]'s
     own [run_batch ?overlap ?metrics ?tracer cfg] on the kernel. A

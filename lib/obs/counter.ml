@@ -125,10 +125,10 @@ let describe = function
   | Alignments -> "engine runs completed — systolic and golden engines"
   | Prologues_overlapped ->
     "prologues hidden under a predecessor's compute — \
-     Systolic.Engine.run_batch ~overlap:true"
+     Systolic.Engine.batch_stats_of ~overlap:true"
   | Overlap_hidden_cycles ->
     "modeled cycles recovered by prologue overlap — \
-     Systolic.Engine.run_batch ~overlap:true"
+     Systolic.Engine.batch_stats_of ~overlap:true"
   | Pool_tasks -> "tasks executed by pool workers — Host.Pool.run"
   | Pool_steals ->
     "work chunks popped from the shared queue — Host.Pool.run"
@@ -137,8 +137,8 @@ let describe = function
   | Engine_fastpath_hits ->
     "auto dispatches routed to the bit-parallel engine — Engines.select"
   | Engine_fastpath_fallbacks ->
-    "auto dispatches that fell back to the systolic engine — \
-     Engines.select"
+    "auto dispatches not routed to the bit-parallel engine: the golden \
+     engine, or the simulator for adaptive bands — Engines.select"
   | Serve_requests_admitted ->
     "requests accepted into a per-kernel queue — Serve.Server.submit"
   | Serve_requests_rejected ->

@@ -23,7 +23,8 @@ type t =
   | Pool_idle_waits      (** times a pool worker went idle (queue empty) *)
   | Engine_fastpath_hits (** auto dispatches routed to the bit-parallel engine *)
   | Engine_fastpath_fallbacks
-      (** auto dispatches that fell back to the systolic engine *)
+      (** auto dispatches not routed to the bit-parallel engine: the
+          golden engine, or the simulator for adaptive bands *)
   | Serve_requests_admitted  (** requests accepted into a serve queue *)
   | Serve_requests_rejected
       (** requests refused with [overloaded] (bounded queue full) *)

@@ -28,6 +28,50 @@ type fill = {
 let pointer_at tb ~ref_len ~row ~col =
   Bytes.get_uint16_le tb (2 * ((row * ref_len) + col))
 
+(* A domain keeps the score ring and the traceback plane of its last
+   alignment and hands them to the next one, so a stream of alignments
+   (a serve flush, a batch slice) allocates them once per domain instead
+   of once per alignment. Each call resets the prefix it uses: the ring
+   to the worst value, the plane to zeros, so every cell reads as in a
+   fresh buffer. A buffer above [retain_cap_bytes] is allocated for its
+   call only and never retained.
+
+   Why 1 MiB: it holds the plane of a 724 x 724 alignment (2 bytes a
+   cell) or the ring of a 128k-cell adaptive canonical fill, far above
+   the short reads a serve miss aligns (a 160 x 160 plane is 50 KB), so
+   those never allocate. An alignment that needs more fills at least
+   half a million cells, milliseconds of work next to which a fresh
+   allocation is noise, while keeping its buffer would pin up to 32 MiB
+   per domain (a 4096-base serve request) for the life of the process.
+   A domain therefore retains at most 2 MiB. *)
+let retain_cap_bytes = 1 lsl 20
+
+type scratch = { mutable ring : Types.score array; mutable plane : Bytes.t }
+
+let scratch = Domain.DLS.new_key (fun () -> { ring = [||]; plane = Bytes.empty })
+
+let ring_buffer ~words worst =
+  if words * (Sys.word_size / 8) > retain_cap_bytes then Array.make words worst
+  else begin
+    let s = Domain.DLS.get scratch in
+    if Array.length s.ring < words then s.ring <- Array.make words worst
+    else Array.fill s.ring 0 words worst;
+    s.ring
+  end
+
+let plane_buffer ~bytes =
+  if bytes > retain_cap_bytes then Bytes.make bytes '\000'
+  else begin
+    let s = Domain.DLS.get scratch in
+    if Bytes.length s.plane < bytes then s.plane <- Bytes.make bytes '\000'
+    else Bytes.fill s.plane 0 bytes '\000';
+    s.plane
+  end
+
+let retained_bytes () =
+  let s = Domain.DLS.get scratch in
+  (Array.length s.ring * (Sys.word_size / 8)) + Bytes.length s.plane
+
 (* Cells are evaluated only through the kernel's row evaluator
    ([Kernel.flat_row]: the generated fused row loop for catalog
    programs, the generic row around the bytecode otherwise), which
@@ -48,10 +92,13 @@ let pointer_at tb ~ref_len ~row ~col =
 
    Anti-diagonal order respects every DP dependency, so both orders
    give a row-major fill's scores. [full] keeps all [qry_len + 1] rows
-   instead, for {!run_full}. Score-site candidates are observed as
-   cells retire; [Best_cell] breaks ties canonically, so the order does
-   not matter. *)
-let fill ?band_pe ~full kernel params (w : Workload.t) =
+   in buffers of its own, for {!run_full}; otherwise the ring and the
+   plane are the domain's reused ones. Score-site candidates are
+   observed as cells retire; [Best_cell] breaks ties canonically, so
+   the order does not matter. [row] is the kernel's row evaluator,
+   resolved once per {!run_batch} call and forced here, after the
+   workload is checked. *)
+let fill ?band_pe ~full ~row:eval_row kernel params (w : Workload.t) =
   let query = w.Workload.query and reference = w.Workload.reference in
   let qry_len = Array.length query and ref_len = Array.length reference in
   if qry_len < 1 || ref_len < 1 then invalid_arg "Ref_engine: empty sequence";
@@ -91,7 +138,10 @@ let fill ?band_pe ~full kernel params (w : Workload.t) =
   let height = min h qry_len in
   let ring_rows = if full then qry_len + 1 else height + 1 in
   let stride = (ref_len + 1) * n_layers in
-  let ring = Array.make (ring_rows * stride) worst in
+  let ring =
+    if full then Array.make (ring_rows * stride) worst
+    else ring_buffer ~words:(ring_rows * stride) worst
+  in
   let row_base row = (row + 1) mod ring_rows * stride in
   let load_border ~row ~col =
     let at = row_base row + ((col + 1) * n_layers) in
@@ -103,11 +153,11 @@ let fill ?band_pe ~full kernel params (w : Workload.t) =
     load_border ~row:(-1) ~col
   done;
   let tb =
-    if Kernel.has_traceback kernel params then
-      Bytes.make (2 * qry_len * ref_len) '\000'
-    else Bytes.empty
+    if not (Kernel.has_traceback kernel params) then Bytes.empty
+    else if full then Bytes.make (2 * qry_len * ref_len) '\000'
+    else plane_buffer ~bytes:(2 * qry_len * ref_len)
   in
-  let eval_row = Kernel.flat_row kernel params in
+  let eval_row = Lazy.force eval_row in
   let rule = kernel.Kernel.score_site in
   let best = Traceback.Best_cell.create objective in
   let cells = ref 0 in
@@ -190,14 +240,7 @@ let result_of ?metrics kernel params f =
       ~ref_len:f.ref_len f.best
   in
   match kernel.Kernel.traceback params with
-  | None ->
-    {
-      Result.score;
-      start_cell = None;
-      end_cell = None;
-      path = [];
-      cells_computed = f.cells;
-    }
+  | None -> Result.score_only ~score ~cells:f.cells
   | Some spec ->
     let outcome =
       Walker.walk ?metrics ~fsm:spec.Traceback.fsm ~stop:spec.Traceback.stop
@@ -210,12 +253,16 @@ let result_of ?metrics kernel params f =
       end_cell = Some outcome.Walker.end_cell;
       path = outcome.Walker.path;
       cells_computed = f.cells;
+      tb_steps = outcome.Walker.steps;
     }
 
-let run_fill ?band_pe ~full ?(metrics = Dphls_obs.Metrics.disabled)
+let row_of kernel params = lazy (Kernel.flat_row kernel params)
+
+let run_fill ?band_pe ~full ?row ?(metrics = Dphls_obs.Metrics.disabled)
     ?(tracer = Dphls_obs.Tracer.disabled) kernel params w =
+  let row = match row with Some row -> row | None -> row_of kernel params in
   let t_fill = Dphls_obs.Tracer.now tracer in
-  let f = fill ?band_pe ~full kernel params w in
+  let f = fill ?band_pe ~full ~row kernel params w in
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_fill
     ~t1:(Dphls_obs.Tracer.now tracer) "fill";
   Dphls_obs.Metrics.add metrics Cells_evaluated f.cells;
@@ -254,9 +301,17 @@ let run_full ?band_pe ?metrics ?tracer kernel params w =
 let run ?band_pe ?metrics ?tracer kernel params w =
   fst (run_fill ?band_pe ~full:false ?metrics ?tracer kernel params w)
 
+(* one row evaluator for the batch: its alignments run one after another *)
+let run_batch ?band_pe ?metrics ?tracer kernel params ws =
+  let row = row_of kernel params in
+  Array.map
+    (fun w -> fst (run_fill ?band_pe ~full:false ~row ?metrics ?tracer kernel params w))
+    ws
+
 let score_only ?band_pe kernel params w = (run ?band_pe kernel params w).Result.score
 
 let band_map ?band_pe kernel params w =
   match kernel.Kernel.banding with
-  | Some (Banding.Adaptive _) -> (fill ?band_pe ~full:false kernel params w).member
+  | Some (Banding.Adaptive _) ->
+    (fill ?band_pe ~full:false ~row:(row_of kernel params) kernel params w).member
   | band -> Banding.in_band band

@@ -34,6 +34,12 @@
     also keep the band tracker's 1-byte-per-cell membership map.
     [band_pe] is ignored for non-adaptive kernels.
 
+    A domain reuses one score ring and one traceback plane across the
+    alignments it runs ({!run}, {!run_batch}), resetting the prefix
+    each one uses, so they allocate once per domain rather than once
+    per alignment. A buffer above {!retain_cap_bytes} is allocated for
+    its call only; {!run_full} always allocates its own.
+
     A PE traceback pointer outside [0 .. 0xFFFF] raises
     [Invalid_argument] naming the cell ({!Dphls_core.Kernel.validate}
     bounds [tb_bits] to 16); it is never truncated. *)
@@ -62,6 +68,23 @@ val run :
     alignment, added once per run. [tracer] (default: disabled) records
     [fill] and [traceback] spans under the ["engine"] category. See
     {!Dphls_obs}. *)
+
+val run_batch :
+  ?band_pe:int ->
+  ?metrics:Dphls_obs.Metrics.t ->
+  ?tracer:Dphls_obs.Tracer.t ->
+  'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t array ->
+  Dphls_core.Result.t array
+(** {!run} on each workload, in order, resolving the kernel's row
+    evaluator ({!Dphls_core.Kernel.flat_row}) once for the whole call.
+    Results equal {!run}'s, errors included: the first workload's
+    checks still precede the row's resolution. *)
+
+val retain_cap_bytes : int
+(** The most a domain keeps of each reused buffer, in bytes: 1 MiB. *)
+
+val retained_bytes : unit -> int
+(** Bytes of ring and plane the calling domain currently retains. *)
 
 val run_full :
   ?band_pe:int ->

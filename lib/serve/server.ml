@@ -171,8 +171,8 @@ let compute t g (ws : Workload.t array) =
   | Registry.Packed (k, p) -> (
     try
       let ran, _ =
-        Engines.run_batch ~metrics:t.cfg.metrics ~run:(exec t k p) g.choice k
-          p ws
+        Engines.run_batch ~overlap:true ~metrics:t.cfg.metrics
+          ~run:(exec t k p) g.choice k p ws
       in
       Ok
         (Array.map
@@ -180,7 +180,10 @@ let compute t g (ws : Workload.t array) =
              {
                Cache.score = r.Engines.result.Res.score;
                cigar = Res.cigar r.Engines.result;
-               cycles = r.Engines.cycles;
+               cycles =
+                 Option.map
+                   (fun c -> c.Dphls_systolic.Engine.total)
+                   r.Engines.cycles;
                engine = r.Engines.engine;
              })
            ran)

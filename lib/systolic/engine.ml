@@ -43,15 +43,49 @@ let assemble_cycles ~prologue ~compute ~reduction ~traceback ~fill =
     total_overlapped = max prologue compute + reduction + traceback + fill;
   }
 
-let cycles_estimate config kernel _params ~qry_len ~ref_len ~tb_steps =
+let cycles_estimate ?live_wavefronts config kernel _params ~qry_len ~ref_len ~tb_steps =
   let schedule = Schedule.create ~n_pe:config.Config.n_pe ~qry_len ~ref_len in
-  let banding = kernel.Kernel.banding in
+  let banding = kernel.Kernel.banding and ii = kernel.Kernel.traits.Traits.ii in
+  let compute =
+    match (banding, live_wavefronts) with
+    | Some (Banding.Adaptive _), Some live ->
+      (* The hardware only sequences wavefronts with at least one live
+         PE; the static schedule cannot know which, only the run. *)
+      live * ii
+    | _ -> Schedule.compute_cycles schedule ~banding ~ii
+  in
   assemble_cycles
     ~prologue:(Schedule.prologue_cycles schedule)
-    ~compute:(Schedule.compute_cycles schedule ~banding ~ii:kernel.Kernel.traits.Traits.ii)
+    ~compute
     ~reduction:(Schedule.reduction_cycles schedule)
     ~traceback:tb_steps
     ~fill:(Schedule.pipeline_fill_cycles schedule)
+
+let batch_stats_of ?(metrics = Dphls_obs.Metrics.disabled) ~overlap cycles =
+  (* Sequentially the totals just add. With overlap, alignment i's
+     prologue runs under alignment i-1's compute and the batch total
+     drops by the hidden portion min(prologue_i, compute_(i-1)), the
+     same clamp as [total_overlapped]: nothing hides under
+     reduction/traceback (shared units), and the first prologue is
+     never hidden. *)
+  let seq_cycles = ref 0 and hidden = ref 0 and prologues_hidden = ref 0 in
+  Array.iteri
+    (fun i c ->
+      seq_cycles := !seq_cycles + c.total;
+      if overlap && i > 0 then begin
+        let h = min c.prologue cycles.(i - 1).compute in
+        hidden := !hidden + h;
+        if h > 0 then incr prologues_hidden
+      end)
+    cycles;
+  Dphls_obs.Metrics.add metrics Prologues_overlapped !prologues_hidden;
+  Dphls_obs.Metrics.add metrics Overlap_hidden_cycles !hidden;
+  {
+    alignments = Array.length cycles;
+    seq_cycles = !seq_cycles;
+    overlapped_cycles = !seq_cycles - !hidden;
+    hidden_cycles = !hidden;
+  }
 
 (* The engine is decomposed into communicating stages in the TAPA style
    (ROADMAP item 4): fetch/init (the prologue) builds a self-contained
@@ -68,7 +102,9 @@ let cycles_estimate config kernel _params ~qry_len ~ref_len ~tb_steps =
    [rows = min n_pe qry_len]: an array taller than the query models the
    same cycles and slots but allocates and loops over only those PEs. *)
 type 'p task = {
+  config : Config.t;
   kernel : 'p Kernel.t;
+  params : 'p;
   w : Workload.t;
   qry_len : int;
   ref_len : int;
@@ -185,7 +221,9 @@ let fetch config kernel params ~wave (w : Workload.t) =
     done
   done;
   {
+    config;
     kernel;
+    params;
     w;
     qry_len;
     ref_len;
@@ -416,29 +454,21 @@ let reduce_stage (t : _ task) =
    cell. *)
 let traceback_stage (t : _ task) ~metrics (start_cell, score) =
   match t.tb with
-  | None ->
-    ( {
-        Result.score;
-        start_cell = None;
-        end_cell = None;
-        path = [];
-        cells_computed = t.fires;
-      },
-      0 )
+  | None -> Result.score_only ~score ~cells:t.fires
   | Some (spec, mem) ->
     let ptr_at ~row ~col = Tb_memory.read mem ~row ~col in
     let outcome =
       Walker.walk ~metrics ~fsm:spec.Traceback.fsm ~stop:spec.Traceback.stop
         ~ptr_at ~start:start_cell ~qry_len:t.qry_len ~ref_len:t.ref_len ()
     in
-    ( {
-        Result.score;
-        start_cell = Some start_cell;
-        end_cell = Some outcome.Walker.end_cell;
-        path = outcome.Walker.path;
-        cells_computed = t.fires;
-      },
-      outcome.Walker.steps )
+    {
+      Result.score;
+      start_cell = Some start_cell;
+      end_cell = Some outcome.Walker.end_cell;
+      path = outcome.Walker.path;
+      cells_computed = t.fires;
+      tb_steps = outcome.Walker.steps;
+    }
 
 let finish_stats (t : _ task) ~metrics ~tb_steps =
   (* Counters land once per run from the totals the task already keeps,
@@ -455,27 +485,10 @@ let finish_stats (t : _ task) ~metrics ~tb_steps =
     Dphls_obs.Metrics.add metrics Band_window_moves
       (Banding.Tracker.window_moves tr)
   | None -> ());
-  let banding = t.kernel.Kernel.banding in
-  let ii = t.kernel.Kernel.traits.Traits.ii in
-  let compute_cycles =
-    match banding with
-    | Some (Banding.Adaptive _) ->
-      (* The hardware only sequences wavefronts with at least one live
-         PE; the static schedule cannot know which, so count them here. *)
-      t.active_wf * ii
-    | Some (Banding.Fixed _) | None ->
-      Schedule.compute_cycles t.schedule ~banding ~ii
-  in
-  let cycles =
-    assemble_cycles
-      ~prologue:(Schedule.prologue_cycles t.schedule)
-      ~compute:compute_cycles
-      ~reduction:(Schedule.reduction_cycles t.schedule)
-      ~traceback:tb_steps
-      ~fill:(Schedule.pipeline_fill_cycles t.schedule)
-  in
   {
-    cycles;
+    cycles =
+      cycles_estimate ~live_wavefronts:t.active_wf t.config t.kernel t.params
+        ~qry_len:t.qry_len ~ref_len:t.ref_len ~tb_steps;
     pe_fires = t.fires;
     pe_slots = t.slots;
     utilization =
@@ -496,10 +509,10 @@ let drain_task (t : _ task) ~trace ~metrics ~tracer =
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_reduce
     ~t1:(Dphls_obs.Tracer.now tracer) "reduction";
   let t_tb = Dphls_obs.Tracer.now tracer in
-  let result, tb_steps = traceback_stage t ~metrics best in
+  let result = traceback_stage t ~metrics best in
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_tb
     ~t1:(Dphls_obs.Tracer.now tracer) "traceback";
-  (result, finish_stats t ~metrics ~tb_steps)
+  (result, finish_stats t ~metrics ~tb_steps:result.Result.tb_steps)
 
 let fetch_traced ?(tid = 0) config kernel params ~wave w ~tracer =
   let t0 = Dphls_obs.Tracer.now tracer in
@@ -554,29 +567,4 @@ let run_batch ?(overlap = false) ?traces
       Fifo.push fetched (fetch_traced ws.(i + 1))
   done;
   let results = Array.map Option.get out in
-  (* Batch cycle accounting. Sequentially the totals just add. With
-     overlap, alignment i's prologue runs under alignment i-1's compute
-     and the modeled batch total drops by the hidden portion
-     min(prologue_i, compute_{i-1}) — the same clamp as
-     [total_overlapped]: nothing is hidden under reduction/traceback
-     (shared units), and the first prologue is never hidden. *)
-  let seq_cycles = ref 0 and hidden = ref 0 and prologues_hidden = ref 0 in
-  Array.iteri
-    (fun i (_, s) ->
-      seq_cycles := !seq_cycles + s.cycles.total;
-      if overlap && i > 0 then begin
-        let _, prev = results.(i - 1) in
-        let h = min s.cycles.prologue prev.cycles.compute in
-        hidden := !hidden + h;
-        if h > 0 then incr prologues_hidden
-      end)
-    results;
-  Dphls_obs.Metrics.add metrics Prologues_overlapped !prologues_hidden;
-  Dphls_obs.Metrics.add metrics Overlap_hidden_cycles !hidden;
-  ( results,
-    {
-      alignments = n;
-      seq_cycles = !seq_cycles;
-      overlapped_cycles = !seq_cycles - !hidden;
-      hidden_cycles = !hidden;
-    } )
+  (results, batch_stats_of ~metrics ~overlap (Array.map (fun (_, s) -> s.cycles) results))

@@ -114,9 +114,25 @@ val run_batch :
     workload; raises [Invalid_argument] on a length mismatch. *)
 
 val cycles_estimate :
+  ?live_wavefronts:int ->
   Config.t -> 'p Dphls_core.Kernel.t -> 'p ->
   qry_len:int -> ref_len:int -> tb_steps:int -> cycles
-(** Closed-form cycle count for the given problem shape without running
-    the array — used by scaling sweeps after the formula is validated
-    against [run] in the test suite. [tb_steps] is the expected traceback
-    length (0 for kernels without traceback). *)
+(** The per-alignment cycle model, in closed form: the one function
+    behind every per-alignment {!cycles}. The simulator's {!run} reports
+    it from the run's own counts, and [Auto] dispatch attaches it to
+    the golden engine's answers. [tb_steps] is the traceback walk's
+    step count ({!Dphls_core.Result.t}'s [tb_steps]; 0 for kernels
+    without traceback). [live_wavefronts] is the number of wavefronts
+    with at least one live PE: it sets the compute term of an adaptive
+    band, which only a run knows (absent: the static, unbanded upper
+    bound). Unbanded and fixed-band compute terms come from the static
+    schedule and ignore it. The test suite pins the model to the
+    simulator term by term for every non-adaptive kernel. *)
+
+val batch_stats_of :
+  ?metrics:Dphls_obs.Metrics.t -> overlap:bool -> cycles array -> batch_stats
+(** Batch accounting over per-alignment cycles, in batch order: the one
+    function behind every {!batch_stats}. [hidden_cycles] sums
+    [min prologue_i compute_(i-1)] over [i > 0] when [overlap], else 0.
+    Adds the [Prologues_overlapped] and [Overlap_hidden_cycles]
+    counters to [metrics] (default: disabled). *)

@@ -229,6 +229,7 @@ let test_result_cigar () =
       end_cell = None;
       path = [ Traceback.Mmi; Traceback.Mmi; Traceback.Ins; Traceback.Mmi; Traceback.Del ];
       cells_computed = 0;
+      tb_steps = 0;
     }
   in
   Alcotest.(check string) "cigar" "2M1I1M1D" (Result.cigar r);

@@ -247,12 +247,17 @@ let test_auto_dispatch_catalog () =
       Alcotest.(check int)
         (Printf.sprintf "#%d auto score == golden" (Registry.id e.packed))
         golden.Result.score r.Result.score;
-      if Registry.id e.packed = 19 then
+      let id = Registry.id e.packed in
+      if id = 19 then
         Alcotest.(check string) "#19 routes to bitpar" "bitpar" E.name
+      else if List.mem id [ 16; 17; 18 ] then
+        Alcotest.(check string)
+          (Printf.sprintf "#%d (adaptive band) falls back to systolic" id)
+          "systolic" E.name
       else
         Alcotest.(check string)
-          (Printf.sprintf "#%d falls back to systolic" (Registry.id e.packed))
-          "systolic" E.name)
+          (Printf.sprintf "#%d falls back to reference" id)
+          "reference" E.name)
     Dphls_kernels.Catalog.all;
   let total = List.length Dphls_kernels.Catalog.all in
   Alcotest.(check int) "exactly one fast-path hit across the catalog" 1
@@ -379,15 +384,23 @@ let test_cli_engine_bitpar () =
     (contains out "golden check: score match")
 
 let test_cli_engine_auto_fallback () =
-  let code, out =
+  let align engine =
     run_cli
-      [ "align"; "-k"; "1"; "-q"; "ACGTACGT"; "-r"; "ACGTTCGT"; "--engine"; "auto" ]
+      [ "align"; "-k"; "1"; "-q"; "ACGTACGT"; "-r"; "ACGTTCGT"; "--engine"; engine ]
   in
-  Alcotest.(check int) "exit 0" 0 code;
+  let cycles_line out =
+    List.find_opt
+      (fun l -> String.length l > 6 && String.sub l 0 6 = "cycles")
+      (String.split_on_char '\n' out)
+  in
+  let code, out = align "auto" and sys_code, sys_out = align "systolic" in
+  Alcotest.(check (pair int int)) "exit 0" (0, 0) (code, sys_code);
   Alcotest.(check bool) "reports the fallback decision" true
-    (contains out "engine      : systolic (auto)");
-  Alcotest.(check bool) "still golden-checked" true
-    (contains out "golden check: match")
+    (contains out "engine      : reference (auto)");
+  Alcotest.(check bool) "the systolic run prints a cycles line" true
+    (cycles_line sys_out <> None);
+  Alcotest.(check (option string)) "modeled cycles line == simulated one"
+    (cycles_line sys_out) (cycles_line out)
 
 let test_cli_engine_bitpar_refusal () =
   List.iter
@@ -473,6 +486,56 @@ let test_cli_bad_counts () =
         (fun flag -> ([ "serve"; flag; "0" ], flag ^ " must be >= 1"))
         [ "--batch"; "--queue-depth"; "--workers"; "--max-len" ])
 
+(* ---- auto answers on the golden engine carry the simulator's cycles ---- *)
+
+(* Every kernel auto answers on the golden engine (no fast path, no
+   adaptive band), plus #2 off its generated table, under its own band
+   or a fixed one: [Auto n] through the one dispatch equals [Systolic n]
+   in result (score, cells, path and steps), per-alignment cycles and
+   batch stats, with and without overlap. *)
+let prop_auto_equals_systolic =
+  let ids =
+    Array.of_list
+      (List.filter
+         (fun id -> not (List.mem id [ 16; 17; 18; 19 ]))
+         Dphls_kernels.Catalog.ids)
+  in
+  let n_pes = [| 1; 3; 32 |] in
+  let agree (type p) (k : p Kernel.t) (p : p) gen ~n_pe ~len ~seed =
+    let k =
+      if seed mod 2 = 0 then k
+      else Kernel.with_band k (Some (Some (Banding.fixed (1 + (seed / 2 mod 8)))))
+    in
+    let rng = Dphls_util.Rng.create seed in
+    let ws = Array.init (1 + (seed mod 3)) (fun i -> gen rng ~len:(len + (7 * i))) in
+    List.for_all
+      (fun overlap ->
+        let auto, auto_batch = Engines.run_batch ~overlap (Engines.Auto n_pe) k p ws
+        and sys, sys_batch = Engines.run_batch ~overlap (Engines.Systolic n_pe) k p ws in
+        Array.for_all (fun (r : Engines.ran) -> r.Engines.engine = "reference") auto
+        && Array.for_all2
+             (fun (a : Engines.ran) (s : Engines.ran) ->
+               a.Engines.result = s.Engines.result && a.Engines.cycles = s.Engines.cycles)
+             auto sys
+        && auto_batch = sys_batch
+        || QCheck.Test.fail_reportf "#%d n_pe %d len %d band %s overlap %b" k.Kernel.id
+             n_pe len (Banding.to_string k.Kernel.banding) overlap)
+      [ false; true ]
+  in
+  QCheck.Test.make ~name:"auto (golden + model) == systolic through run_batch" ~count:60
+    QCheck.(
+      quad (int_range 0 (Array.length ids)) (int_range 0 (Array.length n_pes - 1))
+        (int_range 1 60) (int_range 0 1_000_000))
+    (fun (ki, ni, len, seed) ->
+      let n_pe = n_pes.(ni) in
+      if ki < Array.length ids then
+        let e = Dphls_kernels.Catalog.find ids.(ki) in
+        let (Registry.Packed (k, p)) = e.packed in
+        agree k p e.Dphls_kernels.Catalog.gen ~n_pe ~len ~seed
+      else
+        let module K02 = Dphls_kernels.K02_global_affine in
+        agree K02.kernel { K02.default with match_ = 3 } K02.gen ~n_pe ~len ~seed)
+
 let suite =
   [
     Alcotest.test_case "myers word-boundary lengths" `Quick test_myers_boundaries;
@@ -496,4 +559,5 @@ let suite =
       test_cli_engine_bitpar_refusal;
     Alcotest.test_case "cli: bad band values exit 2" `Quick test_cli_bad_band;
     Alcotest.test_case "cli: bad counts exit 2" `Quick test_cli_bad_counts;
+    qtest prop_auto_equals_systolic;
   ]

@@ -152,6 +152,7 @@ let test_view_first_consumed () =
       end_cell = Some { Types.row = 6; col = 5 };
       path = [ Traceback.Mmi; Traceback.Mmi; Traceback.Ins; Traceback.Mmi ];
       cells_computed = 0;
+      tb_steps = 0;
     }
   in
   (* consumes 3 query, 4 reference: first = (7, 4) *)

@@ -7,7 +7,9 @@
    differential fuzz of the compiled planes both engines run against the
    boxed interpreter, and the systolic engine's allocation on the
    generated and the generic wave: its per-alignment state, sized to the
-   rows present, and nothing per cell or per wavefront. *)
+   rows present, and nothing per cell or per wavefront; and the golden
+   engine's per-domain ring and plane: reused runs equal fresh ones, and
+   a domain retains no more than the cap. *)
 open Dphls_core
 module Score = Dphls_util.Score
 module Datapath = Dphls_core.Datapath
@@ -216,7 +218,9 @@ let test_allocation_regression () =
    traceback plane, never the score matrix: a whole unbanded K02 run,
    counting major-heap allocations (the plane) as well as minor ones,
    stays under one word per cell. A full n_layers x q x r score matrix
-   alone would be three. *)
+   alone would be three. The ring and the plane are the domain's,
+   reused from the warm-up: a steady-state run allocates less than the
+   plane alone would take. *)
 let test_golden_allocation () =
   let len = 256 in
   let rng = Dphls_util.Rng.create 405 in
@@ -234,7 +238,12 @@ let test_golden_allocation () =
       Alcotest.(check bool)
         (Printf.sprintf "golden %s run allocates < 1 word/cell (%d words, %d cells)"
            path words cells)
-        true (words < cells))
+        true (words < cells);
+      let plane_words = 2 * cells / (Sys.word_size / 8) in
+      Alcotest.(check bool)
+        (Printf.sprintf "golden %s run allocates no plane (%d words, plane %d)" path
+           words plane_words)
+        true (words < plane_words))
     (k02_paths ())
 
 (* A PE pointer that does not fit the golden engine's 16-bit traceback
@@ -388,6 +397,64 @@ let test_tall_array_sized_to_rows () =
   Alcotest.(check (pair int int)) "modeled banks and depth" (1024, len + 1023)
     Dphls_systolic.Tb_memory.(bank_count mem, depth mem)
 
+(* The golden engine's per-domain ring and plane carry nothing from one
+   alignment to the next: in a fresh domain, a long alignment followed
+   by short ones and short ones followed by a long one equal runs on
+   buffers of their own ([run_full]), on traceback kernels unbanded
+   (#2, #3), under a fixed band (#11) and under an adaptive one (#16,
+   whose ring holds every row). *)
+let test_golden_reuse_equals_fresh () =
+  let rng = Dphls_util.Rng.create 408 in
+  let dna n = Dphls_alphabet.Dna.random rng n in
+  let shapes = [ (150, 140); (10, 12); (3, 40); (40, 3); (1, 1); (60, 61); (140, 150) ] in
+  let pairs = List.map (fun (q, r) -> Workload.of_bases ~query:(dna q) ~reference:(dna r)) shapes in
+  let check (type p) (k : p Kernel.t) (p : p) =
+    List.iteri
+      (fun i w ->
+        let reused = Dphls_reference.Ref_engine.run k p w in
+        let fresh, _ = Dphls_reference.Ref_engine.run_full k p w in
+        Alcotest.(check bool)
+          (Printf.sprintf "#%d alignment %d on reused buffers == fresh" k.Kernel.id i)
+          true (reused = fresh))
+      (pairs @ List.rev pairs)
+  in
+  Domain.join
+    (Domain.spawn (fun () ->
+         List.iter
+           (fun id ->
+             let e = Dphls_kernels.Catalog.find id in
+             let (Registry.Packed (k, p)) = e.packed in
+             check k p)
+           [ 2; 3; 11; 16 ]))
+
+(* A workload whose plane is above the retention cap runs on a plane of
+   its own: the domain keeps at most the cap of each buffer. *)
+let test_golden_buffer_cap () =
+  let module Ref_engine = Dphls_reference.Ref_engine in
+  let module K01 = Dphls_kernels.K01_global_linear in
+  let rng = Dphls_util.Rng.create 409 in
+  let pair n =
+    Workload.of_bases
+      ~query:(Dphls_alphabet.Dna.random rng n)
+      ~reference:(Dphls_alphabet.Dna.random rng n)
+  in
+  let big = 800 in
+  let plane = 2 * big * big in
+  Alcotest.(check bool) "the big plane is above the cap" true
+    (plane > Ref_engine.retain_cap_bytes);
+  Domain.join
+    (Domain.spawn (fun () ->
+         ignore (Ref_engine.run K01.kernel K01.default (pair 64));
+         let small = Ref_engine.retained_bytes () in
+         Alcotest.(check bool) "a small alignment's buffers are retained" true (small > 0);
+         ignore (Ref_engine.run K01.kernel K01.default (pair big));
+         let after = Ref_engine.retained_bytes () in
+         Alcotest.(check bool)
+           (Printf.sprintf "retains %d bytes after a %d-byte plane (cap %d each)" after
+              plane Ref_engine.retain_cap_bytes)
+           true
+           (after <= 2 * Ref_engine.retain_cap_bytes && after < plane)))
+
 let suite =
   [
     Alcotest.test_case "Score.mul/abs extremes" `Quick test_score_mul_abs_extremes;
@@ -408,4 +475,7 @@ let suite =
       Alcotest.test_case "systolic engine allocates nothing per wavefront" `Quick
         test_systolic_allocation;
       Alcotest.test_case "tall array sized to its rows" `Quick test_tall_array_sized_to_rows;
+      Alcotest.test_case "golden reused buffers == fresh" `Quick
+        test_golden_reuse_equals_fresh;
+      Alcotest.test_case "golden buffers stay within the cap" `Quick test_golden_buffer_cap;
     ]

@@ -697,6 +697,53 @@ let test_one_counter_store () =
       ("batches", s.Server.batches, Counter.Serve_batches, 3);
     ]
 
+(* An auto answer runs on the golden engine and carries the modeled
+   cycles: equal to a forced "systolic" answer's on the same pair, here
+   at two workers with a flush large enough to be sliced across them. *)
+let test_auto_cycles_equal_systolic () =
+  let pairs =
+    List.init 8 (fun i ->
+        let rng = Dphls_util.Rng.create (300 + i) in
+        let s n = Dphls_alphabet.Dna.to_string (Dphls_alphabet.Dna.random rng n) in
+        (1 + (i mod 2), s (20 + (9 * i)), s (25 + (5 * i))))
+  in
+  let answers engine =
+    let server =
+      Server.create
+        {
+          (Server.default_config ()) with
+          Server.batch_max = 8;
+          workers = 2;
+          cache_capacity = 0;
+          n_pe = 16;
+        }
+    in
+    let submitted =
+      List.concat_map
+        (fun (kernel, qry, rf) ->
+          Server.submit server
+            (Printf.sprintf
+               "{\"kernel\":%d,\"qry\":%S,\"ref\":%S,\"engine\":%S}" kernel
+               qry rf engine))
+        pairs
+    in
+    let rs = submitted @ Server.drain server in
+    Server.close server;
+    List.map expect_ok rs
+  in
+  let auto = answers "auto" and sys = answers "systolic" in
+  Alcotest.(check int) "every pair answered" (2 * List.length pairs)
+    (List.length auto + List.length sys);
+  List.iter2
+    (fun a s ->
+      Alcotest.(check string) "auto ran the golden engine" "reference" a.engine;
+      Alcotest.(check string) "forced systolic ran the simulator" "systolic" s.engine;
+      Alcotest.(check bool) "modeled cycles present" true (a.cycles <> None);
+      Alcotest.(check (option int)) "auto cycles == simulated cycles" s.cycles a.cycles;
+      Alcotest.(check (pair int string)) "same answer" (s.score, s.cigar)
+        (a.score, a.cigar))
+    auto sys
+
 let suite =
   [
     Alcotest.test_case "proto: valid request" `Quick test_parse_valid;
@@ -725,4 +772,6 @@ let suite =
       test_docs_cover_protocol;
     Alcotest.test_case "server: one counter store" `Quick
       test_one_counter_store;
+    Alcotest.test_case "server: auto cycles == systolic (sliced)" `Quick
+      test_auto_cycles_equal_systolic;
   ]

@@ -355,6 +355,101 @@ let prop_systolic_equals_golden =
         agree K02.kernel { K02.default with match_ = 3 } K02.gen ~n_pe ~qry_len ~ref_len
           ~seed)
 
+(* The closed-form cycle model that auto dispatch attaches to golden
+   answers, fed with the golden walk's step count, equals the
+   simulator's cycles: all five terms and both totals, for the 16
+   non-adaptive kernels plus #2 off its generated table, at N_PE 1, 2,
+   3, 5, 32 and 64, on lengths 1..70 under the kernel's own band and a
+   fixed one. The overlap function over the modeled cycles equals
+   [run_batch ~overlap:true]'s batch stats. The simulator reports its
+   cycles through the same model, so both are also held to an oracle
+   built from the schedule terms and the simulator's own counts: the
+   wavefronts it executed (slots / N_PE) and the steps it walked. *)
+let prop_model_equals_simulator =
+  let ids =
+    Array.of_list
+      (List.filter (fun id -> not (List.mem id [ 16; 17; 18 ])) Dphls_kernels.Catalog.ids)
+  in
+  let n_pes = [| 1; 2; 3; 5; 32; 64 |] in
+  let agree (type p) (k : p Kernel.t) (p : p) gen ~n_pe ~shapes ~seed =
+    let k =
+      if seed mod 2 = 0 then k
+      else Kernel.with_band k (Some (Some (Banding.fixed (1 + (seed / 2 mod 8)))))
+    in
+    let ws =
+      Array.of_list
+        (List.mapi
+           (fun i (qry_len, ref_len) ->
+             let w = gen (Dphls_util.Rng.create (seed + i)) ~len:80 in
+             let prefix s n = Array.sub s 0 (max 1 (min n (Array.length s))) in
+             Workload.of_seqs ~query:(prefix w.Workload.query qry_len)
+               ~reference:(prefix w.Workload.reference ref_len))
+           shapes)
+    in
+    let cfg = Dphls_systolic.Config.create ~n_pe in
+    let sim, sim_batch = Engine.run_batch ~overlap:true cfg k p ws in
+    let model =
+      Array.map
+        (fun w ->
+          let qry_len, ref_len = Workload.sizes w in
+          let gold = Dphls_reference.Ref_engine.run k p w in
+          Engine.cycles_estimate cfg k p ~qry_len ~ref_len ~tb_steps:gold.Result.tb_steps)
+        ws
+    in
+    let oracle i =
+      let r, s = sim.(i) in
+      let qry_len, ref_len = Workload.sizes ws.(i) in
+      let sch = Schedule.create ~n_pe ~qry_len ~ref_len in
+      let prologue = Schedule.prologue_cycles sch
+      and compute = s.Engine.pe_slots / n_pe * k.Kernel.traits.Traits.ii
+      and reduction = Schedule.reduction_cycles sch
+      and traceback = r.Result.tb_steps
+      and fill = Schedule.pipeline_fill_cycles sch in
+      {
+        Engine.prologue;
+        compute;
+        reduction;
+        traceback;
+        fill;
+        total = prologue + compute + reduction + traceback + fill;
+        total_overlapped = max prologue compute + reduction + traceback + fill;
+      }
+    in
+    let hidden = ref 0 in
+    for i = 1 to Array.length ws - 1 do
+      hidden := !hidden + min model.(i).Engine.prologue model.(i - 1).Engine.compute
+    done;
+    let batch = Engine.batch_stats_of ~overlap:true model in
+    let fail fmt =
+      QCheck.Test.fail_reportf
+        ("#%d n_pe %d band %s: " ^^ fmt)
+        k.Kernel.id n_pe (Banding.to_string k.Kernel.banding)
+    in
+    Array.iteri
+      (fun i (_, s) ->
+        if model.(i) <> s.Engine.cycles then fail "alignment %d: model <> simulator" i;
+        if model.(i) <> oracle i then fail "alignment %d: model <> term oracle" i)
+      sim;
+    if batch <> sim_batch then fail "batch stats differ";
+    if batch.Engine.hidden_cycles <> !hidden then fail "hidden cycles <> oracle";
+    true
+  in
+  QCheck.Test.make ~name:"cycle model == simulator (16 kernels, N_PE 1-64, bands)"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 (Array.length ids)) (int_range 0 (Array.length n_pes - 1))
+        (list_of_size (Gen.int_range 1 3) (pair (int_range 1 70) (int_range 1 70)))
+        (int_range 0 1_000_000))
+    (fun (ki, ni, shapes, seed) ->
+      let n_pe = n_pes.(ni) in
+      if ki < Array.length ids then
+        let e = Dphls_kernels.Catalog.find ids.(ki) in
+        let (Registry.Packed (k, p)) = e.packed in
+        agree k p e.Dphls_kernels.Catalog.gen ~n_pe ~shapes ~seed
+      else
+        let module K02 = Dphls_kernels.K02_global_affine in
+        agree K02.kernel { K02.default with match_ = 3 } K02.gen ~n_pe ~shapes ~seed)
+
 let suite =
   [
     Alcotest.test_case "schedule shape" `Quick test_schedule_shape;
@@ -377,4 +472,5 @@ let suite =
     Alcotest.test_case "bad n_pe rejected" `Quick test_bad_n_pe_rejected;
     Alcotest.test_case "rtl cycle model faster" `Quick test_rtl_cycles_beat_dphls;
     qtest prop_systolic_equals_golden;
+    qtest prop_model_equals_simulator;
   ]
