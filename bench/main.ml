@@ -634,12 +634,12 @@ let profile_overhead_bench ?(len = 96) () =
     gated (pct enabled_ns)
 
 (* ---- bit-parallel fast path: Myers engine vs compiled systolic ----
-   Kernel #19 (unit-cost global edit distance, the one catalog kernel the
-   Fastpath proof admits) at word-straddling query lengths. Both sides
-   run through the registry backends — the exact modules [--engine]
-   selects. Everything lands in BENCH_5.json; exits non-zero unless the
-   bit-parallel engine is >= 5x faster at every length >= 1024 measured
-   (pass --len to cap the largest length, e.g. for CI smoke). *)
+   Kernel #19 (unit-cost global edit distance, the one catalog kernel
+   Dphls_bitpar.Eligibility admits) at word-straddling query lengths.
+   Both sides run through the registry backends — the exact modules
+   [--engine] selects. Everything lands in BENCH_5.json; exits non-zero
+   unless the bit-parallel engine is >= 5x faster at every length >= 1024
+   measured (pass --len to cap the largest length, e.g. for CI smoke). *)
 let fastpath_bench ?(max_len = 8192) () =
   let module I = Dphls_engines.Engine_intf in
   let n_pe = 32 and kernel = "global-edit(#19)" in

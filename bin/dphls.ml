@@ -1172,8 +1172,8 @@ let explain_run spec what =
       Format.pp_print_flush ppf ();
       exit 1)
   | `Fastpath ->
-    Dphls_analysis.Fastpath.explain ppf
-      (Dphls_analysis.Fastpath.classify cell bindings));
+    Dphls_bitpar.Eligibility.explain ppf
+      (Dphls_bitpar.Eligibility.classify cell bindings));
   Format.pp_print_flush ppf ()
 
 let check_run kernel_spec all max_len json explain workers shared_metrics =

@@ -97,6 +97,18 @@ let fsm_findings spec ~tb_bits =
       ]
   else findings
 
+(* The bit-parallel engine's shape proof, reported as one info finding:
+   eligibility is an optimization opportunity, ineligibility a property,
+   neither a defect. *)
+let fastpath_findings = function
+  | Dphls_bitpar.Eligibility.Eligible { scale; notes; _ } ->
+    [ Report.info ~check:"fastpath-eligible"
+        (Printf.sprintf "Myers/GeneTEK bit-parallel eligible (scale %d): %s"
+           scale (String.concat "; " notes)) ]
+  | Dphls_bitpar.Eligibility.Ineligible { property } ->
+    [ Report.info ~check:"fastpath-ineligible"
+        ("not bit-parallel eligible: " ^ property) ]
+
 let datapath_findings (k : 'p Kernel.t) p =
   let cell, bindings = k.Kernel.datapath p in
   if Array.length cell.Datapath.layers <> k.Kernel.n_layers then
@@ -135,7 +147,7 @@ let datapath_findings (k : 'p Kernel.t) p =
           ]
     in
     dep_findings @ ii_findings
-    @ Fastpath.findings (Fastpath.classify cell bindings)
+    @ fastpath_findings (Dphls_bitpar.Eligibility.classify cell bindings)
   end
 
 let run ?n_pe ?host ~max_len ~chars (Registry.Packed (k, p)) =

@@ -25,7 +25,9 @@ val run :
     when traceback is enabled), FSM model checking ({!Fsm_check}),
     the three datapath analyses of the kernel's symbolic datapath —
     dependence footprint ({!Depend}), loop-carried recurrence II
-    ({!Ii}) and bit-parallel fast-path eligibility ({!Fastpath}) — and
+    ({!Ii}) and bit-parallel fast-path eligibility
+    ({!Dphls_bitpar.Eligibility.classify}, one [fastpath-eligible] or
+    [fastpath-ineligible] info) — and
     the banding, parallelism and domain-safety lints ({!Lint}). A
     datapath that cannot be evaluated skips the width analysis with an
     info finding; the datapath analyses report why. [n_pe] is the

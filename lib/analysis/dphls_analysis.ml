@@ -23,14 +23,13 @@
       flat code ({!Latency} per-opcode levels): modeled initiation
       interval and frequency tier, cross-checked against the declared
       traits and [Dphls_resource.Freq];
-    - {!Fastpath} — Myers/GeneTEK bit-parallel eligibility classifier
-      (unit-cost edit-distance shape), naming the qualifying or
-      disqualifying property;
     - {!Lint} — configuration lint: adaptive-band thresholds against
       the [2|gap|·width] pruning bound, band width vs matrix size,
       PE-array utilization, pointer width vs [tb_bits], shared
       metrics sinks across worker domains;
-    - {!Check} — runs all of the above on one kernel;
+    - {!Check} — runs all of the above on one kernel, and reports the
+      bit-parallel engine's shape proof
+      ({!Dphls_bitpar.Eligibility.classify}) as an info finding;
     - {!Report} — the severity-ranked findings report (text and JSON,
       both directions, through the shared {!Dphls_util.Json}).
 
@@ -38,7 +37,6 @@
 
 module Check = Check
 module Depend = Depend
-module Fastpath = Fastpath
 module Fsm_check = Fsm_check
 module Ii = Ii
 module Interval = Interval

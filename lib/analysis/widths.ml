@@ -83,8 +83,9 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
   let worst = Score.worst_value objective in
   let bits = k.Kernel.score_bits in
   let lo_bound = min_repr bits and hi_bound = max_repr bits in
-  (* the compiled program the engines run, each probe writing a fresh
-     score array so its result can be kept *)
+  (* the compiled single-cell PE (the engines run its generated row and
+     wave loops, pinned equal to it), each probe writing a fresh score
+     array so its result can be kept *)
   let pe =
     let flat = Kernel.flat_pe k p in
     let buf = Pe.create_buffers ~n_layers in

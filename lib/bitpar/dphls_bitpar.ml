@@ -1,16 +1,14 @@
 (** Bit-parallel Myers fast path.
 
     Computes unit-cost edit distance at one machine word of DP cells per
-    operation ({!Myers}) and maps it back onto the scores of the
-    [Fastpath]-eligible kernel shapes ({!Engine}) — the engine-side
-    half of ROADMAP item 2, whose static half is the [dphls check]
-    eligibility proof ({!Dphls_analysis.Fastpath}).
-
-    This library is deliberately kernel-agnostic: it knows nothing about
-    {!Dphls_core.Kernel.t} beyond workloads and bands. The adapter that
-    proves a kernel eligible, extracts the live cost constants, and
-    registers the whole thing as a pluggable backend lives in
-    {!Dphls_engines}. *)
+    operation ({!Myers}), maps it back onto the scores of the eligible
+    kernel shapes ({!Engine}), and owns the rule that says which
+    kernels and workloads those are ({!Eligibility}): the shape proof
+    on a kernel's symbolic datapath plus the layer, score-site,
+    traceback, band and border gates. The auto dispatch, the [bitpar]
+    registry engine ({!Dphls_engines}) and [dphls check] all ask
+    {!Eligibility}. *)
 
 module Myers = Myers
 module Engine = Engine
+module Eligibility = Eligibility

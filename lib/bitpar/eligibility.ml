@@ -1,4 +1,6 @@
+open Dphls_core
 open Dphls_core.Datapath
+module Score = Dphls_util.Score
 
 type verdict =
   | Eligible of { scale : int; match_ : int; notes : string list }
@@ -28,6 +30,16 @@ let rec mentions pred e =
 let has_lookup = mentions (function Lookup2 _ -> true | _ -> false)
 let has_mul = mentions (function Mul _ -> true | _ -> false)
 
+let lookup_table =
+  "substitution/emission lookup table: per-pair scores beyond a single \
+   match/mismatch constant cannot be bit-parallelised"
+
+let uniform_move_cost =
+  "move cost applied uniformly to all three moves (DTW shape): bit-parallel \
+   edit distance needs cost only on the substitution move"
+
+let multiplicative = "multiplicative datapath (profile sum-of-pairs shape)"
+
 (* One move candidate of a Min/Max reduction: the neighbour read plus
    its cost term (either operand order). *)
 type move = M_diag of expr | M_up of expr | M_left of expr
@@ -42,6 +54,13 @@ let bare_neighbour = function Diag 0 | Up 0 | Left 0 -> true | _ -> false
 
 let classify (cell : cell) (bindings : bindings) =
   let ineligible fmt = Printf.ksprintf (fun property -> Ineligible { property }) fmt in
+  let eligible ~scale ~match_ notes =
+    let tb =
+      if cell.tb_fields = [] then []
+      else [ "score path only: traceback queries still need the systolic array" ]
+    in
+    Eligible { scale; match_; notes = ("single score layer" :: notes) @ tb }
+  in
   let n_layers = Array.length cell.layers in
   if n_layers <> 1 then
     ineligible
@@ -56,23 +75,15 @@ let classify (cell : cell) (bindings : bindings) =
         "local zero-clamp: the alignment may restart at any cell \
          (Smith-Waterman-shaped), so the score is not a global edit distance"
     | Add (Min cands, _) when List.for_all bare_neighbour cands ->
-      ineligible
-        "move cost applied uniformly to all three moves (DTW shape): \
-         bit-parallel edit distance needs cost only on the substitution move"
+      ineligible "%s" uniform_move_cost
     | Add (_, Min cands) when List.for_all bare_neighbour cands ->
-      ineligible
-        "move cost applied uniformly to all three moves (DTW shape): \
-         bit-parallel edit distance needs cost only on the substitution move"
+      ineligible "%s" uniform_move_cost
     | Min cands | Max cands -> (
       let minimize = match e with Min _ -> true | _ -> false in
       let moves = List.map move_of cands in
       if List.exists (fun m -> m = None) moves then
-        if has_lookup e then
-          ineligible
-            "substitution/emission lookup table: per-pair scores beyond a \
-             single match/mismatch constant cannot be bit-parallelised"
-        else if has_mul e then
-          ineligible "multiplicative datapath (profile sum-of-pairs shape)"
+        if has_lookup e then ineligible "%s" lookup_table
+        else if has_mul e then ineligible "%s" multiplicative
         else
           ineligible "unrecognised move candidate in the %s reduction"
             (if minimize then "min-plus" else "max-plus")
@@ -93,10 +104,7 @@ let classify (cell : cell) (bindings : bindings) =
           in
           match (sub_costs, resolve bindings gu, resolve bindings gl) with
           | None, _, _ ->
-            if has_lookup sub then
-              ineligible
-                "substitution/emission lookup table: per-pair scores beyond a \
-                 single match/mismatch constant cannot be bit-parallelised"
+            if has_lookup sub then ineligible "%s" lookup_table
             else
               ineligible
                 "substitution term is not a resolvable \
@@ -115,24 +123,14 @@ let classify (cell : cell) (bindings : bindings) =
               else if x <= 0 then
                 ineligible "uniform move cost %d is not positive" x
               else
-                Eligible
-                  {
-                    scale = x;
-                    match_ = m;
-                    notes =
-                      [
-                        "single score layer";
-                        "min-plus datapath over the three wavefront moves";
-                        "match cost 0";
-                        Printf.sprintf
-                          "substitution = insertion = deletion = %d \
-                           (distance = %d x Levenshtein)" x x;
-                      ]
-                      @ (if cell.tb_fields = [] then []
-                         else
-                           [ "score path only: traceback queries still need \
-                              the systolic array" ]);
-                  }
+                eligible ~scale:x ~match_:m
+                  [
+                    "min-plus datapath over the three wavefront moves";
+                    "match cost 0";
+                    Printf.sprintf
+                      "substitution = insertion = deletion = %d (distance = \
+                       %d x Levenshtein)" x x;
+                  ]
             else if gu <> gl then
               ineligible "asymmetric insertion/deletion costs %d/%d" gu gl
             else
@@ -140,26 +138,16 @@ let classify (cell : cell) (bindings : bindings) =
                  edit distance with doubled weights ws2/wi2 below *)
               let ws2 = 2 * (m - x) and wi2 = m - (2 * gu) in
               if ws2 = wi2 && ws2 > 0 then
-                Eligible
-                  {
-                    scale = ws2;
-                    match_ = m;
-                    notes =
-                      [
-                        "single score layer";
-                        "max-plus linear scoring, score-equivalent to a \
-                         weighted edit distance";
-                        Printf.sprintf
-                          "doubled substitution weight 2(match-mismatch) = %d \
-                           equals doubled indel weight match-2*gap = %d" ws2 wi2;
-                        Printf.sprintf
-                          "score = (match/2)(|q|+|r|) - (%d/2) x Levenshtein" ws2;
-                      ]
-                      @ (if cell.tb_fields = [] then []
-                         else
-                           [ "score path only: traceback queries still need \
-                              the systolic array" ]);
-                  }
+                eligible ~scale:ws2 ~match_:m
+                  [
+                    "max-plus linear scoring, score-equivalent to a weighted \
+                     edit distance";
+                    Printf.sprintf
+                      "doubled substitution weight 2(match-mismatch) = %d \
+                       equals doubled indel weight match-2*gap = %d" ws2 wi2;
+                    Printf.sprintf
+                      "score = (match/2)(|q|+|r|) - (%d/2) x Levenshtein" ws2;
+                  ]
               else
                 ineligible
                   "maximization scoring maps to a weighted edit distance with \
@@ -171,23 +159,9 @@ let classify (cell : cell) (bindings : bindings) =
             "reduction is not over exactly the three wavefront moves \
              (diag/up/left once each)")
     | _ ->
-      if has_lookup e then
-        ineligible
-          "substitution/emission lookup table: per-pair scores beyond a single \
-           match/mismatch constant cannot be bit-parallelised"
-      else if has_mul e then
-        ineligible "multiplicative datapath (profile sum-of-pairs shape)"
+      if has_lookup e then ineligible "%s" lookup_table
+      else if has_mul e then ineligible "%s" multiplicative
       else ineligible "unrecognised datapath shape"
-
-let findings = function
-  | Eligible { scale; notes; _ } ->
-    [ Report.info ~check:"fastpath-eligible"
-        (Printf.sprintf
-           "Myers/GeneTEK bit-parallel eligible (scale %d): %s" scale
-           (String.concat "; " notes)) ]
-  | Ineligible { property } ->
-    [ Report.info ~check:"fastpath-ineligible"
-        (Printf.sprintf "not bit-parallel eligible: %s" property) ]
 
 let explain ppf v =
   Format.fprintf ppf
@@ -201,3 +175,45 @@ let explain ppf v =
     List.iter (fun n -> Format.fprintf ppf "  + %s@\n" n) notes
   | Ineligible { property } ->
     Format.fprintf ppf "verdict: INELIGIBLE@\n  - %s@\n" property
+
+let mapping (type p) (k : p Kernel.t) (p : p) =
+  if k.Kernel.n_layers <> 1 then Error "more than one score layer"
+  else if k.Kernel.score_site <> Traceback.Bottom_right then
+    Error "score site is not the bottom-right cell"
+  else if Kernel.has_traceback k p then Error "kernel requires a traceback path"
+  else
+    let cell, bindings = k.Kernel.datapath p in
+    match (classify cell bindings, k.Kernel.objective) with
+    | Ineligible { property }, _ -> Error property
+    | Eligible { scale; _ }, Score.Minimize -> Ok (Engine.Unit_cost { cost = scale })
+    | Eligible { scale; match_; _ }, Score.Maximize ->
+      Ok (Engine.Doubled { match_; weight2 = scale })
+
+(* The indel cost each mapping implies: the step of the global border
+   ramp [init = indel x (k+1)] that both identities assume. *)
+let indel_of = function
+  | Engine.Unit_cost { cost } -> cost
+  | Engine.Doubled { match_; weight2 } -> (match_ - weight2) / 2
+
+let borders_ok (type p) (k : p Kernel.t) (p : p) ~qry_len ~ref_len ~indel =
+  k.Kernel.origin p ~layer:0 = 0
+  && (let ok = ref true in
+      for col = 0 to ref_len - 1 do
+        if k.Kernel.init_row p ~ref_len ~layer:0 ~col <> indel * (col + 1) then
+          ok := false
+      done;
+      for row = 0 to qry_len - 1 do
+        if k.Kernel.init_col p ~qry_len ~layer:0 ~row <> indel * (row + 1) then
+          ok := false
+      done;
+      !ok)
+
+let supports ~qry_len ~ref_len k p =
+  match mapping k p with
+  | Error _ as e -> e
+  | Ok m -> (
+    match k.Kernel.banding with
+    | Some (Banding.Adaptive _) -> Error "adaptive band"
+    | Some (Banding.Fixed _) | None ->
+      if borders_ok k p ~qry_len ~ref_len ~indel:(indel_of m) then Ok m
+      else Error "init borders are not the global indel ramp")

@@ -1,11 +1,10 @@
-(** Bit-parallel fast-path eligibility ([dphls check] pass 3 of 3).
+(** Which kernels the bit-parallel engine may run: the one admission rule.
 
     Myers's bit-vector algorithm (and its GeneTEK/BitPAl descendants)
     computes unit-cost edit distance at one {e word} of cells per
-    operation instead of one cell per PE per cycle — but only for a
-    narrow recurrence shape. This pass proves or refutes that shape
-    statically from the symbolic datapath, so a host scheduler can
-    route eligible queries around the systolic array entirely:
+    operation instead of one cell per PE per cycle, but only for a
+    narrow recurrence shape. {!classify} proves or refutes that shape
+    statically from the symbolic datapath:
 
     - exactly one score layer (no affine/two-piece/HMM gap state);
     - a min-plus (or score-equivalent max-plus) datapath over the three
@@ -20,9 +19,13 @@
     and indel weight match - 2 gap (both doubled to stay integral);
     it qualifies exactly when those two weights coincide.
 
-    The verdict is always an [Info] finding — eligibility is an
-    optimization opportunity, ineligibility is a property, neither is a
-    defect. *)
+    {!mapping} adds the kernel-level gates (one layer, bottom-right
+    score site, no traceback) and turns the proof into the
+    {!Engine.mapping} the engine runs; {!supports} adds the workload
+    gates (an unbanded or fixed band, the global init-border ramp).
+    The auto dispatch, the [bitpar] registry engine and [dphls check]
+    all ask this module, so a kernel is admitted, refused or reported
+    by the same rule with the same reason. *)
 
 type verdict =
   | Eligible of { scale : int; match_ : int; notes : string list }
@@ -36,9 +39,24 @@ type verdict =
 
 val classify :
   Dphls_core.Datapath.cell -> Dphls_core.Datapath.bindings -> verdict
-
-val findings : verdict -> Report.finding list
-(** One [fastpath-eligible] or [fastpath-ineligible] info. *)
+(** The shape proof on a symbolic datapath and its bindings. *)
 
 val explain : Format.formatter -> verdict -> unit
 (** Derivation for [dphls check --kernel N --explain fastpath]. *)
+
+val mapping : 'p Dphls_core.Kernel.t -> 'p -> (Engine.mapping, string) result
+(** The kernel gates, then {!classify} on the kernel's own datapath and
+    bindings: a min-plus kernel maps to [Unit_cost], a max-plus one to
+    [Doubled]. [Error] names the first gate that fails. Does not look at
+    the band or the borders; see {!supports}. *)
+
+val supports :
+  qry_len:int ->
+  ref_len:int ->
+  'p Dphls_core.Kernel.t ->
+  'p ->
+  (Engine.mapping, string) result
+(** The whole admission rule for a workload of this shape: {!mapping},
+    then an unbanded or fixed band, then init borders equal to the
+    global indel ramp up to the given lengths. [Ok] exactly when
+    {!Engine.run} computes the kernel's own scores. *)

@@ -10,7 +10,7 @@ let objective = function
   | Doubled _ -> Score.Maximize
 
 (* Eligible recurrence shapes compare exactly one character component
-   (the Fastpath proof is over Eq (Qry 0, Ref 0)). *)
+   (the Eligibility proof is over Eq (Qry 0, Ref 0)). *)
 let component0 seq = Array.map (fun (c : Types.ch) -> c.(0)) seq
 
 let run ?band ?(metrics = Dphls_obs.Metrics.disabled)

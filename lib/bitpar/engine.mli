@@ -1,8 +1,8 @@
 (** Score-only bit-parallel engine: maps an eligible kernel's objective
     onto the unit-cost distance computed by {!Myers}.
 
-    The two mappings are exactly the ones the [Fastpath] analysis pass
-    proves ([dphls check], pass 3):
+    The two mappings are exactly the ones {!Eligibility.classify}
+    proves (reported by [dphls check] as its [fastpath-*] finding):
 
     - [Unit_cost]: a min-plus kernel with free matches and substitution
       = insertion = deletion = [cost]; the score is [cost x D].
@@ -11,8 +11,9 @@
       then [2 x score = match x (|q| + |r|) - weight2 x D].
 
     Both identities require the global borders ([init = indel x (k+1)],
-    origin 0, score at the bottom-right cell) — the registry backend
-    ({!Dphls_engines}) verifies those before routing here. *)
+    origin 0, score at the bottom-right cell) — {!Eligibility.supports}
+    verifies those before the auto dispatch or the [bitpar] registry
+    engine routes here. *)
 
 type mapping =
   | Unit_cost of { cost : int }      (** min-plus: score = cost x D *)

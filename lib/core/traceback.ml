@@ -4,12 +4,6 @@ type move = Diag | Up | Left | Stay | Stop
 
 type op = Mmi | Ins | Del
 
-let op_of_move = function
-  | Diag -> Some Mmi
-  | Up -> Some Del
-  | Left -> Some Ins
-  | Stay | Stop -> None
-
 type state = int
 
 type fsm = {

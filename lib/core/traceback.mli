@@ -18,9 +18,6 @@ type move =
 type op = Mmi | Ins | Del
 (** Emitted alignment operations ([AL_MMI]/[AL_INS]/[AL_DEL]). *)
 
-val op_of_move : move -> op option
-(** [Diag]->[Mmi], [Up]->[Del], [Left]->[Ins]; [Stay]/[Stop] emit none. *)
-
 type state = int
 (** FSM states are small integers enumerated by the kernel ([TB_STATE]). *)
 

@@ -12,13 +12,10 @@
     hook feeding the golden-vector harness. Device stats are optional —
     only cycle-model engines produce them. *)
 
-(** What an engine can do; the registry's auto dispatch and the CLI
-    consult this before routing. *)
+(** What an engine can do that a caller must know before asking: the
+    CLI refuses [--vcd] on an engine without [capture]. *)
 type caps = {
-  traceback : bool;  (** produces alignment paths, not just scores *)
-  adaptive_band : bool;  (** drives {!Dphls_core.Banding.Tracker} *)
   capture : bool;  (** fills a {!Dphls_systolic.Trace.t} capture stream *)
-  cycle_model : bool;  (** reports device cycles / PE stats *)
 }
 
 type config = {

@@ -26,14 +26,11 @@ let of_string ~n_pe s =
          (String.concat " | " (List.map choice_name choices)))
 
 let select ?(metrics = Dphls_obs.Metrics.disabled) ~qry_len ~ref_len k p =
-  match
-    ( Dphls_core.Kernel.has_traceback k p,
-      Backends.Bitpar.supports ~qry_len ~ref_len k p )
-  with
-  | false, Ok _ ->
+  match Dphls_bitpar.Eligibility.supports ~qry_len ~ref_len k p with
+  | Ok _ ->
     Dphls_obs.Metrics.incr metrics Dphls_obs.Counter.Engine_fastpath_hits;
     bitpar
-  | _ -> (
+  | Error _ -> (
     Dphls_obs.Metrics.incr metrics Dphls_obs.Counter.Engine_fastpath_fallbacks;
     (* an adaptive window depends on the array height, so only the
        simulator prunes (and counts the live wavefronts) as the array

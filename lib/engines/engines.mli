@@ -7,11 +7,11 @@
     choice becomes engine runs.
 
     Auto dispatch routes a request to the bit-parallel Myers engine
-    exactly when the whole eligibility chain holds — the
-    {!Dphls_analysis.Fastpath} shape proof on the kernel's own datapath
-    and bindings, the global init-border ramp, an unbanded or fixed
-    band, and no traceback. Otherwise it falls back to the golden
-    engine for unbanded and fixed-band kernels, whose answers carry the
+    exactly when {!Dphls_bitpar.Eligibility.supports} admits it — the
+    shape proof on the kernel's own datapath and bindings, one layer
+    scored at the bottom-right cell, no traceback, an unbanded or fixed
+    band and the global init-border ramp. Otherwise it falls back to the
+    golden engine for unbanded and fixed-band kernels, whose answers carry the
     device cycles of the closed-form model
     ({!Dphls_systolic.Engine.cycles_estimate}) at the choice's N_PE,
     and to the systolic simulator for adaptive bands, whose window
@@ -30,8 +30,8 @@ val reference : Engine_intf.t
 val bitpar : Engine_intf.t
 (** The bit-parallel Myers engine ({!Dphls_bitpar}): score-only, one
     word of cells per operation, unbanded or fixed bands. Raises
-    {!Engine_intf.Unsupported} for kernels outside the proven fast-path
-    shape. *)
+    {!Engine_intf.Unsupported}, with the reason, for workloads
+    {!Dphls_bitpar.Eligibility.supports} refuses. *)
 
 val all : Engine_intf.t list
 (** Registry order: systolic, reference, bitpar. *)
@@ -47,8 +47,8 @@ type choice =
   | Systolic of int  (** the cycle-level array, {!systolic}, at this N_PE *)
   | Bitpar
       (** the bit-parallel engine, {!bitpar}: score-only, and it raises
-          {!Engine_intf.Unsupported} for kernels outside the fast-path
-          shape ({!Dphls_analysis.Fastpath}) *)
+          {!Engine_intf.Unsupported} for workloads
+          {!Dphls_bitpar.Eligibility.supports} refuses *)
   | Auto of int
       (** {!select} per workload: {!bitpar} when the kernel and workload
           are fully fast-path eligible, else {!reference} with modeled
@@ -71,8 +71,9 @@ val select :
   'p Dphls_core.Kernel.t ->
   'p ->
   Engine_intf.t
-(** The auto-dispatch policy: {!bitpar} iff the kernel+workload is fully
-    fast-path eligible (and needs no traceback); else {!reference} when
+(** The auto-dispatch policy: {!bitpar} iff
+    {!Dphls_bitpar.Eligibility.supports} admits the kernel+workload;
+    else {!reference} when
     the kernel's band is [None] or [Fixed]; else (an adaptive band)
     {!systolic}. Never changes results — the routed engine computes the
     same scores. Bumps [Engine_fastpath_hits] or

@@ -78,8 +78,6 @@ let fold_file path ~init ~f =
       in
       go None (Buffer.create 64) init)
 
-let iter_file path ~f = fold_file path ~init:() ~f:(fun () r -> f r)
-
 let wrap width s =
   let buf = Buffer.create (String.length s + (String.length s / width) + 1) in
   String.iteri
@@ -105,5 +103,3 @@ let write_file path records =
   close_out oc
 
 let dna_of_record r = Dphls_alphabet.Dna.of_string r.sequence
-
-let protein_of_record r = Dphls_alphabet.Protein.of_string r.sequence

@@ -18,8 +18,6 @@ val fold_file : string -> init:'a -> f:('a -> record -> 'a) -> 'a
     and folded through [f], so only one record is in memory at once.
     Same line handling as [parse_string]. *)
 
-val iter_file : string -> f:(record -> unit) -> unit
-
 val to_string : record list -> string
 (** 60-column wrapped FASTA text. *)
 
@@ -27,5 +25,3 @@ val write_file : string -> record list -> unit
 
 val dna_of_record : record -> int array
 (** Encode as DNA, raising on non-ACGT characters. *)
-
-val protein_of_record : record -> int array

@@ -308,8 +308,6 @@ let run_batch ?band_pe ?metrics ?tracer kernel params ws =
     (fun w -> fst (run_fill ?band_pe ~full:false ~row ?metrics ?tracer kernel params w))
     ws
 
-let score_only ?band_pe kernel params w = (run ?band_pe kernel params w).Result.score
-
 let band_map ?band_pe kernel params w =
   match kernel.Kernel.banding with
   | Some (Banding.Adaptive _) ->

@@ -97,11 +97,6 @@ val run_full :
     band membership the fill computed (the vector harness's reference
     capture). *)
 
-val score_only :
-  ?band_pe:int ->
-  'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t -> Dphls_core.Types.score
-(** Objective value without materializing a result record. *)
-
 val band_map :
   ?band_pe:int ->
   'p Dphls_core.Kernel.t -> 'p -> Dphls_core.Workload.t ->

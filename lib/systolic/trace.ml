@@ -37,13 +37,3 @@ let events t = List.rev t.rev_events
 let record_window t w = if t.enabled then t.rev_windows <- w :: t.rev_windows
 
 let windows t = List.rev t.rev_windows
-
-let fires_per_pe t ~n_pe =
-  let counts = Array.make n_pe 0 in
-  List.iter (fun e -> counts.(e.pe) <- counts.(e.pe) + 1) t.rev_events;
-  counts
-
-let busy_wavefronts t =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace tbl (e.chunk, e.wavefront) ()) t.rev_events;
-  Hashtbl.length tbl

@@ -62,7 +62,3 @@ val events : t -> event list
 val record_window : t -> window -> unit
 val windows : t -> window list
 (** In execution order; empty unless capturing an adaptive-band run. *)
-
-val fires_per_pe : t -> n_pe:int -> int array
-val busy_wavefronts : t -> int
-(** Distinct (chunk, wavefront) slots with at least one firing. *)

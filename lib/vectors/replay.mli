@@ -19,9 +19,11 @@ val run :
   'p ->
   Stream.t ->
   (int, Stream.divergence) result
-(** Replay every cell record through the kernel's datapath — the
-    compiled program the engines run ([`Compiled], default) or its
-    reference interpreter {!Dphls_core.Datapath.eval} ([`Eval]) — or
+(** Replay every cell record through the kernel's datapath — its
+    compiled single-cell PE {!Dphls_core.Kernel.flat_pe} ([`Compiled],
+    default; the engines run the generated row and wave loops pinned
+    equal to it) or its reference interpreter
+    {!Dphls_core.Datapath.eval} ([`Eval]) — or
     through any other PE for the same kernel ([`Pe f], e.g. a
     hand-written oracle of the recurrence), and return the number of
     cells replayed, or the first divergence.

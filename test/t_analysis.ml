@@ -302,7 +302,7 @@ let test_report_json () =
 
 module Depend = Dphls_analysis.Depend
 module Ii = Dphls_analysis.Ii
-module Fastpath = Dphls_analysis.Fastpath
+module Fastpath = Dphls_bitpar.Eligibility
 module Json = Dphls_util.Json
 module Lint = Dphls_analysis.Lint
 module Cells = Dphls_kernels.Cells

@@ -117,9 +117,10 @@ let scalar_maxplus ?width ~match_ ~mismatch ~gap ~query ~reference () =
 
 (* The Doubled mapping against the scalar max-plus oracle, on parameter
    triples satisfying the doubled-weight identity 2(match - mismatch) =
-   match - 2 gap (w2 even since match is). The registry cannot reach
-   this mapping from catalog kernels (no max-plus kernel qualifies with
-   default bindings), so the engine API is fuzzed directly. *)
+   match - 2 gap (w2 even since match is). No catalog kernel qualifies
+   at its default bindings, so the engine API is fuzzed directly here;
+   [prop_maxplus_through_auto] reaches the mapping through the auto
+   dispatch with #1 at qualifying costs. *)
 let prop_doubled_mapping =
   QCheck.Test.make ~name:"bitpar: doubled max-plus mapping == scalar DP"
     ~count:300
@@ -289,14 +290,9 @@ let test_registry_lookup () =
     Alcotest.(check string) "error lists the valid values"
       "unknown engine \"bogus\" (valid: auto | systolic | reference | bitpar)"
       msg);
-  Alcotest.(check bool) "bitpar caps: no traceback, no capture" true
-    (let c = Engines.caps Engines.bitpar in
-     (not c.Engine_intf.traceback) && (not c.Engine_intf.capture)
-     && (not c.Engine_intf.adaptive_band)
-     && not c.Engine_intf.cycle_model);
-  Alcotest.(check bool) "systolic caps: full" true
-    (let c = Engines.caps Engines.systolic in
-     c.Engine_intf.traceback && c.Engine_intf.capture && c.Engine_intf.cycle_model)
+  Alcotest.(check (list bool)) "only systolic fills a capture stream"
+    [ true; false; false ]
+    (List.map (fun e -> (Engines.caps e).Engine_intf.capture) Engines.all)
 
 let test_unsupported_paths () =
   let e = Dphls_kernels.Catalog.find 1 in
@@ -317,7 +313,7 @@ let test_unsupported_paths () =
   let e16 = Dphls_kernels.Catalog.find 16 in
   let (Registry.Packed (k16, p16)) = e16.packed in
   Alcotest.(check bool) "adaptive band refused by supports" true
-    (match Backends.Bitpar.supports ~qry_len:16 ~ref_len:16 k16 p16 with
+    (match Dphls_bitpar.Eligibility.supports ~qry_len:16 ~ref_len:16 k16 p16 with
     | Error _ -> true
     | Ok _ -> false)
 
@@ -536,6 +532,95 @@ let prop_auto_equals_systolic =
         let module K02 = Dphls_kernels.K02_global_affine in
         agree K02.kernel { K02.default with match_ = 3 } K02.gen ~n_pe ~len ~seed)
 
+(* ---- the bit-parallel admission rule, where it lives ---- *)
+
+module Eligibility = Dphls_bitpar.Eligibility
+module K01 = Dphls_kernels.K01_global_linear
+module K19 = Dphls_kernels.K19_global_edit
+
+let show_admission = function
+  | Ok (BEngine.Unit_cost { cost }) -> Printf.sprintf "Ok (Unit_cost {cost = %d})" cost
+  | Ok (BEngine.Doubled { match_; weight2 }) ->
+    Printf.sprintf "Ok (Doubled {match_ = %d; weight2 = %d})" match_ weight2
+  | Error why -> "Error " ^ why
+
+(* Each gate refuses with its own reason, and the auto dispatch routes
+   to bitpar exactly when the rule admits the workload. *)
+let test_bitpar_admission_reasons () =
+  let case (type p) what (k : p Kernel.t) (p : p) expect =
+    let got = Eligibility.supports ~qry_len:16 ~ref_len:16 k p in
+    Alcotest.(check string) what expect (show_admission got);
+    Alcotest.(check bool)
+      (what ^ ": select picks bitpar iff admitted")
+      (Stdlib.Result.is_ok got)
+      (Engines.name (Engines.select ~qry_len:16 ~ref_len:16 k p) = "bitpar")
+  in
+  List.iter
+    (fun (id, expect) ->
+      let (Registry.Packed (k, p)) = (Dphls_kernels.Catalog.find id).packed in
+      case (Printf.sprintf "#%d" id) k p expect)
+    [
+      (2, "Error more than one score layer");
+      (3, "Error score site is not the bottom-right cell");
+      (1, "Error kernel requires a traceback path");
+    ];
+  case "#1 without traceback"
+    { K01.kernel with Kernel.traceback = (fun _ -> None) }
+    K01.default
+    "Error maximization scoring maps to a weighted edit distance with doubled \
+     substitution weight 2(match-mismatch) = 8 but doubled indel weight \
+     match-2*gap = 6: bit-parallel algorithms need them equal (unit-cost)";
+  let p19 = K19.default in
+  case "#19 adaptive band"
+    (Kernel.with_band k19 (Some (Some (Banding.adaptive 8))))
+    p19 "Error adaptive band";
+  case "#19 init_row off the ramp"
+    { k19 with Kernel.init_row = (fun p ~ref_len:_ ~layer:_ ~col -> p.K19.indel * col) }
+    p19 "Error init borders are not the global indel ramp";
+  case "#19" k19 p19 "Ok (Unit_cost {cost = 1})"
+
+(* #1 without traceback, at costs where 2(match - mismatch) = match - 2
+   gap: the rule admits it on the Doubled mapping, so auto runs it on
+   bitpar and the score still equals the golden engine's. *)
+let prop_maxplus_through_auto =
+  QCheck.Test.make ~name:"bitpar admission: max-plus kernel through auto == golden"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Dphls_util.Rng.create seed in
+      let match_ = 2 * (1 + Dphls_util.Rng.int rng 4) in
+      let gap = -1 - Dphls_util.Rng.int rng 4 in
+      let p = { K01.match_; mismatch = match_ - ((match_ - (2 * gap)) / 2); gap } in
+      let width = 1 + Dphls_util.Rng.int rng 20 in
+      let banded = Dphls_util.Rng.int rng 2 = 1 in
+      let lq = 1 + Dphls_util.Rng.int rng 150 in
+      let lr =
+        (* banded pairs end in or just outside the band *)
+        if banded then
+          min 150 (max 1 (lq + Dphls_util.Rng.int rng ((2 * width) + 3) - (width + 1)))
+        else 1 + Dphls_util.Rng.int rng 150
+      in
+      let k =
+        {
+          K01.kernel with
+          Kernel.traceback = (fun _ -> None);
+          banding = (if banded then Some (Banding.fixed width) else None);
+        }
+      in
+      let w =
+        Workload.of_bases
+          ~query:(random_ints rng ~len:lq ~alpha:4)
+          ~reference:(random_ints rng ~len:lr ~alpha:4)
+      in
+      let ran, _ = Engines.run_batch (Engines.Auto 32) k p [| w |] in
+      let golden = Dphls_reference.Ref_engine.run k p w in
+      (match Eligibility.supports ~qry_len:lq ~ref_len:lr k p with
+      | Ok (BEngine.Doubled _) -> true
+      | r -> QCheck.Test.fail_reportf "not admitted as Doubled: %s" (show_admission r))
+      && (ran.(0).Engines.engine = "bitpar"
+         || QCheck.Test.fail_reportf "auto ran %s" ran.(0).Engines.engine)
+      && ran.(0).Engines.result.Result.score = golden.Result.score)
+
 let suite =
   [
     Alcotest.test_case "myers word-boundary lengths" `Quick test_myers_boundaries;
@@ -560,4 +645,7 @@ let suite =
     Alcotest.test_case "cli: bad band values exit 2" `Quick test_cli_bad_band;
     Alcotest.test_case "cli: bad counts exit 2" `Quick test_cli_bad_counts;
     qtest prop_auto_equals_systolic;
+    Alcotest.test_case "bitpar admission: each refusal names its reason" `Quick
+      test_bitpar_admission_reasons;
+    qtest prop_maxplus_through_auto;
   ]
