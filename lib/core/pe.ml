@@ -60,17 +60,53 @@ let check_row ~n_layers ~ring ~above ~base ~reference ~lo ~hi =
   let last = Array.length ring - ((hi + 2) * n_layers) in
   if above < 0 || base < 0 || above > last || base > last then outside ()
 
-(* The plane is the golden engine's, and so is the error's prefix. *)
+(* The traceback plane: one 16-bit word per cell of the matrix,
+   row-major, the pointer of cell (row, col) at byte
+   [2 * (row * ref_len + col)]. Both exact engines store into it, the
+   golden one row by row, the systolic one wavefront by wavefront, and
+   walk it back the same way. *)
 let[@inline never] wide_pointer ~row ~col ptr =
   invalid_arg
     (Printf.sprintf
-       "Ref_engine: PE traceback pointer %d at cell (%d,%d) does not fit the \
-        16-bit traceback plane"
+       "PE traceback pointer %d at cell (%d,%d) does not fit the 16-bit \
+        traceback plane"
        ptr row col)
 
 let[@inline] store_pointer tb ~ref_len ~row ~col ptr =
   if ptr < 0 || ptr > 0xFFFF then wide_pointer ~row ~col ptr;
   Bytes.set_uint16_le tb (2 * ((row * ref_len) + col)) ptr
+
+let pointer_at tb ~ref_len ~row ~col = Bytes.get_uint16_le tb (2 * ((row * ref_len) + col))
+
+(* A domain keeps the plane of its last alignment and hands it to the
+   next one, so a stream of alignments (a serve flush, a batch slice)
+   allocates it once per domain instead of once per alignment. Each call
+   zeroes the prefix it hands out, so every cell reads as in a fresh
+   plane. A plane above [retain_cap_bytes] is allocated for its call
+   only and never retained.
+
+   Why 1 MiB: it holds the plane of a 724 x 724 alignment, far above
+   the short reads a serve miss aligns (a 160 x 160 plane is 50 KB), so
+   those never allocate. An alignment that needs more fills at least
+   half a million cells, milliseconds of work next to which a fresh
+   allocation is noise, while keeping its plane would pin up to 32 MiB
+   per domain (a 4096-base serve request) for the life of the
+   process. *)
+let retain_cap_bytes = 1 lsl 20
+
+let retained = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let tb_plane ~reuse ~qry_len ~ref_len =
+  let bytes = 2 * qry_len * ref_len in
+  if (not reuse) || bytes > retain_cap_bytes then Bytes.make bytes '\000'
+  else begin
+    let kept = Domain.DLS.get retained in
+    if Bytes.length !kept < bytes then kept := Bytes.make bytes '\000'
+    else Bytes.fill !kept 0 bytes '\000';
+    !kept
+  end
+
+let retained_plane_bytes () = Bytes.length !(Domain.DLS.get retained)
 
 let row_of_flat ~n_layers (pe : flat) : row =
   let b = create_buffers ~n_layers in
@@ -106,17 +142,14 @@ type wave =
   w_new:Types.score array ->
   query:Types.seq ->
   reference:Types.seq ->
-  tb:int array ->
-  tb_at:int ->
-  tb_step:int ->
+  tb:Bytes.t ->
   row0:int ->
   wavefront:int ->
   lo:int ->
   hi:int ->
   unit
 
-let check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0
-    ~wavefront ~lo ~hi =
+let check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi =
   let outside () = invalid_arg "Pe: wave interval outside the planes" in
   (* the slot counts, rows and columns are compared against rather than
      added to, so no index can overflow past the check *)
@@ -125,24 +158,19 @@ let check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~r
   in
   if lo < 0 || hi >= slots - 1 then outside ();
   if row0 < -lo || row0 >= Array.length query - hi then outside ();
-  if wavefront < hi || wavefront - lo >= Array.length reference then outside ();
-  let len = Array.length tb in
-  if len > 0 then
-    if tb_at < 0 || tb_step < 0 || tb_at >= len then outside ()
-    else if tb_step > 0 && hi > (len - 1 - tb_at) / tb_step then outside ()
+  if wavefront < hi || wavefront - lo >= Array.length reference then outside ()
 
 let wave_of_flat ~n_layers (pe : flat) : wave =
   let b = create_buffers ~n_layers in
   let up = b.b_up and diag = b.b_diag and left = b.b_left and out = b.b_scores in
-  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi ->
+  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi ->
     if lo <= hi then begin
-      check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0
-        ~wavefront ~lo ~hi;
-      let has_tb = Array.length tb > 0 in
+      check_wave ~n_layers ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+      let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
       for p = lo to hi do
         (* unchecked: [check_wave] bounds slots 0 .. hi + 1 of the
-           planes, the rows, the columns and the pointer words, and the
-           register arrays hold [n_layers] scores each *)
+           planes, the rows and the columns, and the register arrays
+           hold [n_layers] scores each *)
         let s = p * n_layers in
         for layer = 0 to n_layers - 1 do
           Array.unsafe_set up layer (Array.unsafe_get w1 (s + layer));
@@ -158,6 +186,6 @@ let wave_of_flat ~n_layers (pe : flat) : wave =
         for layer = 0 to n_layers - 1 do
           Array.unsafe_set w_new (s + n_layers + layer) (Array.unsafe_get out layer)
         done;
-        if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) b.b_tb
+        if has_tb then store_pointer tb ~ref_len ~row ~col b.b_tb
       done
     end

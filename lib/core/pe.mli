@@ -71,6 +71,41 @@ val create_buffers : n_layers:int -> buffers
 (** Fresh register file with [n_layers]-sized score arrays and empty
     character slots. Raises [Invalid_argument] when [n_layers < 1]. *)
 
+(** {1 Traceback plane}
+
+    The one store of traceback pointers, for both exact engines: one
+    16-bit word per cell of the [qry_len] x [ref_len] matrix, row-major,
+    the pointer of cell [(row, col)] at byte [2 * (row * ref_len + col)]
+    of a [Bytes.t]. The golden engine's rows and the systolic engine's
+    waves store into it with {!store_pointer}, and both walk it back
+    with {!pointer_at}. (The systolic array's modeled memory, one bank
+    per PE at wavefront-coalesced addresses, is
+    [Dphls_systolic.Schedule.tb_address]: a cost model, not a store.)
+    An empty plane means the kernel has no traceback. *)
+
+val store_pointer : Bytes.t -> ref_len:int -> row:int -> col:int -> int -> unit
+(** [store_pointer tb ~ref_len ~row ~col ptr] writes [ptr] into the
+    plane (bounds-checked). Raises [Invalid_argument] naming the cell
+    when [ptr] is outside [0 .. 0xFFFF]; a pointer is never truncated. *)
+
+val pointer_at : Bytes.t -> ref_len:int -> row:int -> col:int -> int
+(** The pointer {!store_pointer} wrote at [(row, col)], 0 where nothing
+    was stored since the plane was handed out (bounds-checked). *)
+
+val tb_plane : reuse:bool -> qry_len:int -> ref_len:int -> Bytes.t
+(** A zeroed plane for a [qry_len] x [ref_len] matrix. With [~reuse:true]
+    it is the calling domain's: the domain's next [tb_plane] call hands
+    out (and zeroes) the same bytes, so a caller must be done with it
+    by then, and a stream of alignments allocates it once per domain.
+    A plane above {!retain_cap_bytes}, or any with [~reuse:false], is
+    the caller's own and never retained. *)
+
+val retain_cap_bytes : int
+(** The largest plane a domain retains, in bytes: 1 MiB. *)
+
+val retained_plane_bytes : unit -> int
+(** Bytes of plane the calling domain currently retains. *)
+
 (** {1 Row evaluators} *)
 
 type row =
@@ -92,10 +127,10 @@ type row =
     [row - 1] and row [row]. Each cell reads up, diag and left from the
     ring, its query character [qry] and reference character
     [reference.(c)], writes its layer scores back at its own slot and,
-    when [tb] is not empty, stores its pointer into the 16-bit traceback
-    plane [tb] (2 bytes per cell, row-major over
-    [Array.length reference] columns) with {!store_pointer}. Raises
-    [Invalid_argument] as {!check_row} does, once per call. *)
+    when [tb] is not empty, stores its pointer into the traceback plane
+    [tb] (row-major over [Array.length reference] columns) with
+    {!store_pointer}. Raises [Invalid_argument] as {!check_row} does,
+    once per call, and as {!store_pointer} does. *)
 
 val check_row :
   n_layers:int ->
@@ -112,12 +147,6 @@ val check_row :
     and cells [-1 .. hi] of the rows at [above] and [base] lie inside
     [ring]. *)
 
-val store_pointer : Bytes.t -> ref_len:int -> row:int -> col:int -> int -> unit
-(** [store_pointer tb ~ref_len ~row ~col ptr] writes [ptr] into the
-    traceback plane (bounds-checked). Raises [Invalid_argument] naming
-    the cell when [ptr] is outside [0 .. 0xFFFF]; a pointer is never
-    truncated. *)
-
 val row_of_flat : n_layers:int -> flat -> row
 (** The generic row: a per-cell loop around any flat evaluator — copy
     the neighbours into a private {!buffers}, call the PE, copy its
@@ -133,16 +162,14 @@ type wave =
   w_new:Types.score array ->
   query:Types.seq ->
   reference:Types.seq ->
-  tb:int array ->
-  tb_at:int ->
-  tb_step:int ->
+  tb:Bytes.t ->
   row0:int ->
   wavefront:int ->
   lo:int ->
   hi:int ->
   unit
-(** [f ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0
-    ~wavefront ~lo ~hi] evaluates PEs [lo .. hi] of one wavefront of the
+(** [f ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi]
+    evaluates PEs [lo .. hi] of one wavefront of the
     systolic array, in PE order; nothing when [lo > hi]. PE [p] computes
     cell [(row0 + p, wavefront - p)]. A plane is a run of slots of
     [n_layers] scores; slot [s] starts at [s * n_layers] and holds
@@ -153,8 +180,10 @@ type wave =
     character [query.(row0 + p)] and its reference character
     [reference.(wavefront - p)], and writes its layer scores into slot
     [p + 1] of [w_new], which must not alias [w1] or [w2]. When [tb] is
-    not empty it stores its pointer at [tb.(tb_at + p * tb_step)].
-    Raises [Invalid_argument] as {!check_wave} does, once per call. *)
+    not empty it stores its pointer into the traceback plane [tb]
+    (row-major over [Array.length reference] columns) with
+    {!store_pointer}, exactly as a row does. Raises [Invalid_argument]
+    as {!check_wave} does, once per call, and as {!store_pointer} does. *)
 
 val check_wave :
   n_layers:int ->
@@ -163,9 +192,6 @@ val check_wave :
   w_new:Types.score array ->
   query:Types.seq ->
   reference:Types.seq ->
-  tb:int array ->
-  tb_at:int ->
-  tb_step:int ->
   row0:int ->
   wavefront:int ->
   lo:int ->
@@ -174,10 +200,9 @@ val check_wave :
 (** The bounds check every wave evaluator makes once per non-empty
     interval, in place of a per-cell {!Datapath.check_buffers}: raises
     [Invalid_argument] unless [0 <= lo], slots [0 .. hi + 1] lie inside
-    all three planes, rows [row0 + lo .. row0 + hi] inside [query],
-    columns [wavefront - hi .. wavefront - lo] inside [reference] and,
-    when [tb] is not empty, [0 <= tb_at], [0 <= tb_step] and
-    [tb_at + hi * tb_step < Array.length tb]. *)
+    all three planes, rows [row0 + lo .. row0 + hi] inside [query] and
+    columns [wavefront - hi .. wavefront - lo] inside [reference]. The
+    pointer stores need no check here: {!store_pointer} makes its own. *)
 
 val wave_of_flat : n_layers:int -> flat -> wave
 (** The generic wave: a per-cell loop around any flat evaluator — copy

@@ -1482,10 +1482,10 @@ let row_k19 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     done
   end
 
-let wave_k01 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k01 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1508,14 +1508,14 @@ let wave_k01 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       let r15 = 0 in
       let r16 = if r6 < r12 then r14 else r15 in
       Array.unsafe_set w_new (s + 1) r11;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r16)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r16)
     done
   end
 
-let wave_k02 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k02 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 3 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1548,14 +1548,14 @@ let wave_k02 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       Array.unsafe_set w_new (s + 3) r17;
       Array.unsafe_set w_new (s + 4) r4;
       Array.unsafe_set w_new (s + 5) r9;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r22 lor (r23 lsl 2) lor (r24 lsl 3))
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r22 lor (r23 lsl 2) lor (r24 lsl 3))
     done
   end
 
-let wave_k03 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k03 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1581,14 +1581,14 @@ let wave_k03 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       let r18 = if r6 < r15 then r17 else r12 in
       let r19 = if r11 <= r12 then r14 else r18 in
       Array.unsafe_set w_new (s + 1) r13;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r19)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r19)
     done
   end
 
-let wave_k04 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k04 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 3 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1624,14 +1624,14 @@ let wave_k04 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       Array.unsafe_set w_new (s + 3) r19;
       Array.unsafe_set w_new (s + 4) r4;
       Array.unsafe_set w_new (s + 5) r9;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r25 lor (r26 lsl 2) lor (r27 lsl 3))
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r25 lor (r26 lsl 2) lor (r27 lsl 3))
     done
   end
 
-let wave_k05 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k05 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:5 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:5 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 5 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1687,14 +1687,14 @@ let wave_k05 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       Array.unsafe_set w_new (s + 7) r9;
       Array.unsafe_set w_new (s + 8) r13;
       Array.unsafe_set w_new (s + 9) r17;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r41 lor (r42 lsl 3) lor (r43 lsl 4) lor (r44 lsl 5) lor (r45 lsl 6))
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r41 lor (r42 lsl 3) lor (r43 lsl 4) lor (r44 lsl 5) lor (r45 lsl 6))
     done
   end
 
-let wave_k08 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k08 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1810,14 +1810,14 @@ let wave_k08 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       let r108 = if r99 < r104 then r4 else r107 in
       let r109 = if r88 < r106 then r108 else r84 in
       Array.unsafe_set w_new (s + 1) r105;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r109)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r109)
     done
   end
 
-let wave_k09 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k09 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1841,16 +1841,16 @@ let wave_k09 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       let r16 = 0 in
       let r17 = if r12 < r0 then r15 else r16 in
       Array.unsafe_set w_new (s + 1) r11;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r17)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r17)
     done
   end
 
 let wave_k10 (luts : int array array array) =
   let t0 = luts.(0) in
-  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi ->
+  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi ->
     if lo <= hi then begin
-      Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-      let has_tb = Array.length tb > 0 in
+      Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+      let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
       for p = lo to hi do
         let s = p * 3 in
         let q = Array.unsafe_get query (row0 + p) in
@@ -1881,14 +1881,14 @@ let wave_k10 (luts : int array array array) =
         Array.unsafe_set w_new (s + 3) r22;
         Array.unsafe_set w_new (s + 4) r5;
         Array.unsafe_set w_new (s + 5) r11;
-        if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (0)
+        if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
       done
     end
 
-let wave_k12 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k12 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 3 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1916,14 +1916,14 @@ let wave_k12 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       Array.unsafe_set w_new (s + 3) r19;
       Array.unsafe_set w_new (s + 4) r4;
       Array.unsafe_set w_new (s + 5) r9;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (0)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
     done
   end
 
-let wave_k14 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k14 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1937,16 +1937,16 @@ let wave_k14 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       let r6 = Dphls_util.Score.abs (Datapath.sat_add r4 (-r5)) in
       let r7 = Datapath.sat_add r3 r6 in
       Array.unsafe_set w_new (s + 1) r7;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (0)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
     done
   end
 
 let wave_k15 (luts : int array array array) =
   let t0 = luts.(0) in
-  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi ->
+  fun ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi ->
     if lo <= hi then begin
-      Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-      let has_tb = Array.length tb > 0 in
+      Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+      let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
       for p = lo to hi do
         let s = p * 1 in
         let q = Array.unsafe_get query (row0 + p) in
@@ -1971,14 +1971,14 @@ let wave_k15 (luts : int array array array) =
         let r17 = if r4 < r13 then r16 else r10 in
         let r18 = if r9 <= r10 then r12 else r17 in
         Array.unsafe_set w_new (s + 1) r11;
-        if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (r18)
+        if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r18)
       done
     end
 
-let wave_k19 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi =
+let wave_k19 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
-    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-    let has_tb = Array.length tb > 0 in
+    Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
+    let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1996,7 +1996,7 @@ let wave_k19 ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefro
       let r10 = Datapath.sat_add r9 1 in
       let r11 = let m = if r6 <= r8 then r6 else r8 in if m <= r10 then m else r10 in
       Array.unsafe_set w_new (s + 1) r11;
-      if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (0)
+      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
     done
   end
 

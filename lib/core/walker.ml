@@ -50,3 +50,20 @@ let walk ?(metrics = Dphls_obs.Metrics.disabled) ~fsm ~stop ~ptr_at ~start
   let outcome = go fsm.start_state start.Types.row start.Types.col [] start 0 in
   Dphls_obs.Metrics.add metrics Tb_steps outcome.steps;
   outcome
+
+let result ?metrics spec ~tb ~start ~score ~cells ~qry_len ~ref_len =
+  match spec with
+  | None -> Result.score_only ~score ~cells
+  | Some spec ->
+    let outcome =
+      walk ?metrics ~fsm:spec.fsm ~stop:spec.stop ~ptr_at:(Pe.pointer_at tb ~ref_len) ~start
+        ~qry_len ~ref_len ()
+    in
+    {
+      Result.score;
+      start_cell = Some start;
+      end_cell = Some outcome.end_cell;
+      path = outcome.path;
+      cells_computed = cells;
+      tb_steps = outcome.steps;
+    }

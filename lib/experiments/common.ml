@@ -2,22 +2,21 @@ open Dphls_core
 
 let default_seed = 20260706
 
-let median_cycles packed ~gen ~n_pe ~len ~samples ~seed =
+let median_cycles packed ~gen ~n_pe ~len ~samples =
+  let module Engine = Dphls_systolic.Engine in
   let (Registry.Packed (k, p)) = packed in
-  let rng = Dphls_util.Rng.create seed in
+  let rng = Dphls_util.Rng.create default_seed in
   let cfg = Dphls_systolic.Config.create ~n_pe in
   let cycles =
     Array.init samples (fun _ ->
         let w = gen rng ~len in
-        let _, stats = Dphls_systolic.Engine.run cfg k p w in
-        float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total)
+        (snd (Engine.run cfg k p w)).Engine.cycles)
   in
-  Dphls_util.Stats.median cycles
+  let median term = Dphls_util.Stats.median (Array.map (fun c -> float_of_int (term c)) cycles) in
+  (median (fun c -> c.Engine.total), int_of_float (median (fun c -> c.Engine.traceback)))
 
 let model_throughput packed ~gen ~n_pe ~n_b ~n_k ~len ~samples =
-  let cycles =
-    median_cycles packed ~gen ~n_pe ~len ~samples ~seed:default_seed
-  in
+  let cycles, _ = median_cycles packed ~gen ~n_pe ~len ~samples in
   let freq_mhz = Dphls_resource.Estimate.max_frequency_mhz packed in
   Dphls_host.Throughput.alignments_per_sec ~cycles_per_alignment:cycles ~freq_mhz
     ~n_b ~n_k

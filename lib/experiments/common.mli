@@ -6,10 +6,12 @@ val default_seed : int
 val median_cycles :
   Dphls_core.Registry.packed ->
   gen:(Dphls_util.Rng.t -> len:int -> Dphls_core.Workload.t) ->
-  n_pe:int -> len:int -> samples:int -> seed:int ->
-  float
-(** Median total device cycles per alignment over [samples] generated
-    workloads, from the systolic simulator. *)
+  n_pe:int -> len:int -> samples:int ->
+  float * int
+(** [(total, tb_steps)]: the median total device cycles per alignment
+    and the median traceback term (truncated to an integer) over
+    [samples] workloads drawn from [gen] with a fresh
+    {!default_seed} stream, from the systolic simulator at [n_pe]. *)
 
 val model_throughput :
   Dphls_core.Registry.packed ->

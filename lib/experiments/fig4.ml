@@ -1,6 +1,4 @@
-open Dphls_core
 module Pretty = Dphls_util.Pretty
-module Engine = Dphls_systolic.Engine
 module B = Dphls_baselines
 
 type comparison = {
@@ -16,26 +14,12 @@ type comparison = {
 
 let n_pe = 32
 
-(* Median DP-HLS cycle totals and traceback steps over sample workloads. *)
-let dphls_cycles packed gen ~len ~samples =
-  let (Registry.Packed (k, p)) = packed in
-  let rng = Dphls_util.Rng.create Common.default_seed in
-  let cfg = Dphls_systolic.Config.create ~n_pe in
-  let totals = Array.make samples 0.0 and tbs = Array.make samples 0.0 in
-  for i = 0 to samples - 1 do
-    let w = gen rng ~len in
-    let _, stats = Engine.run cfg k p w in
-    totals.(i) <- float_of_int stats.Engine.cycles.Engine.total;
-    tbs.(i) <- float_of_int stats.Engine.cycles.Engine.traceback
-  done;
-  (Dphls_util.Stats.median totals, int_of_float (Dphls_util.Stats.median tbs))
-
 let percent u = Dphls_resource.Device.percent_of Dphls_resource.Device.xcvu9p u
 
 let compare_one ~kernel_id ~baseline ~len ~samples ~rtl_cycles ~rtl_freq
     ~rtl_util ~paper_gap_pct =
   let e = Dphls_kernels.Catalog.find kernel_id in
-  let dphls_total, tb_steps = dphls_cycles e.packed e.gen ~len ~samples in
+  let dphls_total, tb_steps = Common.median_cycles e.packed ~gen:e.gen ~n_pe ~len ~samples in
   let freq = Dphls_resource.Estimate.max_frequency_mhz e.packed in
   let dphls_tp =
     Dphls_host.Throughput.alignments_per_sec ~cycles_per_alignment:dphls_total

@@ -1,4 +1,3 @@
-open Dphls_core
 module Pretty = Dphls_util.Pretty
 module B = Dphls_baselines
 
@@ -15,24 +14,9 @@ type point = {
 let compute ?(samples = 3) () =
   let len = 256 in
   let e = Dphls_kernels.Catalog.find 2 in
-  let (Registry.Packed (k, p)) = e.packed in
   List.map
     (fun n_pe ->
-      let rng = Dphls_util.Rng.create Common.default_seed in
-      let cfg = Dphls_systolic.Config.create ~n_pe in
-      let totals = Array.make samples 0.0 and tbs = Array.make samples 0.0 in
-      for i = 0 to samples - 1 do
-        let w = e.gen rng ~len in
-        let _, stats = Dphls_systolic.Engine.run cfg k p w in
-        totals.(i) <-
-          float_of_int
-            stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
-        tbs.(i) <-
-          float_of_int
-            stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.traceback
-      done;
-      let dphls_cycles = Dphls_util.Stats.median totals in
-      let tb_steps = int_of_float (Dphls_util.Stats.median tbs) in
+      let dphls_cycles, tb_steps = Common.median_cycles e.packed ~gen:e.gen ~n_pe ~len ~samples in
       let freq = Dphls_resource.Estimate.max_frequency_mhz e.packed in
       let dphls_tp =
         Dphls_host.Throughput.alignments_per_sec ~cycles_per_alignment:dphls_cycles

@@ -1,4 +1,3 @@
-open Dphls_core
 module B = Dphls_baselines
 module Pretty = Dphls_util.Pretty
 
@@ -19,26 +18,13 @@ let compute ?(samples = 2) ?(kernels = [ 1; 2; 5; 15 ]) () =
   List.map
     (fun id ->
       let e = Dphls_kernels.Catalog.find id in
-      let (Registry.Packed (k, p)) = e.packed in
       let len = e.default_len in
-      let rng = Dphls_util.Rng.create Common.default_seed in
-      let cfg = Dphls_systolic.Config.create ~n_pe in
-      let totals = Array.make samples 0.0 and tbs = Array.make samples 0.0 in
-      for i = 0 to samples - 1 do
-        let w = e.gen rng ~len in
-        let _, stats = Dphls_systolic.Engine.run cfg k p w in
-        totals.(i) <-
-          float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
-        tbs.(i) <-
-          float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.traceback
-      done;
+      let dphls_cycles, tb_steps = Common.median_cycles e.packed ~gen:e.gen ~n_pe ~len ~samples in
       let freq = Dphls_resource.Estimate.max_frequency_mhz e.packed in
       let dphls_tp =
-        Dphls_host.Throughput.alignments_per_sec
-          ~cycles_per_alignment:(Dphls_util.Stats.median totals) ~freq_mhz:freq
-          ~n_b:1 ~n_k:1
+        Dphls_host.Throughput.alignments_per_sec ~cycles_per_alignment:dphls_cycles
+          ~freq_mhz:freq ~n_b:1 ~n_k:1
       in
-      let tb_steps = int_of_float (Dphls_util.Stats.median tbs) in
       let gendp_cycles =
         B.Gendp_model.cycles e.packed ~n_pe ~lanes ~qry_len:len ~ref_len:len
           ~tb_steps

@@ -36,10 +36,7 @@ let compute ?(samples = 2) () =
     List.iter
       (fun (id, n_pe, _) ->
         let e = Dphls_kernels.Catalog.find id in
-        let cycles =
-          Common.median_cycles e.packed ~gen:e.gen ~n_pe ~len:e.default_len ~samples
-            ~seed:Common.default_seed
-        in
+        let cycles, _ = Common.median_cycles e.packed ~gen:e.gen ~n_pe ~len:e.default_len ~samples in
         Hashtbl.replace cycles_table id cycles)
       mix;
     let cycles_of (inst : Link.instance) =

@@ -1,4 +1,3 @@
-open Dphls_core
 module B = Dphls_baselines
 
 type result = {
@@ -13,29 +12,14 @@ let n_b = 32
 
 let compute ?(samples = 3) () =
   let e = Dphls_kernels.Catalog.find 3 in
-  let (Registry.Packed (k, p)) = e.packed in
   let len = e.default_len in
-  let rng = Dphls_util.Rng.create Common.default_seed in
-  let cfg = Dphls_systolic.Config.create ~n_pe in
-  let totals = Array.make samples 0.0 and tbs = Array.make samples 0.0 in
-  for i = 0 to samples - 1 do
-    let w = e.gen rng ~len in
-    let _, stats = Dphls_systolic.Engine.run cfg k p w in
-    totals.(i) <-
-      float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
-    tbs.(i) <-
-      float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.traceback
-  done;
+  let dphls_cycles, tb_steps = Common.median_cycles e.packed ~gen:e.gen ~n_pe ~len ~samples in
   let freq = Dphls_resource.Estimate.max_frequency_mhz e.packed in
   let dphls =
-    Dphls_host.Throughput.alignments_per_sec
-      ~cycles_per_alignment:(Dphls_util.Stats.median totals) ~freq_mhz:freq ~n_b
-      ~n_k:1
+    Dphls_host.Throughput.alignments_per_sec ~cycles_per_alignment:dphls_cycles
+      ~freq_mhz:freq ~n_b ~n_k:1
   in
-  let hls =
-    B.Vitis_hls_model.throughput ~n_pe ~n_b ~qry_len:len ~ref_len:len
-      ~tb_steps:(int_of_float (Dphls_util.Stats.median tbs))
-  in
+  let hls = B.Vitis_hls_model.throughput ~n_pe ~n_b ~qry_len:len ~ref_len:len ~tb_steps in
   {
     dphls_throughput = dphls;
     hls_throughput = hls;

@@ -15,8 +15,9 @@
    character and table reads. The PE makes the same
    [Datapath.check_buffers] on entry; the row checks the ring once per
    call ([Pe.check_row]) and stores pointers with the 16-bit range
-   check of [Pe.store_pointer]; the wave checks its planes, rows,
-   columns and pointer words once per call ([Pe.check_wave]).
+   check of [Pe.store_pointer]; the wave checks its planes, rows and
+   columns once per call ([Pe.check_wave]) and stores pointers into the
+   same plane the same way.
 
    lib/core/dune runs this under @runtest and diffs the output against
    the committed file; `dune build @runtest --auto-promote` rewrites
@@ -215,23 +216,20 @@ let emit_row name v =
    systolic wavefront ([Pe.wave]): the bounds are checked once per call,
    and each PE reads its neighbours from the previous two planes, writes
    its layers into its slot of the new plane and stores its pointer at
-   its bank's word. *)
+   its cell of the traceback plane, as a row does. *)
 let emit_wave name v =
   let n = v.v_n_layers in
   let ind =
     open_fn ~kind:"wave"
-      ~params:"~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi"
+      ~params:"~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi"
       name v
   in
   let line depth fmt =
     Printf.ksprintf (fun s -> pr "%s%s%s\n" ind (String.make (2 * depth) ' ') s) fmt
   in
   line 0 "if lo <= hi then begin";
-  line 1
-    "Pe.check_wave ~n_layers:%d ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 \
-     ~wavefront ~lo ~hi;"
-    n;
-  line 1 "let has_tb = Array.length tb > 0 in";
+  line 1 "Pe.check_wave ~n_layers:%d ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;" n;
+  line 1 "let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in";
   line 1 "for p = lo to hi do";
   line 2 "let s = p * %d in" n;
   if uses v (function V_qry _ -> true | _ -> false) then
@@ -242,7 +240,8 @@ let emit_wave name v =
   Array.iteri
     (fun l reg -> line 2 "Array.unsafe_set w_new %s %s;" (plus "s" (n + l)) (r reg))
     v.v_layer_regs;
-  line 2 "if has_tb then Array.unsafe_set tb (tb_at + (p * tb_step)) (%s)" (pointer v);
+  line 2 "if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (%s)"
+    (pointer v);
   line 1 "done";
   line 0 "end";
   pr "\n"

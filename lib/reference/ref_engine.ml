@@ -12,8 +12,7 @@ type matrices = {
    [(r + 1) mod ring_rows] and cell slot 0 of every row is its col -1
    border, so the virtual row/column and pruned cells are plain stored
    values and every neighbour read is a direct array read. [tb] is the
-   traceback plane, 2 bytes per cell, row-major (empty without a
-   traceback). *)
+   traceback plane ([Pe.tb_plane], empty without a traceback). *)
 type fill = {
   qry_len : int;
   ref_len : int;
@@ -25,52 +24,28 @@ type fill = {
   member : row:int -> col:int -> bool;
 }
 
-let pointer_at tb ~ref_len ~row ~col =
-  Bytes.get_uint16_le tb (2 * ((row * ref_len) + col))
+(* A domain keeps the score ring of its last alignment and hands it to
+   the next one, as it does the traceback plane ([Pe.tb_plane]), under
+   the same cap: each call resets the prefix it uses to the worst
+   value, and a ring above [retain_cap_bytes] is allocated for its call
+   only. 1 MiB holds the ring of a 128k-cell adaptive canonical fill;
+   the plane's comment gives the rest of the reasoning. A domain
+   therefore retains at most 2 MiB. *)
+let retain_cap_bytes = Pe.retain_cap_bytes
 
-(* A domain keeps the score ring and the traceback plane of its last
-   alignment and hands them to the next one, so a stream of alignments
-   (a serve flush, a batch slice) allocates them once per domain instead
-   of once per alignment. Each call resets the prefix it uses: the ring
-   to the worst value, the plane to zeros, so every cell reads as in a
-   fresh buffer. A buffer above [retain_cap_bytes] is allocated for its
-   call only and never retained.
-
-   Why 1 MiB: it holds the plane of a 724 x 724 alignment (2 bytes a
-   cell) or the ring of a 128k-cell adaptive canonical fill, far above
-   the short reads a serve miss aligns (a 160 x 160 plane is 50 KB), so
-   those never allocate. An alignment that needs more fills at least
-   half a million cells, milliseconds of work next to which a fresh
-   allocation is noise, while keeping its buffer would pin up to 32 MiB
-   per domain (a 4096-base serve request) for the life of the process.
-   A domain therefore retains at most 2 MiB. *)
-let retain_cap_bytes = 1 lsl 20
-
-type scratch = { mutable ring : Types.score array; mutable plane : Bytes.t }
-
-let scratch = Domain.DLS.new_key (fun () -> { ring = [||]; plane = Bytes.empty })
+let scratch = Domain.DLS.new_key (fun () -> ref [||])
 
 let ring_buffer ~words worst =
   if words * (Sys.word_size / 8) > retain_cap_bytes then Array.make words worst
   else begin
-    let s = Domain.DLS.get scratch in
-    if Array.length s.ring < words then s.ring <- Array.make words worst
-    else Array.fill s.ring 0 words worst;
-    s.ring
-  end
-
-let plane_buffer ~bytes =
-  if bytes > retain_cap_bytes then Bytes.make bytes '\000'
-  else begin
-    let s = Domain.DLS.get scratch in
-    if Bytes.length s.plane < bytes then s.plane <- Bytes.make bytes '\000'
-    else Bytes.fill s.plane 0 bytes '\000';
-    s.plane
+    let ring = Domain.DLS.get scratch in
+    if Array.length !ring < words then ring := Array.make words worst
+    else Array.fill !ring 0 words worst;
+    !ring
   end
 
 let retained_bytes () =
-  let s = Domain.DLS.get scratch in
-  (Array.length s.ring * (Sys.word_size / 8)) + Bytes.length s.plane
+  (Array.length !(Domain.DLS.get scratch) * (Sys.word_size / 8)) + Pe.retained_plane_bytes ()
 
 (* Cells are evaluated only through the kernel's row evaluator
    ([Kernel.flat_row]: the generated fused row loop for catalog
@@ -154,8 +129,7 @@ let fill ?band_pe ~full ~row:eval_row kernel params (w : Workload.t) =
   done;
   let tb =
     if not (Kernel.has_traceback kernel params) then Bytes.empty
-    else if full then Bytes.make (2 * qry_len * ref_len) '\000'
-    else plane_buffer ~bytes:(2 * qry_len * ref_len)
+    else Pe.tb_plane ~reuse:(not full) ~qry_len ~ref_len
   in
   let eval_row = Lazy.force eval_row in
   let rule = kernel.Kernel.score_site in
@@ -234,28 +208,6 @@ let fill ?band_pe ~full ~row:eval_row kernel params (w : Workload.t) =
     member;
   }
 
-let result_of ?metrics kernel params f =
-  let start_cell, score =
-    Score_site.resolve ~objective:kernel.Kernel.objective ~qry_len:f.qry_len
-      ~ref_len:f.ref_len f.best
-  in
-  match kernel.Kernel.traceback params with
-  | None -> Result.score_only ~score ~cells:f.cells
-  | Some spec ->
-    let outcome =
-      Walker.walk ?metrics ~fsm:spec.Traceback.fsm ~stop:spec.Traceback.stop
-        ~ptr_at:(pointer_at f.tb ~ref_len:f.ref_len)
-        ~start:start_cell ~qry_len:f.qry_len ~ref_len:f.ref_len ()
-    in
-    {
-      Result.score;
-      start_cell = Some start_cell;
-      end_cell = Some outcome.Walker.end_cell;
-      path = outcome.Walker.path;
-      cells_computed = f.cells;
-      tb_steps = outcome.Walker.steps;
-    }
-
 let row_of kernel params = lazy (Kernel.flat_row kernel params)
 
 let run_fill ?band_pe ~full ?row ?(metrics = Dphls_obs.Metrics.disabled)
@@ -271,7 +223,14 @@ let run_fill ?band_pe ~full ?row ?(metrics = Dphls_obs.Metrics.disabled)
   Dphls_obs.Metrics.add metrics Band_window_moves f.moves;
   Dphls_obs.Metrics.incr metrics Alignments;
   let t_tb = Dphls_obs.Tracer.now tracer in
-  let result = result_of ~metrics kernel params f in
+  let start, score =
+    Score_site.resolve ~objective:kernel.Kernel.objective ~qry_len:f.qry_len
+      ~ref_len:f.ref_len f.best
+  in
+  let result =
+    Walker.result ~metrics (kernel.Kernel.traceback params) ~tb:f.tb ~start ~score
+      ~cells:f.cells ~qry_len:f.qry_len ~ref_len:f.ref_len
+  in
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_tb
     ~t1:(Dphls_obs.Tracer.now tracer) "traceback";
   (result, f)
@@ -290,7 +249,7 @@ let matrices_of kernel f =
       Array.init f.qry_len (fun row ->
           Array.init f.ref_len (fun col ->
               if Bytes.length f.tb = 0 then 0
-              else pointer_at f.tb ~ref_len:f.ref_len ~row ~col));
+              else Pe.pointer_at f.tb ~ref_len:f.ref_len ~row ~col));
     member = f.member;
   }
 

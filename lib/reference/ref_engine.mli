@@ -34,15 +34,16 @@
     also keep the band tracker's 1-byte-per-cell membership map.
     [band_pe] is ignored for non-adaptive kernels.
 
-    A domain reuses one score ring and one traceback plane across the
-    alignments it runs ({!run}, {!run_batch}), resetting the prefix
-    each one uses, so they allocate once per domain rather than once
-    per alignment. A buffer above {!retain_cap_bytes} is allocated for
-    its call only; {!run_full} always allocates its own.
+    A domain reuses one score ring across the alignments it runs
+    ({!run}, {!run_batch}), resetting the prefix each one uses, and the
+    domain's traceback plane ({!Dphls_core.Pe.tb_plane}, which the
+    systolic simulator shares), so both allocate once per domain rather
+    than once per alignment. A buffer above {!retain_cap_bytes} is
+    allocated for its call only; {!run_full} always allocates its own.
 
     A PE traceback pointer outside [0 .. 0xFFFF] raises
-    [Invalid_argument] naming the cell ({!Dphls_core.Kernel.validate}
-    bounds [tb_bits] to 16); it is never truncated. *)
+    [Invalid_argument] naming the cell ({!Dphls_core.Pe.store_pointer},
+    the same refusal as the simulator's); it is never truncated. *)
 
 type matrices = {
   scores : Dphls_core.Types.score array array array;
@@ -81,7 +82,8 @@ val run_batch :
     checks still precede the row's resolution. *)
 
 val retain_cap_bytes : int
-(** The most a domain keeps of each reused buffer, in bytes: 1 MiB. *)
+(** The most a domain keeps of each reused buffer, ring and plane, in
+    bytes: {!Dphls_core.Pe.retain_cap_bytes}, 1 MiB. *)
 
 val retained_bytes : unit -> int
 (** Bytes of ring and plane the calling domain currently retains. *)

@@ -91,12 +91,15 @@ let batch_stats_of ?(metrics = Dphls_obs.Metrics.disabled) ~overlap cycles =
    (ROADMAP item 4): fetch/init (the prologue) builds a self-contained
    task context, the compute stage runs the wavefront pipeline over it,
    then reduction and traceback consume its outputs. Stages hand off
-   through bounded {!Fifo}s; because each task owns all of its mutable
-   state (wavefront planes, validity bitmaps, preserved-row buffer,
-   traceback memory), two tasks can be in flight at once — the double
-   buffering that lets {!run_batch} overlap alignment [i+1]'s prologue
-   with alignment [i]'s compute — and results stay bit-identical to the
-   fully sequential order by construction.
+   through bounded {!Fifo}s; because each task owns all of its prologue
+   state (wavefront planes, validity bitmaps, preserved-row buffer), two
+   tasks can be in flight at once — the double buffering that lets
+   {!run_batch} overlap alignment [i+1]'s prologue with alignment [i]'s
+   compute — and results stay bit-identical to the fully sequential
+   order by construction. The traceback plane belongs to the compute
+   and traceback stages, not to the prologue: a task takes the domain's
+   plane ([Pe.tb_plane]) when its compute starts, after the previous
+   task's traceback has walked it.
 
    Per-alignment state is sized to the PEs that own a row,
    [rows = min n_pe qry_len]: an array taller than the query models the
@@ -112,9 +115,8 @@ type 'p task = {
   n_layers : int;
   worst : Types.score;
   schedule : Schedule.t;
-  tb : (Traceback.spec * Tb_memory.t) option;
-  tb_store : int array;  (* [Tb_memory.store], [[||]] without a traceback *)
-  tb_step : int;
+  spec : Traceback.spec option;
+  mutable tb : Bytes.t;  (* the traceback plane from compute on, empty without a traceback *)
   band_tracker : Banding.Tracker.t option;
   in_band : row:int -> col:int -> bool;
   decide : row:int -> col:int -> bool;
@@ -206,9 +208,6 @@ let fetch config kernel params ~wave (w : Workload.t) =
               the array reads neighbours from wavefront registers only"
              row col))
   in
-  let tb =
-    Option.map (fun spec -> (spec, Tb_memory.create schedule)) (kernel.Kernel.traceback params)
-  in
   let wave = Lazy.force wave in
   let rows = min n_pe qry_len in
   let plane () = Array.make ((rows + 1) * n_layers) worst in
@@ -231,9 +230,8 @@ let fetch config kernel params ~wave (w : Workload.t) =
     n_layers;
     worst;
     schedule;
-    tb;
-    tb_store = (match tb with Some (_, mem) -> Tb_memory.store mem | None -> [||]);
-    tb_step = (match tb with Some (_, mem) -> Tb_memory.wave_step mem | None -> 0);
+    spec = kernel.Kernel.traceback params;
+    tb = Bytes.empty;
     band_tracker;
     in_band;
     decide;
@@ -324,16 +322,12 @@ let fire t ~trace ~chunk ~wavefront ~lo ~hi =
     if Bytes.unsafe_get v1 (pe + 1) = '\000' then
       unwritten t w1 v1 ~chunk ~slot:(pe + 1) ~row:(r0 + pe) ~col:(col - 1)
   done;
-  let tb = t.tb_store and tb_step = t.tb_step in
-  let tb_at =
-    match t.tb with Some (_, mem) -> Tb_memory.wave_base mem ~chunk ~wavefront | None -> 0
-  in
+  let tb = t.tb in
   t.wave ~w1 ~w2 ~w_new ~query:t.w.Workload.query ~reference:t.w.Workload.reference ~tb
-    ~tb_at ~tb_step ~row0:r0 ~wavefront ~lo ~hi;
+    ~row0:r0 ~wavefront ~lo ~hi;
   let count = hi - lo + 1 in
   Bytes.fill t.v_new (lo + 1) count '\001';
   t.fires <- t.fires + count;
-  (match t.tb with Some (_, mem) -> Tb_memory.stored mem count | None -> ());
   if hi = t.n_pe - 1 then begin
     (* the chunk's last row feeds the next chunk's PE 0 *)
     let col = wavefront - hi in
@@ -362,22 +356,27 @@ let fire t ~trace ~chunk ~wavefront ~lo ~hi =
           wavefront;
           pe;
           cell = { Types.row = r0 + pe; col = wavefront - pe };
-          tb = (if Array.length tb > 0 then tb.(tb_at + (pe * tb_step)) else 0);
+          tb =
+            (if Bytes.length tb > 0 then
+               Pe.pointer_at tb ~ref_len:t.ref_len ~row:(r0 + pe) ~col:(wavefront - pe)
+             else 0);
           scores =
             (if Trace.capturing trace then Array.sub w_new ((pe + 1) * n) n else [||]);
         }
     done
 
-(* Stage 2 — the wavefront compute pipeline. Runs the whole chunk loop
-   over one task's planes; it allocates nothing but trace events. Each
-   wavefront makes one wave call per maximal run of in-band PEs: the
-   whole in-matrix run when unbanded. *)
+(* Stage 2 — the wavefront compute pipeline. Takes the domain's
+   traceback plane, zeroed, then runs the whole chunk loop over one
+   task's planes; it allocates nothing but trace events. Each wavefront
+   makes one wave call per maximal run of in-band PEs: the whole
+   in-matrix run when unbanded. *)
 let compute_stage (t : _ task) ~trace =
   let n_pe = t.n_pe
   and qry_len = t.qry_len
   and ref_len = t.ref_len
   and banding = t.kernel.Kernel.banding
   and score_site = t.kernel.Kernel.score_site in
+  if Option.is_some t.spec then t.tb <- Pe.tb_plane ~reuse:true ~qry_len ~ref_len;
   for chunk = 0 to t.schedule.Schedule.n_chunks - 1 do
     let r0 = chunk * n_pe in
     let rows = Int.min n_pe (qry_len - r0) in
@@ -450,26 +449,6 @@ let reduce_stage (t : _ task) =
   in
   Score_site.resolve ~objective ~qry_len:t.qry_len ~ref_len:t.ref_len merged
 
-(* Stage 4 — traceback: walk the banked pointer memory from the best
-   cell. *)
-let traceback_stage (t : _ task) ~metrics (start_cell, score) =
-  match t.tb with
-  | None -> Result.score_only ~score ~cells:t.fires
-  | Some (spec, mem) ->
-    let ptr_at ~row ~col = Tb_memory.read mem ~row ~col in
-    let outcome =
-      Walker.walk ~metrics ~fsm:spec.Traceback.fsm ~stop:spec.Traceback.stop
-        ~ptr_at ~start:start_cell ~qry_len:t.qry_len ~ref_len:t.ref_len ()
-    in
-    {
-      Result.score;
-      start_cell = Some start_cell;
-      end_cell = Some outcome.Walker.end_cell;
-      path = outcome.Walker.path;
-      cells_computed = t.fires;
-      tb_steps = outcome.Walker.steps;
-    }
-
 let finish_stats (t : _ task) ~metrics ~tb_steps =
   (* Counters land once per run from the totals the task already keeps,
      so the wavefront loop itself carries no instrumentation. [slots]
@@ -494,7 +473,7 @@ let finish_stats (t : _ task) ~metrics ~tb_steps =
     utilization =
       (if t.slots = 0 then 0.0
        else float_of_int t.fires /. float_of_int t.slots);
-    tb_words = (match t.tb with Some (_, mem) -> Tb_memory.words_written mem | None -> 0);
+    tb_words = (if Option.is_some t.spec then t.fires else 0);
   }
 
 (* Run one fetched task through compute → reduce → traceback, recording
@@ -505,11 +484,16 @@ let drain_task (t : _ task) ~trace ~metrics ~tracer =
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_compute
     ~t1:(Dphls_obs.Tracer.now tracer) "compute";
   let t_reduce = Dphls_obs.Tracer.now tracer in
-  let best = reduce_stage t in
+  let start, score = reduce_stage t in
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_reduce
     ~t1:(Dphls_obs.Tracer.now tracer) "reduction";
+  (* Stage 4 — traceback: walk the plane from the best cell, as the
+     golden engine does. *)
   let t_tb = Dphls_obs.Tracer.now tracer in
-  let result = traceback_stage t ~metrics best in
+  let result =
+    Walker.result ~metrics t.spec ~tb:t.tb ~start ~score ~cells:t.fires ~qry_len:t.qry_len
+      ~ref_len:t.ref_len
+  in
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_tb
     ~t1:(Dphls_obs.Tracer.now tracer) "traceback";
   (result, finish_stats t ~metrics ~tb_steps:result.Result.tb_steps)

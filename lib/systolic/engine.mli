@@ -4,13 +4,17 @@
     the generated RTL would: rows chunked across PEs, one wavefront per II
     cycles, inter-PE values flowing through the two-deep wavefront
     registers, chunk-to-chunk rows through the Preserved Row Score Buffer,
-    traceback pointers into banked, address-coalesced memory, and the
-    alignment's best cell found by per-PE local tracking plus a final
-    reduction. A wavefront evaluates its cells in one call of the
-    kernel's wave loop ({!Dphls_core.Kernel.flat_wave}, resolved once
-    per {!run} or {!run_batch} call), the software form of the
-    wavefront loop with [PE_func] inlined; per-alignment state is sized
-    to the PEs that own a row, however tall the array.
+    and the alignment's best cell found by per-PE local tracking plus a
+    final reduction. Traceback pointers go into the 16-bit plane the
+    golden engine fills ({!Dphls_core.Pe.store_pointer}) and are walked
+    back by the same {!Dphls_core.Walker.result}; the hardware's banked,
+    address-coalesced traceback RAM is the cost model
+    {!Schedule.tb_address}/{!Schedule.tb_depth}, not a second store. A
+    wavefront evaluates its cells in one call of the kernel's wave loop
+    ({!Dphls_core.Kernel.flat_wave}, resolved once per {!run} or
+    {!run_batch} call), the software form of the wavefront loop with
+    [PE_func] inlined; per-alignment state is sized to the PEs that own
+    a row, however tall the array.
     Alignment results are bit-identical to {!Dphls_reference}
     (enforced by the differential test suite); in addition the simulator
     reports the cycle breakdown that drives every throughput number in
@@ -20,10 +24,13 @@
     the task-parallel HLS style — fetch/init (the prologue), wavefront
     compute, best-cell reduction, traceback — handing off through bounded
     {!Fifo}s (fetch→compute two deep, the rest one deep). Each in-flight
-    alignment owns all of its mutable state, so {!run_batch} with
+    alignment owns all of its prologue state, so {!run_batch} with
     [~overlap:true] can run alignment [i+1]'s prologue under alignment
     [i]'s compute on double-buffered score planes with results that are
-    bit-identical to the sequential order by construction. *)
+    bit-identical to the sequential order by construction. The
+    traceback plane is not prologue state: a task takes the calling
+    domain's plane ({!Dphls_core.Pe.tb_plane}) when its compute starts,
+    after the previous task's traceback has walked it. *)
 
 type cycles = {
   prologue : int;   (** sequential query load + init-buffer writes *)

@@ -127,14 +127,15 @@ let row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed =
 
 (* Wave-level differential: every wave evaluator in [waves], run over a
    random PE interval [lo .. hi] of three random planes ([random_score])
-   and a random pointer store, must leave the planes and the store
-   exactly as [Datapath.eval] applied PE by PE leaves them: PE [p] reads
-   up and diag from slot [p] of the previous two planes and left from
-   slot [p + 1] of the previous one, writes its layers at slot [p + 1]
-   of the new plane and its pointer at [tb_at + p * tb_step], and
+   and a random traceback plane over query x reference, must leave the
+   planes and the traceback plane exactly as [Datapath.eval] applied PE
+   by PE leaves them: PE [p] reads up and diag from slot [p] of the
+   previous two planes and left from slot [p + 1] of the previous one,
+   writes its layers at slot [p + 1] of the new plane and its pointer at
+   its cell [(row0 + p, wavefront - p)] of the traceback plane, and
    nothing else changes (the planes have a slot past [hi + 1], and
    slots below [lo] when [lo > 0]). Every run is repeated without a
-   store. *)
+   traceback plane. *)
 let wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed =
   let rng = Rng.create (seed + 2_000_003) in
   let w = gen rng ~len:(2 + Rng.int rng 16) in
@@ -151,9 +152,8 @@ let wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed =
   let slots = hi + 3 in
   let plane () = Array.init (slots * n_layers) (fun _ -> score ()) in
   let w1 = plane () and w2 = plane () and w_new0 = plane () in
-  let tb_step = 1 + Rng.int rng 3 and tb_at = Rng.int rng 4 in
-  let tb0 = Array.init (tb_at + (hi * tb_step) + 1 + Rng.int rng 3) (fun _ -> Rng.int rng 1000) in
-  let expected = Array.copy w_new0 and expected_tb = Array.copy tb0 in
+  let tb0 = Bytes.init (2 * qry_len * ref_len) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let expected = Array.copy w_new0 and expected_tb = Bytes.copy tb0 in
   for p = lo to hi do
     let layers plane slot = Array.sub plane (slot * n_layers) n_layers in
     let row = row0 + p and col = wavefront - p in
@@ -170,7 +170,7 @@ let wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed =
         }
     in
     Array.blit o.Pe.scores 0 expected ((p + 1) * n_layers) n_layers;
-    expected_tb.(tb_at + (p * tb_step)) <- o.Pe.tb
+    Bytes.set_uint16_le expected_tb (2 * ((row * ref_len) + col)) o.Pe.tb
   done;
   let w1_0 = Array.copy w1 and w2_0 = Array.copy w2 in
   List.for_all
@@ -178,9 +178,9 @@ let wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed =
       List.for_all
         (fun (tb, want) ->
           let w_new = Array.copy w_new0 in
-          f ~w1 ~w2 ~w_new ~query ~reference ~tb ~tb_at ~tb_step ~row0 ~wavefront ~lo ~hi;
-          w_new = expected && tb = want && w1 = w1_0 && w2 = w2_0)
-        [ (Array.copy tb0, expected_tb); ([||], [||]) ])
+          f ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi;
+          w_new = expected && Bytes.equal tb want && w1 = w1_0 && w2 = w2_0)
+        [ (Bytes.copy tb0, expected_tb); (Bytes.empty, Bytes.empty) ])
     waves
 
 (* [Datapath.eval], what the engines run ([Kernel.flat_row] and

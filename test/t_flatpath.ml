@@ -2,14 +2,15 @@
    compile-pass structure (CSE, constant folding, strict binding), an
    allocation regression pinning the O(1)-words-per-wavefront property of
    the compiled hot path, the golden engine's under-a-word-per-cell
-   allocation (both on the generated and on the bytecode PE) and its
-   16-bit pointer guard, a catalog-wide
+   allocation (both on the generated and on the bytecode PE) and the
+   16-bit pointer guard both exact engines share, a catalog-wide
    differential fuzz of the compiled planes both engines run against the
    boxed interpreter, and the systolic engine's allocation on the
    generated and the generic wave: its per-alignment state, sized to the
-   rows present, and nothing per cell or per wavefront; and the golden
+   rows present, and nothing per cell or per wavefront; the golden
    engine's per-domain ring and plane: reused runs equal fresh ones, and
-   a domain retains no more than the cap. *)
+   a domain retains no more than the cap; and a warm simulator run,
+   whose pointers go to the same per-domain plane. *)
 open Dphls_core
 module Score = Dphls_util.Score
 module Datapath = Dphls_core.Datapath
@@ -246,8 +247,10 @@ let test_golden_allocation () =
         true (words < plane_words))
     (k02_paths ())
 
-(* A PE pointer that does not fit the golden engine's 16-bit traceback
-   plane is an error naming the cell, never a silent truncation. *)
+(* A PE pointer that does not fit the 16-bit traceback plane is an
+   error naming the cell, never a silent truncation, and the same error
+   from both exact engines: the golden rows, the simulator's waves at
+   N_PE 1, 2 and 32, and the simulator through the engine registry. *)
 let test_golden_wide_pointer () =
   let module K01 = Dphls_kernels.K01_global_linear in
   (* kernel #1's cell with a 17-bit pointer field that only cell (2,1)
@@ -274,11 +277,23 @@ let test_golden_wide_pointer () =
     Workload.of_bases ~query:(Dphls_alphabet.Dna.of_string "ACGT")
       ~reference:(Dphls_alphabet.Dna.of_string "ACGT")
   in
-  Alcotest.check_raises "names the cell"
-    (Invalid_argument
-       "Ref_engine: PE traceback pointer 65536 at cell (2,1) does not fit the \
-        16-bit traceback plane")
-    (fun () -> ignore (Dphls_reference.Ref_engine.run wide K01.default w))
+  let refusal =
+    Invalid_argument
+      "PE traceback pointer 65536 at cell (2,1) does not fit the 16-bit traceback plane"
+  in
+  Alcotest.check_raises "names the cell" refusal (fun () ->
+      ignore (Dphls_reference.Ref_engine.run wide K01.default w));
+  List.iter
+    (fun n_pe ->
+      Alcotest.check_raises
+        (Printf.sprintf "simulator at N_PE %d names the cell" n_pe)
+        refusal
+        (fun () ->
+          ignore
+            (Dphls_systolic.Engine.run (Dphls_systolic.Config.create ~n_pe) wide K01.default w)))
+    [ 1; 2; 32 ];
+  Alcotest.check_raises "simulator through the registry names the cell" refusal (fun () ->
+      ignore (Dphls_engines.Engines.run_batch (Systolic 32) wide K01.default [| w |]))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog-wide differential fuzz: each engine's run of the compiled
@@ -322,9 +337,8 @@ let differential_tests =
    or per cell would be [cells] words; the run stays under a quarter of
    that on the minor heap at N_PE 1 and 16, both on K02's generated
    wave and on the generic wave around the bytecode (K02 at a match
-   score the table does not hold). The traceback banks and the
-   preserved row, per-alignment arrays of more than a few hundred
-   words, live on the major heap. *)
+   score the table does not hold). The preserved row, a per-alignment
+   array of more than a few hundred words, lives on the major heap. *)
 let test_systolic_allocation () =
   let len = 256 in
   let rng = Dphls_util.Rng.create 406 in
@@ -356,9 +370,10 @@ let test_systolic_allocation () =
 
 (* Per-alignment state is sized to the PEs that own a row: an array far
    taller than the query keeps its modeled banks, depth, slots and
-   cycles but allocates within 2x of a 32-PE one (state sized by N_PE,
-   banks of the full modeled depth, would be about 9.5 MB here against
-   0.1 MB), and its result is the same. *)
+   cycles, its result is the same, and it allocates no more than an
+   array exactly as tall as the query, which has the same rows: 924
+   more PEs cost fewer than 924 more words, where any state sized by
+   N_PE would cost at least a word per PE. *)
 let test_tall_array_sized_to_rows () =
   let module Engine = Dphls_systolic.Engine in
   let len = 100 in
@@ -373,13 +388,13 @@ let test_tall_array_sized_to_rows () =
     ignore (run n_pe) (* warm-up *);
     words_of (fun () -> run n_pe)
   in
-  let short = words 32 and tall = words 1024 in
+  let exact = words len and tall = words 1024 in
   Alcotest.(check bool)
-    (Printf.sprintf "N_PE 1024 allocates %d words, N_PE 32 %d" tall short)
+    (Printf.sprintf "N_PE 1024 allocates %d words, N_PE %d (the same rows) %d" tall len exact)
     true
-    (tall <= 2 * short);
-  let r32, _ = run 32 and r1024, s = run 1024 in
-  Alcotest.(check bool) "same result" true (r32 = r1024);
+    (tall < exact + (1024 - len));
+  let r_exact, _ = run len and r1024, s = run 1024 in
+  Alcotest.(check bool) "same result" true (r_exact = r1024);
   Alcotest.(check bool) "golden result" true
     (Result.equal_alignment r1024 (Dphls_reference.Ref_engine.run K02.kernel K02.default w));
   (* one chunk of 100 rows: 199 wavefronts of 1024 slots *)
@@ -391,11 +406,9 @@ let test_tall_array_sized_to_rows () =
       ~qry_len:len ~ref_len:len ~tb_steps:s.Engine.cycles.Engine.traceback
   in
   Alcotest.(check bool) "cycles" true (est = s.Engine.cycles);
-  let mem =
-    Dphls_systolic.(Tb_memory.create (Schedule.create ~n_pe:1024 ~qry_len:len ~ref_len:len))
-  in
+  let schedule = Dphls_systolic.Schedule.create ~n_pe:1024 ~qry_len:len ~ref_len:len in
   Alcotest.(check (pair int int)) "modeled banks and depth" (1024, len + 1023)
-    Dphls_systolic.Tb_memory.(bank_count mem, depth mem)
+    (schedule.Dphls_systolic.Schedule.n_pe, Dphls_systolic.Schedule.tb_depth schedule)
 
 (* The golden engine's per-domain ring and plane carry nothing from one
    alignment to the next: in a fresh domain, a long alignment followed
@@ -455,6 +468,31 @@ let test_golden_buffer_cap () =
            true
            (after <= 2 * Ref_engine.retain_cap_bytes && after < plane)))
 
+(* The simulator stores its pointers in the domain's traceback plane,
+   which a warm run reuses, so a steady 256 x 256 #2 alignment allocates
+   only its wavefront planes, preserved row and per-PE trackers: under
+   a word per eight cells at N_PE 1 and at N_PE 32, where a pointer
+   store of its own, a word per pointer, would be a word per cell. *)
+let test_systolic_alignment_words () =
+  let len = 256 in
+  let rng = Dphls_util.Rng.create 410 in
+  let w =
+    Workload.of_bases
+      ~query:(Dphls_alphabet.Dna.random rng len)
+      ~reference:(Dphls_alphabet.Dna.random rng len)
+  in
+  List.iter
+    (fun n_pe ->
+      let cfg = Dphls_systolic.Config.create ~n_pe in
+      let run () = Dphls_systolic.Engine.run cfg K02.kernel K02.default w in
+      ignore (run ()) (* warm-up *);
+      let words = words_of run and cells = len * len in
+      Alcotest.(check bool)
+        (Printf.sprintf "N_PE %d allocates %d words for %d cells" n_pe words cells)
+        true
+        (words < cells / 8))
+    [ 1; 32 ]
+
 let suite =
   [
     Alcotest.test_case "Score.mul/abs extremes" `Quick test_score_mul_abs_extremes;
@@ -478,4 +516,6 @@ let suite =
       Alcotest.test_case "golden reused buffers == fresh" `Quick
         test_golden_reuse_equals_fresh;
       Alcotest.test_case "golden buffers stay within the cap" `Quick test_golden_buffer_cap;
+      Alcotest.test_case "systolic engine allocates under a word per 8 cells" `Quick
+        test_systolic_alignment_words;
     ]

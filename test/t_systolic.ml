@@ -1,9 +1,9 @@
-(* Tests for the systolic back-end: schedule arithmetic, traceback memory
-   addressing, activity-trace invariants, cycle accounting and agreement
-   with the golden engine at the array's edge heights. *)
+(* Tests for the systolic back-end: schedule arithmetic, traceback
+   addressing and the traceback plane, activity-trace invariants, cycle
+   accounting and agreement with the golden engine at the array's edge
+   heights. *)
 open Dphls_core
 module Schedule = Dphls_systolic.Schedule
-module Tb_memory = Dphls_systolic.Tb_memory
 module Engine = Dphls_systolic.Engine
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -55,23 +55,26 @@ let test_address_coalescing () =
   Alcotest.(check bool) "same wavefront, same address" true
     (a0 = a1 && a1 = a2 && a2 = a3)
 
+(* The traceback plane both engines store into: every pointer of a
+   12 x 9 matrix, and the widest one, reads back as stored. *)
 let test_tb_memory_roundtrip () =
-  let s = Schedule.create ~n_pe:4 ~qry_len:12 ~ref_len:9 in
-  let mem = Tb_memory.create s in
+  let ref_len = 9 in
+  let tb = Pe.tb_plane ~reuse:false ~qry_len:12 ~ref_len in
+  Alcotest.(check int) "two bytes per cell" (2 * 12 * 9) (Bytes.length tb);
   for row = 0 to 11 do
     for col = 0 to 8 do
-      Tb_memory.write mem ~row ~col ((row * 13) + col)
+      Pe.store_pointer tb ~ref_len ~row ~col ((row * 13) + col)
     done
   done;
+  Pe.store_pointer tb ~ref_len ~row:11 ~col:8 0xFFFF;
   let ok = ref true in
   for row = 0 to 11 do
     for col = 0 to 8 do
-      if Tb_memory.read mem ~row ~col <> (row * 13) + col then ok := false
+      let want = if (row, col) = (11, 8) then 0xFFFF else (row * 13) + col in
+      if Pe.pointer_at tb ~ref_len ~row ~col <> want then ok := false
     done
   done;
-  Alcotest.(check bool) "all pointers recovered" true !ok;
-  Alcotest.(check int) "words" (12 * 9) (Tb_memory.words_written mem);
-  Alcotest.(check int) "banks" 4 (Tb_memory.bank_count mem)
+  Alcotest.(check bool) "all pointers recovered" true !ok
 
 let test_active_wavefronts_banded () =
   let s = Schedule.create ~n_pe:4 ~qry_len:16 ~ref_len:16 in
