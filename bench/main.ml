@@ -119,8 +119,8 @@ let test_tiling =
   let query = Types.seq_of_bases qb and reference = Types.seq_of_bases rb in
   let p = Dphls_kernels.K02_global_affine.default in
   let run_tile =
-    Dphls_engines.Engines.(tile_runner systolic)
-      (Dphls_engines.Engine_intf.config ~n_pe:16 ())
+    Dphls_systolic.Engine.tile_runner
+      (Dphls_systolic.Config.create ~n_pe:16)
       Dphls_kernels.K02_global_affine.kernel p
   in
   Test.make ~name:"tiling:512b-read"
@@ -303,9 +303,10 @@ let banding_bench ?(len = 512) () =
    Every cell of one workload through the kernel's datapath three times,
    at the PE level (no engine around it): through the reference
    interpreter [Datapath.eval], through the compiled program's bytecode
-   loop [Datapath.flat], and through what the engines run
-   ([Kernel.flat_pe]: the generated straight-line evaluator, as these
-   catalog kernels run at their default parameters), across three
+   loop [Datapath.flat], and through the generated straight-line PE
+   ([Kernel.flat_pe] on these catalog kernels at their default
+   parameters; the engines run the same code inlined into their row and
+   wave loops, [Kernel.flat_row] and [Kernel.flat_wave]), across three
    recurrence shapes. Neighbour scores come from a rolling row of the
    DP itself. Best-of-5 wall-clock per sweep and cells/s per evaluator
    land in BENCH_3.json. *)

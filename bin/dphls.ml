@@ -37,11 +37,6 @@ let list_cmd =
 
 (* ---- align ---- *)
 
-let parse_sequence (e : Dphls_kernels.Catalog.entry) s =
-  let id = Registry.id e.packed in
-  if id = 15 then Types.seq_of_bases (Dphls_alphabet.Protein.of_string s)
-  else Types.seq_of_bases (Dphls_alphabet.Dna.of_string s)
-
 (* --band none|fixed|adaptive overrides the kernel's own banding;
    "kernel" (the default) keeps it (None). One term for every command
    that takes a band, each with its own width default. An unknown mode
@@ -139,37 +134,43 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
     overlap =
   let e = find_kernel kernel_spec in
   let id = Registry.id e.packed in
-  if List.mem id [ 8; 9; 14 ] then begin
-    Printf.eprintf
-      "kernel #%d takes %s input; use the examples/ programs for signal and \
-       profile workloads\n"
-      id e.Dphls_kernels.Catalog.alphabet;
-    exit 2
-  end;
-  let w =
-    Workload.of_seqs ~query:(parse_sequence e query)
-      ~reference:(parse_sequence e reference)
+  let encode =
+    match Dphls_kernels.Catalog.text_encoder e with
+    | Some encode -> encode
+    | None ->
+      Printf.eprintf
+        "kernel #%d takes %s input; use the examples/ programs for signal and \
+         profile workloads\n"
+        id e.Dphls_kernels.Catalog.alphabet;
+      exit 2
   in
+  let w = Workload.of_bases ~query:(encode query) ~reference:(encode reference) in
   let (Registry.Packed (k, p)) = e.packed in
   let k = Kernel.with_band k band in
   let choice = engine_choice ~n_pe engine_mode in
   let qry_len, ref_len = Workload.sizes w in
   let engine = Dphls_engines.Engines.resolve ~qry_len ~ref_len choice k p in
   let engine_name = Dphls_engines.Engines.name engine in
-  if vcd_path <> None && not (Dphls_engines.Engines.caps engine).capture
-  then begin
+  if vcd_path <> None && engine != Dphls_engines.Engines.systolic then begin
     Printf.eprintf
       "--vcd needs the systolic engine's capture stream (engine is %s)\n"
       engine_name;
     exit 2
   end;
   let trace = Dphls_systolic.Trace.create ~enabled:(vcd_path <> None) in
-  (* the shared dispatch (auto's modeled cycles included), with the
-     capture stream handed to the engine that can fill it *)
-  let run (module E : Dphls_engines.Engine_intf.S) cfg ws =
-    if E.caps.Dphls_engines.Engine_intf.capture then
-      E.run_batch ~traces:[| trace |] cfg k p ws
-    else E.run_batch cfg k p ws
+  (* the shared dispatch (auto's modeled cycles included); a batch it
+     sends to the simulator runs here, filling the capture stream *)
+  let run e (cfg : Dphls_engines.Engine_intf.config) ws =
+    if e != Dphls_engines.Engines.systolic then
+      let (module E : Dphls_engines.Engine_intf.S) = e in
+      E.run_batch cfg k p ws
+    else
+      let results, batch =
+        Dphls_systolic.Engine.run_batch ~traces:[| trace |]
+          (Dphls_systolic.Config.create ~n_pe:cfg.n_pe)
+          k p ws
+      in
+      (Array.map (fun (r, stats) -> (r, Some stats)) results, Some batch)
   in
   let { Dphls_engines.Engines.result; cycles; stats; _ } =
     refusing (fun () ->

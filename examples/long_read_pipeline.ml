@@ -28,8 +28,8 @@ let () =
 
   let p = K2.default in
   let run_tile =
-    Dphls_engines.Engines.(tile_runner systolic)
-      (Dphls_engines.Engine_intf.config ~n_pe:32 ())
+    Dphls_systolic.Engine.tile_runner
+      (Dphls_systolic.Config.create ~n_pe:32)
       K2.kernel p
   in
   let total_cycles = ref 0 in

@@ -3,9 +3,12 @@
     A kernel's recurrence is a symbolic expression tree ([Kernel.t]'s
     [datapath]), the one definition the HLS back-end consumes in the
     real DP-HLS flow. From it this reproduction (a) evaluates the PE —
-    {!eval} is the reference semantics, {!compile} the allocation-free
-    program the engines run, and the test suite pins the two
-    bit-identical (the analog of C-simulation vs RTL co-simulation),
+    {!eval} is the reference semantics; {!compile} lowers it to an
+    allocation-free program, which keys the generated row and wave loops
+    the engines run ({!Pe_gen}) and is the bytecode their generic row
+    and wave run when no generated loop matches; the test suite pins
+    them all bit-identical (the analog of C-simulation vs RTL
+    co-simulation),
     (b) emits structural Verilog for the PE and the surrounding systolic
     array, and (c) derives operator counts that cross-check the resource
     model's traits.

@@ -1,6 +1,6 @@
 open Dphls_core
-module R = Dphls_engines.Backends.Reference
-module Sy = Dphls_engines.Backends.Systolic
+module Ref_engine = Dphls_reference.Ref_engine
+module Sim = Dphls_systolic.Engine
 
 type mismatch = {
   index : int;
@@ -21,10 +21,10 @@ let passed r = r.agreed = r.total
 
 let verify ?(n_pe = 16) ?(max_mismatches = 8) ?alt_pe ?vectors kernel params
     workloads =
-  (* golden_chunked replays the systolic engine's [n_pe]-row chunked
-     traversal so adaptive bands prune the exact same cells (the old
-     [band_pe] argument, now carried by the engine config). *)
-  let cfg = Dphls_engines.Engine_intf.config ~golden_chunked:true ~n_pe () in
+  (* [band_pe] replays the simulator's [n_pe]-row chunked traversal on
+     the golden side, so adaptive bands prune the exact same cells *)
+  let run_golden k w = Ref_engine.run ~band_pe:n_pe k params w in
+  let array = Dphls_systolic.Config.create ~n_pe in
   let total = List.length workloads in
   let agreed = ref 0 in
   let mismatches = ref [] in
@@ -33,14 +33,13 @@ let verify ?(n_pe = 16) ?(max_mismatches = 8) ?alt_pe ?vectors kernel params
   let util_sum = ref 0.0 in
   List.iteri
     (fun index w ->
-      let golden = fst (R.run cfg kernel params w) in
+      let golden = run_golden kernel w in
       let trace =
         match vectors with
         | None -> Dphls_systolic.Trace.create ~enabled:false
         | Some _ -> Dphls_systolic.Trace.create_capture ()
       in
-      let systolic, stats = Sy.run ~trace cfg kernel params w in
-      let stats = Option.get stats in
+      let systolic, stats = Sim.run ~trace array kernel params w in
       (match vectors with
       | None -> ()
       | Some dir ->
@@ -53,16 +52,14 @@ let verify ?(n_pe = 16) ?(max_mismatches = 8) ?alt_pe ?vectors kernel params
             (Printf.sprintf "cosim_%s_w%03d.dpv" kernel.Kernel.name index)
         in
         Dphls_vectors.Codec.write_file path v);
-      cycles_sum :=
-        !cycles_sum
-        +. float_of_int stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total;
-      util_sum := !util_sum +. stats.Dphls_systolic.Engine.utilization;
+      cycles_sum := !cycles_sum +. float_of_int stats.Sim.cycles.Sim.total;
+      util_sum := !util_sum +. stats.Sim.utilization;
       let alt_ok =
         match alt_pe with
         | None -> true
         | Some dp ->
           let alt = { kernel with Kernel.datapath = (fun _ -> dp) } in
-          Result.equal_alignment golden (fst (R.run cfg alt params w))
+          Result.equal_alignment golden (run_golden alt w)
       in
       if Result.equal_alignment golden systolic && alt_ok then
         incr agreed

@@ -9,20 +9,17 @@ open Dphls_core
 module Systolic : Engine_intf.S = struct
   let name = "systolic"
 
-  let caps = { Engine_intf.capture = true }
-
-  let run ?trace ?metrics ?tracer (cfg : Engine_intf.config) k p w =
+  let run ?metrics ?tracer (cfg : Engine_intf.config) k p w =
     let r, stats =
-      Dphls_systolic.Engine.run ?trace ?metrics ?tracer
+      Dphls_systolic.Engine.run ?metrics ?tracer
         (Dphls_systolic.Config.create ~n_pe:cfg.Engine_intf.n_pe)
         k p w
     in
     (r, Some stats)
 
-  let run_batch ?overlap ?traces ?metrics ?tracer (cfg : Engine_intf.config) k
-      p ws =
+  let run_batch ?overlap ?metrics ?tracer (cfg : Engine_intf.config) k p ws =
     let results, batch =
-      Dphls_systolic.Engine.run_batch ?overlap ?traces ?metrics ?tracer
+      Dphls_systolic.Engine.run_batch ?overlap ?metrics ?tracer
         (Dphls_systolic.Config.create ~n_pe:cfg.Engine_intf.n_pe)
         k p ws
     in
@@ -32,45 +29,22 @@ end
 module Reference : Engine_intf.S = struct
   let name = "reference"
 
-  let caps = { Engine_intf.capture = false }
-
-  let band_pe (cfg : Engine_intf.config) =
-    if cfg.Engine_intf.golden_chunked then Some cfg.Engine_intf.n_pe else None
-
-  let run ?trace ?metrics ?tracer cfg k p w =
-    (match trace with
-    | Some _ ->
-      raise
-        (Engine_intf.Unsupported "reference engine has no capture stream")
-    | None -> ());
-    (Dphls_reference.Ref_engine.run ?band_pe:(band_pe cfg) ?metrics ?tracer k
-       p w,
-     None)
+  let run ?metrics ?tracer _ k p w =
+    (Dphls_reference.Ref_engine.run ?metrics ?tracer k p w, None)
 
   (* The golden engine has no prologue stage to hide; [overlap] is a
      device-model knob and changes nothing here. *)
-  let run_batch ?overlap:_ ?traces ?metrics ?tracer cfg k p ws =
-    (match traces with
-    | Some _ ->
-      raise
-        (Engine_intf.Unsupported "reference engine has no capture stream")
-    | None -> ());
+  let run_batch ?overlap:_ ?metrics ?tracer _ k p ws =
     ( Array.map
         (fun r -> (r, None))
-        (Dphls_reference.Ref_engine.run_batch ?band_pe:(band_pe cfg) ?metrics
-           ?tracer k p ws),
+        (Dphls_reference.Ref_engine.run_batch ?metrics ?tracer k p ws),
       None )
 end
 
 module Bitpar : Engine_intf.S = struct
   let name = "bitpar"
-  let caps = { Engine_intf.capture = false }
 
-  let run ?trace ?metrics ?tracer (_ : Engine_intf.config) k p w =
-    (match trace with
-    | Some _ ->
-      raise (Engine_intf.Unsupported "bitpar engine has no capture stream")
-    | None -> ());
+  let run ?metrics ?tracer _ k p w =
     let qry_len, ref_len = Workload.sizes w in
     match Dphls_bitpar.Eligibility.supports ~qry_len ~ref_len k p with
     | Error why ->
@@ -82,10 +56,6 @@ module Bitpar : Engine_intf.S = struct
       ( Dphls_bitpar.Engine.run ?band:k.Kernel.banding ?metrics ?tracer mapping w,
         None )
 
-  let run_batch ?overlap:_ ?traces ?metrics ?tracer cfg k p ws =
-    (match traces with
-    | Some _ ->
-      raise (Engine_intf.Unsupported "bitpar engine has no capture stream")
-    | None -> ());
+  let run_batch ?overlap:_ ?metrics ?tracer cfg k p ws =
     (Array.map (fun w -> run ?metrics ?tracer cfg k p w) ws, None)
 end

@@ -1,7 +1,7 @@
 (** The pluggable-engine layer: the backend contract ({!Engine_intf}),
     the shipped backends ({!Backends}), and the registry + auto-dispatch
-    policy ({!Engines}). Hosts select engines through {!Engines} by name
-    or capability; new backends implement {!Engine_intf.S} and join
+    policy ({!Engines}). Requests select engines through {!Engines} by
+    name; new backends implement {!Engine_intf.S} and join
     {!Engines.all}. *)
 
 module Engine_intf = Engine_intf

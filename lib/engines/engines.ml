@@ -6,7 +6,6 @@ let reference : Engine_intf.t = (module Backends.Reference)
 let bitpar : Engine_intf.t = (module Backends.Bitpar)
 let all = [ systolic; reference; bitpar ]
 let name (e : Engine_intf.t) = let (module E) = e in E.name
-let caps (e : Engine_intf.t) = let (module E) = e in E.caps
 
 type choice = Golden | Systolic of int | Bitpar | Auto of int
 
@@ -113,11 +112,3 @@ let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
   if Array.length ws = 0 then ([||], None)
   else if Array.for_all (fun e -> e == picks.(0)) picks then go picks.(0) ws
   else (Array.mapi (fun i w -> (fst (go picks.(i) [| w |])).(0)) ws, None)
-
-let tile_runner ?metrics ?tracer (e : Engine_intf.t)
-    (cfg : Engine_intf.config) k p =
-  let (module E : Engine_intf.S) = e in
-  fun ~band w ->
-    let k = Dphls_core.Kernel.with_band k (Option.map Option.some band) in
-    let result, stats = E.run ?metrics ?tracer cfg k p w in
-    (result, match stats with Some s -> s.Sim.cycles.Sim.total | None -> 0)

@@ -23,9 +23,8 @@ val systolic : Engine_intf.t
 (** The cycle-level systolic-array simulator ({!Dphls_systolic.Engine}). *)
 
 val reference : Engine_intf.t
-(** The golden rolling-row engine ({!Dphls_reference.Ref_engine}).
-    [config.golden_chunked] replays the systolic chunked traversal for
-    cosim; it produces no device stats and supports no capture stream. *)
+(** The golden rolling-row engine ({!Dphls_reference.Ref_engine}) on
+    its canonical traversal; it produces no device stats. *)
 
 val bitpar : Engine_intf.t
 (** The bit-parallel Myers engine ({!Dphls_bitpar}): score-only, one
@@ -37,7 +36,6 @@ val all : Engine_intf.t list
 (** Registry order: systolic, reference, bitpar. *)
 
 val name : Engine_intf.t -> string
-val caps : Engine_intf.t -> Engine_intf.caps
 
 (** How an alignment runs. [N_PE], the systolic array height, lives in
     the constructors that reach the array; the other engines have no
@@ -136,18 +134,3 @@ val run_batch :
     its own. [cfg] carries the choice's [N_PE] (1 for [Golden] and
     [Bitpar], which have no array). An empty array runs nothing.
     Engine refusals ({!Engine_intf.Unsupported}) propagate. *)
-
-val tile_runner :
-  ?metrics:Dphls_obs.Metrics.t ->
-  ?tracer:Dphls_obs.Tracer.t ->
-  Engine_intf.t ->
-  Engine_intf.config ->
-  'p Dphls_core.Kernel.t ->
-  'p ->
-  band:Dphls_core.Banding.t option ->
-  Dphls_core.Workload.t ->
-  Dphls_core.Result.t * int
-(** The [run] closure {!Dphls_tiling.Tiling.align} expects, built from
-    any registered engine: overrides the kernel's band per tile when the
-    tiler asks, returns total device cycles (0 for engines without a
-    cycle model). *)

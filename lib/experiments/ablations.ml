@@ -95,8 +95,8 @@ let tiling ?(read_length = 768) ?(seed = Common.default_seed) () =
   in
   let query = Types.seq_of_bases qb and reference = Types.seq_of_bases rb in
   let run_tile =
-    Dphls_engines.Engines.(tile_runner systolic)
-      (Dphls_engines.Engine_intf.config ~n_pe:16 ())
+    Dphls_systolic.Engine.tile_runner
+      (Dphls_systolic.Config.create ~n_pe:16)
       K2.kernel p
   in
   List.map

@@ -55,6 +55,7 @@ let throughput p ~cycles_of =
     (fun acc inst ->
       let freq = Dphls_resource.Estimate.max_frequency_mhz inst.packed in
       acc
-      +. Throughput.alignments_per_sec ~cycles_per_alignment:(cycles_of inst)
-           ~freq_mhz:freq ~n_b:inst.n_b ~n_k:1)
+      +. Dphls_host.Throughput.alignments_per_sec
+           ~cycles_per_alignment:(cycles_of inst) ~freq_mhz:freq ~n_b:inst.n_b
+           ~n_k:1)
     0.0 p.list

@@ -1,4 +1,3 @@
-module Link = Dphls_host.Link
 module Pretty = Dphls_util.Pretty
 
 type channel = {

@@ -31,8 +31,8 @@ let compute ?(read_length = 2048) ?(seed = Common.default_seed) () =
   in
   let query = Types.seq_of_bases query_b and reference = Types.seq_of_bases reference_b in
   let run_tile =
-    Dphls_engines.Engines.(tile_runner systolic)
-      (Dphls_engines.Engine_intf.config ~n_pe:32 ())
+    Dphls_systolic.Engine.tile_runner
+      (Dphls_systolic.Config.create ~n_pe:32)
       K2.kernel p
   in
   let outcome = Dphls_tiling.Tiling.align Dphls_tiling.Tiling.default ~run:run_tile

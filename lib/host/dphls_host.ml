@@ -10,14 +10,12 @@
       measured and modeled concurrency compare side by side;
     - {!Throughput} — alignments/s arithmetic, measured-vs-modeled
       scaling points ({!Throughput.scaling}) and the bench row schema
-      ({!Throughput.row});
-    - {!Link} — heterogeneous kernel mixes on one device, validated.
+      ({!Throughput.row}).
 
     See [docs/batch.md] for the batch runtime built on top
     ([Dphls.Batch]) and [docs/observability.md] for the pool's
     task/steal/idle counters and per-worker trace spans. *)
 
-module Link = Link
 module Pool = Pool
 module Scheduler = Scheduler
 module Throughput = Throughput

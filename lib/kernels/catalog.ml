@@ -160,6 +160,12 @@ let all =
       ~default_len:256 ~max_len:1024 ~gen:K19_global_edit.gen;
   ]
 
+let text_encoder e =
+  match e.alphabet with
+  | "DNA" -> Some Dphls_alphabet.Dna.of_string
+  | "Amino acids" -> Some Dphls_alphabet.Protein.of_string
+  | _ -> None
+
 let find id =
   match List.find_opt (fun e -> Registry.id e.packed = id) all with
   | Some e -> e

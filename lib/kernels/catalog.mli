@@ -27,6 +27,12 @@ type entry = {
 val all : entry list
 (** The 15 Table 1 kernels in order, then the adaptive variants 16-18. *)
 
+val text_encoder : entry -> (string -> int array) option
+(** How a request spells the entry's sequences as text:
+    {!Dphls_alphabet.Dna.of_string} for DNA kernels,
+    {!Dphls_alphabet.Protein.of_string} for amino acids, [None] for
+    sequence profiles, signals and integers, which have no text form. *)
+
 val find : int -> entry
 (** Lookup by catalog kernel number; raises [Not_found]. *)
 

@@ -327,13 +327,7 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
       (Printf.sprintf "no catalog kernel matches %S" req.Proto.kernel_spec)
   | entry -> (
     let kid = Registry.id entry.Catalog.packed in
-    let encode =
-      match entry.Catalog.alphabet with
-      | "DNA" -> Some Dphls_alphabet.Dna.of_string
-      | "Amino acids" -> Some Dphls_alphabet.Protein.of_string
-      | _ -> None
-    in
-    match encode with
+    match Catalog.text_encoder entry with
     | None ->
       reply Proto.Unsupported
         (Printf.sprintf

@@ -552,3 +552,9 @@ let run_batch ?(overlap = false) ?traces
   done;
   let results = Array.map Option.get out in
   (results, batch_stats_of ~metrics ~overlap (Array.map (fun (_, s) -> s.cycles) results))
+
+let tile_runner config kernel params ~band w =
+  let result, stats =
+    run config (Kernel.with_band kernel (Option.map Option.some band)) params w
+  in
+  (result, stats.cycles.total)

@@ -120,6 +120,18 @@ val run_batch :
     [traces] (default: all disabled) supplies one activity trace per
     workload; raises [Invalid_argument] on a length mismatch. *)
 
+val tile_runner :
+  Config.t ->
+  'p Dphls_core.Kernel.t ->
+  'p ->
+  band:Dphls_core.Banding.t option ->
+  Dphls_core.Workload.t ->
+  Dphls_core.Result.t * int
+(** [tile_runner config kernel params] is the [run] closure
+    [Dphls_tiling.Tiling.align] expects: one {!run} per tile, with the
+    kernel's band replaced when the tiler passes [Some band] (kept on
+    [None]), returning the tile's total device cycles. *)
+
 val cycles_estimate :
   ?live_wavefronts:int ->
   Config.t -> 'p Dphls_core.Kernel.t -> 'p ->

@@ -36,9 +36,10 @@ val align :
   reference:Dphls_core.Types.seq ->
   outcome
 (** [run] executes a global-alignment kernel on one tile and returns the
-    result plus its cycle cost (0 if unknown). Requires [0 < overlap <
-    tile]. Progress is guaranteed: each non-final tile commits at least
-    one character on at least one side.
+    result plus its cycle cost (0 if unknown);
+    [Dphls_systolic.Engine.tile_runner] builds one from the simulator.
+    Requires [0 < overlap < tile]. Progress is guaranteed: each
+    non-final tile commits at least one character on at least one side.
 
     [?band] is forwarded verbatim to [run] on every tile: since tiles
     never exceed [tile] characters per side, a per-tile band (fixed or

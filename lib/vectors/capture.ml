@@ -73,14 +73,10 @@ let of_trace (k : 'p Kernel.t) (p : 'p) ~n_pe ~workload ~trace ~result =
   }
 
 let systolic ?(overlap = false) (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
-  (* Capture runs through the registry's systolic backend — the same
-     module every host selects — so vectors certify the shipped engine
-     path, not a private entry point. *)
-  let module Sy = Dphls_engines.Backends.Systolic in
-  let cfg = Dphls_engines.Engine_intf.config ~n_pe () in
+  let array = Config.create ~n_pe in
   if not overlap then begin
     let trace = Trace.create_capture () in
-    let result, _stats = Sy.run ~trace cfg k p workload in
+    let result, _stats = Engine.run ~trace array k p workload in
     (of_trace k p ~n_pe ~workload ~trace ~result, result)
   end
   else begin
@@ -91,7 +87,7 @@ let systolic ?(overlap = false) (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
        capture would expose any double-buffering bug. *)
     let traces = [| Trace.create_capture (); Trace.create_capture () |] in
     let results, _batch =
-      Sy.run_batch ~overlap:true ~traces cfg k p [| workload; workload |]
+      Engine.run_batch ~overlap:true ~traces array k p [| workload; workload |]
     in
     let result, _stats = results.(1) in
     (of_trace k p ~n_pe ~workload ~trace:traces.(1) ~result, result)

@@ -216,18 +216,7 @@ let test_registry_port_identity () =
         (Result.equal_alignment direct_ref reg_ref);
       Alcotest.(check bool)
         (Printf.sprintf "#%d reference has no device stats" id)
-        true (no_stats = None);
-      (* golden_chunked replays the cosim band_pe chunking *)
-      let chunked = Dphls_reference.Ref_engine.run ~band_pe:16 k p w in
-      let reg_chunked, _ =
-        Backends.Reference.run
-          (Engine_intf.config ~golden_chunked:true ~n_pe:16 ())
-          k p w
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "#%d golden_chunked == band_pe" id)
-        true
-        (Result.equal_alignment chunked reg_chunked))
+        true (no_stats = None))
     [ 1; 2; 3; 7; 12; 15; 16; 19 ]
 
 (* ---- auto dispatch: whole catalog, exactly one fast-path hit ---- *)
@@ -289,10 +278,7 @@ let test_registry_lookup () =
   | Error msg ->
     Alcotest.(check string) "error lists the valid values"
       "unknown engine \"bogus\" (valid: auto | systolic | reference | bitpar)"
-      msg);
-  Alcotest.(check (list bool)) "only systolic fills a capture stream"
-    [ true; false; false ]
-    (List.map (fun e -> (Engines.caps e).Engine_intf.capture) Engines.all)
+      msg)
 
 let test_unsupported_paths () =
   let e = Dphls_kernels.Catalog.find 1 in
@@ -304,11 +290,6 @@ let test_unsupported_paths () =
     Alcotest.(check bool) "names the disqualifying property" true
       (String.length msg > 0)
   | _ -> Alcotest.fail "bitpar accepted a traceback kernel");
-  (* the golden engine has no capture stream *)
-  let trace = Dphls_systolic.Trace.create_capture () in
-  (match Backends.Reference.run ~trace cfg16 k p w with
-  | exception Engine_intf.Unsupported _ -> ()
-  | _ -> Alcotest.fail "reference accepted a capture hook");
   (* adaptive bands stay on the array engines *)
   let e16 = Dphls_kernels.Catalog.find 16 in
   let (Registry.Packed (k16, p16)) = e16.packed in
@@ -621,6 +602,56 @@ let prop_maxplus_through_auto =
          || QCheck.Test.fail_reportf "auto ran %s" ran.(0).Engines.engine)
       && ran.(0).Engines.result.Result.score = golden.Result.score)
 
+(* ---- CLI: align reads each kernel's text alphabet ---- *)
+
+let test_cli_align_protein () =
+  let query = "MKVLAAGIW" and reference = "MKVLSAGW" in
+  let code, out = run_cli [ "align"; "-k"; "15"; "-q"; query; "-r"; reference ] in
+  Alcotest.(check int) "exit 0" 0 code;
+  let module K15 = Dphls_kernels.K15_protein_local in
+  let golden =
+    Dphls_reference.Ref_engine.run K15.kernel K15.default
+      (Workload.of_bases
+         ~query:(Dphls_alphabet.Protein.of_string query)
+         ~reference:(Dphls_alphabet.Protein.of_string reference))
+  in
+  Alcotest.(check bool) "scores the amino acids" true
+    (contains out (Printf.sprintf "score       : %d\n" golden.Result.score));
+  Alcotest.(check bool) "golden check" true (contains out "golden check: match")
+
+let test_cli_align_no_text_form () =
+  List.iter
+    (fun id ->
+      let code, out =
+        run_cli [ "align"; "-k"; string_of_int id; "-q"; "ACGT"; "-r"; "ACGT" ]
+      in
+      let alphabet = (Dphls_kernels.Catalog.find id).Dphls_kernels.Catalog.alphabet in
+      Alcotest.(check int) (Printf.sprintf "#%d: exit 2" id) 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "#%d: names the alphabet" id)
+        true
+        (contains out (Printf.sprintf "kernel #%d takes %s input" id alphabet)))
+    [ 8; 9; 14 ]
+
+(* ---- CLI: --vcd writes the simulator's capture stream ---- *)
+
+let test_cli_align_vcd () =
+  let vcd = Filename.temp_file "dphls_align" ".vcd" in
+  let align extra =
+    run_cli
+      ([ "align"; "-k"; "2"; "-q"; "ACGTACGTTTGA"; "-r"; "ACGTTCGTTGA" ]
+      @ [ "--vcd"; vcd ] @ extra)
+  in
+  let code, _ = align [] in
+  let size = In_channel.with_open_bin vcd In_channel.length in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "wrote a non-empty waveform" true (size > 0L);
+  let code, out = align [ "--engine"; "reference" ] in
+  Sys.remove vcd;
+  Alcotest.(check int) "reference: exit 2" 2 code;
+  Alcotest.(check bool) "reference: names the engine" true
+    (contains out "(engine is reference)")
+
 let suite =
   [
     Alcotest.test_case "myers word-boundary lengths" `Quick test_myers_boundaries;
@@ -648,4 +679,10 @@ let suite =
     Alcotest.test_case "bitpar admission: each refusal names its reason" `Quick
       test_bitpar_admission_reasons;
     qtest prop_maxplus_through_auto;
+    Alcotest.test_case "cli: align -k 15 reads amino acids" `Quick
+      test_cli_align_protein;
+    Alcotest.test_case "cli: align refuses kernels with no text form" `Quick
+      test_cli_align_no_text_form;
+    Alcotest.test_case "cli: align --vcd needs the simulator" `Quick
+      test_cli_align_vcd;
   ]

@@ -69,38 +69,40 @@ let test_xdrop_invalid () =
 
 (* ---------- heterogeneous linking ---------- *)
 
+module Link = Dphls_experiments.Link
+
 let instance id n_pe n_b =
   {
-    Dphls_host.Link.packed = (Dphls_kernels.Catalog.find id).packed;
+    Link.packed = (Dphls_kernels.Catalog.find id).packed;
     n_pe;
     n_b;
     max_len = 256;
   }
 
 let test_link_valid_plan () =
-  match Dphls_host.Link.plan [ instance 1 32 4; instance 3 32 4; instance 14 32 4 ] with
+  match Link.plan [ instance 1 32 4; instance 3 32 4; instance 14 32 4 ] with
   | Error msg -> Alcotest.fail msg
   | Ok plan ->
-    Alcotest.(check int) "three channels" 3 (List.length (Dphls_host.Link.instances plan));
-    let p = Dphls_host.Link.percent plan in
+    Alcotest.(check int) "three channels" 3 (List.length (Link.instances plan));
+    let p = Link.percent plan in
     Alcotest.(check bool) "uses some LUTs" true (p.Dphls_resource.Device.lut_pct > 0.01);
-    let tp = Dphls_host.Link.throughput plan ~cycles_of:(fun _ -> 3000.0) in
+    let tp = Link.throughput plan ~cycles_of:(fun _ -> 3000.0) in
     Alcotest.(check bool) "aggregate throughput" true (tp > 0.0)
 
 let test_link_rejects_oversize () =
   (* 8 channels of 64 blocks of the DSP-hungry profile kernel cannot fit *)
-  match Dphls_host.Link.plan (List.init 8 (fun _ -> instance 8 32 64)) with
+  match Link.plan (List.init 8 (fun _ -> instance 8 32 64)) with
   | Ok _ -> Alcotest.fail "oversized plan accepted"
   | Error msg -> Alcotest.(check bool) "diagnostic mentions device" true
       (String.length msg > 0)
 
 let test_link_rejects_bad_instance () =
-  match Dphls_host.Link.plan [ { (instance 1 32 4) with n_pe = 0 } ] with
+  match Link.plan [ { (instance 1 32 4) with n_pe = 0 } ] with
   | Ok _ -> Alcotest.fail "bad instance accepted"
   | Error _ -> ()
 
 let test_link_empty () =
-  match Dphls_host.Link.plan [] with
+  match Link.plan [] with
   | Ok _ -> Alcotest.fail "empty plan accepted"
   | Error _ -> ()
 

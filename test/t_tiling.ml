@@ -3,17 +3,9 @@ open Dphls_core
 module Tiling = Dphls_tiling.Tiling
 module K2 = Dphls_kernels.K02_global_affine
 
-let run_tile ~band w =
-  let kernel =
-    match band with
-    | Some b -> { K2.kernel with Kernel.banding = Some b }
-    | None -> K2.kernel
-  in
-  let result, stats =
-    Dphls_systolic.Engine.run (Dphls_systolic.Config.create ~n_pe:8) kernel
-      K2.default w
-  in
-  (result, stats.Dphls_systolic.Engine.cycles.Dphls_systolic.Engine.total)
+let run_tile =
+  Dphls_systolic.Engine.tile_runner (Dphls_systolic.Config.create ~n_pe:8)
+    K2.kernel K2.default
 
 let exact_score qb rb =
   let p = K2.default in
