@@ -144,7 +144,13 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
         id e.Dphls_kernels.Catalog.alphabet;
       exit 2
   in
-  let w = Workload.of_bases ~query:(encode query) ~reference:(encode reference) in
+  let w =
+    try Workload.of_bases ~query:(encode query) ~reference:(encode reference)
+    with Invalid_argument msg ->
+      (* a letter outside the kernel's alphabet, as Server.admit answers it *)
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
   let (Registry.Packed (k, p)) = e.packed in
   let k = Kernel.with_band k band in
   let choice = engine_choice ~n_pe engine_mode in
@@ -158,19 +164,17 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
     exit 2
   end;
   let trace = Dphls_systolic.Trace.create ~enabled:(vcd_path <> None) in
-  (* the shared dispatch (auto's modeled cycles included); a batch it
-     sends to the simulator runs here, filling the capture stream *)
+  (* the shared dispatch (auto's modeled cycles included); the one
+     workload, when it goes to the simulator, runs here, filling the
+     capture stream *)
   let run e (cfg : Dphls_engines.Engine_intf.config) ws =
     if e != Dphls_engines.Engines.systolic then
       let (module E : Dphls_engines.Engine_intf.S) = e in
       E.run_batch cfg k p ws
     else
-      let results, batch =
-        Dphls_systolic.Engine.run_batch ~traces:[| trace |]
-          (Dphls_systolic.Config.create ~n_pe:cfg.n_pe)
-          k p ws
-      in
-      (Array.map (fun (r, stats) -> (r, Some stats)) results, Some batch)
+      let array = Dphls_systolic.Config.create ~n_pe:cfg.n_pe in
+      let result, stats = Dphls_systolic.Engine.run ~trace array k p ws.(0) in
+      ([| (result, Some stats) |], None)
   in
   let { Dphls_engines.Engines.result; cycles; stats; _ } =
     refusing (fun () ->
@@ -414,11 +418,11 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
     else max 2 (Domain.recommended_domain_count ())
   in
   (* every pass below (the streamed rows, the --overlap and --compare
-     re-runs) runs the chosen engine *)
+     re-runs) runs the chosen engine; --overlap changes no row *)
   refusing @@ fun () ->
   print_endline "#idx\tquery\treference\tscore\tcigar\tidentity\tcycles";
   Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
-    ~overlap ~path:pairs_path
+    ~path:pairs_path
     ~f:(fun idx q r (a : Dphls.Align.alignment) ->
       Printf.printf "%d\t%s\t%s\t%d\t%s\t%.4f\t%s\n" idx q.Dphls_io.Fasta.id
         r.Dphls_io.Fasta.id a.Dphls.Align.score a.Dphls.Align.cigar
@@ -443,7 +447,7 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
           pair_up records))
   in
   if overlap then begin
-    (* re-run through the overlap-reporting path so the recovered-cycle
+    (* re-run through the per-worker slices so the recovered-cycle
        accounting (sequential vs overlapped modeled totals) lands on
        stderr next to the rows *)
     let _results, _stats, b =
@@ -525,9 +529,9 @@ let batch_cmd =
       value & flag
       & info [ "overlap" ]
           ~doc:
-            "Pipeline each alignment's prologue under its predecessor's \
-             compute (per-worker slices) and report recovered cycles on \
-             stderr")
+            "Also report on stderr the modeled cycles recovered by hiding \
+             each alignment's prologue under its predecessor's compute \
+             (per-worker slices); the rows are unchanged")
   in
   let engine =
     Arg.(value & opt (some string) None & info [ "engine" ] ~doc:engine_doc)
@@ -644,7 +648,7 @@ let vectors_gen_cmd =
       const vectors_gen_run $ kernel $ corpus $ output $ n_pe 4 $ len $ seed
       $ band_term ~width_default:16)
 
-let vectors_check_run overlap files =
+let vectors_check_run files =
   if files = [] then begin
     Printf.eprintf "dphls vectors check: no vector files given\n";
     exit 2
@@ -652,7 +656,7 @@ let vectors_check_run overlap files =
   let load_failed = ref false and diverged = ref false in
   List.iter
     (fun path ->
-      match Vectors.Harness.check_file ~overlap path with
+      match Vectors.Harness.check_file path with
       | Ok o ->
         Printf.printf "%s: ok (%d cells, %d windows, %d replayed)\n" path
           o.Vectors.Harness.o_cells o.Vectors.Harness.o_windows
@@ -671,22 +675,13 @@ let vectors_check_cmd =
   let files =
     Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc:"Vector files")
   in
-  let overlap =
-    Arg.(
-      value & flag
-      & info [ "overlap" ]
-          ~doc:
-            "Re-run each vector through the overlapped staged engine \
-             instead of the sequential one; the recorded stream must \
-             still match bit for bit")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Verify vector files against the current build (re-run, replay \
           through the compiled datapath and its interpreter); non-zero exit \
           on divergence (1) or unreadable files (2)")
-    Term.(const vectors_check_run $ overlap $ files)
+    Term.(const vectors_check_run $ files)
 
 let vectors_regen_run out_dir files =
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
@@ -821,12 +816,13 @@ let profile_run kernel_spec n_pe trials len band workers json trace_path
   let k = Kernel.with_band k band in
   let choice = engine_choice ~n_pe engine_mode in
   (match choice with
-  | Dphls_engines.Engines.Systolic _ -> ()
-  | _ ->
-    if overlap then begin
-      Printf.eprintf "--overlap requires --engine systolic\n";
-      exit 2
-    end);
+  | Dphls_engines.Engines.(Golden | Bitpar) when overlap ->
+    Printf.eprintf
+      "--overlap needs modeled device cycles; the %s engine has no cycle \
+       model (use --engine systolic or auto)\n"
+      (Dphls_engines.Engines.choice_name choice);
+    exit 2
+  | _ -> ());
   let metrics = Dphls_obs.Metrics.create () in
   let tracer = Dphls_obs.Tracer.create () in
   (* auto re-decides per workload, each decision bumping a dispatch
@@ -844,10 +840,8 @@ let profile_run kernel_spec n_pe trials len band workers json trace_path
   (* Sequential phase: engine counters and phase spans, the workloads
      run one after another through Engines.run_batch. The closed-form
      expected cell count is summed per workload because generated
-     lengths can differ from [len] for some kernels. With [--overlap]
-     the batch pipelines prologues, so the exported trace shows
-     alignment i+1's prologue span (tid 1) running under alignment i's
-     compute span. *)
+     lengths can differ from [len] for some kernels. [--overlap] only
+     adds the batch accounting's overlap counters. *)
   let expected_cells = ref 0 in
   Array.iter
     (fun w ->
@@ -941,8 +935,9 @@ let profile_cmd =
       value & flag
       & info [ "overlap" ]
           ~doc:
-            "Profile the overlapped staged batch: prologue spans land on a \
-             second track under the previous alignment's compute span")
+            "Also count the prologue cycles a pipelined array would hide \
+             under each predecessor's compute (prologues_overlapped, \
+             overlap_hidden_cycles); needs an engine with modeled cycles")
   in
   Cmd.v
     (Cmd.info "profile"

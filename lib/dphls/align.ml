@@ -120,9 +120,9 @@ let protein_local ?band ?metrics ?tracer ?(engine = Golden) ~query
     (protein_workload ~query ~reference)
     ~decode:protein_decode
 
-(* Batched variants of the five entry points: one staged-engine batch per
-   call, so [?overlap] can hide alignment i+1's prologue under alignment
-   i's compute (systolic engine only — see Engine.run_batch). *)
+(* Batched variants of the five entry points: one engine batch per
+   call, whose batch accounting [?overlap] selects (see
+   Engine.batch_stats_of). *)
 
 let dna_workloads pairs =
   Array.map (fun (query, reference) -> dna_workload ~query ~reference) pairs

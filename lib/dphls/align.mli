@@ -88,15 +88,15 @@ val global_batch :
   ?engine:engine ->
   (string * string) array ->
   alignment array * Dphls_systolic.Engine.batch_stats option
-(** Batched {!global}: one staged-engine batch over all [(query,
-    reference)] pairs, in order.
+(** Batched {!global}: one engine batch over all [(query, reference)]
+    pairs, in order ({!Dphls_engines.Engines.run_batch}).
 
-    With the systolic engine, [?overlap] (default [false]) pipelines
-    alignment [i+1]'s fetch/init prologue under alignment [i]'s compute
-    ({!Dphls_systolic.Engine.run_batch}); per-alignment results are
-    bit-identical either way, only the returned batch-level cycle
-    accounting changes. The batch stats are [None] on the golden engine
-    (no device cycle model — [overlap] is then a no-op). *)
+    [?overlap] (default [false]) only changes the returned batch-level
+    cycle accounting: it credits alignment [i+1]'s prologue as hidden
+    under alignment [i]'s compute
+    ({!Dphls_systolic.Engine.batch_stats_of}); results are the same
+    either way. The batch stats are [None] when the answers carry no
+    modeled cycles (the golden and bit-parallel engines). *)
 
 val global_affine_batch :
   ?band:Dphls_core.Banding.t option ->

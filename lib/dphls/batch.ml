@@ -19,16 +19,13 @@ let align_one ?band ?engine kind ~query ~reference =
   | Semi_global -> Align.semi_global ?band ?engine ~query ~reference ()
   | Protein_local -> Align.protein_local ?band ?engine ~query ~reference ()
 
-let align_slice ?band ?engine ?overlap kind pairs =
+let align_slice ?band ?engine kind pairs =
   match kind with
-  | Global -> Align.global_batch ?band ?engine ?overlap pairs
-  | Global_affine ->
-    Align.global_affine_batch ?band ?engine ?overlap pairs
-  | Local -> Align.local_batch ?band ?engine ?overlap pairs
-  | Semi_global ->
-    Align.semi_global_batch ?band ?engine ?overlap pairs
-  | Protein_local ->
-    Align.protein_local_batch ?band ?engine ?overlap pairs
+  | Global -> Align.global_batch ?band ?engine ~overlap:true pairs
+  | Global_affine -> Align.global_affine_batch ?band ?engine ~overlap:true pairs
+  | Local -> Align.local_batch ?band ?engine ~overlap:true pairs
+  | Semi_global -> Align.semi_global_batch ?band ?engine ~overlap:true pairs
+  | Protein_local -> Align.protein_local_batch ?band ?engine ~overlap:true pairs
 
 let sum_batch_stats acc = function
   | None -> acc
@@ -49,66 +46,45 @@ let zero_batch_stats =
    domain-safe, so per-alignment engine counters are never threaded into
    tasks that run on worker domains. The pool itself adds its counters
    on the calling thread and its per-chunk spans through the
-   mutex-protected tracer.
+   mutex-protected tracer. *)
+let run_in_pool ?band ?engine ?metrics ?tracer ~kind pool pairs =
+  Pool.run ?metrics ?tracer pool
+    (fun i ->
+      let query, reference = pairs.(i) in
+      align_one ?band ?engine kind ~query ~reference)
+    (Array.length pairs)
 
-   With [overlap], pairs are cut into contiguous per-worker slices and
-   each slice runs as one staged-engine batch inside a single domain —
-   alignment i+1's prologue pipelined under alignment i's compute
-   (Engine.run_batch) — the N_B-style block parallelism the paper's host
-   model assumes. Results are ordered and byte-identical to the per-pair
-   path; the aggregated batch stats quantify the hidden cycles. *)
-let run_in_pool ?band ?engine ?(overlap = false) ?metrics ?tracer
-    ~kind pool pairs =
-  if not overlap then
-    let results, stats =
-      Pool.run ?metrics ?tracer pool
-        (fun i ->
-          let query, reference = pairs.(i) in
-          align_one ?band ?engine kind ~query ~reference)
-        (Array.length pairs)
-    in
-    (results, stats, zero_batch_stats)
-  else begin
-    let slices = Pool.slices (Pool.workers pool) pairs in
-    let nested, stats =
-      Pool.run ?metrics ?tracer pool ~chunk:1
-        (fun s -> align_slice ?band ?engine ~overlap:true kind slices.(s))
-        (Array.length slices)
-    in
-    let results = Array.concat (Array.to_list (Array.map fst nested)) in
-    let batch =
-      Array.fold_left (fun acc (_, b) -> sum_batch_stats acc b) zero_batch_stats
-        nested
-    in
-    (results, stats, batch)
-  end
-
-let align_all_report ?band ?engine ?overlap ?metrics ?tracer
-    ?(kind = Global) ?workers pairs =
-  let results, stats, _ =
-    Pool.with_pool ?workers (fun pool ->
-        run_in_pool ?band ?engine ?overlap ?metrics ?tracer ~kind
-          pool pairs)
-  in
-  (results, stats)
-
-let align_all_overlap_report ?band ?engine ?metrics ?tracer
-    ?(kind = Global) ?workers pairs =
+let align_all_report ?band ?engine ?metrics ?tracer ?(kind = Global) ?workers
+    pairs =
   Pool.with_pool ?workers (fun pool ->
-      run_in_pool ?band ?engine ~overlap:true ?metrics ?tracer ~kind
-        pool pairs)
+      run_in_pool ?band ?engine ?metrics ?tracer ~kind pool pairs)
 
-let align_all ?band ?engine ?overlap ?kind ?workers pairs =
-  fst (align_all_report ?band ?engine ?overlap ?kind ?workers pairs)
+(* Pairs cut into contiguous per-worker slices, each slice one engine
+   batch inside a single domain, so the batch accounting sees each
+   alignment's predecessor; the slices' stats add up. *)
+let align_all_overlap_report ?band ?engine ?metrics ?tracer ?(kind = Global)
+    ?workers pairs =
+  Pool.with_pool ?workers (fun pool ->
+      let slices = Pool.slices (Pool.workers pool) pairs in
+      let nested, stats =
+        Pool.run ?metrics ?tracer pool ~chunk:1
+          (fun s -> align_slice ?band ?engine kind slices.(s))
+          (Array.length slices)
+      in
+      ( Array.concat (Array.to_list (Array.map fst nested)),
+        stats,
+        Array.fold_left (fun acc (_, b) -> sum_batch_stats acc b) zero_batch_stats
+          nested ))
 
-let iter ?band ?engine ?overlap ?(kind = Global) ?workers
+let align_all ?band ?engine ?kind ?workers pairs =
+  fst (align_all_report ?band ?engine ?kind ?workers pairs)
+
+let iter ?band ?engine ?(kind = Global) ?workers
     ?(chunk = 256) ~f seq =
   if chunk < 1 then invalid_arg "Batch.iter: chunk < 1";
   Pool.with_pool ?workers (fun pool ->
       let emit base pairs =
-        let results, _, _ =
-          run_in_pool ?band ?engine ?overlap ~kind pool pairs
-        in
+        let results, _ = run_in_pool ?band ?engine ~kind pool pairs in
         Array.iteri
           (fun i a ->
             let query, reference = pairs.(i) in
@@ -134,7 +110,7 @@ let iter ?band ?engine ?overlap ?(kind = Global) ?workers
       in
       go 0 seq)
 
-let iter_fasta_file ?band ?engine ?overlap ?(kind = Global) ?workers
+let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
     ?(chunk = 256) ~path ~f () =
   if chunk < 1 then invalid_arg "Batch.iter_fasta_file: chunk < 1";
   Pool.with_pool ?workers (fun pool ->
@@ -145,9 +121,7 @@ let iter_fasta_file ?band ?engine ?overlap ?(kind = Global) ?workers
               (q.Dphls_io.Fasta.sequence, r.Dphls_io.Fasta.sequence))
             records
         in
-        let results, _, _ =
-          run_in_pool ?band ?engine ?overlap ~kind pool pairs
-        in
+        let results, _ = run_in_pool ?band ?engine ~kind pool pairs in
         Array.iteri
           (fun i a ->
             let q, r = records.(i) in
@@ -179,10 +153,10 @@ let iter_fasta_file ?band ?engine ?overlap ?(kind = Global) ?workers
       | None -> ());
       if buffered <> [] then emit base (Array.of_list (List.rev buffered)))
 
-let scaling ?band ?engine ?overlap ?kind ~workers pairs =
+let scaling ?band ?engine ?kind ~workers pairs =
   let report w =
     snd
-      (align_all_report ?band ?engine ?overlap ?kind ~workers:w pairs)
+      (align_all_report ?band ?engine ?kind ~workers:w pairs)
   in
   let baseline = (report 1).Pool.report in
   Throughput.scaling ~baseline

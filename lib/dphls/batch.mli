@@ -34,25 +34,17 @@ val align_one :
 
 val align_all :
   ?band:Dphls_core.Banding.t option ->
-  ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
+  ?engine:Align.engine -> ?kind:kind -> ?workers:int
   -> (string * string) array -> Align.alignment array
 (** [align_all pairs] aligns every [(query, reference)] pair in
     parallel on [workers] domains (default
-    [Domain.recommended_domain_count ()]). [kind] defaults to
-    [Global]. Result [i] is the alignment of [pairs.(i)].
-
-    With [?overlap] (default [false]) the pairs are cut into contiguous
-    per-worker slices, each run as one staged-engine batch that
-    pipelines alignment [i+1]'s prologue under alignment [i]'s compute
-    ({!Dphls_systolic.Engine.run_batch}) — the N_B-style block
-    parallelism of the device model, inside one domain per slice.
-    Results are byte-identical either way; only the modeled device
-    cycles (and wall clock) change. A no-op on the golden engine. *)
+    [Domain.recommended_domain_count ()]), one pool task per pair.
+    [kind] defaults to [Global]. Result [i] is the alignment of
+    [pairs.(i)]. *)
 
 val align_all_report :
   ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine ->
-  ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?kind:kind -> ?workers:int
@@ -79,14 +71,19 @@ val align_all_overlap_report :
   -> (string * string) array
   -> Align.alignment array * Dphls_host.Pool.stats
      * Dphls_systolic.Engine.batch_stats
-(** {!align_all_report} with [~overlap:true], additionally returning the
-    modeled batch cycle accounting summed over the per-worker slices:
+(** {!align_all_report}'s results, additionally returning the modeled
+    batch cycle accounting with prologue overlap: the pairs are cut
+    into contiguous per-worker slices, each aligned as one
+    [Align.*_batch ~overlap:true] call inside one domain, and the
+    slices' {!Dphls_systolic.Engine.batch_stats} are summed —
     sequential vs overlapped device cycles and the prologue cycles
-    hidden. All-zero on the golden engine (no device model). *)
+    hidden. Results are those of {!align_all}. A slice whose answers
+    carry no modeled cycles adds nothing, so the stats are all zero on
+    the golden and bit-parallel engines. *)
 
 val iter :
   ?band:Dphls_core.Banding.t option ->
-  ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
+  ?engine:Align.engine -> ?kind:kind -> ?workers:int
   -> ?chunk:int
   -> f:(int -> query:string -> reference:string -> Align.alignment -> unit)
   -> (string * string) Seq.t -> unit
@@ -97,7 +94,7 @@ val iter :
 
 val iter_fasta_file :
   ?band:Dphls_core.Banding.t option ->
-  ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> ?workers:int
+  ?engine:Align.engine -> ?kind:kind -> ?workers:int
   -> ?chunk:int
   -> path:string
   -> f:
@@ -110,7 +107,7 @@ val iter_fasta_file :
 
 val scaling :
   ?band:Dphls_core.Banding.t option ->
-  ?engine:Align.engine -> ?overlap:bool -> ?kind:kind -> workers:int list
+  ?engine:Align.engine -> ?kind:kind -> workers:int list
   -> (string * string) array
   -> Dphls_host.Throughput.scaling_point list
 (** Runs the same batch once per worker count (plus a 1-worker

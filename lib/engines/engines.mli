@@ -118,7 +118,7 @@ val run_batch :
   ran array * Dphls_systolic.Engine.batch_stats option
 (** The one dispatch policy. Resolves each workload ({!resolve}: one
     fast-path counter bump per workload under [Auto]); when they all
-    pick the same engine the whole array runs as one staged batch, and
+    pick the same engine the whole array runs as one engine batch, and
     that batch's stats are returned, otherwise each workload runs alone
     and the stats are [None]. Results are in workload order.
 

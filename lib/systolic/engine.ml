@@ -87,19 +87,13 @@ let batch_stats_of ?(metrics = Dphls_obs.Metrics.disabled) ~overlap cycles =
     hidden_cycles = !hidden;
   }
 
-(* The engine is decomposed into communicating stages in the TAPA style
-   (ROADMAP item 4): fetch/init (the prologue) builds a self-contained
-   task context, the compute stage runs the wavefront pipeline over it,
-   then reduction and traceback consume its outputs. Stages hand off
-   through bounded {!Fifo}s; because each task owns all of its prologue
-   state (wavefront planes, validity bitmaps, preserved-row buffer), two
-   tasks can be in flight at once — the double buffering that lets
-   {!run_batch} overlap alignment [i+1]'s prologue with alignment [i]'s
-   compute — and results stay bit-identical to the fully sequential
-   order by construction. The traceback plane belongs to the compute
-   and traceback stages, not to the prologue: a task takes the domain's
-   plane ([Pe.tb_plane]) when its compute starts, after the previous
-   task's traceback has walked it.
+(* The engine is decomposed into stages in the TAPA style: fetch/init
+   (the prologue) builds a self-contained task context, the compute
+   stage runs the wavefront pipeline over it, then reduction and
+   traceback consume its outputs. A task runs all four stages before
+   the next workload is fetched; prologue overlap is batch accounting
+   ({!batch_stats_of}), not a run order. The task holds the domain's
+   traceback plane ([Pe.tb_plane]) from its fetch to its traceback.
 
    Per-alignment state is sized to the PEs that own a row,
    [rows = min n_pe qry_len]: an array taller than the query models the
@@ -116,7 +110,7 @@ type 'p task = {
   worst : Types.score;
   schedule : Schedule.t;
   spec : Traceback.spec option;
-  mutable tb : Bytes.t;  (* the traceback plane from compute on, empty without a traceback *)
+  tb : Bytes.t;  (* the domain's traceback plane, empty without a traceback *)
   band_tracker : Banding.Tracker.t option;
   in_band : row:int -> col:int -> bool;
   decide : row:int -> col:int -> bool;
@@ -158,10 +152,11 @@ type 'p task = {
 
 (* Stage 1 — fetch/init, the prologue. Everything the RTL does before
    the first wavefront: stream the packed query in, write the init-row/
-   init-col border buffers, reset the score planes and the preserved-row
-   tags. Costed by {!Schedule.prologue_cycles}. [wave] is the kernel's
-   wave evaluator, resolved once per {!run} or {!run_batch} call and
-   forced here, after the kernel and the workload are validated. *)
+   init-col border buffers, reset the score planes, the preserved-row
+   tags and the traceback plane. Costed by {!Schedule.prologue_cycles}.
+   [wave] is the kernel's wave evaluator, resolved once per {!run} or
+   {!run_batch} call and forced here, after the kernel and the workload
+   are validated. *)
 let fetch config kernel params ~wave (w : Workload.t) =
   Kernel.validate kernel params;
   let qry_len = Array.length w.Workload.query
@@ -209,6 +204,7 @@ let fetch config kernel params ~wave (w : Workload.t) =
              row col))
   in
   let wave = Lazy.force wave in
+  let spec = kernel.Kernel.traceback params in
   let rows = min n_pe qry_len in
   let plane () = Array.make ((rows + 1) * n_layers) worst in
   let valid () = Bytes.make (rows + 1) '\000' in
@@ -230,8 +226,10 @@ let fetch config kernel params ~wave (w : Workload.t) =
     n_layers;
     worst;
     schedule;
-    spec = kernel.Kernel.traceback params;
-    tb = Bytes.empty;
+    spec;
+    tb =
+      (if Option.is_some spec then Pe.tb_plane ~reuse:true ~qry_len ~ref_len
+       else Bytes.empty);
     band_tracker;
     in_band;
     decide;
@@ -365,9 +363,8 @@ let fire t ~trace ~chunk ~wavefront ~lo ~hi =
         }
     done
 
-(* Stage 2 — the wavefront compute pipeline. Takes the domain's
-   traceback plane, zeroed, then runs the whole chunk loop over one
-   task's planes; it allocates nothing but trace events. Each wavefront
+(* Stage 2 — the wavefront compute pipeline: the whole chunk loop over
+   one task's planes; it allocates nothing but trace events. Each wavefront
    makes one wave call per maximal run of in-band PEs: the whole
    in-matrix run when unbanded. *)
 let compute_stage (t : _ task) ~trace =
@@ -376,7 +373,6 @@ let compute_stage (t : _ task) ~trace =
   and ref_len = t.ref_len
   and banding = t.kernel.Kernel.banding
   and score_site = t.kernel.Kernel.score_site in
-  if Option.is_some t.spec then t.tb <- Pe.tb_plane ~reuse:true ~qry_len ~ref_len;
   for chunk = 0 to t.schedule.Schedule.n_chunks - 1 do
     let r0 = chunk * n_pe in
     let rows = Int.min n_pe (qry_len - r0) in
@@ -476,9 +472,13 @@ let finish_stats (t : _ task) ~metrics ~tb_steps =
     tb_words = (if Option.is_some t.spec then t.fires else 0);
   }
 
-(* Run one fetched task through compute → reduce → traceback, recording
+(* One workload through fetch → compute → reduce → traceback, recording
    the per-stage tracer spans. *)
-let drain_task (t : _ task) ~trace ~metrics ~tracer =
+let run_task ~wave ~trace ~metrics ~tracer config kernel params w =
+  let t0 = Dphls_obs.Tracer.now tracer in
+  let t = fetch config kernel params ~wave w in
+  Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0
+    ~t1:(Dphls_obs.Tracer.now tracer) "prologue";
   let t_compute = Dphls_obs.Tracer.now tracer in
   compute_stage t ~trace;
   Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~t0:t_compute
@@ -498,59 +498,22 @@ let drain_task (t : _ task) ~trace ~metrics ~tracer =
     ~t1:(Dphls_obs.Tracer.now tracer) "traceback";
   (result, finish_stats t ~metrics ~tb_steps:result.Result.tb_steps)
 
-let fetch_traced ?(tid = 0) config kernel params ~wave w ~tracer =
-  let t0 = Dphls_obs.Tracer.now tracer in
-  let t = fetch config kernel params ~wave w in
-  Dphls_obs.Tracer.add_span tracer ~cat:"engine" ~tid ~t0
-    ~t1:(Dphls_obs.Tracer.now tracer) "prologue";
-  t
-
 let run ?(trace = Trace.create ~enabled:false)
     ?(metrics = Dphls_obs.Metrics.disabled)
     ?(tracer = Dphls_obs.Tracer.disabled) config kernel params (w : Workload.t)
     =
-  (* Single alignment: the stages still hand off through the bounded
-     FIFOs (fetch→compute two deep, the rest one deep), they just never
-     hold more than one task. *)
-  let fetched = Fifo.create ~capacity:2 in
   let wave = lazy (Kernel.flat_wave kernel params) in
-  Fifo.push fetched (fetch_traced config kernel params ~wave w ~tracer);
-  drain_task (Fifo.pop fetched) ~trace ~metrics ~tracer
+  run_task ~wave ~trace ~metrics ~tracer config kernel params w
 
-let run_batch ?(overlap = false) ?traces
-    ?(metrics = Dphls_obs.Metrics.disabled)
+let run_batch ?(overlap = false) ?(metrics = Dphls_obs.Metrics.disabled)
     ?(tracer = Dphls_obs.Tracer.disabled) config kernel params
     (ws : Workload.t array) =
-  (match traces with
-  | Some a when Array.length a <> Array.length ws ->
-    invalid_arg "Systolic.Engine.run_batch: traces length mismatch"
-  | _ -> ());
-  let trace_for i =
-    match traces with
-    | Some a -> a.(i)
-    | None -> Trace.create ~enabled:false
-  in
-  let n = Array.length ws in
-  let out = Array.make n None in
-  let fetched = Fifo.create ~capacity:2 in
   (* one wave for the batch: its tasks run one after another *)
   let wave = lazy (Kernel.flat_wave kernel params) in
-  let fetch_traced ?tid w = fetch_traced ?tid config kernel params ~wave w ~tracer in
-  if n > 0 then Fifo.push fetched (fetch_traced ws.(0));
-  for i = 0 to n - 1 do
-    let t = Fifo.pop fetched in
-    if overlap && i + 1 < n then
-      (* Alignment i+1's prologue issues while alignment i occupies the
-         compute stage: with the two-deep fetch FIFO both tasks are in
-         flight, each on its own (double-buffered) planes and borders.
-         Recorded on tracer track 1 so `dphls profile` shows the
-         prologue hiding under the compute track. *)
-      Fifo.push fetched (fetch_traced ~tid:1 ws.(i + 1));
-    out.(i) <- Some (drain_task t ~trace:(trace_for i) ~metrics ~tracer);
-    if (not overlap) && i + 1 < n then
-      Fifo.push fetched (fetch_traced ws.(i + 1))
-  done;
-  let results = Array.map Option.get out in
+  let trace = Trace.create ~enabled:false in
+  let results =
+    Array.map (run_task ~wave ~trace ~metrics ~tracer config kernel params) ws
+  in
   (results, batch_stats_of ~metrics ~overlap (Array.map (fun (_, s) -> s.cycles) results))
 
 let tile_runner config kernel params ~band w =

@@ -20,17 +20,14 @@
     reports the cycle breakdown that drives every throughput number in
     the reproduction.
 
-    Internally the engine is decomposed into four communicating stages in
-    the task-parallel HLS style — fetch/init (the prologue), wavefront
-    compute, best-cell reduction, traceback — handing off through bounded
-    {!Fifo}s (fetch→compute two deep, the rest one deep). Each in-flight
-    alignment owns all of its prologue state, so {!run_batch} with
-    [~overlap:true] can run alignment [i+1]'s prologue under alignment
-    [i]'s compute on double-buffered score planes with results that are
-    bit-identical to the sequential order by construction. The
-    traceback plane is not prologue state: a task takes the calling
-    domain's plane ({!Dphls_core.Pe.tb_plane}) when its compute starts,
-    after the previous task's traceback has walked it. *)
+    Internally the engine is decomposed into four stages in the
+    task-parallel HLS style — fetch/init (the prologue), wavefront
+    compute, best-cell reduction, traceback — and runs them in that
+    order for one workload before fetching the next, as the generated
+    array does (DP-HLS does not overlap its prologue with compute). The
+    overlap the hand-written RTL baselines implement is accounting over
+    the per-alignment cycles ({!batch_stats_of}), not a second run
+    order. *)
 
 type cycles = {
   prologue : int;   (** sequential query load + init-buffer writes *)
@@ -96,7 +93,6 @@ val run :
 
 val run_batch :
   ?overlap:bool ->
-  ?traces:Trace.t array ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   Config.t ->
@@ -104,21 +100,14 @@ val run_batch :
   'p ->
   Dphls_core.Workload.t array ->
   (Dphls_core.Result.t * stats) array * batch_stats
-(** Run a batch of workloads through the staged engine, in order.
-
-    With [~overlap:true] (default [false]) alignment [i+1]'s fetch/init
-    stage — the prologue the paper blames for the gap vs hand-written
-    RTL (§7.3) — issues while alignment [i] occupies the compute stage,
-    through the two-deep fetch FIFO (double-buffered planes and init
-    borders). Results and per-alignment [stats] are bit-identical to
-    [overlap:false] (and to {!run} called per workload); only the
-    batch-level modeled-cycle accounting and the tracer/metrics output
-    change: prologue spans land on tracer track [tid = 1] so profiles
-    show the hiding, and the [Prologues_overlapped] /
-    [Overlap_hidden_cycles] counters record the recovered cycles.
-
-    [traces] (default: all disabled) supplies one activity trace per
-    workload; raises [Invalid_argument] on a length mismatch. *)
+(** {!run} on each workload in order, each finishing its traceback
+    before the next is fetched, with the kernel's wave loop resolved
+    once for the batch, plus the batch accounting. [overlap] (default
+    [false]) reaches only {!batch_stats_of}: with it, [batch_stats]
+    credits alignment [i]'s prologue as hidden under alignment
+    [i-1]'s compute and [metrics] receives the [Prologues_overlapped] /
+    [Overlap_hidden_cycles] counters. Results and per-alignment [stats]
+    do not depend on it. *)
 
 val tile_runner :
   Config.t ->

@@ -9,12 +9,11 @@
     {b Schedule-legality contract.} Cell (row, col) on wavefront [w]
     may only read cells on wavefronts [w-1] and [w-2] — exactly the
     {!Dphls_core.Datapath.wavefront_stencil} offsets NW/N/W. The
-    engines (and PR-7's task-parallel overlap variant) double-buffer
-    precisely those two score planes, so a PE whose datapath read any
-    deeper (expressible via [Datapath.Nbr]) would consume an
-    already-overwritten plane. The [Depend] pass of [dphls check]
-    proves every catalog datapath confined to the stencil before the
-    engines ever run it ([depend-out-of-stencil]). *)
+    engines double-buffer precisely those two score planes, so a PE
+    whose datapath read any deeper (expressible via [Datapath.Nbr])
+    would consume an already-overwritten plane. The [Depend] pass of
+    [dphls check] proves every catalog datapath confined to the stencil
+    before the engines ever run it ([depend-out-of-stencil]). *)
 
 type t = {
   n_pe : int;

@@ -72,26 +72,10 @@ let of_trace (k : 'p Kernel.t) (p : 'p) ~n_pe ~workload ~trace ~result =
     summary = summary result;
   }
 
-let systolic ?(overlap = false) (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
-  let array = Config.create ~n_pe in
-  if not overlap then begin
-    let trace = Trace.create_capture () in
-    let result, _stats = Engine.run ~trace array k p workload in
-    (of_trace k p ~n_pe ~workload ~trace ~result, result)
-  end
-  else begin
-    (* Two copies of the workload through the staged engine with
-       [~overlap:true], so the second alignment's prologue runs while the
-       first occupies the compute stage (two contexts in flight). The
-       returned vector is the overlapped alignment's — the one whose
-       capture would expose any double-buffering bug. *)
-    let traces = [| Trace.create_capture (); Trace.create_capture () |] in
-    let results, _batch =
-      Engine.run_batch ~overlap:true ~traces array k p [| workload; workload |]
-    in
-    let result, _stats = results.(1) in
-    (of_trace k p ~n_pe ~workload ~trace:traces.(1) ~result, result)
-  end
+let systolic (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
+  let trace = Trace.create_capture () in
+  let result, _stats = Engine.run ~trace (Config.create ~n_pe) k p workload in
+  (of_trace k p ~n_pe ~workload ~trace ~result, result)
 
 let reference (k : 'p Kernel.t) (p : 'p) ~n_pe workload =
   let result, m = Dphls_reference.Ref_engine.run_full ~band_pe:n_pe k p workload in

@@ -19,7 +19,6 @@ val of_trace :
     execution order. This is the hook cosim's [~vectors] mode uses. *)
 
 val systolic :
-  ?overlap:bool ->
   'p Dphls_core.Kernel.t ->
   'p ->
   n_pe:int ->
@@ -27,13 +26,7 @@ val systolic :
   Stream.t * Dphls_core.Result.t
 (** Run the systolic engine with capture on and assemble the vector.
     The kernel's own [banding] field is the effective band (callers
-    apply overrides to the kernel first).
-
-    With [?overlap] (default [false]) the capture runs through
-    {!Dphls_systolic.Engine.run_batch} [~overlap:true] on two copies of
-    the workload — two double-buffered contexts in flight — and returns
-    the overlapped alignment's stream, which must be bit-identical to
-    the sequential capture (the drift gate's [--overlap] mode). *)
+    apply overrides to the kernel first). *)
 
 val reference :
   'p Dphls_core.Kernel.t ->

@@ -96,7 +96,7 @@ let count_records (v : Stream.t) =
       | Stream.Window _ -> (c, w + 1))
     (0, 0) v.Stream.records
 
-let check ?overlap (v : Stream.t) =
+let check (v : Stream.t) =
   match resolve v.Stream.header with
   | Error msg -> Error msg
   | Ok (Registry.Packed (k, p)) -> (
@@ -105,7 +105,7 @@ let check ?overlap (v : Stream.t) =
       Workload.of_seqs ~query:h.Stream.query ~reference:h.Stream.reference
     in
     let regen, _result =
-      Capture.systolic ?overlap k p ~n_pe:h.Stream.n_pe workload
+      Capture.systolic k p ~n_pe:h.Stream.n_pe workload
     in
     match Stream.diff ~expected:v ~actual:regen with
     | Some d ->
@@ -126,7 +126,7 @@ let check ?overlap (v : Stream.t) =
           let o_cells, o_windows = count_records v in
           Ok { o_cells; o_windows; o_replayed = replayed })))
 
-let check_file ?overlap path =
+let check_file path =
   match Codec.read_file path with
   | Error msg -> Error msg
-  | Ok v -> check ?overlap v
+  | Ok v -> check v

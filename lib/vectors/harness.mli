@@ -35,7 +35,7 @@ type outcome = {
   o_replayed : int;   (** cells replayed through each PE datapath *)
 }
 
-val check : ?overlap:bool -> Stream.t -> (outcome, string) result
+val check : Stream.t -> (outcome, string) result
 (** The full gate a loaded vector must pass:
     - the header resolves against the live catalog (known kernel id,
       matching name and layer count) and its params hash matches the
@@ -45,13 +45,8 @@ val check : ?overlap:bool -> Stream.t -> (outcome, string) result
       named by chunk, wavefront, PE, cell);
     - every recorded cell replays bit-identically through both the
       compiled datapath and its interpreter {!Dphls_core.Datapath.eval}
-      ({!Replay.run}).
+      ({!Replay.run}). *)
 
-    With [?overlap] (default [false]) the re-run goes through the
-    overlapped staged engine ({!Capture.systolic} [~overlap:true]), so
-    the drift gate also proves prologue overlap changes no emitted
-    vector. *)
-
-val check_file : ?overlap:bool -> string -> (outcome, string) result
+val check_file : string -> (outcome, string) result
 (** {!Codec.read_file} then {!check}; load errors are [Error] with the
     path prefixed. *)

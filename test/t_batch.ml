@@ -181,6 +181,57 @@ let test_scaling_points () =
         p.Dphls_host.Throughput.efficiency)
     [ 2; 4 ] points
 
+(* The slice path the batch benchmark times: align_all_overlap_report
+   answers exactly what align_all answers, at one worker and at three,
+   and at one worker (one slice) its batch stats are the engine
+   dispatch's own over the same workloads with overlap: zero on the
+   golden engine, the simulator's and auto's modeled batch otherwise. *)
+let test_overlap_report () =
+  let module K02 = Dphls_kernels.K02_global_affine in
+  let module Engines = Dphls_engines.Engines in
+  let rng = Rng.create 77 in
+  let pairs =
+    Array.init 14 (fun i ->
+        let n = 20 + (3 * i) in
+        ( Dphls_alphabet.Dna.to_string (Dphls_alphabet.Dna.random rng n),
+          Dphls_alphabet.Dna.to_string (Dphls_alphabet.Dna.random rng (n + 5 - i)) ))
+  in
+  let ws =
+    Array.map
+      (fun (q, r) ->
+        Dphls_core.Workload.of_bases ~query:(Dphls_alphabet.Dna.of_string q)
+          ~reference:(Dphls_alphabet.Dna.of_string r))
+      pairs
+  in
+  let kind = Batch.Global_affine in
+  List.iter
+    (fun (engine : Align.engine) ->
+      let name = Engines.choice_name engine in
+      let expected = Batch.align_all ~engine ~kind ~workers:1 pairs in
+      List.iter
+        (fun workers ->
+          let results, _, _ = Batch.align_all_overlap_report ~engine ~kind ~workers pairs in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d workers: results == align_all" name workers)
+            true (digest results = digest expected))
+        [ 1; 3 ];
+      let _, _, stats = Batch.align_all_overlap_report ~engine ~kind ~workers:1 pairs in
+      let zero =
+        Dphls_systolic.Engine.
+          { alignments = 0; seq_cycles = 0; overlapped_cycles = 0; hidden_cycles = 0 }
+      in
+      let own =
+        Option.value ~default:zero
+          (snd (Engines.run_batch ~overlap:true engine K02.kernel K02.default ws))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: batch stats == Engines.run_batch ~overlap:true" name)
+        true (stats = own);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: hidden cycles only with a cycle model" name)
+        (engine <> Align.Golden) (stats.Dphls_systolic.Engine.hidden_cycles > 0))
+    [ Align.Golden; Align.Systolic 16; Align.Auto 16 ]
+
 let suite =
   [
     qtest prop_worker_count_invariance;
@@ -194,4 +245,6 @@ let suite =
     Alcotest.test_case "iter fasta file" `Quick test_iter_fasta_file;
     Alcotest.test_case "odd fasta rejected" `Quick test_odd_fasta_rejected;
     Alcotest.test_case "scaling points" `Quick test_scaling_points;
+    Alcotest.test_case "overlap report: slices == align_all" `Quick
+      test_overlap_report;
   ]

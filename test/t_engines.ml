@@ -652,6 +652,61 @@ let test_cli_align_vcd () =
   Alcotest.(check bool) "reference: names the engine" true
     (contains out "(engine is reference)")
 
+(* ---- CLI: a letter outside the kernel's alphabet exits 2 ---- *)
+
+let test_cli_align_bad_letter () =
+  List.iter
+    (fun (id, query, reference, message) ->
+      let code, out =
+        run_cli [ "align"; "-k"; string_of_int id; "-q"; query; "-r"; reference ]
+      in
+      Alcotest.(check int) (Printf.sprintf "#%d %s: exit 2" id query) 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "#%d %s: gives the encoder's message" id query)
+        true (contains out message))
+    [ (1, "ACGX", "ACGT", "Dna.encode: 'X'"); (15, "MKVB", "MKV", "Protein.encode: 'B'") ]
+
+(* ---- CLI: profile --overlap reads modeled cycles from any engine that has them ---- *)
+
+let test_cli_profile_overlap_engines () =
+  let profile engine =
+    run_cli
+      [ "profile"; "-k"; "2"; "--trials"; "3"; "--len"; "40"; "--engine"; engine;
+        "--overlap"; "--json"; "--trace"; "/dev/null" ]
+  in
+  let overlap_counters engine =
+    let code, out = profile engine in
+    Alcotest.(check int) (engine ^ ": exit 0") 0 code;
+    let line =
+      List.find
+        (fun l -> String.length l > 0 && l.[0] = '{')
+        (String.split_on_char '\n' out)
+    in
+    let counters =
+      match Dphls_util.Json.parse line with
+      | Ok j -> Option.get (Dphls_util.Json.member "counters" j)
+      | Error msg -> Alcotest.failf "%s: profile JSON: %s" engine msg
+    in
+    List.map
+      (fun name ->
+        match Dphls_util.Json.member name counters with
+        | Some (Dphls_util.Json.Num v) -> (name, int_of_float v)
+        | _ -> Alcotest.failf "%s: no %s counter" engine name)
+      [ "prologues_overlapped"; "overlap_hidden_cycles" ]
+  in
+  let sys = overlap_counters "systolic" in
+  Alcotest.(check bool) "the systolic run hides prologues" true
+    (List.for_all (fun (_, v) -> v > 0) sys);
+  Alcotest.(check (list (pair string int))) "auto == systolic" sys
+    (overlap_counters "auto");
+  List.iter
+    (fun engine ->
+      let code, out = profile engine in
+      Alcotest.(check int) (engine ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (engine ^ ": says it has no cycle model") true
+        (contains out (Printf.sprintf "the %s engine has no cycle model" engine)))
+    [ "reference"; "bitpar" ]
+
 let suite =
   [
     Alcotest.test_case "myers word-boundary lengths" `Quick test_myers_boundaries;
@@ -685,4 +740,8 @@ let suite =
       test_cli_align_no_text_form;
     Alcotest.test_case "cli: align --vcd needs the simulator" `Quick
       test_cli_align_vcd;
+    Alcotest.test_case "cli: align exits 2 on a letter outside the alphabet" `Quick
+      test_cli_align_bad_letter;
+    Alcotest.test_case "cli: profile --overlap on auto == systolic" `Quick
+      test_cli_profile_overlap_engines;
   ]

@@ -1,9 +1,11 @@
-(* Overlap differential fuzz: Engine.run_batch ~overlap:true must be
-   bit-identical to the sequential staged engine — results, per-stage
-   cycle breakdowns, emitted capture vectors — across the full
-   18-kernel catalog (including the adaptive-band variants 16-18), and
-   its batch accounting must hide cycles exactly when there is a
-   predecessor's compute to hide them under. *)
+(* Prologue overlap changes only accounting: Engine.run_batch
+   ~overlap:true runs the same stages in the same order as
+   ~overlap:false, so results and per-alignment cycle breakdowns are
+   bit-identical across the full catalog (including the adaptive-band
+   variants 16-18), and only the batch accounting differs: it hides
+   cycles exactly when there is a predecessor's compute to hide them
+   under. The capture test pins the one state the simulator carries
+   between alignments, the domain's traceback plane. *)
 open Dphls_core
 module Engine = Dphls_systolic.Engine
 module Config = Dphls_systolic.Config
@@ -57,25 +59,46 @@ let test_catalog_bit_identity () =
       check_identical (Printf.sprintf "kernel %d" id) b o)
     Catalog.all
 
-(* The capture stream — every cell score, traceback nibble and band
-   window in emission order — through both modes, for one kernel per
-   recurrence family the back-end treats differently. *)
+(* The capture stream — every cell score, traceback pointer and band
+   window in emission order — of an alignment that runs right after a
+   longer one of the same kernel in the same domain, on the traceback
+   plane that run left behind, equals its capture in a fresh domain:
+   the reused plane leaks nothing. One kernel per recurrence family the
+   back-end treats differently, plus a 40 x 3 fixed-band alignment
+   whose walk leaves the band, after a 100 x 5 one that stored
+   pointers where that walk reads: the case a plane not reset between
+   alignments gets wrong. *)
 let test_capture_bit_identity () =
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  let catalog id seed len = (Catalog.find id).Catalog.gen (Dphls_util.Rng.create seed) ~len in
+  let rng = Dphls_util.Rng.create 2011 in
+  let dna qry_len ref_len =
+    Workload.of_bases
+      ~query:(Dphls_alphabet.Dna.random rng qry_len)
+      ~reference:(Dphls_alphabet.Dna.random rng ref_len)
+  in
   List.iter
-    (fun (id, len) ->
-      let e = Catalog.find id in
-      let (Registry.Packed (k, p)) = e.Catalog.packed in
-      let w = e.Catalog.gen (Dphls_util.Rng.create (2000 + id)) ~len in
-      let v_seq, r_seq = Capture.systolic ~overlap:false k p ~n_pe:4 w in
-      let v_ov, r_ov = Capture.systolic ~overlap:true k p ~n_pe:4 w in
-      (match Stream.diff ~expected:v_seq ~actual:v_ov with
+    (fun (id, longer, w) ->
+      let (Registry.Packed (k, p)) = (Catalog.find id).Catalog.packed in
+      if Workload.cells longer <= Workload.cells w then
+        Alcotest.failf "kernel %d: the first alignment is not the longer one" id;
+      let v_lone, r_lone = in_fresh_domain (fun () -> Capture.systolic k p ~n_pe:4 w) in
+      let v_after, r_after =
+        in_fresh_domain (fun () ->
+            ignore (Engine.run (Config.create ~n_pe:4) k p longer);
+            Capture.systolic k p ~n_pe:4 w)
+      in
+      (match Stream.diff ~expected:v_lone ~actual:v_after with
       | None -> ()
       | Some d ->
-        Alcotest.failf "kernel %d: overlapped capture diverges: %s" id
+        Alcotest.failf "kernel %d: capture after a longer alignment diverges: %s" id
           (Stream.describe d));
-      if not (Result.equal_alignment r_seq r_ov) then
+      if not (Result.equal_alignment r_lone r_after) then
         Alcotest.failf "kernel %d: capture results diverge" id)
-    [ (1, 32); (2, 24); (9, 24); (11, 32); (16, 32) ]
+    (List.map
+       (fun (id, len) -> (id, catalog id (3000 + id) (2 * len), catalog id (2000 + id) len))
+       [ (1, 32); (2, 24); (9, 24); (11, 32); (16, 32) ]
+    @ [ (11, dna 100 5, dna 40 3) ])
 
 let test_empty_batch () =
   let e = Catalog.find 1 in
