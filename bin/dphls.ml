@@ -163,28 +163,29 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
       engine_name;
     exit 2
   end;
-  let trace = Dphls_systolic.Trace.create ~enabled:(vcd_path <> None) in
-  (* the shared dispatch (auto's modeled cycles included); the one
-     workload, when it goes to the simulator, runs here, filling the
-     capture stream *)
-  let run e (cfg : Dphls_engines.Engine_intf.config) ws =
-    if e != Dphls_engines.Engines.systolic then
-      let (module E : Dphls_engines.Engine_intf.S) = e in
-      E.run_batch cfg k p ws
-    else
-      let array = Dphls_systolic.Config.create ~n_pe:cfg.n_pe in
-      let result, stats = Dphls_systolic.Engine.run ~trace array k p ws.(0) in
-      ([| (result, Some stats) |], None)
-  in
   let { Dphls_engines.Engines.result; cycles; stats; _ } =
-    refusing (fun () ->
-        (fst (Dphls_engines.Engines.run_batch ~run choice k p [| w |])).(0))
+    match vcd_path with
+    | None ->
+      (* the shared dispatch, auto's modeled cycles included *)
+      refusing (fun () ->
+          (fst (Dphls_engines.Engines.run_batch choice k p [| w |])).(0))
+    | Some path ->
+      (* the choice resolved to the simulator: run it here, filling the
+         capture stream *)
+      let trace = Dphls_systolic.Trace.create ~enabled:true in
+      let result, stats =
+        Dphls_systolic.Engine.run ~trace
+          (Dphls_systolic.Config.create ~n_pe) k p w
+      in
+      Dphls_systolic.Vcd.write_file path trace ~n_pe;
+      Printf.eprintf "wrote waveform %s\n" path;
+      {
+        Dphls_engines.Engines.result;
+        engine = engine_name;
+        cycles = Some stats.Dphls_systolic.Engine.cycles;
+        stats = Some stats;
+      }
   in
-  (match vcd_path with
-  | Some path ->
-    Dphls_systolic.Vcd.write_file path trace ~n_pe;
-    Printf.eprintf "wrote waveform %s\n" path
-  | None -> ());
   Printf.printf "kernel      : #%d %s\n" id (Registry.name e.packed);
   (* only non-default requests print the engine line, keeping the
      historical output stable for scripts that parse it *)
@@ -414,23 +415,27 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
   in
   let workers =
     (* default to real parallelism even on boxes that report one core *)
-    if workers > 0 then workers
-    else max 2 (Domain.recommended_domain_count ())
+    match workers with
+    | Some w -> w
+    | None -> max 2 (Domain.recommended_domain_count ())
   in
-  (* every pass below (the streamed rows, the --overlap and --compare
-     re-runs) runs the chosen engine; --overlap changes no row *)
+  (* the streamed rows and the --compare re-runs run the chosen engine;
+     --overlap changes no row, it prints the streamed pass's overlap
+     accounting *)
   refusing @@ fun () ->
   print_endline "#idx\tquery\treference\tscore\tcigar\tidentity\tcycles";
-  Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
-    ~path:pairs_path
-    ~f:(fun idx q r (a : Dphls.Align.alignment) ->
-      Printf.printf "%d\t%s\t%s\t%d\t%s\t%.4f\t%s\n" idx q.Dphls_io.Fasta.id
-        r.Dphls_io.Fasta.id a.Dphls.Align.score a.Dphls.Align.cigar
-        a.Dphls.Align.identity
-        (match a.Dphls.Align.device_cycles with
-        | Some c -> string_of_int c
-        | None -> "-"))
-    ();
+  let b =
+    Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
+      ~path:pairs_path
+      ~f:(fun idx q r (a : Dphls.Align.alignment) ->
+        Printf.printf "%d\t%s\t%s\t%d\t%s\t%.4f\t%s\n" idx
+          q.Dphls_io.Fasta.id r.Dphls_io.Fasta.id a.Dphls.Align.score
+          a.Dphls.Align.cigar a.Dphls.Align.identity
+          (match a.Dphls.Align.device_cycles with
+          | Some c -> string_of_int c
+          | None -> "-"))
+      ()
+  in
   let read_pairs () =
     Array.of_list
       (List.map
@@ -447,13 +452,6 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
           pair_up records))
   in
   if overlap then begin
-    (* re-run through the per-worker slices so the recovered-cycle
-       accounting (sequential vs overlapped modeled totals) lands on
-       stderr next to the rows *)
-    let _results, _stats, b =
-      Dphls.Batch.align_all_overlap_report ?band ~engine ~kind
-        ~workers (read_pairs ())
-    in
     let seq = b.Dphls_systolic.Engine.seq_cycles in
     let ov = b.Dphls_systolic.Engine.overlapped_cycles in
     Printf.eprintf
@@ -510,9 +508,7 @@ let batch_cmd =
           ~doc:"global | global-affine | local | semi-global | protein-local")
   in
   let workers =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~doc:"Worker domains (0 = auto, at least 2)")
+    count_opt "workers" None ~doc:"Worker domains (default: auto, at least 2)"
   in
   let n_pe =
     n_pe_opt ~doc:"Run on the systolic engine with this many PEs" None
@@ -531,7 +527,9 @@ let batch_cmd =
           ~doc:
             "Also report on stderr the modeled cycles recovered by hiding \
              each alignment's prologue under its predecessor's compute \
-             (per-worker slices); the rows are unchanged")
+             (per-worker slices of each --chunk of pairs, so a file of \
+             more than --chunk pairs adds a slice start at every chunk \
+             boundary); the rows are unchanged")
   in
   let engine =
     Arg.(value & opt (some string) None & info [ "engine" ] ~doc:engine_doc)
@@ -856,7 +854,8 @@ let profile_run kernel_spec n_pe trials len band workers json trace_path
      to exercise the pool's task/steal/idle counters and per-worker
      chunk spans. Engine metrics stay out of the worker tasks — the
      counter sink is not domain-safe (see Dphls_host.Pool.run). *)
-  if workers > 0 then
+  (match workers with
+  | Some workers ->
     Dphls_host.Pool.with_pool ~workers (fun pool ->
         let _, _ =
           Dphls_host.Pool.run ~metrics ~tracer pool
@@ -865,7 +864,8 @@ let profile_run kernel_spec n_pe trials len band workers json trace_path
             (fun i -> run [| workloads.(i) |])
             trials
         in
-        ());
+        ())
+  | None -> ());
   let summary = Dphls_obs.Summary.build ~metrics ~tracer () in
   if json then print_endline (Dphls_obs.Summary.to_json summary)
   else begin
@@ -912,10 +912,8 @@ let profile_cmd =
   let trials = count "trials" 8 ~doc:"Workloads to profile" in
   let len = count "len" 128 ~doc:"Workload length" in
   let workers =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ]
-          ~doc:"Also run a pool batch phase on this many domains (0 = skip)")
+    count_opt "workers" None
+      ~doc:"Also run a pool batch phase on this many domains"
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"JSON summary on stdout")
@@ -1239,13 +1237,10 @@ let check_cmd =
              $(b,--kernel)): $(b,depend), $(b,ii) or $(b,fastpath)")
   in
   let workers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ]
-          ~doc:
-            "Host worker-domain count to lint the run configuration against \
-             (see --shared-metrics)")
+    count_opt "workers" None
+      ~doc:
+        "Host worker-domain count to lint the run configuration against \
+         (see --shared-metrics)"
   in
   let shared_metrics =
     Arg.(

@@ -50,115 +50,48 @@ let view_of_result (w : Workload.t) result cycles ~decode =
       device_cycles = cycles;
     }
 
-let run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine kernel params
-    (ws : Workload.t array) ~decode =
-  let ran, batch =
-    Engines.run_batch ?overlap ?metrics ?tracer engine
-      (Kernel.with_band kernel band) params ws
+type kind = Global | Global_affine | Local | Semi_global | Protein_local
+
+let run ?band ?metrics ?tracer ?(engine = Golden) kind ~query ~reference =
+  let go kernel params of_string decode =
+    let w =
+      Workload.of_bases ~query:(of_string query)
+        ~reference:(of_string reference)
+    in
+    let ran, _ =
+      Engines.run_batch ?metrics ?tracer engine
+        (Kernel.with_band kernel band) params [| w |]
+    in
+    let { Engines.result; cycles; _ } = ran.(0) in
+    ( view_of_result w result
+        (Option.map (fun c -> c.Dphls_systolic.Engine.total) cycles)
+        ~decode:(fun c -> decode c.(0)),
+      cycles )
   in
-  ( Array.mapi
-      (fun i (r : Engines.ran) ->
-        view_of_result ws.(i) r.Engines.result
-          (Option.map
-             (fun c -> c.Dphls_systolic.Engine.total)
-             r.Engines.cycles)
-          ~decode)
-      ran,
-    batch )
+  let module K = Dphls_kernels in
+  let dna kernel params =
+    go kernel params Dphls_alphabet.Dna.of_string Dphls_alphabet.Dna.decode
+  in
+  match kind with
+  | Global -> dna K.K01_global_linear.kernel K.K01_global_linear.default
+  | Global_affine -> dna K.K02_global_affine.kernel K.K02_global_affine.default
+  | Local -> dna K.K03_local_linear.kernel K.K03_local_linear.default
+  | Semi_global -> dna K.K07_semi_global.kernel K.K07_semi_global.default
+  | Protein_local ->
+    go K.K15_protein_local.kernel K.K15_protein_local.default
+      Dphls_alphabet.Protein.of_string Dphls_alphabet.Protein.decode
 
-let run_kernel ?band ?metrics ?tracer ~engine kernel params w ~decode
-    =
-  (fst
-     (run_kernel_batch ?band ?metrics ?tracer ~engine kernel params
-        [| w |] ~decode)).(0)
+let global ?band ?metrics ?tracer ?engine ~query ~reference () =
+  fst (run ?band ?metrics ?tracer ?engine Global ~query ~reference)
 
-let dna_workload ~query ~reference =
-  Workload.of_bases
-    ~query:(Dphls_alphabet.Dna.of_string query)
-    ~reference:(Dphls_alphabet.Dna.of_string reference)
+let global_affine ?band ?metrics ?tracer ?engine ~query ~reference () =
+  fst (run ?band ?metrics ?tracer ?engine Global_affine ~query ~reference)
 
-let dna_decode c = Dphls_alphabet.Dna.decode c.(0)
-let protein_decode c = Dphls_alphabet.Protein.decode c.(0)
+let local ?band ?metrics ?tracer ?engine ~query ~reference () =
+  fst (run ?band ?metrics ?tracer ?engine Local ~query ~reference)
 
-let global ?band ?metrics ?tracer ?(engine = Golden) ~query
-    ~reference () =
-  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K01_global_linear.kernel
-    Dphls_kernels.K01_global_linear.default
-    (dna_workload ~query ~reference)
-    ~decode:dna_decode
+let semi_global ?band ?metrics ?tracer ?engine ~query ~reference () =
+  fst (run ?band ?metrics ?tracer ?engine Semi_global ~query ~reference)
 
-let global_affine ?band ?metrics ?tracer ?(engine = Golden) ~query
-    ~reference () =
-  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K02_global_affine.kernel
-    Dphls_kernels.K02_global_affine.default
-    (dna_workload ~query ~reference)
-    ~decode:dna_decode
-
-let local ?band ?metrics ?tracer ?(engine = Golden) ~query
-    ~reference () =
-  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K03_local_linear.kernel
-    Dphls_kernels.K03_local_linear.default
-    (dna_workload ~query ~reference)
-    ~decode:dna_decode
-
-let semi_global ?band ?metrics ?tracer ?(engine = Golden) ~query
-    ~reference () =
-  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K07_semi_global.kernel
-    Dphls_kernels.K07_semi_global.default
-    (dna_workload ~query ~reference)
-    ~decode:dna_decode
-
-let protein_workload ~query ~reference =
-  Workload.of_bases
-    ~query:(Dphls_alphabet.Protein.of_string query)
-    ~reference:(Dphls_alphabet.Protein.of_string reference)
-
-let protein_local ?band ?metrics ?tracer ?(engine = Golden) ~query
-    ~reference () =
-  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K15_protein_local.kernel
-    Dphls_kernels.K15_protein_local.default
-    (protein_workload ~query ~reference)
-    ~decode:protein_decode
-
-(* Batched variants of the five entry points: one engine batch per
-   call, whose batch accounting [?overlap] selects (see
-   Engine.batch_stats_of). *)
-
-let dna_workloads pairs =
-  Array.map (fun (query, reference) -> dna_workload ~query ~reference) pairs
-
-let global_batch ?band ?overlap ?metrics ?tracer ?(engine = Golden)
-    pairs =
-  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
-    Dphls_kernels.K01_global_linear.kernel
-    Dphls_kernels.K01_global_linear.default (dna_workloads pairs)
-    ~decode:dna_decode
-
-let global_affine_batch ?band ?overlap ?metrics ?tracer
-    ?(engine = Golden) pairs =
-  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
-    Dphls_kernels.K02_global_affine.kernel
-    Dphls_kernels.K02_global_affine.default (dna_workloads pairs)
-    ~decode:dna_decode
-
-let local_batch ?band ?overlap ?metrics ?tracer ?(engine = Golden)
-    pairs =
-  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
-    Dphls_kernels.K03_local_linear.kernel Dphls_kernels.K03_local_linear.default
-    (dna_workloads pairs) ~decode:dna_decode
-
-let semi_global_batch ?band ?overlap ?metrics ?tracer
-    ?(engine = Golden) pairs =
-  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
-    Dphls_kernels.K07_semi_global.kernel Dphls_kernels.K07_semi_global.default
-    (dna_workloads pairs) ~decode:dna_decode
-
-let protein_local_batch ?band ?overlap ?metrics ?tracer
-    ?(engine = Golden) pairs =
-  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
-    Dphls_kernels.K15_protein_local.kernel
-    Dphls_kernels.K15_protein_local.default
-    (Array.map
-       (fun (query, reference) -> protein_workload ~query ~reference)
-       pairs)
-    ~decode:protein_decode
+let protein_local ?band ?metrics ?tracer ?engine ~query ~reference () =
+  fst (run ?band ?metrics ?tracer ?engine Protein_local ~query ~reference)

@@ -32,6 +32,30 @@ type alignment = {
           simulated count); None otherwise *)
 }
 
+(** Which shipped kernel, at its default parameters, an alignment runs. *)
+type kind =
+  | Global          (** Needleman-Wunsch, kernel #1 *)
+  | Global_affine   (** Gotoh, kernel #2 *)
+  | Local           (** Smith-Waterman, kernel #3 *)
+  | Semi_global     (** kernel #7 *)
+  | Protein_local   (** BLOSUM62 Smith-Waterman, kernel #15 *)
+
+val run :
+  ?band:Dphls_core.Banding.t option ->
+  ?metrics:Dphls_obs.Metrics.t ->
+  ?tracer:Dphls_obs.Tracer.t ->
+  ?engine:engine ->
+  kind ->
+  query:string ->
+  reference:string ->
+  alignment * Dphls_systolic.Engine.cycles option
+(** One pair through {!Dphls_engines.Engines.run_batch} on the kind's
+    kernel (DNA strings, or amino-acid strings for [Protein_local]):
+    the alignment, plus the answer's modeled device cycles in full
+    ([device_cycles] is their [total]). The five named entry points
+    below are this call; [Dphls.Batch] runs it once per pair and
+    reads the cycles for its prologue-overlap accounting. *)
+
 val global :
   ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->
@@ -79,61 +103,3 @@ val protein_local :
   ?tracer:Dphls_obs.Tracer.t ->
   ?engine:engine -> query:string -> reference:string -> unit -> alignment
 (** BLOSUM62 Smith-Waterman over amino-acid strings (kernel #15). *)
-
-val global_batch :
-  ?band:Dphls_core.Banding.t option ->
-  ?overlap:bool ->
-  ?metrics:Dphls_obs.Metrics.t ->
-  ?tracer:Dphls_obs.Tracer.t ->
-  ?engine:engine ->
-  (string * string) array ->
-  alignment array * Dphls_systolic.Engine.batch_stats option
-(** Batched {!global}: one engine batch over all [(query, reference)]
-    pairs, in order ({!Dphls_engines.Engines.run_batch}).
-
-    [?overlap] (default [false]) only changes the returned batch-level
-    cycle accounting: it credits alignment [i+1]'s prologue as hidden
-    under alignment [i]'s compute
-    ({!Dphls_systolic.Engine.batch_stats_of}); results are the same
-    either way. The batch stats are [None] when the answers carry no
-    modeled cycles (the golden and bit-parallel engines). *)
-
-val global_affine_batch :
-  ?band:Dphls_core.Banding.t option ->
-  ?overlap:bool ->
-  ?metrics:Dphls_obs.Metrics.t ->
-  ?tracer:Dphls_obs.Tracer.t ->
-  ?engine:engine ->
-  (string * string) array ->
-  alignment array * Dphls_systolic.Engine.batch_stats option
-(** Batched {!global_affine}. *)
-
-val local_batch :
-  ?band:Dphls_core.Banding.t option ->
-  ?overlap:bool ->
-  ?metrics:Dphls_obs.Metrics.t ->
-  ?tracer:Dphls_obs.Tracer.t ->
-  ?engine:engine ->
-  (string * string) array ->
-  alignment array * Dphls_systolic.Engine.batch_stats option
-(** Batched {!local}. *)
-
-val semi_global_batch :
-  ?band:Dphls_core.Banding.t option ->
-  ?overlap:bool ->
-  ?metrics:Dphls_obs.Metrics.t ->
-  ?tracer:Dphls_obs.Tracer.t ->
-  ?engine:engine ->
-  (string * string) array ->
-  alignment array * Dphls_systolic.Engine.batch_stats option
-(** Batched {!semi_global}. *)
-
-val protein_local_batch :
-  ?band:Dphls_core.Banding.t option ->
-  ?overlap:bool ->
-  ?metrics:Dphls_obs.Metrics.t ->
-  ?tracer:Dphls_obs.Tracer.t ->
-  ?engine:engine ->
-  (string * string) array ->
-  alignment array * Dphls_systolic.Engine.batch_stats option
-(** Batched {!protein_local}. *)

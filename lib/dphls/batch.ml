@@ -1,7 +1,9 @@
 module Pool = Dphls_host.Pool
 module Throughput = Dphls_host.Throughput
+module Sim = Dphls_systolic.Engine
 
-type kind = Global | Global_affine | Local | Semi_global | Protein_local
+type kind = Align.kind =
+  | Global | Global_affine | Local | Semi_global | Protein_local
 
 let kind_of_string = function
   | "global" -> Global
@@ -12,69 +14,58 @@ let kind_of_string = function
   | s -> invalid_arg (Printf.sprintf "Batch.kind_of_string: %S" s)
 
 let align_one ?band ?engine kind ~query ~reference =
-  match kind with
-  | Global -> Align.global ?band ?engine ~query ~reference ()
-  | Global_affine -> Align.global_affine ?band ?engine ~query ~reference ()
-  | Local -> Align.local ?band ?engine ~query ~reference ()
-  | Semi_global -> Align.semi_global ?band ?engine ~query ~reference ()
-  | Protein_local -> Align.protein_local ?band ?engine ~query ~reference ()
+  fst (Align.run ?band ?engine kind ~query ~reference)
 
-let align_slice ?band ?engine kind pairs =
-  match kind with
-  | Global -> Align.global_batch ?band ?engine ~overlap:true pairs
-  | Global_affine -> Align.global_affine_batch ?band ?engine ~overlap:true pairs
-  | Local -> Align.local_batch ?band ?engine ~overlap:true pairs
-  | Semi_global -> Align.semi_global_batch ?band ?engine ~overlap:true pairs
-  | Protein_local -> Align.protein_local_batch ?band ?engine ~overlap:true pairs
-
-let sum_batch_stats acc = function
-  | None -> acc
-  | Some (b : Dphls_systolic.Engine.batch_stats) ->
-    Dphls_systolic.Engine.
-      {
-        alignments = acc.alignments + b.alignments;
-        seq_cycles = acc.seq_cycles + b.seq_cycles;
-        overlapped_cycles = acc.overlapped_cycles + b.overlapped_cycles;
-        hidden_cycles = acc.hidden_cycles + b.hidden_cycles;
-      }
-
-let zero_batch_stats =
-  Dphls_systolic.Engine.
-    { alignments = 0; seq_cycles = 0; overlapped_cycles = 0; hidden_cycles = 0 }
-
-(* Observability stops at the pool layer here: Metrics sinks are not
-   domain-safe, so per-alignment engine counters are never threaded into
-   tasks that run on worker domains. The pool itself adds its counters
-   on the calling thread and its per-chunk spans through the
-   mutex-protected tracer. *)
-let run_in_pool ?band ?engine ?metrics ?tracer ~kind pool pairs =
-  Pool.run ?metrics ?tracer pool
+(* The one pool path: one task per pair, each answer with its modeled
+   cycles. Observability stops at the pool's per-chunk spans, through
+   the mutex-protected tracer: Metrics sinks are not domain-safe, so
+   per-alignment engine counters are never threaded into tasks that run
+   on worker domains. *)
+let run_in_pool ?band ?engine ?tracer ~kind pool pairs =
+  Pool.run ?tracer pool
     (fun i ->
       let query, reference = pairs.(i) in
-      align_one ?band ?engine kind ~query ~reference)
+      Align.run ?band ?engine kind ~query ~reference)
     (Array.length pairs)
 
-let align_all_report ?band ?engine ?metrics ?tracer ?(kind = Global) ?workers
+let sum_batch_stats (a : Sim.batch_stats) (b : Sim.batch_stats) =
+  Sim.
+    {
+      alignments = a.alignments + b.alignments;
+      seq_cycles = a.seq_cycles + b.seq_cycles;
+      overlapped_cycles = a.overlapped_cycles + b.overlapped_cycles;
+      hidden_cycles = a.hidden_cycles + b.hidden_cycles;
+    }
+
+let zero_batch_stats =
+  Sim.{ alignments = 0; seq_cycles = 0; overlapped_cycles = 0; hidden_cycles = 0 }
+
+(* Prologue overlap per host channel: the answers cut into contiguous
+   per-worker slices, each slice one stream in which an alignment's
+   prologue hides under its predecessor's compute. Answers without
+   modeled cycles (golden, bit-parallel) add nothing. *)
+let overlap_stats ~workers answers =
+  Array.fold_left
+    (fun acc slice ->
+      sum_batch_stats acc
+        (Sim.batch_stats_of ~overlap:true
+           (Array.of_seq (Seq.filter_map snd (Array.to_seq slice)))))
+    zero_batch_stats
+    (Pool.slices workers answers)
+
+let align_all_overlap_report ?band ?engine ?tracer ?(kind = Global) ?workers
     pairs =
   Pool.with_pool ?workers (fun pool ->
-      run_in_pool ?band ?engine ?metrics ?tracer ~kind pool pairs)
-
-(* Pairs cut into contiguous per-worker slices, each slice one engine
-   batch inside a single domain, so the batch accounting sees each
-   alignment's predecessor; the slices' stats add up. *)
-let align_all_overlap_report ?band ?engine ?metrics ?tracer ?(kind = Global)
-    ?workers pairs =
-  Pool.with_pool ?workers (fun pool ->
-      let slices = Pool.slices (Pool.workers pool) pairs in
-      let nested, stats =
-        Pool.run ?metrics ?tracer pool ~chunk:1
-          (fun s -> align_slice ?band ?engine kind slices.(s))
-          (Array.length slices)
-      in
-      ( Array.concat (Array.to_list (Array.map fst nested)),
+      let answers, stats = run_in_pool ?band ?engine ?tracer ~kind pool pairs in
+      ( Array.map fst answers,
         stats,
-        Array.fold_left (fun acc (_, b) -> sum_batch_stats acc b) zero_batch_stats
-          nested ))
+        overlap_stats ~workers:(Pool.workers pool) answers ))
+
+let align_all_report ?band ?engine ?tracer ?kind ?workers pairs =
+  let results, stats, _ =
+    align_all_overlap_report ?band ?engine ?tracer ?kind ?workers pairs
+  in
+  (results, stats)
 
 let align_all ?band ?engine ?kind ?workers pairs =
   fst (align_all_report ?band ?engine ?kind ?workers pairs)
@@ -84,12 +75,12 @@ let iter ?band ?engine ?(kind = Global) ?workers
   if chunk < 1 then invalid_arg "Batch.iter: chunk < 1";
   Pool.with_pool ?workers (fun pool ->
       let emit base pairs =
-        let results, _ = run_in_pool ?band ?engine ~kind pool pairs in
+        let answers, _ = run_in_pool ?band ?engine ~kind pool pairs in
         Array.iteri
-          (fun i a ->
+          (fun i (a, _) ->
             let query, reference = pairs.(i) in
             f (base + i) ~query ~reference a)
-          results
+          answers
       in
       let rec go base seq =
         let buf = ref [] and taken = ref 0 and rest = ref seq in
@@ -114,6 +105,7 @@ let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
     ?(chunk = 256) ~path ~f () =
   if chunk < 1 then invalid_arg "Batch.iter_fasta_file: chunk < 1";
   Pool.with_pool ?workers (fun pool ->
+      let overlap = ref zero_batch_stats in
       let emit base records =
         let pairs =
           Array.map
@@ -121,12 +113,15 @@ let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
               (q.Dphls_io.Fasta.sequence, r.Dphls_io.Fasta.sequence))
             records
         in
-        let results, _ = run_in_pool ?band ?engine ~kind pool pairs in
+        let answers, _ = run_in_pool ?band ?engine ~kind pool pairs in
+        overlap :=
+          sum_batch_stats !overlap
+            (overlap_stats ~workers:(Pool.workers pool) answers);
         Array.iteri
-          (fun i a ->
+          (fun i (a, _) ->
             let q, r = records.(i) in
             f (base + i) q r a)
-          results
+          answers
       in
       (* fold the file record by record, flushing a chunk of pairs at a
          time so only [chunk] pairs are ever resident; [n] counts the
@@ -151,7 +146,8 @@ let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
              "Batch.iter_fasta_file: odd record count in %s (unpaired %S)" path
              q.Dphls_io.Fasta.id)
       | None -> ());
-      if buffered <> [] then emit base (Array.of_list (List.rev buffered)))
+      if buffered <> [] then emit base (Array.of_list (List.rev buffered));
+      !overlap)
 
 let scaling ?band ?engine ?kind ~workers pairs =
   let report w =

@@ -8,13 +8,10 @@
     measured wall-clock scaling against the analytical N_K model via
     {!Dphls_host.Throughput.scaling}. *)
 
-(** Which one-call {!Align} entry point to run per pair. *)
-type kind =
-  | Global          (** Needleman-Wunsch, kernel #1 defaults *)
-  | Global_affine   (** Gotoh, kernel #2 defaults *)
-  | Local           (** Smith-Waterman, kernel #3 defaults *)
-  | Semi_global     (** kernel #7 defaults *)
-  | Protein_local   (** BLOSUM62 Smith-Waterman, kernel #15 *)
+(** Which kernel runs per pair: {!Align.kind}, re-exported so
+    [Batch.Global_affine] and friends keep their names. *)
+type kind = Align.kind =
+  | Global | Global_affine | Local | Semi_global | Protein_local
 
 val kind_of_string : string -> kind
 (** Parses ["global" | "global-affine" | "local" | "semi-global" |
@@ -45,17 +42,15 @@ val align_all :
 val align_all_report :
   ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine ->
-  ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?kind:kind -> ?workers:int
   -> (string * string) array
   -> Align.alignment array * Dphls_host.Pool.stats
 (** [align_all] plus the pool's wall-clock report (makespan and
     per-worker busy time in ns, {!Dphls_host.Scheduler.report}
-    shape).
+    shape; one job per pair).
 
-    [metrics]/[tracer] observe the {e pool} layer only — task/steal/
-    idle counters added on the calling thread, one ["chunk"] span per
+    [tracer] observes the {e pool} layer only: one ["chunk"] span per
     queue entry tagged with the worker index (see
     {!Dphls_host.Pool.run}). Per-alignment engine counters are
     deliberately not threaded into worker tasks: {!Dphls_obs.Metrics}
@@ -65,20 +60,21 @@ val align_all_report :
 val align_all_overlap_report :
   ?band:Dphls_core.Banding.t option ->
   ?engine:Align.engine ->
-  ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   ?kind:kind -> ?workers:int
   -> (string * string) array
   -> Align.alignment array * Dphls_host.Pool.stats
      * Dphls_systolic.Engine.batch_stats
-(** {!align_all_report}'s results, additionally returning the modeled
-    batch cycle accounting with prologue overlap: the pairs are cut
-    into contiguous per-worker slices, each aligned as one
-    [Align.*_batch ~overlap:true] call inside one domain, and the
-    slices' {!Dphls_systolic.Engine.batch_stats} are summed —
-    sequential vs overlapped device cycles and the prologue cycles
-    hidden. Results are those of {!align_all}. A slice whose answers
-    carry no modeled cycles adds nothing, so the stats are all zero on
+(** {!align_all_report}'s results and pool stats (one job per pair),
+    plus the modeled batch cycle accounting with prologue overlap,
+    computed from the answers rather than by another run: the answers
+    are cut into contiguous per-worker slices
+    ({!Dphls_host.Pool.slices}), each slice counts as one stream in
+    which alignment [i+1]'s prologue hides under alignment [i]'s
+    compute ({!Dphls_systolic.Engine.batch_stats_of} with
+    [~overlap:true]), and the slices' stats are summed — sequential vs
+    overlapped device cycles and the prologue cycles hidden. Answers
+    without modeled cycles add nothing, so the stats are all zero on
     the golden and bit-parallel engines. *)
 
 val iter :
@@ -100,10 +96,16 @@ val iter_fasta_file :
   -> f:
        (int -> Dphls_io.Fasta.record -> Dphls_io.Fasta.record
         -> Align.alignment -> unit)
-  -> unit -> unit
+  -> unit -> Dphls_systolic.Engine.batch_stats
 (** Streams a FASTA pair file through {!Dphls_io.Fasta.fold_file}:
     consecutive records pair up as (query, reference) — records 2i and
-    2i+1 form pair i. Raises [Failure] on an odd record count. *)
+    2i+1 form pair i. Raises [Failure] on an odd record count.
+
+    Returns the prologue-overlap accounting of
+    {!align_all_overlap_report}, summed over the chunks, each chunk cut
+    into its own per-worker slices: equal to
+    {!align_all_overlap_report}'s on a file of at most [chunk] pairs,
+    while a larger file adds a slice start at every chunk boundary. *)
 
 val scaling :
   ?band:Dphls_core.Banding.t option ->

@@ -54,18 +54,14 @@ type ran = {
   stats : Sim.stats option;
 }
 
-let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
+let run_batch ?(overlap = false) ?metrics ?tracer choice k p ws =
   let cfg =
     match choice with
     | Systolic n_pe | Auto n_pe -> Engine_intf.config ~n_pe ()
     | Golden | Bitpar -> Engine_intf.config ~n_pe:1 ()
   in
-  let run =
-    match run with
-    | Some run -> run
-    | None ->
-      fun (module E : Engine_intf.S) cfg ws ->
-        E.run_batch ~overlap ?metrics ?tracer cfg k p ws
+  let run (module E : Engine_intf.S) ws =
+    E.run_batch ~overlap ?metrics ?tracer cfg k p ws
   in
   let go e ws =
     let engine = name e in
@@ -75,7 +71,7 @@ let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
          the simulator's own closed form at the choice's N_PE, from the
          golden walk's step count *)
       let array = Dphls_systolic.Config.create ~n_pe in
-      let results, _ = run e cfg ws in
+      let results, _ = run e ws in
       let cycles =
         Array.map2
           (fun w (result, _) ->
@@ -89,7 +85,7 @@ let run_batch ?(overlap = false) ?metrics ?tracer ?run choice k p ws =
           results cycles,
         Some (Sim.batch_stats_of ?metrics ~overlap cycles) )
     | _ ->
-      let results, batch = run e cfg ws in
+      let results, batch = run e ws in
       ( Array.map
           (fun (result, stats) ->
             {

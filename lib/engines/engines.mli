@@ -105,12 +105,6 @@ val run_batch :
   ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
-  ?run:
-    (Engine_intf.t ->
-    Engine_intf.config ->
-    Dphls_core.Workload.t array ->
-    (Dphls_core.Result.t * Dphls_systolic.Engine.stats option) array
-    * Dphls_systolic.Engine.batch_stats option) ->
   choice ->
   'p Dphls_core.Kernel.t ->
   'p ->
@@ -128,9 +122,9 @@ val run_batch :
     (adding the overlap counters to [metrics]): the same numbers
     [Systolic n] simulates.
 
-    [run e cfg ws] executes one of those batches; the default is [e]'s
-    own [run_batch ?overlap ?metrics ?tracer cfg] on the kernel. A
-    caller that fans batches out over domains (the serve layer) passes
-    its own. [cfg] carries the choice's [N_PE] (1 for [Golden] and
-    [Bitpar], which have no array). An empty array runs nothing.
-    Engine refusals ({!Engine_intf.Unsupported}) propagate. *)
+    Each of those batches is the engine's own
+    [run_batch ?overlap ?metrics ?tracer] at the choice's [N_PE] (1 for
+    [Golden] and [Bitpar], which have no array), in the calling domain:
+    a caller that fans a batch out over domains (the serve layer) cuts
+    it before this call, one dispatch per slice. An empty array runs
+    nothing. Engine refusals ({!Engine_intf.Unsupported}) propagate. *)

@@ -84,5 +84,7 @@ val slices : int -> 'a array -> 'a array array
     [m = min k (max 1 n)] contiguous slices in input order, slice [s]
     holding indices [s*n/m] to [(s+1)*n/m - 1]: sizes differ by at most
     one, and an empty [arr] gives one empty slice. This is the
-    per-worker cut of a batch whose slices each run as one engine
-    batch. Raises [Invalid_argument] if [k < 1]. *)
+    per-worker cut: serve runs each slice of a large flush as one
+    engine dispatch on its own worker, and [Dphls.Batch] cuts its
+    answers this way to count prologue overlap per worker. Raises
+    [Invalid_argument] if [k < 1]. *)

@@ -136,43 +136,35 @@ let get_pool t =
     t.pool <- Some p;
     p
 
-(* one coalesced engine batch, sliced across the pool when it is big
-   enough to amortize the dispatch *)
-let exec (type p) t (k : p Kernel.t) (p : p) (module E : Engine_intf.S) ecfg
-    (ws : Workload.t array) =
-  Metrics.incr t.counts Counter.Serve_batches;
-  if t.cfg.workers > 1 && Array.length ws >= 2 * t.cfg.workers then begin
-    let pool = get_pool t in
-    let slices = Pool.slices (Pool.workers pool) ws in
-    let per, _stats =
-      Pool.run ~metrics:t.cfg.metrics pool
-        (fun i ->
-          (* per-worker sink, merged below: Metrics.t is not
-             domain-safe, so workers never touch the shared one *)
-          let local = Metrics.create () in
-          let rs, _ =
-            E.run_batch ~overlap:true ~metrics:local ecfg k p slices.(i)
-          in
-          (rs, local))
-        (Array.length slices)
-    in
-    Array.iter
-      (fun (_, local) -> Metrics.merge_into ~into:t.cfg.metrics local)
-      per;
-    (Array.concat (Array.to_list (Array.map fst per)), None)
-  end
-  else
-    E.run_batch ~overlap:true ~metrics:t.cfg.metrics ~tracer:t.cfg.tracer ecfg
-      k p ws
-
 (* one Cache.value per workload, or one error for the whole run *)
 let compute t g (ws : Workload.t array) =
   match g.banded with
   | Registry.Packed (k, p) -> (
+    Metrics.incr t.counts Counter.Serve_batches;
+    let dispatch ?tracer metrics ws =
+      fst (Engines.run_batch ~overlap:true ~metrics ?tracer g.choice k p ws)
+    in
     try
-      let ran, _ =
-        Engines.run_batch ~overlap:true ~metrics:t.cfg.metrics
-          ~run:(exec t k p) g.choice k p ws
+      let ran =
+        if t.cfg.workers > 1 && Array.length ws >= 2 * t.cfg.workers then begin
+          (* big enough to amortize the pool: cut into per-worker
+             slices, each one dispatch into a sink of its own, merged
+             below, because Metrics.t is not domain-safe *)
+          let pool = get_pool t in
+          let slices = Pool.slices (Pool.workers pool) ws in
+          let per, _stats =
+            Pool.run ~metrics:t.cfg.metrics pool
+              (fun i ->
+                let local = Metrics.create () in
+                (dispatch local slices.(i), local))
+              (Array.length slices)
+          in
+          Array.iter
+            (fun (_, local) -> Metrics.merge_into ~into:t.cfg.metrics local)
+            per;
+          Array.concat (Array.to_list (Array.map fst per))
+        end
+        else dispatch ~tracer:t.cfg.tracer t.cfg.metrics ws
       in
       Ok
         (Array.map

@@ -126,7 +126,7 @@ let test_iter_fasta_file () =
   let records = Dphls_io.Fasta.read_file path in
   Alcotest.(check int) "bundled file has 8 records" 8 (List.length records);
   let count = ref 0 in
-  Batch.iter_fasta_file ~workers:2 ~chunk:2 ~path
+  ignore @@ Batch.iter_fasta_file ~workers:2 ~chunk:2 ~path
     ~f:(fun idx q r a ->
       Alcotest.(check string)
         "query id lines up"
@@ -154,7 +154,7 @@ let test_odd_fasta_rejected () =
     (fun () ->
       Alcotest.(check bool) "odd record count rejected" true
         (try
-           Batch.iter_fasta_file ~workers:1 ~path ~f:(fun _ _ _ _ -> ()) ();
+           ignore (Batch.iter_fasta_file ~workers:1 ~path ~f:(fun _ _ _ _ -> ()) ());
            false
          with Failure _ -> true))
 
@@ -181,11 +181,12 @@ let test_scaling_points () =
         p.Dphls_host.Throughput.efficiency)
     [ 2; 4 ] points
 
-(* The slice path the batch benchmark times: align_all_overlap_report
+(* The call the batch benchmark times: align_all_overlap_report
    answers exactly what align_all answers, at one worker and at three,
-   and at one worker (one slice) its batch stats are the engine
-   dispatch's own over the same workloads with overlap: zero on the
-   golden engine, the simulator's and auto's modeled batch otherwise. *)
+   and its overlap accounting is the engine dispatch's own with
+   overlap: at one worker (one slice) over all the workloads, zero on
+   the golden engine and the modeled batch otherwise; at three workers
+   the sum of one dispatch per Pool.slices slice. *)
 let test_overlap_report () =
   let module K02 = Dphls_kernels.K02_global_affine in
   let module Engines = Dphls_engines.Engines in
@@ -229,7 +230,25 @@ let test_overlap_report () =
         true (stats = own);
       Alcotest.(check bool)
         (Printf.sprintf "%s: hidden cycles only with a cycle model" name)
-        (engine <> Align.Golden) (stats.Dphls_systolic.Engine.hidden_cycles > 0))
+        (engine <> Align.Golden) (stats.Dphls_systolic.Engine.hidden_cycles > 0);
+      let _, _, stats = Batch.align_all_overlap_report ~engine ~kind ~workers:3 pairs in
+      let per_slice =
+        Array.fold_left
+          (fun (acc : Dphls_systolic.Engine.batch_stats) slice ->
+            match snd (Engines.run_batch ~overlap:true engine K02.kernel K02.default slice) with
+            | None -> acc
+            | Some b ->
+              {
+                alignments = acc.alignments + b.alignments;
+                seq_cycles = acc.seq_cycles + b.seq_cycles;
+                overlapped_cycles = acc.overlapped_cycles + b.overlapped_cycles;
+                hidden_cycles = acc.hidden_cycles + b.hidden_cycles;
+              })
+          zero (Dphls_host.Pool.slices 3 ws)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, 3 workers: batch stats == per-slice dispatches" name)
+        true (stats = per_slice))
     [ Align.Golden; Align.Systolic 16; Align.Auto 16 ]
 
 let suite =

@@ -440,6 +440,11 @@ let test_cli_bad_counts () =
        ([ "check"; "-k"; "1"; "--max-len"; "0" ], "--max-len must be >= 1");
        ([ "cosim"; "-k"; "1"; "--trials"; "0" ], "--trials must be >= 1");
        ([ "batch"; "--pairs"; pairs; "--chunk"; "0" ], "--chunk must be >= 1");
+       ([ "batch"; "--pairs"; pairs; "--workers=-5" ], "--workers must be >= 1 (got -5)");
+       ( [ "profile"; "-k"; "1"; "--trace"; "/dev/null"; "--workers=-1" ],
+         "--workers must be >= 1 (got -1)" );
+       ( [ "check"; "-k"; "1"; "--workers=-3"; "--shared-metrics" ],
+         "--workers must be >= 1 (got -3)" );
      ]
     @ List.map
         (fun command -> (command @ [ "--n-pe"; "0" ], "--n-pe must be in 1..1024"))
@@ -461,7 +466,14 @@ let test_cli_bad_counts () =
         ]
     @ List.map
         (fun flag -> ([ "serve"; flag; "0" ], flag ^ " must be >= 1"))
-        [ "--batch"; "--queue-depth"; "--workers"; "--max-len" ])
+        [ "--batch"; "--queue-depth"; "--workers"; "--max-len" ]
+    @ List.map
+        (fun command -> (command @ [ "--workers"; "0" ], "--workers must be >= 1"))
+        [
+          [ "batch"; "--pairs"; pairs ];
+          [ "profile"; "-k"; "1"; "--trace"; "/dev/null" ];
+          [ "check"; "-k"; "1" ];
+        ])
 
 (* ---- auto answers on the golden engine carry the simulator's cycles ---- *)
 

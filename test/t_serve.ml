@@ -744,6 +744,72 @@ let test_auto_cycles_equal_systolic () =
         (a.score, a.cigar))
     auto sys
 
+(* A flush sliced across workers counts prologue overlap per slice on
+   every engine that answers it: auto's modeled batches add the same
+   overlap counters as the simulator's, and the engine work counters
+   do not depend on the worker count. *)
+let test_sliced_flush_counts () =
+  let pairs =
+    List.init 8 (fun i ->
+        let rng = Dphls_util.Rng.create (300 + i) in
+        let s n = Dphls_alphabet.Dna.to_string (Dphls_alphabet.Dna.random rng n) in
+        (s (20 + (9 * i)), s (25 + (5 * i))))
+  in
+  let counters engine workers =
+    let metrics = Metrics.create () in
+    let server =
+      Server.create
+        {
+          (Server.default_config ()) with
+          Server.batch_max = 8;
+          workers;
+          cache_capacity = 0;
+          n_pe = 16;
+          metrics;
+        }
+    in
+    List.iter
+      (fun (qry, rf) ->
+        ignore
+          (Server.submit server
+             (Printf.sprintf "{\"kernel\":2,\"qry\":%S,\"ref\":%S,\"engine\":%S}"
+                qry rf engine)))
+      pairs;
+    ignore (Server.drain server);
+    Server.close server;
+    fun c -> Metrics.get metrics c
+  in
+  List.iter
+    (fun workers ->
+      let auto = counters "auto" workers and sys = counters "systolic" workers in
+      List.iter
+        (fun (engine, get) ->
+          List.iter
+            (fun (what, c, expected) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s, %d workers: %s" engine workers what)
+                expected (get c))
+            [
+              ("cells", Counter.Cells_evaluated, 19_400);
+              ("alignments", Counter.Alignments, 8);
+              ("tb steps", Counter.Tb_steps, 514);
+            ])
+        [ ("auto", auto); ("systolic", sys) ];
+      Alcotest.(check int)
+        (Printf.sprintf "auto, %d workers: fallbacks" workers)
+        8
+        (auto Counter.Engine_fastpath_fallbacks);
+      List.iter
+        (fun (what, c) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d workers: auto %s == systolic's" workers what)
+            (sys c) (auto c))
+        [
+          ("prologues overlapped", Counter.Prologues_overlapped);
+          ("hidden cycles", Counter.Overlap_hidden_cycles);
+        ])
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "proto: valid request" `Quick test_parse_valid;
@@ -774,4 +840,6 @@ let suite =
       test_one_counter_store;
     Alcotest.test_case "server: auto cycles == systolic (sliced)" `Quick
       test_auto_cycles_equal_systolic;
+    Alcotest.test_case "server: sliced flush counts like its engine" `Quick
+      test_sliced_flush_counts;
   ]
