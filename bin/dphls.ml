@@ -465,13 +465,14 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
        else 0.0)
   end;
   if compare then begin
-    (* re-run the whole batch at 1 and [workers] domains to line the
-       measured wall clock up against the analytical N_K model *)
+    (* re-run the whole batch at [workers] domains, then at 1 for the
+       baseline, to line the measured wall clock up against the
+       analytical N_K model *)
     let pairs = read_pairs () in
-    let results, stats =
-      Dphls.Batch.align_all_report ?band ~engine ~kind ~workers pairs
+    let pool_stats w =
+      snd (Dphls.Batch.align_all_report ?band ~engine ~kind ~workers:w pairs)
     in
-    ignore results;
+    let stats = pool_stats workers in
     let report = stats.Dphls_host.Pool.report in
     Printf.eprintf "workers      : %d\n" workers;
     Printf.eprintf "alignments   : %d\n" report.Dphls_host.Scheduler.jobs;
@@ -490,8 +491,9 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
           p.Dphls_host.Throughput.measured_speedup
           p.Dphls_host.Throughput.modeled_speedup
           p.Dphls_host.Throughput.efficiency)
-      (Dphls.Batch.scaling ?band ~engine ~kind ~workers:[ workers ]
-         pairs)
+      (Dphls_host.Throughput.scaling
+         ~baseline:(pool_stats 1).Dphls_host.Pool.report
+         [ (workers, report) ])
   end
 
 let batch_cmd =

@@ -195,25 +195,19 @@ let indel_of = function
   | Engine.Unit_cost { cost } -> cost
   | Engine.Doubled { match_; weight2 } -> (match_ - weight2) / 2
 
+(* stops at the first border cell off the ramp *)
 let borders_ok (type p) (k : p Kernel.t) (p : p) ~qry_len ~ref_len ~indel =
+  let rec ramp border i n = i >= n || (border i = indel * (i + 1) && ramp border (i + 1) n) in
   k.Kernel.origin p ~layer:0 = 0
-  && (let ok = ref true in
-      for col = 0 to ref_len - 1 do
-        if k.Kernel.init_row p ~ref_len ~layer:0 ~col <> indel * (col + 1) then
-          ok := false
-      done;
-      for row = 0 to qry_len - 1 do
-        if k.Kernel.init_col p ~qry_len ~layer:0 ~row <> indel * (row + 1) then
-          ok := false
-      done;
-      !ok)
+  && ramp (fun col -> k.Kernel.init_row p ~ref_len ~layer:0 ~col) 0 ref_len
+  && ramp (fun row -> k.Kernel.init_col p ~qry_len ~layer:0 ~row) 0 qry_len
+
+let admits ~qry_len ~ref_len k p m =
+  match k.Kernel.banding with
+  | Some (Banding.Adaptive _) -> Error "adaptive band"
+  | Some (Banding.Fixed _) | None ->
+    if borders_ok k p ~qry_len ~ref_len ~indel:(indel_of m) then Ok m
+    else Error "init borders are not the global indel ramp"
 
 let supports ~qry_len ~ref_len k p =
-  match mapping k p with
-  | Error _ as e -> e
-  | Ok m -> (
-    match k.Kernel.banding with
-    | Some (Banding.Adaptive _) -> Error "adaptive band"
-    | Some (Banding.Fixed _) | None ->
-      if borders_ok k p ~qry_len ~ref_len ~indel:(indel_of m) then Ok m
-      else Error "init borders are not the global indel ramp")
+  Stdlib.Result.bind (mapping k p) (admits ~qry_len ~ref_len k p)

@@ -50,6 +50,19 @@ val mapping : 'p Dphls_core.Kernel.t -> 'p -> (Engine.mapping, string) result
     [Doubled]. [Error] names the first gate that fails. Does not look at
     the band or the borders; see {!supports}. *)
 
+val admits :
+  qry_len:int ->
+  ref_len:int ->
+  'p Dphls_core.Kernel.t ->
+  'p ->
+  Engine.mapping ->
+  (Engine.mapping, string) result
+(** The workload gates of {!supports} alone, given the kernel's
+    {!mapping}: an unbanded or fixed band, then init borders equal to
+    the global indel ramp up to the given lengths (checked up to the
+    first border cell off it). A caller with many workloads of one
+    kernel proves {!mapping} once and admits each workload with this. *)
+
 val supports :
   qry_len:int ->
   ref_len:int ->
@@ -57,6 +70,5 @@ val supports :
   'p ->
   (Engine.mapping, string) result
 (** The whole admission rule for a workload of this shape: {!mapping},
-    then an unbanded or fixed band, then init borders equal to the
-    global indel ramp up to the given lengths. [Ok] exactly when
-    {!Engine.run} computes the kernel's own scores. *)
+    then {!admits}. [Ok] exactly when {!Engine.run} computes the
+    kernel's own scores. *)

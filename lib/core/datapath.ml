@@ -488,19 +488,38 @@ let compile cell bindings =
 
 let program_insts p = p.n_insts
 
-(* [Score.add] restated branch-for-branch as a macro-style inline:
-   additions dominate compiled programs and the compiler (no flambda)
-   will not reliably inline the call; the eval-vs-compiled differential
-   suite pins the two implementations together. The generated
-   evaluators ([Pe_gen]) call this one too. *)
+(* [Score.add] restated as a macro-style inline: additions dominate
+   compiled programs and the compiler (no flambda) will not reliably
+   inline the call; the eval-vs-compiled differential suite pins the two
+   implementations together. The generated evaluators ([Pe_gen]) call
+   this one too.
+
+   The fast path is one test: [x + 2^58] lies in [0, 2^59) (no high
+   bit set, overflow included) exactly when [x] lies in
+   [-2^58, 2^58). Two such operands are far from the infinity
+   half-bands ([Score.neg_inf / 2] is -2^59, [Score.pos_inf / 2] is
+   2^59 - 1) and their sum cannot reach a sentinel, so [Score.add] is
+   [a + b] for them. Every other input takes [Score.add]'s branches. *)
+let fast_bias = 1 lsl 58
+
 let[@inline always] sat_add a b =
-  if a <= Score.neg_inf / 2 || b <= Score.neg_inf / 2 then Score.neg_inf
+  if ((a + fast_bias) lor (b + fast_bias)) lsr 59 = 0 then a + b
+  else if a <= Score.neg_inf / 2 || b <= Score.neg_inf / 2 then Score.neg_inf
   else if a >= Score.pos_inf / 2 || b >= Score.pos_inf / 2 then Score.pos_inf
   else
     let s = a + b in
     if s < Score.neg_inf then Score.neg_inf
     else if s > Score.pos_inf then Score.pos_inf
     else s
+
+(* With [k] finite (strictly inside both half-bands) only [a] can be
+   infinite, and a finite [a] sums with [k] to strictly inside
+   (neg_inf, pos_inf): no clamp is needed. *)
+let[@inline always] sat_add_finite a k =
+  if (a + fast_bias) lsr 59 = 0 then a + k
+  else if a <= Score.neg_inf / 2 then Score.neg_inf
+  else if a >= Score.pos_inf / 2 then Score.pos_inf
+  else a + k
 
 let[@inline always] check_buffers n_layers (buf : Pe.buffers) =
   if Array.length buf.Pe.b_scores <> n_layers then

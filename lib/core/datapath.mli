@@ -132,9 +132,20 @@ val flat : program -> Pe.flat
 
 val sat_add : int -> int -> int
 (** The saturating addition {!exec} runs: {!Dphls_util.Score.add}
-    restated so the compiler inlines it into the per-cell loop. The
+    restated so the compiler inlines it into the per-cell loop, with a
+    one-test fast path: when both operands lie in [[-2^58, 2^58)]
+    ([((a + 2^58) lor (b + 2^58)) lsr 59 = 0]) the result is [a + b];
+    every other input takes {!Dphls_util.Score.add}'s branches. The
     generated evaluators ({!Pe_gen}) call it too, so both paths share
     one definition. *)
+
+val sat_add_finite : int -> int -> int
+(** [sat_add_finite a k] is [sat_add a k] for a finite [k], strictly
+    inside [(Score.neg_inf / 2, Score.pos_inf / 2)] (for any other [k]
+    the result is unspecified): the same fast path tested on [a] alone. The generator
+    emits it where it can bound the other operand statically (a
+    literal, or a register fed only by literals and selects of
+    literals). *)
 
 val check_buffers : int -> Pe.buffers -> unit
 (** [check_buffers n_layers buf] is the layer-count check every flat

@@ -57,8 +57,12 @@ let check_row ~n_layers ~ring ~above ~base ~reference ~lo ~hi =
   if lo < 0 || hi >= Array.length reference then outside ();
   (* the last row offset whose cells -1 .. hi fit, compared against
      rather than added to, so no offset can overflow past the check *)
-  let last = Array.length ring - ((hi + 2) * n_layers) in
-  if above < 0 || base < 0 || above > last || base > last then outside ()
+  let span = (hi + 2) * n_layers in
+  let last = Array.length ring - span in
+  if above < 0 || base < 0 || above > last || base > last then outside ();
+  (* a generated row carries diag from the previous cell's up read,
+     which is only the ring's diag when the row above is not written *)
+  if abs (above - base) < span then invalid_arg "Pe: row above overlaps the row written"
 
 (* The traceback plane: one 16-bit word per cell of the matrix,
    row-major, the pointer of cell (row, col) at byte
@@ -72,9 +76,26 @@ let[@inline never] wide_pointer ~row ~col ptr =
         traceback plane"
        ptr row col)
 
+let[@inline] check_pointer ~row ~col ptr =
+  if ptr < 0 || ptr > 0xFFFF then wide_pointer ~row ~col ptr
+
 let[@inline] store_pointer tb ~ref_len ~row ~col ptr =
-  if ptr < 0 || ptr > 0xFFFF then wide_pointer ~row ~col ptr;
+  check_pointer ~row ~col ptr;
   Bytes.set_uint16_le tb (2 * ((row * ref_len) + col)) ptr
+
+let check_plane tb ~ref_len ~row ~col =
+  (* compared against rather than multiplied out, so no word index can
+     overflow past the check *)
+  let words = Bytes.length tb / 2 in
+  if row < 0 || col < 0 || col >= ref_len || col >= words
+     || row > (words - 1 - col) / ref_len
+  then invalid_arg "Pe: cells outside the traceback plane"
+
+external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external swap16 : int -> int = "%bswap16"
+
+let[@inline] set_pointer tb word ptr =
+  unsafe_set16 tb (2 * word) (if Sys.big_endian then swap16 ptr else ptr)
 
 let pointer_at tb ~ref_len ~row ~col = Bytes.get_uint16_le tb (2 * ((row * ref_len) + col))
 

@@ -77,8 +77,9 @@ val create_buffers : n_layers:int -> buffers
     16-bit word per cell of the [qry_len] x [ref_len] matrix, row-major,
     the pointer of cell [(row, col)] at byte [2 * (row * ref_len + col)]
     of a [Bytes.t]. The golden engine's rows and the systolic engine's
-    waves store into it with {!store_pointer}, and both walk it back
-    with {!pointer_at}. (The systolic array's modeled memory, one bank
+    waves store into it (the generic ones with {!store_pointer}, the
+    generated ones with {!set_pointer} after one {!check_plane} per
+    call), and both walk it back with {!pointer_at}. (The systolic array's modeled memory, one bank
     per PE at wavefront-coalesced addresses, is
     [Dphls_systolic.Schedule.tb_address]: a cost model, not a store.)
     An empty plane means the kernel has no traceback. *)
@@ -87,6 +88,23 @@ val store_pointer : Bytes.t -> ref_len:int -> row:int -> col:int -> int -> unit
 (** [store_pointer tb ~ref_len ~row ~col ptr] writes [ptr] into the
     plane (bounds-checked). Raises [Invalid_argument] naming the cell
     when [ptr] is outside [0 .. 0xFFFF]; a pointer is never truncated. *)
+
+val check_pointer : row:int -> col:int -> int -> unit
+(** The 16-bit range check of {!store_pointer} alone. *)
+
+val check_plane : Bytes.t -> ref_len:int -> row:int -> col:int -> unit
+(** [check_plane tb ~ref_len ~row ~col] raises [Invalid_argument] unless
+    [0 <= row], [0 <= col < ref_len] and cell [(row, col)]'s word lies in
+    [tb], hence every word before it too. A generated row or wave makes
+    it once per call, on its cell of highest word index, and then
+    stores each pointer with {!set_pointer}. *)
+
+val set_pointer : Bytes.t -> int -> int -> unit
+(** [set_pointer tb i ptr] writes [ptr] into word [i] of the plane
+    (cell [(row, col)] is word [row * ref_len + col]) with neither check
+    of {!store_pointer}: for a caller that has bounded its cells with
+    {!check_plane} and checked [ptr] with {!check_pointer} or proved it
+    fits 16 bits. *)
 
 val pointer_at : Bytes.t -> ref_len:int -> row:int -> col:int -> int
 (** The pointer {!store_pointer} wrote at [(row, col)], 0 where nothing
@@ -128,9 +146,9 @@ type row =
     ring, its query character [qry] and reference character
     [reference.(c)], writes its layer scores back at its own slot and,
     when [tb] is not empty, stores its pointer into the traceback plane
-    [tb] (row-major over [Array.length reference] columns) with
-    {!store_pointer}. Raises [Invalid_argument] as {!check_row} does,
-    once per call, and as {!store_pointer} does. *)
+    [tb] (row-major over [Array.length reference] columns). Raises
+    [Invalid_argument] as {!check_row} and {!check_plane} do, once per
+    call, and as {!check_pointer} does. *)
 
 val check_row :
   n_layers:int ->
@@ -143,9 +161,12 @@ val check_row :
   unit
 (** The bounds check every row evaluator makes once per non-empty
     interval, in place of a per-cell {!Datapath.check_buffers}: raises
-    [Invalid_argument] unless [0 <= lo], [hi < Array.length reference]
-    and cells [-1 .. hi] of the rows at [above] and [base] lie inside
-    [ring]. *)
+    [Invalid_argument] unless [0 <= lo], [hi < Array.length reference],
+    cells [-1 .. hi] of the rows at [above] and [base] lie inside
+    [ring], and those two runs of cells do not overlap. A generated row
+    carries each cell's left and diag layers over from the cell before
+    it instead of re-reading the ring, which gives the ring's values
+    only while the row it writes is not the row it reads. *)
 
 val row_of_flat : n_layers:int -> flat -> row
 (** The generic row: a per-cell loop around any flat evaluator — copy
@@ -181,9 +202,9 @@ type wave =
     [reference.(wavefront - p)], and writes its layer scores into slot
     [p + 1] of [w_new], which must not alias [w1] or [w2]. When [tb] is
     not empty it stores its pointer into the traceback plane [tb]
-    (row-major over [Array.length reference] columns) with
-    {!store_pointer}, exactly as a row does. Raises [Invalid_argument]
-    as {!check_wave} does, once per call, and as {!store_pointer} does. *)
+    (row-major over [Array.length reference] columns), exactly as a row
+    does. Raises [Invalid_argument] as {!check_wave} and {!check_plane}
+    do, once per call, and as {!check_pointer} does. *)
 
 val check_wave :
   n_layers:int ->
@@ -202,7 +223,7 @@ val check_wave :
     [Invalid_argument] unless [0 <= lo], slots [0 .. hi + 1] lie inside
     all three planes, rows [row0 + lo .. row0 + hi] inside [query] and
     columns [wavefront - hi .. wavefront - lo] inside [reference]. The
-    pointer stores need no check here: {!store_pointer} makes its own. *)
+    traceback plane's bound is {!check_plane}'s. *)
 
 val wave_of_flat : n_layers:int -> flat -> wave
 (** The generic wave: a per-cell loop around any flat evaluator — copy

@@ -7,9 +7,12 @@
    one row loop over the golden engine's ring and one wave loop over
    the systolic array's wavefront planes: each instruction of the
    program's view is one let-binding, computed as Datapath.exec
-   computes it. The row reads every cell's neighbours straight from
-   the ring, whose bounds it checks once per call (Pe.check_row); the
-   wave reads them straight from the planes (Pe.check_wave). *)
+   computes it. The row reads up from the ring and carries left and
+   diag over from the cell before; the wave reads its neighbours
+   straight from the planes. Both check their bounds and the
+   traceback plane's once per call (Pe.check_row or Pe.check_wave,
+   then Pe.check_plane) and store pointers unchecked where the
+   generator proves they fit 16 bits. *)
 
 (* #1 global-linear, #6 overlap, #7 semi-global, #11 banded-global-linear, #16 adaptive-global-linear: 17 instructions *)
 let key_k01 =
@@ -51,11 +54,11 @@ let pe_k01 (b : Pe.buffers) =
   let r3 = 2 in
   let r4 = (-2) in
   let r5 = if r1 = r2 then r3 else r4 in
-  let r6 = Datapath.sat_add r0 r5 in
+  let r6 = Datapath.sat_add_finite r0 r5 in
   let r7 = Array.unsafe_get up 0 in
-  let r8 = Datapath.sat_add r7 (-2) in
+  let r8 = Datapath.sat_add_finite r7 (-2) in
   let r9 = Array.unsafe_get left 0 in
-  let r10 = Datapath.sat_add r9 (-2) in
+  let r10 = Datapath.sat_add_finite r9 (-2) in
   let r11 = let m = if r6 >= r8 then r6 else r8 in if m >= r10 then m else r10 in
   let r12 = if r8 >= r10 then r8 else r10 in
   let r13 = 1 in
@@ -70,20 +73,25 @@ let row_k01 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:1 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+      let u = above + ((c + 1) * 1) in
+      let a = base + ((c + 1) * 1) in
       let rf = Array.unsafe_get reference c in
-      let r0 = Array.unsafe_get ring (u - 1) in
+      let r0 = !diag0 in
       let r1 = q0 in
       let r2 = rf.(0) in
       let r3 = 2 in
       let r4 = (-2) in
       let r5 = if r1 = r2 then r3 else r4 in
-      let r6 = Datapath.sat_add r0 r5 in
+      let r6 = Datapath.sat_add_finite r0 r5 in
       let r7 = Array.unsafe_get ring u in
-      let r8 = Datapath.sat_add r7 (-2) in
-      let r9 = Array.unsafe_get ring (a - 1) in
-      let r10 = Datapath.sat_add r9 (-2) in
+      let r8 = Datapath.sat_add_finite r7 (-2) in
+      let r9 = !left0 in
+      let r10 = Datapath.sat_add_finite r9 (-2) in
       let r11 = let m = if r6 >= r8 then r6 else r8 in if m >= r10 then m else r10 in
       let r12 = if r8 >= r10 then r8 else r10 in
       let r13 = 1 in
@@ -91,7 +99,9 @@ let row_k01 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       let r15 = 0 in
       let r16 = if r6 < r12 then r14 else r15 in
       Array.unsafe_set ring a r11;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r16)
+      left0 := r11;
+      diag0 := r7;
+      if has_tb then Pe.set_pointer tb (at + c) (r16)
     done
   end
 
@@ -138,14 +148,14 @@ let pe_k02 (b : Pe.buffers) =
   let diag = b.Pe.b_diag in
   let left = b.Pe.b_left in
   let r0 = Array.unsafe_get up 0 in
-  let r1 = Datapath.sat_add r0 (-4) in
+  let r1 = Datapath.sat_add_finite r0 (-4) in
   let r2 = Array.unsafe_get up 1 in
-  let r3 = Datapath.sat_add r2 (-1) in
+  let r3 = Datapath.sat_add_finite r2 (-1) in
   let r4 = if r1 >= r3 then r1 else r3 in
   let r5 = Array.unsafe_get left 0 in
-  let r6 = Datapath.sat_add r5 (-4) in
+  let r6 = Datapath.sat_add_finite r5 (-4) in
   let r7 = Array.unsafe_get left 2 in
-  let r8 = Datapath.sat_add r7 (-1) in
+  let r8 = Datapath.sat_add_finite r7 (-1) in
   let r9 = if r6 >= r8 then r6 else r8 in
   let r10 = Array.unsafe_get diag 0 in
   let r11 = b.Pe.b_qry.(0) in
@@ -153,7 +163,7 @@ let pe_k02 (b : Pe.buffers) =
   let r13 = 2 in
   let r14 = (-2) in
   let r15 = if r11 = r12 then r13 else r14 in
-  let r16 = Datapath.sat_add r10 r15 in
+  let r16 = Datapath.sat_add_finite r10 r15 in
   let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
   let r18 = if r4 >= r9 then r4 else r9 in
   let r19 = 1 in
@@ -172,26 +182,32 @@ let row_k02 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:3 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 3))) in
+    let left2 = ref (Array.unsafe_get ring (base + (lo * 3) + 2)) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 3))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 3) and a = base + ((c + 1) * 3) in
+      let u = above + ((c + 1) * 3) in
+      let a = base + ((c + 1) * 3) in
       let rf = Array.unsafe_get reference c in
       let r0 = Array.unsafe_get ring u in
-      let r1 = Datapath.sat_add r0 (-4) in
+      let r1 = Datapath.sat_add_finite r0 (-4) in
       let r2 = Array.unsafe_get ring (u + 1) in
-      let r3 = Datapath.sat_add r2 (-1) in
+      let r3 = Datapath.sat_add_finite r2 (-1) in
       let r4 = if r1 >= r3 then r1 else r3 in
-      let r5 = Array.unsafe_get ring (a - 3) in
-      let r6 = Datapath.sat_add r5 (-4) in
-      let r7 = Array.unsafe_get ring (a - 1) in
-      let r8 = Datapath.sat_add r7 (-1) in
+      let r5 = !left0 in
+      let r6 = Datapath.sat_add_finite r5 (-4) in
+      let r7 = !left2 in
+      let r8 = Datapath.sat_add_finite r7 (-1) in
       let r9 = if r6 >= r8 then r6 else r8 in
-      let r10 = Array.unsafe_get ring (u - 3) in
+      let r10 = !diag0 in
       let r11 = q0 in
       let r12 = rf.(0) in
       let r13 = 2 in
       let r14 = (-2) in
       let r15 = if r11 = r12 then r13 else r14 in
-      let r16 = Datapath.sat_add r10 r15 in
+      let r16 = Datapath.sat_add_finite r10 r15 in
       let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
       let r18 = if r4 >= r9 then r4 else r9 in
       let r19 = 1 in
@@ -203,7 +219,10 @@ let row_k02 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       Array.unsafe_set ring a r17;
       Array.unsafe_set ring (a + 1) r4;
       Array.unsafe_set ring (a + 2) r9;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r22 lor (r23 lsl 2) lor (r24 lsl 3))
+      left0 := r17;
+      left2 := r9;
+      diag0 := r0;
+      if has_tb then Pe.set_pointer tb (at + c) (r22 lor (r23 lsl 2) lor (r24 lsl 3))
     done
   end
 
@@ -250,11 +269,11 @@ let pe_k03 (b : Pe.buffers) =
   let r3 = 2 in
   let r4 = (-2) in
   let r5 = if r1 = r2 then r3 else r4 in
-  let r6 = Datapath.sat_add r0 r5 in
+  let r6 = Datapath.sat_add_finite r0 r5 in
   let r7 = Array.unsafe_get up 0 in
-  let r8 = Datapath.sat_add r7 (-2) in
+  let r8 = Datapath.sat_add_finite r7 (-2) in
   let r9 = Array.unsafe_get left 0 in
-  let r10 = Datapath.sat_add r9 (-2) in
+  let r10 = Datapath.sat_add_finite r9 (-2) in
   let r11 = let m = if r6 >= r8 then r6 else r8 in if m >= r10 then m else r10 in
   let r12 = 0 in
   let r13 = if r11 <= r12 then r12 else r11 in
@@ -272,20 +291,25 @@ let row_k03 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:1 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+      let u = above + ((c + 1) * 1) in
+      let a = base + ((c + 1) * 1) in
       let rf = Array.unsafe_get reference c in
-      let r0 = Array.unsafe_get ring (u - 1) in
+      let r0 = !diag0 in
       let r1 = q0 in
       let r2 = rf.(0) in
       let r3 = 2 in
       let r4 = (-2) in
       let r5 = if r1 = r2 then r3 else r4 in
-      let r6 = Datapath.sat_add r0 r5 in
+      let r6 = Datapath.sat_add_finite r0 r5 in
       let r7 = Array.unsafe_get ring u in
-      let r8 = Datapath.sat_add r7 (-2) in
-      let r9 = Array.unsafe_get ring (a - 1) in
-      let r10 = Datapath.sat_add r9 (-2) in
+      let r8 = Datapath.sat_add_finite r7 (-2) in
+      let r9 = !left0 in
+      let r10 = Datapath.sat_add_finite r9 (-2) in
       let r11 = let m = if r6 >= r8 then r6 else r8 in if m >= r10 then m else r10 in
       let r12 = 0 in
       let r13 = if r11 <= r12 then r12 else r11 in
@@ -296,7 +320,9 @@ let row_k03 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       let r18 = if r6 < r15 then r17 else r12 in
       let r19 = if r11 <= r12 then r14 else r18 in
       Array.unsafe_set ring a r13;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r19)
+      left0 := r13;
+      diag0 := r7;
+      if has_tb then Pe.set_pointer tb (at + c) (r19)
     done
   end
 
@@ -346,14 +372,14 @@ let pe_k04 (b : Pe.buffers) =
   let diag = b.Pe.b_diag in
   let left = b.Pe.b_left in
   let r0 = Array.unsafe_get up 0 in
-  let r1 = Datapath.sat_add r0 (-4) in
+  let r1 = Datapath.sat_add_finite r0 (-4) in
   let r2 = Array.unsafe_get up 1 in
-  let r3 = Datapath.sat_add r2 (-1) in
+  let r3 = Datapath.sat_add_finite r2 (-1) in
   let r4 = if r1 >= r3 then r1 else r3 in
   let r5 = Array.unsafe_get left 0 in
-  let r6 = Datapath.sat_add r5 (-4) in
+  let r6 = Datapath.sat_add_finite r5 (-4) in
   let r7 = Array.unsafe_get left 2 in
-  let r8 = Datapath.sat_add r7 (-1) in
+  let r8 = Datapath.sat_add_finite r7 (-1) in
   let r9 = if r6 >= r8 then r6 else r8 in
   let r10 = Array.unsafe_get diag 0 in
   let r11 = b.Pe.b_qry.(0) in
@@ -361,7 +387,7 @@ let pe_k04 (b : Pe.buffers) =
   let r13 = 2 in
   let r14 = (-2) in
   let r15 = if r11 = r12 then r13 else r14 in
-  let r16 = Datapath.sat_add r10 r15 in
+  let r16 = Datapath.sat_add_finite r10 r15 in
   let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
   let r18 = 0 in
   let r19 = if r17 <= r18 then r18 else r17 in
@@ -383,26 +409,32 @@ let row_k04 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:3 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 3))) in
+    let left2 = ref (Array.unsafe_get ring (base + (lo * 3) + 2)) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 3))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 3) and a = base + ((c + 1) * 3) in
+      let u = above + ((c + 1) * 3) in
+      let a = base + ((c + 1) * 3) in
       let rf = Array.unsafe_get reference c in
       let r0 = Array.unsafe_get ring u in
-      let r1 = Datapath.sat_add r0 (-4) in
+      let r1 = Datapath.sat_add_finite r0 (-4) in
       let r2 = Array.unsafe_get ring (u + 1) in
-      let r3 = Datapath.sat_add r2 (-1) in
+      let r3 = Datapath.sat_add_finite r2 (-1) in
       let r4 = if r1 >= r3 then r1 else r3 in
-      let r5 = Array.unsafe_get ring (a - 3) in
-      let r6 = Datapath.sat_add r5 (-4) in
-      let r7 = Array.unsafe_get ring (a - 1) in
-      let r8 = Datapath.sat_add r7 (-1) in
+      let r5 = !left0 in
+      let r6 = Datapath.sat_add_finite r5 (-4) in
+      let r7 = !left2 in
+      let r8 = Datapath.sat_add_finite r7 (-1) in
       let r9 = if r6 >= r8 then r6 else r8 in
-      let r10 = Array.unsafe_get ring (u - 3) in
+      let r10 = !diag0 in
       let r11 = q0 in
       let r12 = rf.(0) in
       let r13 = 2 in
       let r14 = (-2) in
       let r15 = if r11 = r12 then r13 else r14 in
-      let r16 = Datapath.sat_add r10 r15 in
+      let r16 = Datapath.sat_add_finite r10 r15 in
       let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
       let r18 = 0 in
       let r19 = if r17 <= r18 then r18 else r17 in
@@ -417,7 +449,10 @@ let row_k04 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       Array.unsafe_set ring a r19;
       Array.unsafe_set ring (a + 1) r4;
       Array.unsafe_set ring (a + 2) r9;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r25 lor (r26 lsl 2) lor (r27 lsl 3))
+      left0 := r19;
+      left2 := r9;
+      diag0 := r0;
+      if has_tb then Pe.set_pointer tb (at + c) (r25 lor (r26 lsl 2) lor (r27 lsl 3))
     done
   end
 
@@ -485,22 +520,22 @@ let pe_k05 (b : Pe.buffers) =
   let diag = b.Pe.b_diag in
   let left = b.Pe.b_left in
   let r0 = Array.unsafe_get up 0 in
-  let r1 = Datapath.sat_add r0 (-6) in
+  let r1 = Datapath.sat_add_finite r0 (-6) in
   let r2 = Array.unsafe_get up 1 in
-  let r3 = Datapath.sat_add r2 (-2) in
+  let r3 = Datapath.sat_add_finite r2 (-2) in
   let r4 = if r1 >= r3 then r1 else r3 in
   let r5 = Array.unsafe_get left 0 in
-  let r6 = Datapath.sat_add r5 (-6) in
+  let r6 = Datapath.sat_add_finite r5 (-6) in
   let r7 = Array.unsafe_get left 2 in
-  let r8 = Datapath.sat_add r7 (-2) in
+  let r8 = Datapath.sat_add_finite r7 (-2) in
   let r9 = if r6 >= r8 then r6 else r8 in
-  let r10 = Datapath.sat_add r0 (-25) in
+  let r10 = Datapath.sat_add_finite r0 (-25) in
   let r11 = Array.unsafe_get up 3 in
-  let r12 = Datapath.sat_add r11 (-1) in
+  let r12 = Datapath.sat_add_finite r11 (-1) in
   let r13 = if r10 >= r12 then r10 else r12 in
-  let r14 = Datapath.sat_add r5 (-25) in
+  let r14 = Datapath.sat_add_finite r5 (-25) in
   let r15 = Array.unsafe_get left 4 in
-  let r16 = Datapath.sat_add r15 (-1) in
+  let r16 = Datapath.sat_add_finite r15 (-1) in
   let r17 = if r14 >= r16 then r14 else r16 in
   let r18 = Array.unsafe_get diag 0 in
   let r19 = b.Pe.b_qry.(0) in
@@ -508,7 +543,7 @@ let pe_k05 (b : Pe.buffers) =
   let r21 = 2 in
   let r22 = (-4) in
   let r23 = if r19 = r20 then r21 else r22 in
-  let r24 = Datapath.sat_add r18 r23 in
+  let r24 = Datapath.sat_add_finite r18 r23 in
   let r25 = if r24 >= r4 then r24 else r4 in
   let r26 = if r25 >= r9 then r25 else r9 in
   let r27 = if r26 >= r13 then r26 else r13 in
@@ -542,34 +577,41 @@ let row_k05 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:5 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 5))) in
+    let left2 = ref (Array.unsafe_get ring (base + (lo * 5) + 2)) in
+    let left4 = ref (Array.unsafe_get ring (base + (lo * 5) + 4)) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 5))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 5) and a = base + ((c + 1) * 5) in
+      let u = above + ((c + 1) * 5) in
+      let a = base + ((c + 1) * 5) in
       let rf = Array.unsafe_get reference c in
       let r0 = Array.unsafe_get ring u in
-      let r1 = Datapath.sat_add r0 (-6) in
+      let r1 = Datapath.sat_add_finite r0 (-6) in
       let r2 = Array.unsafe_get ring (u + 1) in
-      let r3 = Datapath.sat_add r2 (-2) in
+      let r3 = Datapath.sat_add_finite r2 (-2) in
       let r4 = if r1 >= r3 then r1 else r3 in
-      let r5 = Array.unsafe_get ring (a - 5) in
-      let r6 = Datapath.sat_add r5 (-6) in
-      let r7 = Array.unsafe_get ring (a - 3) in
-      let r8 = Datapath.sat_add r7 (-2) in
+      let r5 = !left0 in
+      let r6 = Datapath.sat_add_finite r5 (-6) in
+      let r7 = !left2 in
+      let r8 = Datapath.sat_add_finite r7 (-2) in
       let r9 = if r6 >= r8 then r6 else r8 in
-      let r10 = Datapath.sat_add r0 (-25) in
+      let r10 = Datapath.sat_add_finite r0 (-25) in
       let r11 = Array.unsafe_get ring (u + 3) in
-      let r12 = Datapath.sat_add r11 (-1) in
+      let r12 = Datapath.sat_add_finite r11 (-1) in
       let r13 = if r10 >= r12 then r10 else r12 in
-      let r14 = Datapath.sat_add r5 (-25) in
-      let r15 = Array.unsafe_get ring (a - 1) in
-      let r16 = Datapath.sat_add r15 (-1) in
+      let r14 = Datapath.sat_add_finite r5 (-25) in
+      let r15 = !left4 in
+      let r16 = Datapath.sat_add_finite r15 (-1) in
       let r17 = if r14 >= r16 then r14 else r16 in
-      let r18 = Array.unsafe_get ring (u - 5) in
+      let r18 = !diag0 in
       let r19 = q0 in
       let r20 = rf.(0) in
       let r21 = 2 in
       let r22 = (-4) in
       let r23 = if r19 = r20 then r21 else r22 in
-      let r24 = Datapath.sat_add r18 r23 in
+      let r24 = Datapath.sat_add_finite r18 r23 in
       let r25 = if r24 >= r4 then r24 else r4 in
       let r26 = if r25 >= r9 then r25 else r9 in
       let r27 = if r26 >= r13 then r26 else r13 in
@@ -596,7 +638,11 @@ let row_k05 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       Array.unsafe_set ring (a + 2) r9;
       Array.unsafe_set ring (a + 3) r13;
       Array.unsafe_set ring (a + 4) r17;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r41 lor (r42 lsl 3) lor (r43 lsl 4) lor (r44 lsl 5) lor (r45 lsl 6))
+      left0 := r28;
+      left2 := r9;
+      left4 := r17;
+      diag0 := r0;
+      if has_tb then Pe.set_pointer tb (at + c) (r41 lor (r42 lsl 3) lor (r43 lsl 4) lor (r44 lsl 5) lor (r45 lsl 6))
     done
   end
 
@@ -849,10 +895,15 @@ let row_k08 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     let q3 = qry.(3) in
     let q4 = qry.(4) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+      let u = above + ((c + 1) * 1) in
+      let a = base + ((c + 1) * 1) in
       let rf = Array.unsafe_get reference c in
-      let r0 = Array.unsafe_get ring (u - 1) in
+      let r0 = !diag0 in
       let r1 = q0 in
       let r2 = rf.(0) in
       let r3 = Dphls_util.Score.mul r1 r2 in
@@ -952,7 +1003,7 @@ let row_k08 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       let r97 = Dphls_util.Score.mul r92 r96 in
       let r98 = Dphls_util.Score.mul r8 r97 in
       let r99 = Datapath.sat_add r89 r98 in
-      let r100 = Array.unsafe_get ring (a - 1) in
+      let r100 = !left0 in
       let r101 = Datapath.sat_add r92 r71 in
       let r102 = Dphls_util.Score.mul r95 r101 in
       let r103 = Dphls_util.Score.mul r8 r102 in
@@ -963,7 +1014,9 @@ let row_k08 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       let r108 = if r99 < r104 then r4 else r107 in
       let r109 = if r88 < r106 then r108 else r84 in
       Array.unsafe_set ring a r105;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r109)
+      left0 := r105;
+      diag0 := r89;
+      if has_tb then Pe.set_pointer tb (at + c) (r109)
     done
   end
 
@@ -1029,12 +1082,17 @@ let row_k09 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     let q0 = qry.(0) in
     let q1 = qry.(1) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+      let u = above + ((c + 1) * 1) in
+      let a = base + ((c + 1) * 1) in
       let rf = Array.unsafe_get reference c in
-      let r0 = Array.unsafe_get ring (u - 1) in
+      let r0 = !diag0 in
       let r1 = Array.unsafe_get ring u in
-      let r2 = Array.unsafe_get ring (a - 1) in
+      let r2 = !left0 in
       let r3 = let m = if r0 <= r1 then r0 else r1 in if m <= r2 then m else r2 in
       let r4 = q0 in
       let r5 = rf.(0) in
@@ -1051,7 +1109,9 @@ let row_k09 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
       let r16 = 0 in
       let r17 = if r12 < r0 then r15 else r16 in
       Array.unsafe_set ring a r11;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r17)
+      left0 := r11;
+      diag0 := r1;
+      if has_tb then Pe.set_pointer tb (at + c) (r17)
     done
   end
 
@@ -1098,23 +1158,23 @@ let pe_k10 (luts : int array array array) =
     let diag = b.Pe.b_diag in
     let left = b.Pe.b_left in
     let r0 = Array.unsafe_get up 0 in
-    let r1 = Datapath.sat_add r0 (-12271) in
+    let r1 = Datapath.sat_add_finite r0 (-12271) in
     let r2 = Array.unsafe_get up 1 in
-    let r3 = Datapath.sat_add r2 (-3753) in
+    let r3 = Datapath.sat_add_finite r2 (-3753) in
     let r4 = if r1 >= r3 then r1 else r3 in
-    let r5 = Datapath.sat_add r4 (-5678) in
+    let r5 = Datapath.sat_add_finite r4 (-5678) in
     let r6 = Array.unsafe_get left 0 in
-    let r7 = Datapath.sat_add r6 (-12271) in
+    let r7 = Datapath.sat_add_finite r6 (-12271) in
     let r8 = Array.unsafe_get left 2 in
-    let r9 = Datapath.sat_add r8 (-3753) in
+    let r9 = Datapath.sat_add_finite r8 (-3753) in
     let r10 = if r7 >= r9 then r7 else r9 in
-    let r11 = Datapath.sat_add r10 (-5678) in
+    let r11 = Datapath.sat_add_finite r10 (-5678) in
     let r12 = Array.unsafe_get diag 0 in
-    let r13 = Datapath.sat_add r12 (-432) in
+    let r13 = Datapath.sat_add_finite r12 (-432) in
     let r14 = Array.unsafe_get diag 1 in
-    let r15 = Datapath.sat_add r14 (-2092) in
+    let r15 = Datapath.sat_add_finite r14 (-2092) in
     let r16 = Array.unsafe_get diag 2 in
-    let r17 = Datapath.sat_add r16 (-2092) in
+    let r17 = Datapath.sat_add_finite r16 (-2092) in
     let r18 = let m = if r13 >= r15 then r13 else r15 in if m >= r17 then m else r17 in
     let r19 = b.Pe.b_qry.(0) in
     let r20 = b.Pe.b_rf.(0) in
@@ -1132,27 +1192,35 @@ let row_k10 (luts : int array array array) =
       Pe.check_row ~n_layers:3 ~ring ~above ~base ~reference ~lo ~hi;
       let q0 = qry.(0) in
       let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+      if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+      let at = row * ref_len in
+      let left0 = ref (Array.unsafe_get ring (base + (lo * 3))) in
+      let left2 = ref (Array.unsafe_get ring (base + (lo * 3) + 2)) in
+      let diag0 = ref (Array.unsafe_get ring (above + (lo * 3))) in
+      let diag1 = ref (Array.unsafe_get ring (above + (lo * 3) + 1)) in
+      let diag2 = ref (Array.unsafe_get ring (above + (lo * 3) + 2)) in
       for c = lo to hi do
-        let u = above + ((c + 1) * 3) and a = base + ((c + 1) * 3) in
+        let u = above + ((c + 1) * 3) in
+        let a = base + ((c + 1) * 3) in
         let rf = Array.unsafe_get reference c in
         let r0 = Array.unsafe_get ring u in
-        let r1 = Datapath.sat_add r0 (-12271) in
+        let r1 = Datapath.sat_add_finite r0 (-12271) in
         let r2 = Array.unsafe_get ring (u + 1) in
-        let r3 = Datapath.sat_add r2 (-3753) in
+        let r3 = Datapath.sat_add_finite r2 (-3753) in
         let r4 = if r1 >= r3 then r1 else r3 in
-        let r5 = Datapath.sat_add r4 (-5678) in
-        let r6 = Array.unsafe_get ring (a - 3) in
-        let r7 = Datapath.sat_add r6 (-12271) in
-        let r8 = Array.unsafe_get ring (a - 1) in
-        let r9 = Datapath.sat_add r8 (-3753) in
+        let r5 = Datapath.sat_add_finite r4 (-5678) in
+        let r6 = !left0 in
+        let r7 = Datapath.sat_add_finite r6 (-12271) in
+        let r8 = !left2 in
+        let r9 = Datapath.sat_add_finite r8 (-3753) in
         let r10 = if r7 >= r9 then r7 else r9 in
-        let r11 = Datapath.sat_add r10 (-5678) in
-        let r12 = Array.unsafe_get ring (u - 3) in
-        let r13 = Datapath.sat_add r12 (-432) in
-        let r14 = Array.unsafe_get ring (u - 2) in
-        let r15 = Datapath.sat_add r14 (-2092) in
-        let r16 = Array.unsafe_get ring (u - 1) in
-        let r17 = Datapath.sat_add r16 (-2092) in
+        let r11 = Datapath.sat_add_finite r10 (-5678) in
+        let r12 = !diag0 in
+        let r13 = Datapath.sat_add_finite r12 (-432) in
+        let r14 = !diag1 in
+        let r15 = Datapath.sat_add_finite r14 (-2092) in
+        let r16 = !diag2 in
+        let r17 = Datapath.sat_add_finite r16 (-2092) in
         let r18 = let m = if r13 >= r15 then r13 else r15 in if m >= r17 then m else r17 in
         let r19 = q0 in
         let r20 = rf.(0) in
@@ -1161,7 +1229,12 @@ let row_k10 (luts : int array array array) =
         Array.unsafe_set ring a r22;
         Array.unsafe_set ring (a + 1) r5;
         Array.unsafe_set ring (a + 2) r11;
-        if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (0)
+        left0 := r22;
+        left2 := r11;
+        diag0 := r0;
+        diag1 := r2;
+        diag2 := Array.unsafe_get ring (u + 2);
+        if has_tb then Pe.set_pointer tb (at + c) (0)
       done
     end
 
@@ -1203,14 +1276,14 @@ let pe_k12 (b : Pe.buffers) =
   let diag = b.Pe.b_diag in
   let left = b.Pe.b_left in
   let r0 = Array.unsafe_get up 0 in
-  let r1 = Datapath.sat_add r0 (-4) in
+  let r1 = Datapath.sat_add_finite r0 (-4) in
   let r2 = Array.unsafe_get up 1 in
-  let r3 = Datapath.sat_add r2 (-1) in
+  let r3 = Datapath.sat_add_finite r2 (-1) in
   let r4 = if r1 >= r3 then r1 else r3 in
   let r5 = Array.unsafe_get left 0 in
-  let r6 = Datapath.sat_add r5 (-4) in
+  let r6 = Datapath.sat_add_finite r5 (-4) in
   let r7 = Array.unsafe_get left 2 in
-  let r8 = Datapath.sat_add r7 (-1) in
+  let r8 = Datapath.sat_add_finite r7 (-1) in
   let r9 = if r6 >= r8 then r6 else r8 in
   let r10 = Array.unsafe_get diag 0 in
   let r11 = b.Pe.b_qry.(0) in
@@ -1218,7 +1291,7 @@ let pe_k12 (b : Pe.buffers) =
   let r13 = 2 in
   let r14 = (-2) in
   let r15 = if r11 = r12 then r13 else r14 in
-  let r16 = Datapath.sat_add r10 r15 in
+  let r16 = Datapath.sat_add_finite r10 r15 in
   let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
   let r18 = 0 in
   let r19 = if r17 <= r18 then r18 else r17 in
@@ -1232,33 +1305,42 @@ let row_k12 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:3 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 3))) in
+    let left2 = ref (Array.unsafe_get ring (base + (lo * 3) + 2)) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 3))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 3) and a = base + ((c + 1) * 3) in
+      let u = above + ((c + 1) * 3) in
+      let a = base + ((c + 1) * 3) in
       let rf = Array.unsafe_get reference c in
       let r0 = Array.unsafe_get ring u in
-      let r1 = Datapath.sat_add r0 (-4) in
+      let r1 = Datapath.sat_add_finite r0 (-4) in
       let r2 = Array.unsafe_get ring (u + 1) in
-      let r3 = Datapath.sat_add r2 (-1) in
+      let r3 = Datapath.sat_add_finite r2 (-1) in
       let r4 = if r1 >= r3 then r1 else r3 in
-      let r5 = Array.unsafe_get ring (a - 3) in
-      let r6 = Datapath.sat_add r5 (-4) in
-      let r7 = Array.unsafe_get ring (a - 1) in
-      let r8 = Datapath.sat_add r7 (-1) in
+      let r5 = !left0 in
+      let r6 = Datapath.sat_add_finite r5 (-4) in
+      let r7 = !left2 in
+      let r8 = Datapath.sat_add_finite r7 (-1) in
       let r9 = if r6 >= r8 then r6 else r8 in
-      let r10 = Array.unsafe_get ring (u - 3) in
+      let r10 = !diag0 in
       let r11 = q0 in
       let r12 = rf.(0) in
       let r13 = 2 in
       let r14 = (-2) in
       let r15 = if r11 = r12 then r13 else r14 in
-      let r16 = Datapath.sat_add r10 r15 in
+      let r16 = Datapath.sat_add_finite r10 r15 in
       let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
       let r18 = 0 in
       let r19 = if r17 <= r18 then r18 else r17 in
       Array.unsafe_set ring a r19;
       Array.unsafe_set ring (a + 1) r4;
       Array.unsafe_set ring (a + 2) r9;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (0)
+      left0 := r19;
+      left2 := r9;
+      diag0 := r0;
+      if has_tb then Pe.set_pointer tb (at + c) (0)
     done
   end
 
@@ -1303,19 +1385,26 @@ let row_k14 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:1 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+      let u = above + ((c + 1) * 1) in
+      let a = base + ((c + 1) * 1) in
       let rf = Array.unsafe_get reference c in
-      let r0 = Array.unsafe_get ring (u - 1) in
+      let r0 = !diag0 in
       let r1 = Array.unsafe_get ring u in
-      let r2 = Array.unsafe_get ring (a - 1) in
+      let r2 = !left0 in
       let r3 = let m = if r0 <= r1 then r0 else r1 in if m <= r2 then m else r2 in
       let r4 = q0 in
       let r5 = rf.(0) in
       let r6 = Dphls_util.Score.abs (Datapath.sat_add r4 (-r5)) in
       let r7 = Datapath.sat_add r3 r6 in
       Array.unsafe_set ring a r7;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (0)
+      left0 := r7;
+      diag0 := r1;
+      if has_tb then Pe.set_pointer tb (at + c) (0)
     done
   end
 
@@ -1363,9 +1452,9 @@ let pe_k15 (luts : int array array array) =
     let r3 = t0.(r1).(r2) in
     let r4 = Datapath.sat_add r0 r3 in
     let r5 = Array.unsafe_get up 0 in
-    let r6 = Datapath.sat_add r5 (-4) in
+    let r6 = Datapath.sat_add_finite r5 (-4) in
     let r7 = Array.unsafe_get left 0 in
-    let r8 = Datapath.sat_add r7 (-4) in
+    let r8 = Datapath.sat_add_finite r7 (-4) in
     let r9 = let m = if r4 >= r6 then r4 else r6 in if m >= r8 then m else r8 in
     let r10 = 0 in
     let r11 = if r9 <= r10 then r10 else r9 in
@@ -1386,18 +1475,23 @@ let row_k15 (luts : int array array array) =
       Pe.check_row ~n_layers:1 ~ring ~above ~base ~reference ~lo ~hi;
       let q0 = qry.(0) in
       let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+      if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+      let at = row * ref_len in
+      let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+      let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
       for c = lo to hi do
-        let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+        let u = above + ((c + 1) * 1) in
+        let a = base + ((c + 1) * 1) in
         let rf = Array.unsafe_get reference c in
-        let r0 = Array.unsafe_get ring (u - 1) in
+        let r0 = !diag0 in
         let r1 = q0 in
         let r2 = rf.(0) in
         let r3 = t0.(r1).(r2) in
         let r4 = Datapath.sat_add r0 r3 in
         let r5 = Array.unsafe_get ring u in
-        let r6 = Datapath.sat_add r5 (-4) in
-        let r7 = Array.unsafe_get ring (a - 1) in
-        let r8 = Datapath.sat_add r7 (-4) in
+        let r6 = Datapath.sat_add_finite r5 (-4) in
+        let r7 = !left0 in
+        let r8 = Datapath.sat_add_finite r7 (-4) in
         let r9 = let m = if r4 >= r6 then r4 else r6 in if m >= r8 then m else r8 in
         let r10 = 0 in
         let r11 = if r9 <= r10 then r10 else r9 in
@@ -1409,7 +1503,9 @@ let row_k15 (luts : int array array array) =
         let r17 = if r4 < r13 then r16 else r10 in
         let r18 = if r9 <= r10 then r12 else r17 in
         Array.unsafe_set ring a r11;
-        if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (r18)
+        left0 := r11;
+        diag0 := r5;
+        if has_tb then Pe.set_pointer tb (at + c) (r18)
       done
     end
 
@@ -1448,11 +1544,11 @@ let pe_k19 (b : Pe.buffers) =
   let r3 = 0 in
   let r4 = 1 in
   let r5 = if r1 = r2 then r3 else r4 in
-  let r6 = Datapath.sat_add r0 r5 in
+  let r6 = Datapath.sat_add_finite r0 r5 in
   let r7 = Array.unsafe_get up 0 in
-  let r8 = Datapath.sat_add r7 1 in
+  let r8 = Datapath.sat_add_finite r7 1 in
   let r9 = Array.unsafe_get left 0 in
-  let r10 = Datapath.sat_add r9 1 in
+  let r10 = Datapath.sat_add_finite r9 1 in
   let r11 = let m = if r6 <= r8 then r6 else r8 in if m <= r10 then m else r10 in
   Array.unsafe_set b.Pe.b_scores 0 r11;
   b.Pe.b_tb <- 0
@@ -1462,23 +1558,30 @@ let row_k19 ~ring ~above ~base ~qry ~reference ~tb ~row ~lo ~hi =
     Pe.check_row ~n_layers:1 ~ring ~above ~base ~reference ~lo ~hi;
     let q0 = qry.(0) in
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row ~col:hi;
+    let at = row * ref_len in
+    let left0 = ref (Array.unsafe_get ring (base + (lo * 1))) in
+    let diag0 = ref (Array.unsafe_get ring (above + (lo * 1))) in
     for c = lo to hi do
-      let u = above + ((c + 1) * 1) and a = base + ((c + 1) * 1) in
+      let u = above + ((c + 1) * 1) in
+      let a = base + ((c + 1) * 1) in
       let rf = Array.unsafe_get reference c in
-      let r0 = Array.unsafe_get ring (u - 1) in
+      let r0 = !diag0 in
       let r1 = q0 in
       let r2 = rf.(0) in
       let r3 = 0 in
       let r4 = 1 in
       let r5 = if r1 = r2 then r3 else r4 in
-      let r6 = Datapath.sat_add r0 r5 in
+      let r6 = Datapath.sat_add_finite r0 r5 in
       let r7 = Array.unsafe_get ring u in
-      let r8 = Datapath.sat_add r7 1 in
-      let r9 = Array.unsafe_get ring (a - 1) in
-      let r10 = Datapath.sat_add r9 1 in
+      let r8 = Datapath.sat_add_finite r7 1 in
+      let r9 = !left0 in
+      let r10 = Datapath.sat_add_finite r9 1 in
       let r11 = let m = if r6 <= r8 then r6 else r8 in if m <= r10 then m else r10 in
       Array.unsafe_set ring a r11;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row ~col:c (0)
+      left0 := r11;
+      diag0 := r7;
+      if has_tb then Pe.set_pointer tb (at + c) (0)
     done
   end
 
@@ -1486,6 +1589,8 @@ let wave_k01 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1496,11 +1601,11 @@ let wave_k01 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r3 = 2 in
       let r4 = (-2) in
       let r5 = if r1 = r2 then r3 else r4 in
-      let r6 = Datapath.sat_add r0 r5 in
+      let r6 = Datapath.sat_add_finite r0 r5 in
       let r7 = Array.unsafe_get w1 s in
-      let r8 = Datapath.sat_add r7 (-2) in
+      let r8 = Datapath.sat_add_finite r7 (-2) in
       let r9 = Array.unsafe_get w1 (s + 1) in
-      let r10 = Datapath.sat_add r9 (-2) in
+      let r10 = Datapath.sat_add_finite r9 (-2) in
       let r11 = let m = if r6 >= r8 then r6 else r8 in if m >= r10 then m else r10 in
       let r12 = if r8 >= r10 then r8 else r10 in
       let r13 = 1 in
@@ -1508,7 +1613,7 @@ let wave_k01 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r15 = 0 in
       let r16 = if r6 < r12 then r14 else r15 in
       Array.unsafe_set w_new (s + 1) r11;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r16)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r16)
     done
   end
 
@@ -1516,19 +1621,21 @@ let wave_k02 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 3 in
       let q = Array.unsafe_get query (row0 + p) in
       let rf = Array.unsafe_get reference (wavefront - p) in
       let r0 = Array.unsafe_get w1 s in
-      let r1 = Datapath.sat_add r0 (-4) in
+      let r1 = Datapath.sat_add_finite r0 (-4) in
       let r2 = Array.unsafe_get w1 (s + 1) in
-      let r3 = Datapath.sat_add r2 (-1) in
+      let r3 = Datapath.sat_add_finite r2 (-1) in
       let r4 = if r1 >= r3 then r1 else r3 in
       let r5 = Array.unsafe_get w1 (s + 3) in
-      let r6 = Datapath.sat_add r5 (-4) in
+      let r6 = Datapath.sat_add_finite r5 (-4) in
       let r7 = Array.unsafe_get w1 (s + 5) in
-      let r8 = Datapath.sat_add r7 (-1) in
+      let r8 = Datapath.sat_add_finite r7 (-1) in
       let r9 = if r6 >= r8 then r6 else r8 in
       let r10 = Array.unsafe_get w2 s in
       let r11 = q.(0) in
@@ -1536,7 +1643,7 @@ let wave_k02 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r13 = 2 in
       let r14 = (-2) in
       let r15 = if r11 = r12 then r13 else r14 in
-      let r16 = Datapath.sat_add r10 r15 in
+      let r16 = Datapath.sat_add_finite r10 r15 in
       let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
       let r18 = if r4 >= r9 then r4 else r9 in
       let r19 = 1 in
@@ -1548,7 +1655,7 @@ let wave_k02 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       Array.unsafe_set w_new (s + 3) r17;
       Array.unsafe_set w_new (s + 4) r4;
       Array.unsafe_set w_new (s + 5) r9;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r22 lor (r23 lsl 2) lor (r24 lsl 3))
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r22 lor (r23 lsl 2) lor (r24 lsl 3))
     done
   end
 
@@ -1556,6 +1663,8 @@ let wave_k03 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1566,11 +1675,11 @@ let wave_k03 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r3 = 2 in
       let r4 = (-2) in
       let r5 = if r1 = r2 then r3 else r4 in
-      let r6 = Datapath.sat_add r0 r5 in
+      let r6 = Datapath.sat_add_finite r0 r5 in
       let r7 = Array.unsafe_get w1 s in
-      let r8 = Datapath.sat_add r7 (-2) in
+      let r8 = Datapath.sat_add_finite r7 (-2) in
       let r9 = Array.unsafe_get w1 (s + 1) in
-      let r10 = Datapath.sat_add r9 (-2) in
+      let r10 = Datapath.sat_add_finite r9 (-2) in
       let r11 = let m = if r6 >= r8 then r6 else r8 in if m >= r10 then m else r10 in
       let r12 = 0 in
       let r13 = if r11 <= r12 then r12 else r11 in
@@ -1581,7 +1690,7 @@ let wave_k03 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r18 = if r6 < r15 then r17 else r12 in
       let r19 = if r11 <= r12 then r14 else r18 in
       Array.unsafe_set w_new (s + 1) r13;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r19)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r19)
     done
   end
 
@@ -1589,19 +1698,21 @@ let wave_k04 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 3 in
       let q = Array.unsafe_get query (row0 + p) in
       let rf = Array.unsafe_get reference (wavefront - p) in
       let r0 = Array.unsafe_get w1 s in
-      let r1 = Datapath.sat_add r0 (-4) in
+      let r1 = Datapath.sat_add_finite r0 (-4) in
       let r2 = Array.unsafe_get w1 (s + 1) in
-      let r3 = Datapath.sat_add r2 (-1) in
+      let r3 = Datapath.sat_add_finite r2 (-1) in
       let r4 = if r1 >= r3 then r1 else r3 in
       let r5 = Array.unsafe_get w1 (s + 3) in
-      let r6 = Datapath.sat_add r5 (-4) in
+      let r6 = Datapath.sat_add_finite r5 (-4) in
       let r7 = Array.unsafe_get w1 (s + 5) in
-      let r8 = Datapath.sat_add r7 (-1) in
+      let r8 = Datapath.sat_add_finite r7 (-1) in
       let r9 = if r6 >= r8 then r6 else r8 in
       let r10 = Array.unsafe_get w2 s in
       let r11 = q.(0) in
@@ -1609,7 +1720,7 @@ let wave_k04 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r13 = 2 in
       let r14 = (-2) in
       let r15 = if r11 = r12 then r13 else r14 in
-      let r16 = Datapath.sat_add r10 r15 in
+      let r16 = Datapath.sat_add_finite r10 r15 in
       let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
       let r18 = 0 in
       let r19 = if r17 <= r18 then r18 else r17 in
@@ -1624,7 +1735,7 @@ let wave_k04 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       Array.unsafe_set w_new (s + 3) r19;
       Array.unsafe_set w_new (s + 4) r4;
       Array.unsafe_set w_new (s + 5) r9;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r25 lor (r26 lsl 2) lor (r27 lsl 3))
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r25 lor (r26 lsl 2) lor (r27 lsl 3))
     done
   end
 
@@ -1632,27 +1743,29 @@ let wave_k05 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:5 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 5 in
       let q = Array.unsafe_get query (row0 + p) in
       let rf = Array.unsafe_get reference (wavefront - p) in
       let r0 = Array.unsafe_get w1 s in
-      let r1 = Datapath.sat_add r0 (-6) in
+      let r1 = Datapath.sat_add_finite r0 (-6) in
       let r2 = Array.unsafe_get w1 (s + 1) in
-      let r3 = Datapath.sat_add r2 (-2) in
+      let r3 = Datapath.sat_add_finite r2 (-2) in
       let r4 = if r1 >= r3 then r1 else r3 in
       let r5 = Array.unsafe_get w1 (s + 5) in
-      let r6 = Datapath.sat_add r5 (-6) in
+      let r6 = Datapath.sat_add_finite r5 (-6) in
       let r7 = Array.unsafe_get w1 (s + 7) in
-      let r8 = Datapath.sat_add r7 (-2) in
+      let r8 = Datapath.sat_add_finite r7 (-2) in
       let r9 = if r6 >= r8 then r6 else r8 in
-      let r10 = Datapath.sat_add r0 (-25) in
+      let r10 = Datapath.sat_add_finite r0 (-25) in
       let r11 = Array.unsafe_get w1 (s + 3) in
-      let r12 = Datapath.sat_add r11 (-1) in
+      let r12 = Datapath.sat_add_finite r11 (-1) in
       let r13 = if r10 >= r12 then r10 else r12 in
-      let r14 = Datapath.sat_add r5 (-25) in
+      let r14 = Datapath.sat_add_finite r5 (-25) in
       let r15 = Array.unsafe_get w1 (s + 9) in
-      let r16 = Datapath.sat_add r15 (-1) in
+      let r16 = Datapath.sat_add_finite r15 (-1) in
       let r17 = if r14 >= r16 then r14 else r16 in
       let r18 = Array.unsafe_get w2 s in
       let r19 = q.(0) in
@@ -1660,7 +1773,7 @@ let wave_k05 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r21 = 2 in
       let r22 = (-4) in
       let r23 = if r19 = r20 then r21 else r22 in
-      let r24 = Datapath.sat_add r18 r23 in
+      let r24 = Datapath.sat_add_finite r18 r23 in
       let r25 = if r24 >= r4 then r24 else r4 in
       let r26 = if r25 >= r9 then r25 else r9 in
       let r27 = if r26 >= r13 then r26 else r13 in
@@ -1687,7 +1800,7 @@ let wave_k05 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       Array.unsafe_set w_new (s + 7) r9;
       Array.unsafe_set w_new (s + 8) r13;
       Array.unsafe_set w_new (s + 9) r17;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r41 lor (r42 lsl 3) lor (r43 lsl 4) lor (r44 lsl 5) lor (r45 lsl 6))
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r41 lor (r42 lsl 3) lor (r43 lsl 4) lor (r44 lsl 5) lor (r45 lsl 6))
     done
   end
 
@@ -1695,6 +1808,8 @@ let wave_k08 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1810,7 +1925,7 @@ let wave_k08 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r108 = if r99 < r104 then r4 else r107 in
       let r109 = if r88 < r106 then r108 else r84 in
       Array.unsafe_set w_new (s + 1) r105;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r109)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r109)
     done
   end
 
@@ -1818,6 +1933,8 @@ let wave_k09 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1841,7 +1958,7 @@ let wave_k09 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r16 = 0 in
       let r17 = if r12 < r0 then r15 else r16 in
       Array.unsafe_set w_new (s + 1) r11;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r17)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (r17)
     done
   end
 
@@ -1851,28 +1968,30 @@ let wave_k10 (luts : int array array array) =
     if lo <= hi then begin
       Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
       let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+      if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+      let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
       for p = lo to hi do
         let s = p * 3 in
         let q = Array.unsafe_get query (row0 + p) in
         let rf = Array.unsafe_get reference (wavefront - p) in
         let r0 = Array.unsafe_get w1 s in
-        let r1 = Datapath.sat_add r0 (-12271) in
+        let r1 = Datapath.sat_add_finite r0 (-12271) in
         let r2 = Array.unsafe_get w1 (s + 1) in
-        let r3 = Datapath.sat_add r2 (-3753) in
+        let r3 = Datapath.sat_add_finite r2 (-3753) in
         let r4 = if r1 >= r3 then r1 else r3 in
-        let r5 = Datapath.sat_add r4 (-5678) in
+        let r5 = Datapath.sat_add_finite r4 (-5678) in
         let r6 = Array.unsafe_get w1 (s + 3) in
-        let r7 = Datapath.sat_add r6 (-12271) in
+        let r7 = Datapath.sat_add_finite r6 (-12271) in
         let r8 = Array.unsafe_get w1 (s + 5) in
-        let r9 = Datapath.sat_add r8 (-3753) in
+        let r9 = Datapath.sat_add_finite r8 (-3753) in
         let r10 = if r7 >= r9 then r7 else r9 in
-        let r11 = Datapath.sat_add r10 (-5678) in
+        let r11 = Datapath.sat_add_finite r10 (-5678) in
         let r12 = Array.unsafe_get w2 s in
-        let r13 = Datapath.sat_add r12 (-432) in
+        let r13 = Datapath.sat_add_finite r12 (-432) in
         let r14 = Array.unsafe_get w2 (s + 1) in
-        let r15 = Datapath.sat_add r14 (-2092) in
+        let r15 = Datapath.sat_add_finite r14 (-2092) in
         let r16 = Array.unsafe_get w2 (s + 2) in
-        let r17 = Datapath.sat_add r16 (-2092) in
+        let r17 = Datapath.sat_add_finite r16 (-2092) in
         let r18 = let m = if r13 >= r15 then r13 else r15 in if m >= r17 then m else r17 in
         let r19 = q.(0) in
         let r20 = rf.(0) in
@@ -1881,7 +2000,7 @@ let wave_k10 (luts : int array array array) =
         Array.unsafe_set w_new (s + 3) r22;
         Array.unsafe_set w_new (s + 4) r5;
         Array.unsafe_set w_new (s + 5) r11;
-        if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
+        if has_tb then Pe.set_pointer tb (at + (p * step)) (0)
       done
     end
 
@@ -1889,19 +2008,21 @@ let wave_k12 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:3 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 3 in
       let q = Array.unsafe_get query (row0 + p) in
       let rf = Array.unsafe_get reference (wavefront - p) in
       let r0 = Array.unsafe_get w1 s in
-      let r1 = Datapath.sat_add r0 (-4) in
+      let r1 = Datapath.sat_add_finite r0 (-4) in
       let r2 = Array.unsafe_get w1 (s + 1) in
-      let r3 = Datapath.sat_add r2 (-1) in
+      let r3 = Datapath.sat_add_finite r2 (-1) in
       let r4 = if r1 >= r3 then r1 else r3 in
       let r5 = Array.unsafe_get w1 (s + 3) in
-      let r6 = Datapath.sat_add r5 (-4) in
+      let r6 = Datapath.sat_add_finite r5 (-4) in
       let r7 = Array.unsafe_get w1 (s + 5) in
-      let r8 = Datapath.sat_add r7 (-1) in
+      let r8 = Datapath.sat_add_finite r7 (-1) in
       let r9 = if r6 >= r8 then r6 else r8 in
       let r10 = Array.unsafe_get w2 s in
       let r11 = q.(0) in
@@ -1909,14 +2030,14 @@ let wave_k12 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r13 = 2 in
       let r14 = (-2) in
       let r15 = if r11 = r12 then r13 else r14 in
-      let r16 = Datapath.sat_add r10 r15 in
+      let r16 = Datapath.sat_add_finite r10 r15 in
       let r17 = let m = if r16 >= r4 then r16 else r4 in if m >= r9 then m else r9 in
       let r18 = 0 in
       let r19 = if r17 <= r18 then r18 else r17 in
       Array.unsafe_set w_new (s + 3) r19;
       Array.unsafe_set w_new (s + 4) r4;
       Array.unsafe_set w_new (s + 5) r9;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (0)
     done
   end
 
@@ -1924,6 +2045,8 @@ let wave_k14 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1937,7 +2060,7 @@ let wave_k14 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r6 = Dphls_util.Score.abs (Datapath.sat_add r4 (-r5)) in
       let r7 = Datapath.sat_add r3 r6 in
       Array.unsafe_set w_new (s + 1) r7;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (0)
     done
   end
 
@@ -1947,6 +2070,8 @@ let wave_k15 (luts : int array array array) =
     if lo <= hi then begin
       Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
       let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+      if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+      let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
       for p = lo to hi do
         let s = p * 1 in
         let q = Array.unsafe_get query (row0 + p) in
@@ -1957,9 +2082,9 @@ let wave_k15 (luts : int array array array) =
         let r3 = t0.(r1).(r2) in
         let r4 = Datapath.sat_add r0 r3 in
         let r5 = Array.unsafe_get w1 s in
-        let r6 = Datapath.sat_add r5 (-4) in
+        let r6 = Datapath.sat_add_finite r5 (-4) in
         let r7 = Array.unsafe_get w1 (s + 1) in
-        let r8 = Datapath.sat_add r7 (-4) in
+        let r8 = Datapath.sat_add_finite r7 (-4) in
         let r9 = let m = if r4 >= r6 then r4 else r6 in if m >= r8 then m else r8 in
         let r10 = 0 in
         let r11 = if r9 <= r10 then r10 else r9 in
@@ -1971,7 +2096,7 @@ let wave_k15 (luts : int array array array) =
         let r17 = if r4 < r13 then r16 else r10 in
         let r18 = if r9 <= r10 then r12 else r17 in
         Array.unsafe_set w_new (s + 1) r11;
-        if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (r18)
+        if has_tb then Pe.set_pointer tb (at + (p * step)) (r18)
       done
     end
 
@@ -1979,6 +2104,8 @@ let wave_k19 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
   if lo <= hi then begin
     Pe.check_wave ~n_layers:1 ~w1 ~w2 ~w_new ~query ~reference ~row0 ~wavefront ~lo ~hi;
     let ref_len = Array.length reference and has_tb = Bytes.length tb > 0 in
+    if has_tb then Pe.check_plane tb ~ref_len ~row:(row0 + hi) ~col:(wavefront - hi);
+    let at = (row0 * ref_len) + wavefront and step = ref_len - 1 in
     for p = lo to hi do
       let s = p * 1 in
       let q = Array.unsafe_get query (row0 + p) in
@@ -1989,14 +2116,14 @@ let wave_k19 ~w1 ~w2 ~w_new ~query ~reference ~tb ~row0 ~wavefront ~lo ~hi =
       let r3 = 0 in
       let r4 = 1 in
       let r5 = if r1 = r2 then r3 else r4 in
-      let r6 = Datapath.sat_add r0 r5 in
+      let r6 = Datapath.sat_add_finite r0 r5 in
       let r7 = Array.unsafe_get w1 s in
-      let r8 = Datapath.sat_add r7 1 in
+      let r8 = Datapath.sat_add_finite r7 1 in
       let r9 = Array.unsafe_get w1 (s + 1) in
-      let r10 = Datapath.sat_add r9 1 in
+      let r10 = Datapath.sat_add_finite r9 1 in
       let r11 = let m = if r6 <= r8 then r6 else r8 in if m <= r10 then m else r10 in
       Array.unsafe_set w_new (s + 1) r11;
-      if has_tb then Pe.store_pointer tb ~ref_len ~row:(row0 + p) ~col:(wavefront - p) (0)
+      if has_tb then Pe.set_pointer tb (at + (p * step)) (0)
     done
   end
 

@@ -24,8 +24,10 @@ let of_string ~n_pe s =
       (Printf.sprintf "unknown engine %S (valid: %s)" s
          (String.concat " | " (List.map choice_name choices)))
 
-let select ?(metrics = Dphls_obs.Metrics.disabled) ~qry_len ~ref_len k p =
-  match Dphls_bitpar.Eligibility.supports ~qry_len ~ref_len k p with
+(* The auto policy on one workload, given the kernel's bit-parallel
+   mapping (the shape proof, the same for every workload of the kernel). *)
+let select_mapped ?(metrics = Dphls_obs.Metrics.disabled) ~mapping ~qry_len ~ref_len k p =
+  match Result.bind mapping (Dphls_bitpar.Eligibility.admits ~qry_len ~ref_len k p) with
   | Ok _ ->
     Dphls_obs.Metrics.incr metrics Dphls_obs.Counter.Engine_fastpath_hits;
     bitpar
@@ -37,6 +39,9 @@ let select ?(metrics = Dphls_obs.Metrics.disabled) ~qry_len ~ref_len k p =
     match k.Dphls_core.Kernel.banding with
     | Some (Dphls_core.Banding.Adaptive _) -> systolic
     | Some (Dphls_core.Banding.Fixed _) | None -> reference)
+
+let select ?metrics ~qry_len ~ref_len k p =
+  select_mapped ?metrics ~mapping:(Dphls_bitpar.Eligibility.mapping k p) ~qry_len ~ref_len k p
 
 let resolve ?metrics ~qry_len ~ref_len choice k p =
   match choice with
@@ -63,9 +68,26 @@ let run_batch ?(overlap = false) ?metrics ?tracer choice k p ws =
   let run (module E : Engine_intf.S) ws =
     E.run_batch ~overlap ?metrics ?tracer cfg k p ws
   in
+  (* Auto proves the kernel's shape once per call; each workload then
+     meets only the band and border gates *)
+  let mapping = lazy (Dphls_bitpar.Eligibility.mapping k p) in
   let go e ws =
     let engine = name e in
     match choice with
+    | Auto _ when e == bitpar ->
+      (* admitted with this mapping: run it without the port's re-check *)
+      let m = Result.get_ok (Lazy.force mapping) in
+      ( Array.map
+          (fun w ->
+            {
+              result =
+                Dphls_bitpar.Engine.run ?band:k.Dphls_core.Kernel.banding ?metrics ?tracer m w;
+              engine;
+              cycles = None;
+              stats = None;
+            })
+          ws,
+        None )
     | Auto n_pe when e == reference ->
       (* Auto's golden answers carry the cycles the array would take:
          the simulator's own closed form at the choice's N_PE, from the
@@ -102,7 +124,9 @@ let run_batch ?(overlap = false) ?metrics ?tracer choice k p ws =
     Array.map
       (fun w ->
         let qry_len, ref_len = Dphls_core.Workload.sizes w in
-        resolve ?metrics ~qry_len ~ref_len choice k p)
+        match choice with
+        | Auto _ -> select_mapped ?metrics ~mapping:(Lazy.force mapping) ~qry_len ~ref_len k p
+        | _ -> resolve ~qry_len ~ref_len choice k p)
       ws
   in
   if Array.length ws = 0 then ([||], None)

@@ -111,7 +111,10 @@ val run_batch :
   Dphls_core.Workload.t array ->
   ran array * Dphls_systolic.Engine.batch_stats option
 (** The one dispatch policy. Resolves each workload ({!resolve}: one
-    fast-path counter bump per workload under [Auto]); when they all
+    fast-path counter bump per workload under [Auto], which proves the
+    kernel's shape ({!Dphls_bitpar.Eligibility.mapping}) once per call
+    and meets each workload with {!Dphls_bitpar.Eligibility.admits},
+    then runs the admitted ones on that mapping); when they all
     pick the same engine the whole array runs as one engine batch, and
     that batch's stats are returned, otherwise each workload runs alone
     and the stats are [None]. Results are in workload order.

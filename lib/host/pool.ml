@@ -1,9 +1,11 @@
-(* Fixed-size domain pool with a chunked work queue. One mutex guards
-   the queue, the completion latch, and the failure cell; [nonempty]
-   wakes workers, [all_done] wakes the client waiting in [run]. Result
-   slots are written by exactly one worker and read by the client only
-   after the completion handshake, so no further synchronization is
-   needed on the array itself. *)
+(* Fixed-size domain pool with a chunked work queue. Worker 0 is
+   whichever domain calls [run]; workers 1 .. n-1 are the spawned
+   domains. One mutex guards the queue, the completion latch, and the
+   failure cell; [nonempty] wakes the spawned workers, [all_done] wakes
+   the client waiting in [run] once it has drained the queue itself.
+   Result slots are written by exactly one worker and read by the
+   client only after the completion handshake, so no further
+   synchronization is needed on the array itself. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -15,13 +17,26 @@ type t = {
   all_done : Condition.t;
   mutable stop : bool;
   mutable joined : bool;
-  mutable domains : unit Domain.t array;
+  mutable domains : unit Domain.t array;  (* workers 1 .. n-1 *)
   busy_s : float array;      (* per-worker task-execution seconds *)
   mutable arbiter_s : float; (* queue critical-section seconds *)
   mutable idle_waits : int;  (* times a worker blocked on an empty queue *)
 }
 
 let workers t = t.n_workers
+
+(* Pops the next job and runs it as worker [id]: called with [t.m] held
+   and a non-empty queue, returns with [t.m] released. *)
+let exec_next t id =
+  let t0 = now () in
+  let job = Queue.pop t.queue in
+  t.arbiter_s <- t.arbiter_s +. (now () -. t0);
+  Mutex.unlock t.m;
+  let t1 = now () in
+  (* jobs capture their own exceptions; belt and braces so a worker
+     domain can never die *)
+  (try job id with _ -> ());
+  t.busy_s.(id) <- t.busy_s.(id) +. (now () -. t1)
 
 let worker t id () =
   let rec loop () =
@@ -33,15 +48,7 @@ let worker t id () =
     if Queue.is_empty t.queue then (* stop requested and queue drained *)
       Mutex.unlock t.m
     else begin
-      let t0 = now () in
-      let job = Queue.pop t.queue in
-      t.arbiter_s <- t.arbiter_s +. (now () -. t0);
-      Mutex.unlock t.m;
-      let t1 = now () in
-      (* jobs capture their own exceptions; belt and braces so a worker
-         domain can never die *)
-      (try job id with _ -> ());
-      t.busy_s.(id) <- t.busy_s.(id) +. (now () -. t1);
+      exec_next t id;
       loop ()
     end
   in
@@ -68,7 +75,7 @@ let create ?workers () =
       idle_waits = 0;
     }
   in
-  t.domains <- Array.init n_workers (fun i -> Domain.spawn (worker t i));
+  t.domains <- Array.init (n_workers - 1) (fun i -> Domain.spawn (worker t (i + 1)));
   t
 
 let shutdown t =
@@ -167,6 +174,12 @@ let run ?chunk ?(metrics = Dphls_obs.Metrics.disabled)
     done;
     t.arbiter_s <- t.arbiter_s +. (now () -. t0);
     Condition.broadcast t.nonempty;
+    (* the caller is worker 0: it drains the queue alongside the spawned
+       workers, then waits for the chunks still running on them *)
+    while not (Queue.is_empty t.queue) do
+      exec_next t 0;
+      Mutex.lock t.m
+    done;
     while !remaining > 0 do
       Condition.wait t.all_done t.m
     done;

@@ -13,6 +13,12 @@
     one [Dphls_util.Rng] stream per task index (not per worker), so a
     run with 1 worker is byte-identical to a run with 8.
 
+    The domain that calls [run] is worker 0: it runs chunks from the
+    queue like the other workers and then waits for theirs, so a
+    1-worker pool spawns nothing and runs every task on the caller's
+    domain, where per-domain state ([Domain.DLS] buffers) persists
+    from one [run] to the next.
+
     A pool is not reentrant: do not call [map]/[run] on the same pool
     from inside a task, and do not share one pool between concurrently
     mapping client domains. *)
@@ -20,14 +26,16 @@
 type t
 
 val create : ?workers:int -> unit -> t
-(** [create ~workers ()] starts [workers] persistent domains (default
-    [Domain.recommended_domain_count ()]). Raises [Invalid_argument] if
-    [workers < 1]. *)
+(** [create ~workers ()] is a pool of [workers] workers (default
+    [Domain.recommended_domain_count ()]): it starts [workers - 1]
+    persistent domains, and whichever domain calls {!run} executes
+    worker 0's chunks. Raises [Invalid_argument] if [workers < 1]. *)
 
 val workers : t -> int
 
 val shutdown : t -> unit
-(** Join all worker domains. Idempotent; the pool is unusable after. *)
+(** Join the spawned worker domains. Idempotent; the pool is unusable
+    after. *)
 
 val with_pool : ?workers:int -> (t -> 'a) -> 'a
 (** Create, apply, and always shut down (also on exceptions). *)
@@ -60,13 +68,13 @@ val run :
 
     [metrics] (default: disabled) receives [pool_tasks] (= [n]),
     [pool_steals] (queue entries dequeued, i.e. chunks), and
-    [pool_idle_waits] (times a worker blocked on an empty queue during
-    the batch) — all added on the calling thread after the completion
-    handshake, because {!Dphls_obs.Metrics} sinks are not domain-safe.
-    [tracer] (default: disabled) records one ["chunk"] span per queue
-    entry under the ["pool"] category with the executing worker's index
-    as [tid]; the tracer is mutex-protected, so sharing it across
-    worker domains is safe. *)
+    [pool_idle_waits] (times a spawned worker blocked on an empty
+    queue during the batch) — all added on the calling thread after the
+    completion handshake, because {!Dphls_obs.Metrics} sinks are not
+    domain-safe. [tracer] (default: disabled) records one ["chunk"] span
+    per queue entry under the ["pool"] category with the executing
+    worker's index as [tid] (0: the caller's track); the tracer is
+    mutex-protected, so sharing it across worker domains is safe. *)
 
 val map : ?chunk:int -> t -> (int -> 'a) -> int -> 'a array
 (** [run] without the stats. *)

@@ -251,6 +251,32 @@ let test_overlap_report () =
         true (stats = per_slice))
     [ Align.Golden; Align.Systolic 16; Align.Auto 16 ]
 
+(* A 1-worker batch runs on the calling domain, so the golden engine's
+   per-domain ring and traceback plane outlive the call: a fresh domain
+   retains them after one call, and a second identical call allocates
+   less than one 64 x 64 plane (8 KiB). *)
+let test_one_worker_keeps_buffers () =
+  let rng = Rng.create 64 in
+  let dna () = Dphls_alphabet.Dna.to_string (Dphls_alphabet.Dna.random rng 64) in
+  let pairs = [| (dna (), dna ()) |] in
+  let plane_words = 2 * 64 * 64 / (Sys.word_size / 8) in
+  Domain.join
+    (Domain.spawn (fun () ->
+         let first = Batch.align_all ~workers:1 pairs in
+         Alcotest.(check bool) "buffers retained on the calling domain" true
+           (Dphls_reference.Ref_engine.retained_bytes () > 0);
+         Gc.full_major ();
+         let minor0, promoted0, major0 = Gc.counters () in
+         let second = Batch.align_all ~workers:1 pairs in
+         let minor1, promoted1, major1 = Gc.counters () in
+         let words =
+           int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+         in
+         Alcotest.(check bool) "same answers" true (first = second);
+         Alcotest.(check bool)
+           (Printf.sprintf "second call allocates %d words < one plane (%d)" words plane_words)
+           true (words < plane_words)))
+
 let suite =
   [
     qtest prop_worker_count_invariance;
@@ -266,4 +292,6 @@ let suite =
     Alcotest.test_case "scaling points" `Quick test_scaling_points;
     Alcotest.test_case "overlap report: slices == align_all" `Quick
       test_overlap_report;
+    Alcotest.test_case "1 worker keeps the golden buffers" `Quick
+      test_one_worker_keeps_buffers;
   ]

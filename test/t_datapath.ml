@@ -76,8 +76,9 @@ let agrees_with_eval ~gen ~score_bits ~n_layers eval flats seed =
    layers at its own slot and its pointer at its plane entry, and
    nothing else changes. [lo > 0] and [hi < ref_len - 1], so both ends
    border cells the call must not touch; the plane starts as random
-   bytes, and every run is repeated without a plane. *)
-let row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed =
+   bytes, and every run is repeated without a plane. [scores] draws the
+   ring's scores (default [random_score]). *)
+let row_agrees_with_eval ?(scores = random_score) ~gen ~score_bits ~n_layers eval rows seed =
   let rng = Rng.create (seed + 1_000_003) in
   let rec draw len =
     let w = gen rng ~len in
@@ -86,7 +87,7 @@ let row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed =
   let w = draw (3 + Rng.int rng 16) in
   let query = w.Workload.query and reference = w.Workload.reference in
   let qry_len = Array.length query and ref_len = Array.length reference in
-  let score = random_score rng ~score_bits in
+  let score = scores rng ~score_bits in
   let stride = (ref_len + 1) * n_layers in
   let ring0 = Array.init (3 * stride) (fun _ -> score ()) in
   let slot = Rng.int rng 3 in
@@ -135,13 +136,14 @@ let row_agrees_with_eval ~gen ~score_bits ~n_layers eval rows seed =
    its cell [(row0 + p, wavefront - p)] of the traceback plane, and
    nothing else changes (the planes have a slot past [hi + 1], and
    slots below [lo] when [lo > 0]). Every run is repeated without a
-   traceback plane. *)
-let wave_agrees_with_eval ~gen ~score_bits ~n_layers eval waves seed =
+   traceback plane. [scores] draws the planes' scores (default
+   [random_score]). *)
+let wave_agrees_with_eval ?(scores = random_score) ~gen ~score_bits ~n_layers eval waves seed =
   let rng = Rng.create (seed + 2_000_003) in
   let w = gen rng ~len:(2 + Rng.int rng 16) in
   let query = w.Workload.query and reference = w.Workload.reference in
   let qry_len = Array.length query and ref_len = Array.length reference in
-  let score = random_score rng ~score_bits in
+  let score = scores rng ~score_bits in
   (* a run of up to 8 PEs that fits the matrix: rows row0 + lo .. row0 +
      hi of the query, columns wavefront - hi .. wavefront - lo *)
   let width = 1 + Rng.int rng (min 8 (min qry_len ref_len)) in
@@ -387,6 +389,99 @@ let test_select_first_best_semantics () =
   Alcotest.(check int) "middle winner" 1 (mk [ 1; 7; 7 ]);
   Alcotest.(check int) "first max wins" 0 (mk [ 9; 7; 9 ])
 
+(* The saturation edges: 0, +-1, +-2, +-100, +-2^58 and +-2^59 (the
+   fast path's bound and the half-bands' magnitude) and the half-bands
+   themselves with +-1 around each, the sentinels, one past them, and
+   the int extremes, each also +-3 (wrapping at the extremes). *)
+let edge_grid =
+  let around x = [ x - 1; x; x + 1 ] in
+  let base =
+    [ 0; 1; -1; 2; -2; 100; -100 ]
+    @ List.concat_map around
+        [ 1 lsl 58; -(1 lsl 58); 1 lsl 59; -(1 lsl 59); Score.neg_inf / 2; Score.pos_inf / 2 ]
+    @ [ Score.neg_inf; Score.pos_inf; Score.neg_inf - 1; Score.pos_inf + 1 ]
+    @ [ min_int; max_int; min_int + 1; max_int - 1 ]
+  in
+  Array.of_list (List.sort_uniq compare (List.concat_map (fun x -> [ x - 3; x; x + 3 ]) base))
+
+let finite x = not (Score.is_neg_inf x || Score.is_pos_inf x)
+
+(* Both fast paths against [Score.add]: every pair of the edge grid, the
+   one-operand form for every finite second operand of it, and random
+   pairs at every magnitude (a random word shifted right by 0 .. 62). *)
+let test_sat_add_fast_paths () =
+  let checked = ref 0 in
+  let check a b =
+    let want = Score.add a b in
+    if Datapath.sat_add a b <> want then Alcotest.failf "sat_add %d %d <> Score.add" a b;
+    if finite b && Datapath.sat_add_finite a b <> want then
+      Alcotest.failf "sat_add_finite %d %d <> Score.add" a b;
+    incr checked
+  in
+  Array.iter (fun a -> Array.iter (check a) edge_grid) edge_grid;
+  let rng = Rng.create 58 in
+  let draw () = Int64.to_int (Rng.int64 rng) asr Rng.int rng 63 in
+  for _ = 1 to 1_000_000 do
+    check (draw ()) (draw ())
+  done;
+  Alcotest.(check bool) "cases" true (!checked > 1_000_000)
+
+(* The row and wave differentials with every ring and plane score drawn
+   from the edge grid, where [random_score] draws only the sentinels,
+   the width extremes and uniform values: cells whose operands sit on
+   either side of the fast paths' bound. *)
+let edge_scores rng ~score_bits:_ () = edge_grid.(Rng.int rng (Array.length edge_grid))
+
+let edge_prop id =
+  let e = Dphls_kernels.Catalog.find id in
+  let (Registry.Packed (k, p)) = e.packed in
+  let cell, bindings = k.Kernel.datapath p in
+  let n_layers = k.Kernel.n_layers and score_bits = k.Kernel.score_bits in
+  let gen = e.Dphls_kernels.Catalog.gen and eval = Datapath.eval cell bindings in
+  let bytecode () = Datapath.flat (Datapath.compile cell bindings) in
+  let rows = [ Kernel.flat_row k p; Pe.row_of_flat ~n_layers (bytecode ()) ] in
+  let waves = [ Kernel.flat_wave k p; Pe.wave_of_flat ~n_layers (bytecode ()) ] in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "kernel #%d rows and waves == eval at the saturation edges" id)
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      row_agrees_with_eval ~scores:edge_scores ~gen ~score_bits ~n_layers eval rows seed
+      && wave_agrees_with_eval ~scores:edge_scores ~gen ~score_bits ~n_layers eval waves seed)
+
+(* A generated row carries left and diag over from the cell before, so
+   a call whose row above overlaps the row it writes is refused, the
+   generic row's too. *)
+let test_row_overlap_guard () =
+  let module K02 = Dphls_kernels.K02_global_affine in
+  let n_layers = K02.kernel.Kernel.n_layers in
+  let w = K02.gen (Rng.create 5) ~len:8 in
+  let reference = w.Workload.reference in
+  let stride = (Array.length reference + 1) * n_layers in
+  let ring = Array.make (3 * stride) 0 and tb = Bytes.empty in
+  let cell, bindings = K02.kernel.Kernel.datapath K02.default in
+  let rows =
+    [
+      ("generated", Kernel.flat_row K02.kernel K02.default);
+      ("generic", Pe.row_of_flat ~n_layers (Datapath.flat (Datapath.compile cell bindings)));
+    ]
+  in
+  List.iter
+    (fun (name, (f : Pe.row)) ->
+      List.iter
+        (fun above ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s row, above at %d over base at %d: refused" name above stride)
+            true
+            (try
+               f ~ring ~above ~base:stride ~qry:w.Workload.query.(0) ~reference ~tb ~row:0
+                 ~lo:0 ~hi:3;
+               false
+             with Invalid_argument _ -> true))
+        [ stride; stride - n_layers; stride + (2 * n_layers) ];
+      f ~ring ~above:0 ~base:stride ~qry:w.Workload.query.(0) ~reference ~tb ~row:0 ~lo:0 ~hi:3)
+    rows
+
 let suite =
   equivalence_tests
   @ [
@@ -401,4 +496,7 @@ let suite =
       Alcotest.test_case "validate guards" `Quick test_validate_guards;
       Alcotest.test_case "select_first_best semantics" `Quick
         test_select_first_best_semantics;
+      Alcotest.test_case "sat_add fast paths == Score.add" `Quick test_sat_add_fast_paths;
     ]
+  @ List.map (fun id -> qtest (edge_prop id)) Dphls_kernels.Catalog.ids
+  @ [ Alcotest.test_case "row overlap guard" `Quick test_row_overlap_guard ]

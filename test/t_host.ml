@@ -217,6 +217,31 @@ let prop_slices =
       && Array.length slices = min k (max 1 (Array.length arr))
       && Array.fold_left max 0 sizes - Array.fold_left min max_int sizes <= 1)
 
+(* The caller is worker 0: a 1-worker pool runs every task on the
+   calling domain, and a 3-worker pool on at most three domains. *)
+let test_pool_caller_is_worker_0 () =
+  let self () = (Domain.self () :> int) in
+  let caller = self () in
+  let on_1 = Pool.with_pool ~workers:1 (fun p -> Pool.map ~chunk:1 p (fun _ -> self ()) 40) in
+  Alcotest.(check bool) "1 worker: every task on the caller's domain" true
+    (Array.for_all (( = ) caller) on_1);
+  let on_3 =
+    Pool.with_pool ~workers:3 (fun p ->
+        Pool.map ~chunk:1 p
+          (fun _ ->
+            (* long enough for the spawned workers to take some chunks *)
+            let acc = ref 0 in
+            for j = 0 to 20_000 do acc := !acc + (j mod 7) done;
+            ignore (Sys.opaque_identity !acc);
+            self ())
+          200)
+  in
+  let domains = List.sort_uniq compare (Array.to_list on_3) in
+  Alcotest.(check bool)
+    (Printf.sprintf "3 workers: tasks on %d distinct domains" (List.length domains))
+    true
+    (List.length domains <= 3)
+
 let suite =
   [
     Alcotest.test_case "throughput arithmetic" `Quick test_throughput_arithmetic;
@@ -242,4 +267,5 @@ let suite =
     Alcotest.test_case "utilizations bounded" `Quick test_utilizations_bounded;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
     QCheck_alcotest.to_alcotest prop_slices;
+    Alcotest.test_case "pool caller is worker 0" `Quick test_pool_caller_is_worker_0;
   ]
