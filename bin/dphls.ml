@@ -130,8 +130,7 @@ let refusing f =
     Printf.eprintf "%s\n" msg;
     exit 2
 
-let align_run kernel_spec query reference n_pe vcd_path band engine_mode
-    overlap =
+let align_run kernel_spec query reference n_pe vcd_path band engine_mode =
   let e = find_kernel kernel_spec in
   let id = Registry.id e.packed in
   let encode =
@@ -145,9 +144,12 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
       exit 2
   in
   let w =
-    try Workload.of_bases ~query:(encode query) ~reference:(encode reference)
+    try
+      if query = "" || reference = "" then invalid_arg "qry and ref must be non-empty";
+      Workload.of_bases ~query:(encode query) ~reference:(encode reference)
     with Invalid_argument msg ->
-      (* a letter outside the kernel's alphabet, as Server.admit answers it *)
+      (* an empty sequence or a letter outside the kernel's alphabet,
+         as Server.admit answers it *)
       Printf.eprintf "%s\n" msg;
       exit 2
   in
@@ -168,7 +170,7 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
     | None ->
       (* the shared dispatch, auto's modeled cycles included *)
       refusing (fun () ->
-          (fst (Dphls_engines.Engines.run_batch choice k p [| w |])).(0))
+          (Dphls_engines.Engines.run_batch choice k p [| w |]).(0))
     | Some path ->
       (* the choice resolved to the simulator: run it here, filling the
          capture stream *)
@@ -203,13 +205,7 @@ let align_run kernel_spec query reference n_pe vcd_path band engine_mode
   | Some c ->
     Printf.printf "cycles      : %d (prologue %d, compute %d, traceback %d)\n"
       c.Dphls_systolic.Engine.total c.Dphls_systolic.Engine.prologue
-      c.Dphls_systolic.Engine.compute c.Dphls_systolic.Engine.traceback;
-    if overlap then
-      Printf.printf
-        "overlapped  : %d steady-state (prologue hidden under a neighbouring \
-         alignment's compute recovers %d cycles)\n"
-        c.Dphls_systolic.Engine.total_overlapped
-        (c.Dphls_systolic.Engine.total - c.Dphls_systolic.Engine.total_overlapped));
+      c.Dphls_systolic.Engine.compute c.Dphls_systolic.Engine.traceback);
   (match stats with
   | None -> ()
   | Some stats ->
@@ -243,19 +239,11 @@ let align_cmd =
   let engine =
     Arg.(value & opt string "systolic" & info [ "engine" ] ~doc:engine_doc)
   in
-  let overlap =
-    Arg.(
-      value & flag
-      & info [ "overlap" ]
-          ~doc:
-            "Also report the overlapped-prologue cycle total (steady-state \
-             batch accounting)")
-  in
   Cmd.v
     (Cmd.info "align" ~doc:"Align two sequences on the systolic simulator")
     Term.(
       const align_run $ kernel $ query $ reference $ n_pe 32 $ vcd
-      $ band_term ~width_default:32 $ engine $ overlap)
+      $ band_term ~width_default:32 $ engine)
 
 (* ---- resources ---- *)
 
@@ -425,31 +413,33 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
   refusing @@ fun () ->
   print_endline "#idx\tquery\treference\tscore\tcigar\tidentity\tcycles";
   let b =
-    Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
-      ~path:pairs_path
-      ~f:(fun idx q r (a : Dphls.Align.alignment) ->
-        Printf.printf "%d\t%s\t%s\t%d\t%s\t%.4f\t%s\n" idx
-          q.Dphls_io.Fasta.id r.Dphls_io.Fasta.id a.Dphls.Align.score
-          a.Dphls.Align.cigar a.Dphls.Align.identity
-          (match a.Dphls.Align.device_cycles with
-          | Some c -> string_of_int c
-          | None -> "-"))
-      ()
+    try
+      Dphls.Batch.iter_fasta_file ?band ~engine ~kind ~workers ~chunk
+        ~path:pairs_path
+        ~f:(fun idx q r (a : Dphls.Align.alignment) ->
+          Printf.printf "%d\t%s\t%s\t%d\t%s\t%.4f\t%s\n" idx
+            q.Dphls_io.Fasta.id r.Dphls_io.Fasta.id a.Dphls.Align.score
+            a.Dphls.Align.cigar a.Dphls.Align.identity
+            (match a.Dphls.Align.device_cycles with
+            | Some c -> string_of_int c
+            | None -> "-"))
+        ()
+    with Failure msg ->
+      (* a malformed pair file, refused by iter_fasta_file before an
+         engine sees the record. A broken engine invariant raises
+         Invalid_argument and stays an internal error; the one engine
+         Failure, the walker's step limit, needs an FSM with a stay
+         cycle, which no kind has. *)
+      Printf.eprintf "%s\n" msg;
+      exit 2
   in
   let read_pairs () =
-    Array.of_list
-      (List.map
-         (fun (q, r) -> (q.Dphls_io.Fasta.sequence, r.Dphls_io.Fasta.sequence))
-         (let records = Dphls_io.Fasta.read_file pairs_path in
-          let rec pair_up = function
-            | [] -> []
-            | [ q ] ->
-              Printf.eprintf "odd record count (unpaired %s)\n"
-                q.Dphls_io.Fasta.id;
-              exit 2
-            | q :: r :: rest -> (q, r) :: pair_up rest
-          in
-          pair_up records))
+    (* the streamed pass refused an odd record count *)
+    let rec pair_up = function
+      | q :: r :: rest -> (q.Dphls_io.Fasta.sequence, r.Dphls_io.Fasta.sequence) :: pair_up rest
+      | _ -> []
+    in
+    Array.of_list (pair_up (Dphls_io.Fasta.read_file pairs_path))
   in
   if overlap then begin
     let seq = b.Dphls_systolic.Engine.seq_cycles in
@@ -810,28 +800,18 @@ let rtl_cmd =
 (* ---- profile ---- *)
 
 let profile_run kernel_spec n_pe trials len band workers json trace_path
-    engine_mode overlap =
+    engine_mode =
   let e = find_kernel kernel_spec in
   let (Registry.Packed (k, p)) = e.packed in
   let k = Kernel.with_band k band in
   let choice = engine_choice ~n_pe engine_mode in
-  (match choice with
-  | Dphls_engines.Engines.(Golden | Bitpar) when overlap ->
-    Printf.eprintf
-      "--overlap needs modeled device cycles; the %s engine has no cycle \
-       model (use --engine systolic or auto)\n"
-      (Dphls_engines.Engines.choice_name choice);
-    exit 2
-  | _ -> ());
   let metrics = Dphls_obs.Metrics.create () in
   let tracer = Dphls_obs.Tracer.create () in
   (* auto re-decides per workload, each decision bumping a dispatch
      counter into [metrics] when one is given *)
   let run ?metrics ?tracer ws =
     refusing (fun () ->
-        ignore
-          (Dphls_engines.Engines.run_batch ~overlap ?metrics ?tracer choice k
-             p ws))
+        ignore (Dphls_engines.Engines.run_batch ?metrics ?tracer choice k p ws))
   in
   let rng = Dphls_util.Rng.create 2026 in
   let workloads =
@@ -840,8 +820,7 @@ let profile_run kernel_spec n_pe trials len band workers json trace_path
   (* Sequential phase: engine counters and phase spans, the workloads
      run one after another through Engines.run_batch. The closed-form
      expected cell count is summed per workload because generated
-     lengths can differ from [len] for some kernels. [--overlap] only
-     adds the batch accounting's overlap counters. *)
+     lengths can differ from [len] for some kernels. *)
   let expected_cells = ref 0 in
   Array.iter
     (fun w ->
@@ -930,15 +909,6 @@ let profile_cmd =
   let engine =
     Arg.(value & opt string "systolic" & info [ "engine" ] ~doc:engine_doc)
   in
-  let overlap =
-    Arg.(
-      value & flag
-      & info [ "overlap" ]
-          ~doc:
-            "Also count the prologue cycles a pipelined array would hide \
-             under each predecessor's compute (prologues_overlapped, \
-             overlap_hidden_cycles); needs an engine with modeled cycles")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -946,7 +916,7 @@ let profile_cmd =
           print a counter/latency summary and export a Chrome trace")
     Term.(
       const profile_run $ kernel $ n_pe 32 $ trials $ len
-      $ band_term ~width_default:32 $ workers $ json $ trace $ engine $ overlap)
+      $ band_term ~width_default:32 $ workers $ json $ trace $ engine)
 
 (* ---- experiment ---- *)
 

@@ -52,34 +52,40 @@ let view_of_result (w : Workload.t) result cycles ~decode =
 
 type kind = Global | Global_affine | Local | Semi_global | Protein_local
 
+(* the kind's text alphabet: encoder and decoder *)
+let alphabet = function
+  | Protein_local -> Dphls_alphabet.Protein.(encode, decode)
+  | Global | Global_affine | Local | Semi_global -> Dphls_alphabet.Dna.(encode, decode)
+
+let alignable kind s =
+  let encode, _ = alphabet kind in
+  if s = "" then Error "empty sequence"
+  else
+    match String.iter (fun c -> ignore (encode c)) s with
+    | () -> Ok ()
+    | exception Invalid_argument why -> Error why
+
 let run ?band ?metrics ?tracer ?(engine = Golden) kind ~query ~reference =
-  let go kernel params of_string decode =
-    let w =
-      Workload.of_bases ~query:(of_string query)
-        ~reference:(of_string reference)
+  let encode, decode = alphabet kind in
+  let of_string s = Array.init (String.length s) (fun i -> encode s.[i]) in
+  let go kernel params =
+    let w = Workload.of_bases ~query:(of_string query) ~reference:(of_string reference) in
+    let { Engines.result; cycles; _ } =
+      (Engines.run_batch ?metrics ?tracer engine (Kernel.with_band kernel band) params
+         [| w |]).(0)
     in
-    let ran, _ =
-      Engines.run_batch ?metrics ?tracer engine
-        (Kernel.with_band kernel band) params [| w |]
-    in
-    let { Engines.result; cycles; _ } = ran.(0) in
     ( view_of_result w result
         (Option.map (fun c -> c.Dphls_systolic.Engine.total) cycles)
         ~decode:(fun c -> decode c.(0)),
       cycles )
   in
   let module K = Dphls_kernels in
-  let dna kernel params =
-    go kernel params Dphls_alphabet.Dna.of_string Dphls_alphabet.Dna.decode
-  in
   match kind with
-  | Global -> dna K.K01_global_linear.kernel K.K01_global_linear.default
-  | Global_affine -> dna K.K02_global_affine.kernel K.K02_global_affine.default
-  | Local -> dna K.K03_local_linear.kernel K.K03_local_linear.default
-  | Semi_global -> dna K.K07_semi_global.kernel K.K07_semi_global.default
-  | Protein_local ->
-    go K.K15_protein_local.kernel K.K15_protein_local.default
-      Dphls_alphabet.Protein.of_string Dphls_alphabet.Protein.decode
+  | Global -> go K.K01_global_linear.kernel K.K01_global_linear.default
+  | Global_affine -> go K.K02_global_affine.kernel K.K02_global_affine.default
+  | Local -> go K.K03_local_linear.kernel K.K03_local_linear.default
+  | Semi_global -> go K.K07_semi_global.kernel K.K07_semi_global.default
+  | Protein_local -> go K.K15_protein_local.kernel K.K15_protein_local.default
 
 let global ?band ?metrics ?tracer ?engine ~query ~reference () =
   fst (run ?band ?metrics ?tracer ?engine Global ~query ~reference)

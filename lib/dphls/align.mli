@@ -56,6 +56,13 @@ val run :
     below are this call; [Dphls.Batch] runs it once per pair and
     reads the cycles for its prologue-overlap accounting. *)
 
+val alignable : kind -> string -> (unit, string) result
+(** [Ok ()] when {!run} can take the string as one side of a pair of
+    this kind: non-empty, every letter in the kind's alphabet (DNA, or
+    amino acids for [Protein_local]). Otherwise the reason:
+    ["empty sequence"], or the encoder's message
+    (["Dna.encode: 'X'"]). *)
+
 val global :
   ?band:Dphls_core.Banding.t option ->
   ?metrics:Dphls_obs.Metrics.t ->

@@ -123,12 +123,22 @@ let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
             f (base + i) q r a)
           answers
       in
+      (* a record the kind cannot align is refused before its chunk
+         runs, like an odd record count after the last one *)
+      let check (record : Dphls_io.Fasta.record) =
+        match Align.alignable kind record.sequence with
+        | Ok () -> ()
+        | Error why ->
+          failwith
+            (Printf.sprintf "Batch.iter_fasta_file: record %S in %s: %s" record.id path why)
+      in
       (* fold the file record by record, flushing a chunk of pairs at a
          time so only [chunk] pairs are ever resident; [n] counts the
          buffered pairs *)
       let base, pending_pair, (buffered, _) =
         Dphls_io.Fasta.fold_file path ~init:(0, None, ([], 0))
           ~f:(fun (base, pending, (buf, n)) record ->
+            check record;
             match pending with
             | None -> (base, Some record, (buf, n))
             | Some q ->

@@ -99,7 +99,11 @@ val iter_fasta_file :
   -> unit -> Dphls_systolic.Engine.batch_stats
 (** Streams a FASTA pair file through {!Dphls_io.Fasta.fold_file}:
     consecutive records pair up as (query, reference) — records 2i and
-    2i+1 form pair i. Raises [Failure] on an odd record count.
+    2i+1 form pair i. Raises [Failure], naming the file and the record,
+    on a pair file the kind cannot align: an odd record count, sequence
+    data before the first header, an empty sequence or a letter outside
+    the kind's alphabet ({!Align.alignable}). A record is checked as it
+    is read, so the chunks before it have already reached [f].
 
     Returns the prologue-overlap accounting of
     {!align_all_overlap_report}, summed over the chunks, each chunk cut

@@ -59,15 +59,13 @@ type ran = {
   stats : Sim.stats option;
 }
 
-let run_batch ?(overlap = false) ?metrics ?tracer choice k p ws =
+let run_batch ?metrics ?tracer choice k p ws =
   let cfg =
     match choice with
     | Systolic n_pe | Auto n_pe -> Engine_intf.config ~n_pe ()
     | Golden | Bitpar -> Engine_intf.config ~n_pe:1 ()
   in
-  let run (module E : Engine_intf.S) ws =
-    E.run_batch ~overlap ?metrics ?tracer cfg k p ws
-  in
+  let run (module E : Engine_intf.S) ws = fst (E.run_batch ?metrics ?tracer cfg k p ws) in
   (* Auto proves the kernel's shape once per call; each workload then
      meets only the band and border gates *)
   let mapping = lazy (Dphls_bitpar.Eligibility.mapping k p) in
@@ -77,47 +75,35 @@ let run_batch ?(overlap = false) ?metrics ?tracer choice k p ws =
     | Auto _ when e == bitpar ->
       (* admitted with this mapping: run it without the port's re-check *)
       let m = Result.get_ok (Lazy.force mapping) in
-      ( Array.map
-          (fun w ->
-            {
-              result =
-                Dphls_bitpar.Engine.run ?band:k.Dphls_core.Kernel.banding ?metrics ?tracer m w;
-              engine;
-              cycles = None;
-              stats = None;
-            })
-          ws,
-        None )
+      Array.map
+        (fun w ->
+          {
+            result =
+              Dphls_bitpar.Engine.run ?band:k.Dphls_core.Kernel.banding ?metrics ?tracer m w;
+            engine;
+            cycles = None;
+            stats = None;
+          })
+        ws
     | Auto n_pe when e == reference ->
       (* Auto's golden answers carry the cycles the array would take:
          the simulator's own closed form at the choice's N_PE, from the
          golden walk's step count *)
       let array = Dphls_systolic.Config.create ~n_pe in
-      let results, _ = run e ws in
-      let cycles =
-        Array.map2
-          (fun w (result, _) ->
-            let qry_len, ref_len = Dphls_core.Workload.sizes w in
+      Array.map2
+        (fun w (result, _) ->
+          let qry_len, ref_len = Dphls_core.Workload.sizes w in
+          let c =
             Sim.cycles_estimate array k p ~qry_len ~ref_len
-              ~tb_steps:result.Dphls_core.Result.tb_steps)
-          ws results
-      in
-      ( Array.map2
-          (fun (result, _) c -> { result; engine; cycles = Some c; stats = None })
-          results cycles,
-        Some (Sim.batch_stats_of ?metrics ~overlap cycles) )
+              ~tb_steps:result.Dphls_core.Result.tb_steps
+          in
+          { result; engine; cycles = Some c; stats = None })
+        ws (run e ws)
     | _ ->
-      let results, batch = run e ws in
-      ( Array.map
-          (fun (result, stats) ->
-            {
-              result;
-              engine;
-              cycles = Option.map (fun s -> s.Sim.cycles) stats;
-              stats;
-            })
-          results,
-        batch )
+      Array.map
+        (fun (result, stats) ->
+          { result; engine; cycles = Option.map (fun s -> s.Sim.cycles) stats; stats })
+        (run e ws)
   in
   (* one observable dispatch decision per workload *)
   let picks =
@@ -129,6 +115,6 @@ let run_batch ?(overlap = false) ?metrics ?tracer choice k p ws =
         | _ -> resolve ~qry_len ~ref_len choice k p)
       ws
   in
-  if Array.length ws = 0 then ([||], None)
+  if Array.length ws = 0 then [||]
   else if Array.for_all (fun e -> e == picks.(0)) picks then go picks.(0) ws
-  else (Array.mapi (fun i w -> (fst (go picks.(i) [| w |])).(0)) ws, None)
+  else Array.mapi (fun i w -> (go picks.(i) [| w |]).(0)) ws

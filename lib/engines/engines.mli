@@ -102,32 +102,29 @@ type ran = {
 }
 
 val run_batch :
-  ?overlap:bool ->
   ?metrics:Dphls_obs.Metrics.t ->
   ?tracer:Dphls_obs.Tracer.t ->
   choice ->
   'p Dphls_core.Kernel.t ->
   'p ->
   Dphls_core.Workload.t array ->
-  ran array * Dphls_systolic.Engine.batch_stats option
+  ran array
 (** The one dispatch policy. Resolves each workload ({!resolve}: one
     fast-path counter bump per workload under [Auto], which proves the
     kernel's shape ({!Dphls_bitpar.Eligibility.mapping}) once per call
     and meets each workload with {!Dphls_bitpar.Eligibility.admits},
     then runs the admitted ones on that mapping); when they all
-    pick the same engine the whole array runs as one engine batch, and
-    that batch's stats are returned, otherwise each workload runs alone
-    and the stats are [None]. Results are in workload order.
+    pick the same engine the whole array runs as one engine batch,
+    otherwise each workload runs alone. Results are in workload order.
+    Under [Auto n], the golden engine's answers carry the modeled
+    cycles at N_PE [n]: the numbers [Systolic n] simulates. The
+    dispatch returns answers only: a report that prints prologue
+    overlap feeds their cycles to
+    {!Dphls_systolic.Engine.batch_stats_of}.
 
-    Under [Auto n], a batch the golden engine answers is tagged with
-    the modeled cycles at N_PE [n] and its stats come from
-    {!Dphls_systolic.Engine.batch_stats_of} over them with [overlap]
-    (adding the overlap counters to [metrics]): the same numbers
-    [Systolic n] simulates.
-
-    Each of those batches is the engine's own
-    [run_batch ?overlap ?metrics ?tracer] at the choice's [N_PE] (1 for
-    [Golden] and [Bitpar], which have no array), in the calling domain:
-    a caller that fans a batch out over domains (the serve layer) cuts
-    it before this call, one dispatch per slice. An empty array runs
-    nothing. Engine refusals ({!Engine_intf.Unsupported}) propagate. *)
+    Each of those batches is the engine's own [run_batch ?metrics
+    ?tracer] at the choice's [N_PE] (1 for [Golden] and [Bitpar], which
+    have no array), in the calling domain: a caller that fans a batch
+    out over domains (the serve layer) cuts it before this call, one
+    dispatch per slice. An empty array runs nothing. Engine refusals
+    ({!Engine_intf.Unsupported}) propagate. *)

@@ -71,7 +71,7 @@ let fold_file path ~init ~f =
           end
           else begin
             if header = None then
-              failwith "Fasta.fold_file: sequence before header";
+              failwith (Printf.sprintf "Fasta.fold_file: %s: sequence before header" path);
             Buffer.add_string buf line;
             go header buf acc
           end

@@ -6,8 +6,6 @@ type t =
   | Band_window_moves
   | Tiles
   | Alignments
-  | Prologues_overlapped
-  | Overlap_hidden_cycles
   | Pool_tasks
   | Pool_steals
   | Pool_idle_waits
@@ -29,8 +27,6 @@ let all =
     Band_window_moves;
     Tiles;
     Alignments;
-    Prologues_overlapped;
-    Overlap_hidden_cycles;
     Pool_tasks;
     Pool_steals;
     Pool_idle_waits;
@@ -56,19 +52,17 @@ let index = function
   | Band_window_moves -> 4
   | Tiles -> 5
   | Alignments -> 6
-  | Prologues_overlapped -> 7
-  | Overlap_hidden_cycles -> 8
-  | Pool_tasks -> 9
-  | Pool_steals -> 10
-  | Pool_idle_waits -> 11
-  | Engine_fastpath_hits -> 12
-  | Engine_fastpath_fallbacks -> 13
-  | Serve_requests_admitted -> 14
-  | Serve_requests_rejected -> 15
-  | Serve_requests_expired -> 16
-  | Serve_cache_hits -> 17
-  | Serve_requests_completed -> 18
-  | Serve_batches -> 19
+  | Pool_tasks -> 7
+  | Pool_steals -> 8
+  | Pool_idle_waits -> 9
+  | Engine_fastpath_hits -> 10
+  | Engine_fastpath_fallbacks -> 11
+  | Serve_requests_admitted -> 12
+  | Serve_requests_rejected -> 13
+  | Serve_requests_expired -> 14
+  | Serve_cache_hits -> 15
+  | Serve_requests_completed -> 16
+  | Serve_batches -> 17
 
 let name = function
   | Cells_evaluated -> "cells_evaluated"
@@ -78,8 +72,6 @@ let name = function
   | Band_window_moves -> "band_window_moves"
   | Tiles -> "tiles"
   | Alignments -> "alignments"
-  | Prologues_overlapped -> "prologues_overlapped"
-  | Overlap_hidden_cycles -> "overlap_hidden_cycles"
   | Pool_tasks -> "pool_tasks"
   | Pool_steals -> "pool_steals"
   | Pool_idle_waits -> "pool_idle_waits"
@@ -99,8 +91,6 @@ let unit_name = function
   | Band_window_moves -> "moves"
   | Tiles -> "tiles"
   | Alignments -> "alignments"
-  | Prologues_overlapped -> "prologues"
-  | Overlap_hidden_cycles -> "cycles"
   | Pool_tasks -> "tasks"
   | Pool_steals -> "chunks"
   | Pool_idle_waits -> "waits"
@@ -123,12 +113,6 @@ let describe = function
      Banding.Tracker"
   | Tiles -> "GACT tiles executed — Tiling.align"
   | Alignments -> "engine runs completed — systolic and golden engines"
-  | Prologues_overlapped ->
-    "prologues hidden under a predecessor's compute — \
-     Systolic.Engine.batch_stats_of ~overlap:true"
-  | Overlap_hidden_cycles ->
-    "modeled cycles recovered by prologue overlap — \
-     Systolic.Engine.batch_stats_of ~overlap:true"
   | Pool_tasks -> "tasks executed by pool workers — Host.Pool.run"
   | Pool_steals ->
     "work chunks popped from the shared queue — Host.Pool.run"
@@ -147,8 +131,8 @@ let describe = function
     "requests whose deadline passed before dequeue (`deadline_exceeded`, \
      never run) — Serve.Server flush"
   | Serve_cache_hits ->
-    "requests answered from the result cache without recompute — \
-     Serve.Server.submit"
+    "requests answered from the result cache, or from a twin's answer in \
+     the same flush, without recompute — Serve.Server"
   | Serve_requests_completed ->
     "requests answered `ok`, from the cache or computed — Serve.Server"
   | Serve_batches ->

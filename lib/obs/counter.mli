@@ -16,8 +16,6 @@ type t =
   | Band_window_moves    (** adaptive-band window edge movements *)
   | Tiles                (** GACT tiles executed by the tiler *)
   | Alignments           (** engine runs completed *)
-  | Prologues_overlapped (** prologues hidden under a predecessor's compute *)
-  | Overlap_hidden_cycles (** modeled cycles recovered by prologue overlap *)
   | Pool_tasks           (** tasks executed by pool workers *)
   | Pool_steals          (** work chunks grabbed from the shared queue *)
   | Pool_idle_waits      (** times a pool worker went idle (queue empty) *)
@@ -30,7 +28,9 @@ type t =
       (** requests refused with [overloaded] (bounded queue full) *)
   | Serve_requests_expired
       (** requests whose deadline passed before dequeue (never run) *)
-  | Serve_cache_hits (** requests answered from the serve result cache *)
+  | Serve_cache_hits
+      (** requests answered from the serve result cache, or from an
+          identical request's answer in the same flush *)
   | Serve_requests_completed
       (** requests answered [ok], from the cache or computed *)
   | Serve_batches (** coalesced engine batches run by serve flushes *)

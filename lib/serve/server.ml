@@ -141,9 +141,7 @@ let compute t g (ws : Workload.t array) =
   match g.banded with
   | Registry.Packed (k, p) -> (
     Metrics.incr t.counts Counter.Serve_batches;
-    let dispatch ?tracer metrics ws =
-      fst (Engines.run_batch ~overlap:true ~metrics ?tracer g.choice k p ws)
-    in
+    let dispatch ?tracer metrics ws = Engines.run_batch ~metrics ?tracer g.choice k p ws in
     try
       let ran =
         if t.cfg.workers > 1 && Array.length ws >= 2 * t.cfg.workers then begin
@@ -204,58 +202,84 @@ let ok_response t (pnd : pending) (v : Cache.value) ~cached ~done_s =
       latency_ms;
     }
 
+(* how a live request of a chunk is answered *)
+type source =
+  | Hit of Cache.value  (* the result cache already holds its key *)
+  | Run of int  (* workload [j] of the chunk's engine batch *)
+  | Twin of int  (* workload [j], which an earlier request with its key runs *)
+
 (* flush one group completely, in admission order, [batch_max] at a
-   time: expire stale requests at dequeue, batch the survivors *)
+   time: expire stale requests at dequeue, answer the ones whose key is
+   cached or already runs in this chunk, batch the rest *)
 let flush_group t g =
   let out = ref [] in
   while not (Queue.is_empty g.q) do
     let chunk = take_chunk g.q t.cfg.batch_max in
     let n = Array.length chunk in
-    let slots = Array.make n None in
-    let now_s = t.cfg.now () in
-    let live_idx =
-      let keep = ref [] in
-      Array.iteri
-        (fun i pnd ->
-          match pnd.deadline_s with
-          | Some d when now_s > d ->
-            Metrics.incr t.counts Counter.Serve_requests_expired;
-            end_request_span t ~tr0:pnd.tr0;
-            slots.(i) <-
-              Some
-                (err (Some pnd.prid) Proto.Deadline_exceeded
-                   (Printf.sprintf
-                      "deadline passed %.1f ms before dequeue; not run"
-                      ((now_s -. d) *. 1e3)))
-          | _ -> keep := i :: !keep)
-        chunk;
-      Array.of_list (List.rev !keep)
+    let slots = Array.make n None and sources = Array.make n None in
+    (* the batch, newest first, and each key's index in it *)
+    let runs = ref [] and n_runs = ref 0 and first = Hashtbl.create 16 in
+    let run w =
+      runs := w :: !runs;
+      incr n_runs;
+      !n_runs - 1
     in
-    if Array.length live_idx > 0 then begin
-      let ws = Array.map (fun i -> chunk.(i).w) live_idx in
+    let now_s = t.cfg.now () in
+    Array.iteri
+      (fun i pnd ->
+        match pnd.deadline_s with
+        | Some d when now_s > d ->
+          Metrics.incr t.counts Counter.Serve_requests_expired;
+          end_request_span t ~tr0:pnd.tr0;
+          slots.(i) <-
+            Some
+              (err (Some pnd.prid) Proto.Deadline_exceeded
+                 (Printf.sprintf
+                    "deadline passed %.1f ms before dequeue; not run"
+                    ((now_s -. d) *. 1e3)))
+        | _ ->
+          sources.(i) <-
+            Some
+              (match pnd.ckey with
+              | None -> Run (run pnd.w)
+              | Some key -> (
+                match Cache.find t.cache key with
+                | Some v -> Hit v
+                | None -> (
+                  match Hashtbl.find_opt first key with
+                  | Some j -> Twin j
+                  | None ->
+                    let j = run pnd.w in
+                    Hashtbl.add first key j;
+                    Run j))))
+      chunk;
+    if Array.exists Option.is_some sources then begin
       let outcome =
-        Tracer.span t.cfg.tracer ~cat:"serve" "compute" (fun () ->
-            compute t g ws)
+        if !n_runs = 0 then Ok [||]
+        else
+          let ws = Array.of_list (List.rev !runs) in
+          Tracer.span t.cfg.tracer ~cat:"serve" "compute" (fun () ->
+              compute t g ws)
       in
       let done_s = t.cfg.now () in
-      match outcome with
-      | Ok values ->
-        Array.iteri
-          (fun j i ->
-            let pnd = chunk.(i) in
-            let v = values.(j) in
-            (match pnd.ckey with
-            | Some key -> Cache.add t.cache key v
-            | None -> ());
-            slots.(i) <- Some (ok_response t pnd v ~cached:false ~done_s))
-          live_idx
-      | Error (code, msg) ->
-        Array.iter
-          (fun i ->
-            let pnd = chunk.(i) in
+      Array.iteri
+        (fun i source ->
+          let pnd = chunk.(i) in
+          let reuse v =
+            Metrics.incr t.counts Counter.Serve_cache_hits;
+            slots.(i) <- Some (ok_response t pnd v ~cached:true ~done_s)
+          in
+          match (source, outcome) with
+          | None, _ -> ()
+          | Some (Hit v), _ -> reuse v
+          | Some (Twin j), Ok values -> reuse values.(j)
+          | Some (Run j), Ok values ->
+            Option.iter (fun key -> Cache.add t.cache key values.(j)) pnd.ckey;
+            slots.(i) <- Some (ok_response t pnd values.(j) ~cached:false ~done_s)
+          | Some (Run _ | Twin _), Error (code, msg) ->
             end_request_span t ~tr0:pnd.tr0;
             slots.(i) <- Some (err (Some pnd.prid) code msg))
-          live_idx
+        sources
     end;
     Array.iter
       (fun s -> match s with Some r -> out := r :: !out | None -> ())

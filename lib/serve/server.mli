@@ -9,15 +9,16 @@
     flushed automatically; {!flush}/{!drain} force the rest out. A flush
     pops requests in admission order, answers [deadline_exceeded] for
     any whose deadline passed while queued (they are never run), and
-    runs the survivors through {!Dphls_engines.Engines.run_batch}, the
-    dispatch [Dphls.Align] uses, each engine batch with
-    [~overlap:true]. With [workers > 1] a flush of at least
+    runs each key once: a survivor whose key is already cached, or
+    whose identical twin earlier in the same batch runs, is answered
+    from that answer ([cached:true], one [serve_cache_hits]). The rest
+    go through {!Dphls_engines.Engines.run_batch}, the dispatch
+    [Dphls.Align] uses. With [workers > 1] a batch of at least
     [2 * workers] requests is cut into per-worker slices
-    ({!Dphls_host.Pool.slices}) around the dispatch, one
-    [run_batch] per slice on a persistent {!Dphls_host.Pool}, so the
-    overlap counters count per slice on every engine; the per-slice
-    metric sinks are merged back on the admission thread, so counters
-    stay exact without sharing a sink across domains.
+    ({!Dphls_host.Pool.slices}) around the dispatch, one [run_batch]
+    per slice on a persistent {!Dphls_host.Pool}; the per-slice metric
+    sinks are merged back on the admission thread, so counters stay
+    exact without sharing a sink across domains.
 
     Backpressure is the point of the bounded queues: a full queue
     answers [overloaded] instead of growing, so memory stays flat no

@@ -8,7 +8,6 @@ type cycles = {
   traceback : int;
   fill : int;
   total : int;
-  total_overlapped : int;
 }
 
 type stats = {
@@ -34,13 +33,6 @@ let assemble_cycles ~prologue ~compute ~reduction ~traceback ~fill =
     traceback;
     fill;
     total = prologue + compute + reduction + traceback + fill;
-    (* Steady-state overlapped total: the prologue runs under the
-       previous alignment's compute, so only the part it cannot hide —
-       max(prologue, compute) instead of their sum — reaches the total.
-       Same clamp as the hand-written RTL baselines (Rtl_model): overlap
-       hides the prologue, it never drops the total below
-       fill + compute + reduction + traceback. *)
-    total_overlapped = max prologue compute + reduction + traceback + fill;
   }
 
 let cycles_estimate ?live_wavefronts config kernel _params ~qry_len ~ref_len ~tb_steps =
@@ -61,25 +53,19 @@ let cycles_estimate ?live_wavefronts config kernel _params ~qry_len ~ref_len ~tb
     ~traceback:tb_steps
     ~fill:(Schedule.pipeline_fill_cycles schedule)
 
-let batch_stats_of ?(metrics = Dphls_obs.Metrics.disabled) ~overlap cycles =
+let batch_stats_of ~overlap cycles =
   (* Sequentially the totals just add. With overlap, alignment i's
      prologue runs under alignment i-1's compute and the batch total
      drops by the hidden portion min(prologue_i, compute_(i-1)), the
-     same clamp as [total_overlapped]: nothing hides under
-     reduction/traceback (shared units), and the first prologue is
-     never hidden. *)
-  let seq_cycles = ref 0 and hidden = ref 0 and prologues_hidden = ref 0 in
+     clamp the hand-written RTL baselines use (Rtl_model): nothing
+     hides under reduction/traceback (shared units), and the first
+     prologue is never hidden. *)
+  let seq_cycles = ref 0 and hidden = ref 0 in
   Array.iteri
     (fun i c ->
       seq_cycles := !seq_cycles + c.total;
-      if overlap && i > 0 then begin
-        let h = min c.prologue cycles.(i - 1).compute in
-        hidden := !hidden + h;
-        if h > 0 then incr prologues_hidden
-      end)
+      if overlap && i > 0 then hidden := !hidden + min c.prologue cycles.(i - 1).compute)
     cycles;
-  Dphls_obs.Metrics.add metrics Prologues_overlapped !prologues_hidden;
-  Dphls_obs.Metrics.add metrics Overlap_hidden_cycles !hidden;
   {
     alignments = Array.length cycles;
     seq_cycles = !seq_cycles;
@@ -514,7 +500,7 @@ let run_batch ?(overlap = false) ?(metrics = Dphls_obs.Metrics.disabled)
   let results =
     Array.map (run_task ~wave ~trace ~metrics ~tracer config kernel params) ws
   in
-  (results, batch_stats_of ~metrics ~overlap (Array.map (fun (_, s) -> s.cycles) results))
+  (results, batch_stats_of ~overlap (Array.map (fun (_, s) -> s.cycles) results))
 
 let tile_runner config kernel params ~band w =
   let result, stats =

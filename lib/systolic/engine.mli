@@ -36,12 +36,6 @@ type cycles = {
   traceback : int;  (** FSM steps reading pointer memory *)
   fill : int;       (** pipeline fill/drain allowance *)
   total : int;      (** sequential: all five terms summed *)
-  total_overlapped : int;
-      (** steady-state total when the prologue hides under a neighbouring
-          alignment's compute:
-          [fill + max(prologue, compute) + reduction + traceback] — the
-          same clamp the hand-written RTL baselines use, never below
-          [total - prologue] *)
 }
 
 type stats = {
@@ -68,9 +62,8 @@ val assemble_cycles :
   prologue:int -> compute:int -> reduction:int -> traceback:int ->
   fill:int -> cycles
 (** Assemble the per-alignment breakdown from its five terms, deriving
-    both totals: [total] sums all five, [total_overlapped] applies the
-    [max(prologue, compute)] clamp documented on {!cycles}. All of the
-    engine's own accounting goes through this one constructor. *)
+    [total]. All of the engine's own accounting goes through this one
+    constructor. *)
 
 val run :
   ?trace:Trace.t ->
@@ -105,9 +98,8 @@ val run_batch :
     once for the batch, plus the batch accounting. [overlap] (default
     [false]) reaches only {!batch_stats_of}: with it, [batch_stats]
     credits alignment [i]'s prologue as hidden under alignment
-    [i-1]'s compute and [metrics] receives the [Prologues_overlapped] /
-    [Overlap_hidden_cycles] counters. Results and per-alignment [stats]
-    do not depend on it. *)
+    [i-1]'s compute. Results, per-alignment [stats] and [metrics] do
+    not depend on it. *)
 
 val tile_runner :
   Config.t ->
@@ -137,10 +129,10 @@ val cycles_estimate :
     schedule and ignore it. The test suite pins the model to the
     simulator term by term for every non-adaptive kernel. *)
 
-val batch_stats_of :
-  ?metrics:Dphls_obs.Metrics.t -> overlap:bool -> cycles array -> batch_stats
+val batch_stats_of : overlap:bool -> cycles array -> batch_stats
 (** Batch accounting over per-alignment cycles, in batch order: the one
-    function behind every {!batch_stats}. [hidden_cycles] sums
-    [min prologue_i compute_(i-1)] over [i > 0] when [overlap], else 0.
-    Adds the [Prologues_overlapped] and [Overlap_hidden_cycles]
-    counters to [metrics] (default: disabled). *)
+    definition of prologue overlap, behind every {!batch_stats}.
+    [hidden_cycles] sums [min prologue_i compute_(i-1)] over [i > 0]
+    when [overlap], else 0 — the clamp the hand-written RTL baselines
+    use: overlap hides a prologue, it never drops a total below its
+    fill, compute, reduction and traceback. *)

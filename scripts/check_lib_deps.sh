@@ -8,7 +8,7 @@
 # those after "\"); one without compiles the whole directory. A stale
 # entry links a library (and everything it pulls in) that no code of
 # the stanza uses. perfbench/ is its own dune project and is not
-# checked.
+# checked. Comments do not count as a use.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,6 +23,35 @@ stanzas() {
       if (c == ")" && --depth == 0) printf "\n"
     }
   }'
+}
+
+# The OCaml text of files $@ with comments, nested ones included,
+# removed: a library named only in a comment is not used. String
+# literals ("...", {|...|}) are kept, and hide comment brackets.
+code() {
+  awk '
+  # copy the next k characters unless inside a comment
+  function take(k) { if (!depth) out = out substr(line, i, k); i += k }
+  {
+    line = $0; out = ""; i = 1
+    while (i <= length(line)) {
+      c = substr(line, i, 1); d = substr(line, i, 2)
+      if (str == "\"") {
+        if (c == "\\") take(2)
+        else { if (c == "\"") str = ""; take(1) }
+      } else if (str == "|") {
+        if (d == "|}") { str = ""; take(2) } else take(1)
+      } else if (d == "(*") { depth++; i += 2 }
+      else if (d == "*)" && depth) { depth--; i += 2 }
+      else if (d == "{|") { str = "|"; take(2) }
+      else if (c == "\"") { str = "\""; take(1) }
+      # a character literal (a double quote among them) opens no string
+      else if (c == "\047" && substr(line, i + 2, 1) == "\047") take(3)
+      else if (d == "\047\\" && substr(line, i + 3, 1) == "\047") take(4)
+      else take(1)
+    }
+    print out
+  }' "$@"
 }
 
 # The .ml/.mli files of directory $1 that a stanza whose (modules ...)
@@ -57,6 +86,8 @@ report=$(
       deps=$(printf '%s\n' "$stanza" | sed -n 's/.*(libraries \([^)]*\)).*/\1/p')
       mods=$(printf '%s\n' "$stanza" | sed -n 's/.*(modules \([^)]*\)).*/\1/p' | tr -d '(')
       srcs=$(files "$dir" "$mods")
+      # $srcs is a list of paths without blanks: split it
+      text=$(if [ -n "$srcs" ]; then code $srcs; fi)
       for lib in $deps; do
         case "$lib" in
           dphls_*) ;;
@@ -64,8 +95,7 @@ report=$(
         esac
         first=$(printf '%s' "$lib" | cut -c1 | tr 'a-z' 'A-Z')
         module="$first$(printf '%s' "$lib" | cut -c2-)"
-        # $srcs is a list of paths without blanks: split it
-        if [ -z "$srcs" ] || ! grep -qw "$module" $srcs; then
+        if ! printf '%s\n' "$text" | grep -qw "$module"; then
           echo "UNUSED: $dune lists $lib, but no file of its stanza names $module"
         fi
       done

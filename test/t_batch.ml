@@ -183,13 +183,14 @@ let test_scaling_points () =
 
 (* The call the batch benchmark times: align_all_overlap_report
    answers exactly what align_all answers, at one worker and at three,
-   and its overlap accounting is the engine dispatch's own with
-   overlap: at one worker (one slice) over all the workloads, zero on
-   the golden engine and the modeled batch otherwise; at three workers
-   the sum of one dispatch per Pool.slices slice. *)
+   and its overlap accounting is Engine.batch_stats_of ~overlap:true
+   over the cycles the dispatch answers with: at one worker (one slice)
+   over all the workloads, zero on the golden engine, which has none;
+   at three workers the sum over the Pool.slices slices. *)
 let test_overlap_report () =
   let module K02 = Dphls_kernels.K02_global_affine in
   let module Engines = Dphls_engines.Engines in
+  let module Sim = Dphls_systolic.Engine in
   let rng = Rng.create 77 in
   let pairs =
     Array.init 14 (fun i ->
@@ -216,38 +217,36 @@ let test_overlap_report () =
             (Printf.sprintf "%s, %d workers: results == align_all" name workers)
             true (digest results = digest expected))
         [ 1; 3 ];
+      let cycles =
+        Array.of_list
+          (List.filter_map
+             (fun (r : Engines.ran) -> r.Engines.cycles)
+             (Array.to_list (Engines.run_batch engine K02.kernel K02.default ws)))
+      in
       let _, _, stats = Batch.align_all_overlap_report ~engine ~kind ~workers:1 pairs in
-      let zero =
-        Dphls_systolic.Engine.
-          { alignments = 0; seq_cycles = 0; overlapped_cycles = 0; hidden_cycles = 0 }
-      in
-      let own =
-        Option.value ~default:zero
-          (snd (Engines.run_batch ~overlap:true engine K02.kernel K02.default ws))
-      in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: batch stats == Engines.run_batch ~overlap:true" name)
-        true (stats = own);
+        (Printf.sprintf "%s: batch stats == batch_stats_of ~overlap:true" name)
+        true
+        (stats = Sim.batch_stats_of ~overlap:true cycles);
       Alcotest.(check bool)
         (Printf.sprintf "%s: hidden cycles only with a cycle model" name)
-        (engine <> Align.Golden) (stats.Dphls_systolic.Engine.hidden_cycles > 0);
+        (engine <> Align.Golden) (stats.Sim.hidden_cycles > 0);
       let _, _, stats = Batch.align_all_overlap_report ~engine ~kind ~workers:3 pairs in
       let per_slice =
         Array.fold_left
-          (fun (acc : Dphls_systolic.Engine.batch_stats) slice ->
-            match snd (Engines.run_batch ~overlap:true engine K02.kernel K02.default slice) with
-            | None -> acc
-            | Some b ->
-              {
-                alignments = acc.alignments + b.alignments;
-                seq_cycles = acc.seq_cycles + b.seq_cycles;
-                overlapped_cycles = acc.overlapped_cycles + b.overlapped_cycles;
-                hidden_cycles = acc.hidden_cycles + b.hidden_cycles;
-              })
-          zero (Dphls_host.Pool.slices 3 ws)
+          (fun (acc : Sim.batch_stats) slice ->
+            let b = Sim.batch_stats_of ~overlap:true slice in
+            {
+              alignments = acc.alignments + b.alignments;
+              seq_cycles = acc.seq_cycles + b.seq_cycles;
+              overlapped_cycles = acc.overlapped_cycles + b.overlapped_cycles;
+              hidden_cycles = acc.hidden_cycles + b.hidden_cycles;
+            })
+          { alignments = 0; seq_cycles = 0; overlapped_cycles = 0; hidden_cycles = 0 }
+          (Dphls_host.Pool.slices 3 cycles)
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s, 3 workers: batch stats == per-slice dispatches" name)
+        (Printf.sprintf "%s, 3 workers: batch stats == per-slice sums" name)
         true (stats = per_slice))
     [ Align.Golden; Align.Systolic 16; Align.Auto 16 ]
 

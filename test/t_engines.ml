@@ -480,8 +480,8 @@ let test_cli_bad_counts () =
 (* Every kernel auto answers on the golden engine (no fast path, no
    adaptive band), plus #2 off its generated table, under its own band
    or a fixed one: [Auto n] through the one dispatch equals [Systolic n]
-   in result (score, cells, path and steps), per-alignment cycles and
-   batch stats, with and without overlap. *)
+   in result (score, cells, path and steps) and per-alignment cycles,
+   the only input of any batch accounting. *)
 let prop_auto_equals_systolic =
   let ids =
     Array.of_list
@@ -497,19 +497,15 @@ let prop_auto_equals_systolic =
     in
     let rng = Dphls_util.Rng.create seed in
     let ws = Array.init (1 + (seed mod 3)) (fun i -> gen rng ~len:(len + (7 * i))) in
-    List.for_all
-      (fun overlap ->
-        let auto, auto_batch = Engines.run_batch ~overlap (Engines.Auto n_pe) k p ws
-        and sys, sys_batch = Engines.run_batch ~overlap (Engines.Systolic n_pe) k p ws in
-        Array.for_all (fun (r : Engines.ran) -> r.Engines.engine = "reference") auto
-        && Array.for_all2
-             (fun (a : Engines.ran) (s : Engines.ran) ->
-               a.Engines.result = s.Engines.result && a.Engines.cycles = s.Engines.cycles)
-             auto sys
-        && auto_batch = sys_batch
-        || QCheck.Test.fail_reportf "#%d n_pe %d len %d band %s overlap %b" k.Kernel.id
-             n_pe len (Banding.to_string k.Kernel.banding) overlap)
-      [ false; true ]
+    let auto = Engines.run_batch (Engines.Auto n_pe) k p ws
+    and sys = Engines.run_batch (Engines.Systolic n_pe) k p ws in
+    Array.for_all (fun (r : Engines.ran) -> r.Engines.engine = "reference") auto
+    && Array.for_all2
+         (fun (a : Engines.ran) (s : Engines.ran) ->
+           a.Engines.result = s.Engines.result && a.Engines.cycles = s.Engines.cycles)
+         auto sys
+    || QCheck.Test.fail_reportf "#%d n_pe %d len %d band %s" k.Kernel.id n_pe len
+         (Banding.to_string k.Kernel.banding)
   in
   QCheck.Test.make ~name:"auto (golden + model) == systolic through run_batch" ~count:60
     QCheck.(
@@ -605,7 +601,7 @@ let prop_maxplus_through_auto =
           ~query:(random_ints rng ~len:lq ~alpha:4)
           ~reference:(random_ints rng ~len:lr ~alpha:4)
       in
-      let ran, _ = Engines.run_batch (Engines.Auto 32) k p [| w |] in
+      let ran = Engines.run_batch (Engines.Auto 32) k p [| w |] in
       let golden = Dphls_reference.Ref_engine.run k p w in
       (match Eligibility.supports ~qry_len:lq ~ref_len:lr k p with
       | Ok (BEngine.Doubled _) -> true
@@ -678,46 +674,56 @@ let test_cli_align_bad_letter () =
         true (contains out message))
     [ (1, "ACGX", "ACGT", "Dna.encode: 'X'"); (15, "MKVB", "MKV", "Protein.encode: 'B'") ]
 
-(* ---- CLI: profile --overlap reads modeled cycles from any engine that has them ---- *)
+(* ---- CLI: batch --overlap reads modeled cycles from any engine that has them ---- *)
 
-let test_cli_profile_overlap_engines () =
-  let profile engine =
-    run_cli
-      [ "profile"; "-k"; "2"; "--trials"; "3"; "--len"; "40"; "--engine"; engine;
-        "--overlap"; "--json"; "--trace"; "/dev/null" ]
-  in
-  let overlap_counters engine =
-    let code, out = profile engine in
+let test_cli_batch_overlap_engines () =
+  let overlap_line engine =
+    let code, out =
+      run_cli
+        [ "batch"; "--pairs"; "data/batch_pairs.fa"; "--engine"; engine; "--n-pe"; "16";
+          "--overlap" ]
+    in
     Alcotest.(check int) (engine ^ ": exit 0") 0 code;
-    let line =
-      List.find
-        (fun l -> String.length l > 0 && l.[0] = '{')
+    match
+      List.find_opt
+        (fun l -> String.starts_with ~prefix:"overlap      :" l)
         (String.split_on_char '\n' out)
-    in
-    let counters =
-      match Dphls_util.Json.parse line with
-      | Ok j -> Option.get (Dphls_util.Json.member "counters" j)
-      | Error msg -> Alcotest.failf "%s: profile JSON: %s" engine msg
-    in
-    List.map
-      (fun name ->
-        match Dphls_util.Json.member name counters with
-        | Some (Dphls_util.Json.Num v) -> (name, int_of_float v)
-        | _ -> Alcotest.failf "%s: no %s counter" engine name)
-      [ "prologues_overlapped"; "overlap_hidden_cycles" ]
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "%s: no overlap line in %S" engine out
   in
-  let sys = overlap_counters "systolic" in
-  Alcotest.(check bool) "the systolic run hides prologues" true
-    (List.for_all (fun (_, v) -> v > 0) sys);
-  Alcotest.(check (list (pair string int))) "auto == systolic" sys
-    (overlap_counters "auto");
+  let sys = overlap_line "systolic" in
+  Alcotest.(check bool) "the systolic run hides prologues" false
+    (contains sys "(0 hidden");
+  Alcotest.(check string) "auto == systolic" sys (overlap_line "auto")
+
+(* ---- CLI: malformed input is a usage error, not an internal one ---- *)
+
+let test_cli_malformed_input () =
+  let with_pair_file text f =
+    let path = Filename.temp_file "dphls_pairs" ".fa" in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  let expect what args message =
+    let code, out = run_cli args in
+    Alcotest.(check int) (what ^ ": exit 2") 2 code;
+    Alcotest.(check bool) (Printf.sprintf "%s: says %S" what message) true
+      (contains out message)
+  in
   List.iter
-    (fun engine ->
-      let code, out = profile engine in
-      Alcotest.(check int) (engine ^ ": exit 2") 2 code;
-      Alcotest.(check bool) (engine ^ ": says it has no cycle model") true
-        (contains out (Printf.sprintf "the %s engine has no cycle model" engine)))
-    [ "reference"; "bitpar" ]
+    (fun (what, text, message) ->
+      with_pair_file text (fun path ->
+          expect what [ "batch"; "--pairs"; path; "--workers"; "1" ] message))
+    [
+      ("odd record count", ">q0\nACGT\n>r0\nACGA\n>q1\nACGT\n", "odd record count");
+      ("sequence before a header", "ACGT\n>q0\nACGT\n>r0\nACGA\n", "sequence before header");
+      ("letter outside the alphabet", ">q0\nACGX\n>r0\nACGA\n", "Dna.encode: 'X'");
+      ("empty sequence", ">q0\n>r0\nACGA\n", "empty sequence");
+    ];
+  expect "align -q ''"
+    [ "align"; "-k"; "1"; "-q"; ""; "-r"; "ACGT" ]
+    "qry and ref must be non-empty"
 
 let suite =
   [
@@ -754,6 +760,7 @@ let suite =
       test_cli_align_vcd;
     Alcotest.test_case "cli: align exits 2 on a letter outside the alphabet" `Quick
       test_cli_align_bad_letter;
-    Alcotest.test_case "cli: profile --overlap on auto == systolic" `Quick
-      test_cli_profile_overlap_engines;
+    Alcotest.test_case "cli: batch --overlap on auto == systolic" `Quick
+      test_cli_batch_overlap_engines;
+    Alcotest.test_case "cli: malformed input exits 2" `Quick test_cli_malformed_input;
   ]

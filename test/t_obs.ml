@@ -34,9 +34,11 @@ let test_counter_catalog () =
   (* the engine-dispatch counters joined the catalog in the pluggable
      engine refactor, the serve admission counters in the service layer,
      and the completed/batches counts when the serve summary moved onto
-     the catalog; pin the catalog size so an accidental removal (or a
-     summary consumer missing them) fails loudly *)
-  Alcotest.(check int) "catalog holds 20 counters" 20 Counter.count;
+     the catalog; the two prologue-overlap counters left it when
+     Engine.batch_stats_of became overlap's one definition. Pin the
+     catalog size so an accidental removal (or a summary consumer
+     missing them) fails loudly *)
+  Alcotest.(check int) "catalog holds 18 counters" 18 Counter.count;
   Alcotest.(check bool) "dispatch counters present" true
     (Counter.of_name "engine_fastpath_hits" = Some Counter.Engine_fastpath_hits
     && Counter.of_name "engine_fastpath_fallbacks"

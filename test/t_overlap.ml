@@ -132,13 +132,14 @@ let prop_overlap_differential =
       && ov_batch.Engine.overlapped_cycles <= ov_batch.Engine.seq_cycles
       && (ov_batch.Engine.hidden_cycles > 0) = (n > 1))
 
-(* The per-alignment overlapped total is the clamp the batch accounting
-   and the RTL baselines share: fill + max(prologue, compute) +
-   reduction + traceback — equal to the sequential total exactly when
-   there is no compute to hide under (never here, so strictly less
-   whenever prologue > 0). *)
-let prop_total_overlapped_clamp =
-  QCheck.Test.make ~name:"total_overlapped is the shared clamp" ~count:100
+(* Overlap hides the clamp the RTL baselines share: in a batch of two
+   equal alignments the second prologue hides under the first compute,
+   min(prologue, compute) cycles, so the second alignment costs
+   fill + max(prologue, compute) + reduction + traceback — equal to its
+   sequential total exactly when there is no compute to hide under
+   (never here, so strictly less whenever prologue > 0). *)
+let prop_batch_overlap_clamp =
+  QCheck.Test.make ~name:"batch overlap is the shared clamp" ~count:100
     QCheck.(
       quad (int_range 0 500) (int_range 1 500) (int_range 0 50)
         (int_range 0 200))
@@ -147,11 +148,13 @@ let prop_total_overlapped_clamp =
         Engine.assemble_cycles ~prologue ~compute ~reduction ~traceback
           ~fill:12
       in
+      let b = Engine.batch_stats_of ~overlap:true [| c; c |] in
       c.Engine.total = prologue + compute + reduction + traceback + 12
-      && c.Engine.total_overlapped
-         = max prologue compute + reduction + traceback + 12
-      && c.Engine.total_overlapped <= c.Engine.total
-      && (c.Engine.total_overlapped = c.Engine.total)
+      && b.Engine.seq_cycles = 2 * c.Engine.total
+      && b.Engine.hidden_cycles = min prologue compute
+      && b.Engine.overlapped_cycles
+         = c.Engine.total + max prologue compute + reduction + traceback + 12
+      && (b.Engine.overlapped_cycles = b.Engine.seq_cycles)
          = (min prologue compute = 0))
 
 let suite =
@@ -162,5 +165,5 @@ let suite =
       test_capture_bit_identity;
     Alcotest.test_case "empty batch" `Quick test_empty_batch;
     qtest prop_overlap_differential;
-    qtest prop_total_overlapped_clamp;
+    qtest prop_batch_overlap_clamp;
   ]

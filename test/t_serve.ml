@@ -744,10 +744,9 @@ let test_auto_cycles_equal_systolic () =
         (a.score, a.cigar))
     auto sys
 
-(* A flush sliced across workers counts prologue overlap per slice on
-   every engine that answers it: auto's modeled batches add the same
-   overlap counters as the simulator's, and the engine work counters
-   do not depend on the worker count. *)
+(* A flush sliced across workers counts the same engine work as one
+   run: cells, alignments and traceback steps do not depend on the
+   worker count, on auto's modeled batches or the simulator's. *)
 let test_sliced_flush_counts () =
   let pairs =
     List.init 8 (fun i ->
@@ -798,17 +797,49 @@ let test_sliced_flush_counts () =
       Alcotest.(check int)
         (Printf.sprintf "auto, %d workers: fallbacks" workers)
         8
-        (auto Counter.Engine_fastpath_fallbacks);
-      List.iter
-        (fun (what, c) ->
-          Alcotest.(check int)
-            (Printf.sprintf "%d workers: auto %s == systolic's" workers what)
-            (sys c) (auto c))
-        [
-          ("prologues overlapped", Counter.Prologues_overlapped);
-          ("hidden cycles", Counter.Overlap_hidden_cycles);
-        ])
+        (auto Counter.Engine_fastpath_fallbacks))
     [ 1; 2 ]
+
+(* Identical requests queued together run once: a flush answers a
+   request whose key is already cached, or whose twin earlier in the
+   same chunk runs, from that answer (cached, one cache hit), so six
+   lines of three distinct pairs cost three alignments at any batch
+   size and read what one-at-a-time flushes answer. With the cache off
+   every request runs. *)
+let test_twins_run_once () =
+  let line (qry, rf) = Printf.sprintf "{\"kernel\":2,\"qry\":%S,\"ref\":%S}" qry rf in
+  let a = ("ACGTACGTGGCA", "ACGAACGTCGCA")
+  and b = ("TTGACCAGTA", "TTGACGAGTAC")
+  and c = ("GGCATTACGT", "GGCTTACGTT") in
+  let mix = List.map line [ a; b; a; c; b; c ] in
+  let serve ~batch_max ~cache_capacity =
+    let metrics = Metrics.create () in
+    let server, _clock = make_server ~batch_max ~cache_capacity ~metrics () in
+    let submitted = List.concat_map (Server.submit server) mix in
+    let answers = List.map expect_ok (submitted @ Server.drain server) in
+    Server.close server;
+    let s = Server.summary server in
+    (answers, Metrics.get metrics Counter.Alignments, s.Server.cache_hits)
+  in
+  let one_by_one, aligned1, hits1 = serve ~batch_max:1 ~cache_capacity:64 in
+  let batched, aligned64, hits64 = serve ~batch_max:64 ~cache_capacity:64 in
+  Alcotest.(check (pair int int)) "batch 1: alignments, cache hits" (3, 3) (aligned1, hits1);
+  Alcotest.(check (pair int int)) "batch 64: alignments, cache hits" (3, 3)
+    (aligned64, hits64);
+  let fields (o : ok) = (o.rid, o.score, o.cigar, o.cycles, o.engine, o.cached) in
+  Alcotest.(check int) "six answers" 6 (List.length batched);
+  List.iter2
+    (fun x y ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: batch 64 answer == batch 1 answer" x.rid)
+        true
+        (fields x = fields y))
+    one_by_one batched;
+  let uncached, aligned_off, hits_off = serve ~batch_max:64 ~cache_capacity:0 in
+  Alcotest.(check (pair int int)) "cache off: alignments, cache hits" (6, 0)
+    (aligned_off, hits_off);
+  Alcotest.(check bool) "cache off: nothing answered cached" true
+    (List.for_all (fun o -> not o.cached) uncached)
 
 let suite =
   [
@@ -842,4 +873,5 @@ let suite =
       test_auto_cycles_equal_systolic;
     Alcotest.test_case "server: sliced flush counts like its engine" `Quick
       test_sliced_flush_counts;
+    Alcotest.test_case "server: queued twins run once" `Quick test_twins_run_once;
   ]

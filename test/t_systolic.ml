@@ -360,7 +360,7 @@ let prop_systolic_equals_golden =
 
 (* The closed-form cycle model that auto dispatch attaches to golden
    answers, fed with the golden walk's step count, equals the
-   simulator's cycles: all five terms and both totals, for the 16
+   simulator's cycles: all five terms and the total, for the 16
    non-adaptive kernels plus #2 off its generated table, at N_PE 1, 2,
    3, 5, 32 and 64, on lengths 1..70 under the kernel's own band and a
    fixed one. The overlap function over the modeled cycles equals
@@ -415,7 +415,6 @@ let prop_model_equals_simulator =
         traceback;
         fill;
         total = prologue + compute + reduction + traceback + fill;
-        total_overlapped = max prologue compute + reduction + traceback + fill;
       }
     in
     let hidden = ref 0 in
