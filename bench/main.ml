@@ -818,7 +818,7 @@ let serve_bench ?(total = 1_000_000) () =
     if i mod 2048 = 0 then consume (Server.flush server);
     if i = warmup then rss_first := rss_kb ()
   done;
-  consume (Server.drain server);
+  consume (Server.flush server);
   let wall_s = Unix.gettimeofday () -. t0 in
   let rss_last = rss_kb () in
   let s = Server.summary server in

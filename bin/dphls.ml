@@ -9,10 +9,14 @@
 open Cmdliner
 open Dphls_core
 
+(* -k takes a catalog number or a kernel name, as the serve protocol's
+   "kernel" field does; an unknown one exits 2 *)
 let find_kernel spec =
-  match int_of_string_opt spec with
-  | Some id -> Dphls_kernels.Catalog.find id
-  | None -> Dphls_kernels.Catalog.find_by_name spec
+  match Dphls_kernels.Catalog.lookup spec with
+  | Some e -> e
+  | None ->
+    Printf.eprintf "unknown kernel %S; `dphls list` shows the catalog\n" spec;
+    exit 2
 
 (* ---- list ---- *)
 
@@ -80,7 +84,7 @@ let band_term ~width_default =
    exits 2 naming the flag and its range, like a bad band or engine
    value, instead of failing inside an engine. A [None] default means
    "not given". *)
-let count_opt ?max ~doc name default =
+let count_opt ?max ?(short = []) ~doc name default =
   let check v =
     if v < 1 || Option.fold max ~none:false ~some:(fun m -> v > m) then begin
       Printf.eprintf "--%s must be %s (got %d)\n" name
@@ -92,11 +96,11 @@ let count_opt ?max ~doc name default =
     end;
     v
   in
-  let arg = Arg.(value & opt (some int) default & info [ name ] ~doc) in
+  let arg = Arg.(value & opt (some int) default & info (short @ [ name ]) ~doc) in
   Term.(const (Option.map check) $ arg)
 
-let count ?max ~doc name default =
-  let given = count_opt ?max ~doc name (Some default) in
+let count ?max ?short ~doc name default =
+  let given = count_opt ?max ?short ~doc name (Some default) in
   Term.(const Option.get $ given)
 
 (* --n-pe, one definition for every command; where the command runs the
@@ -267,8 +271,8 @@ let resources_cmd =
   let kernel =
     Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel id or name")
   in
-  let n_b = Arg.(value & opt int 1 & info [ "n-b" ] ~doc:"Blocks per kernel") in
-  let n_k = Arg.(value & opt int 1 & info [ "n-k" ] ~doc:"Kernel channels") in
+  let n_b = count "n-b" 1 ~doc:"Blocks per kernel" in
+  let n_k = count "n-k" 1 ~doc:"Kernel channels" in
   let max_len = count "max-len" 256 ~doc:"Max sequence length" in
   Cmd.v
     (Cmd.info "resources" ~doc:"Estimate FPGA resources for a configuration")
@@ -317,8 +321,8 @@ let gen_cmd =
   let kind =
     Arg.(value & pos 0 string "reads" & info [] ~docv:"KIND" ~doc:"genome | reads | protein")
   in
-  let count = Arg.(value & opt int 10 & info [ "n"; "count" ] ~doc:"Record count") in
-  let length = Arg.(value & opt int 256 & info [ "l"; "length" ] ~doc:"Sequence length") in
+  let n = count "count" 10 ~short:[ "n" ] ~doc:"Record count" in
+  let length = count "length" 256 ~short:[ "l" ] ~doc:"Sequence length" in
   let error_rate =
     Arg.(value & opt float 0.1 & info [ "e"; "error" ] ~doc:"Read error rate")
   in
@@ -326,7 +330,7 @@ let gen_cmd =
   let output = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"FASTA file") in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate synthetic FASTA datasets (the paper's workloads)")
-    Term.(const gen_run $ kind $ count $ length $ error_rate $ seed $ output)
+    Term.(const gen_run $ kind $ n $ length $ error_rate $ seed $ output)
 
 (* ---- map ---- *)
 
@@ -460,7 +464,11 @@ let batch_run pairs_path kind_s workers n_pe chunk compare overlap band
        analytical N_K model *)
     let pairs = read_pairs () in
     let pool_stats w =
-      snd (Dphls.Batch.align_all_report ?band ~engine ~kind ~workers:w pairs)
+      let _, stats, _ =
+        Dphls.Batch.align_all_overlap_report ?band ~engine ~kind ~workers:w
+          pairs
+      in
+      stats
     in
     let stats = pool_stats workers in
     let report = stats.Dphls_host.Pool.report in
@@ -684,7 +692,7 @@ let vectors_regen_run out_dir files =
         failed := true
       | Ok v -> (
         let h = v.Vectors.Stream.header in
-        match find_kernel (string_of_int h.Vectors.Stream.kernel_id) with
+        match Dphls_kernels.Catalog.find h.Vectors.Stream.kernel_id with
         | exception Not_found ->
           Printf.eprintf "%s: unknown kernel id %d\n" path
             h.Vectors.Stream.kernel_id;
@@ -785,8 +793,8 @@ let rtl_cmd =
   let kernel =
     Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel id or name")
   in
-  let n_b = Arg.(value & opt int 1 & info [ "n-b" ] ~doc:"Blocks per kernel") in
-  let n_k = Arg.(value & opt int 1 & info [ "n-k" ] ~doc:"Kernel channels") in
+  let n_b = count "n-b" 1 ~doc:"Blocks per kernel" in
+  let n_k = count "n-k" 1 ~doc:"Kernel channels" in
   let max_len = count "max-len" 256 ~doc:"Max sequence length" in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output .v file")
@@ -984,7 +992,7 @@ let serve_run socket max_conns queue_depth batch_max cache_capacity max_len
       | line ->
         if String.trim line <> "" then respond oc (Serve.submit server line);
         loop ()
-      | exception End_of_file -> respond oc (Serve.drain server)
+      | exception End_of_file -> respond oc (Serve.flush server)
     in
     loop ()
   in
@@ -1104,14 +1112,14 @@ let serve_cmd =
 
 (* ---- check ---- *)
 
-let check_entry ?host ~max_len (e : Dphls_kernels.Catalog.entry) =
+let check_entry ~max_len (e : Dphls_kernels.Catalog.entry) =
   let max_len =
     match max_len with Some l -> l | None -> e.Dphls_kernels.Catalog.max_len
   in
   let rng = Dphls_util.Rng.create 7 in
   let sample = e.gen rng ~len:(min 64 max_len) in
   let chars = Dphls_analysis.Check.chars_of_workload sample in
-  Dphls_analysis.Check.run ~n_pe:e.optimal.n_pe ?host ~max_len ~chars e.packed
+  Dphls_analysis.Check.run ~n_pe:e.optimal.n_pe ~max_len ~chars e.packed
 
 let explain_run spec what =
   let e = find_kernel spec in
@@ -1142,7 +1150,7 @@ let explain_run spec what =
       (Dphls_bitpar.Eligibility.classify cell bindings));
   Format.pp_print_flush ppf ()
 
-let check_run kernel_spec all max_len json explain workers shared_metrics =
+let check_run kernel_spec all max_len json explain =
   match explain with
   | Some what -> (
     match kernel_spec with
@@ -1159,16 +1167,7 @@ let check_run kernel_spec all max_len json explain workers shared_metrics =
       Printf.eprintf "pass --kernel ID or --all\n";
       exit 2
   in
-  let host =
-    Option.map
-      (fun w ->
-        {
-          Dphls_analysis.Lint.workers = w;
-          shared_metrics_sink = shared_metrics;
-        })
-      workers
-  in
-  let reports = List.map (check_entry ?host ~max_len) entries in
+  let reports = List.map (check_entry ~max_len) entries in
   if json then print_endline (Dphls_analysis.Report.list_to_json reports)
   else
     List.iter
@@ -1208,31 +1207,14 @@ let check_cmd =
             "Print the named pass's full derivation for one kernel (requires \
              $(b,--kernel)): $(b,depend), $(b,ii) or $(b,fastpath)")
   in
-  let workers =
-    count_opt "workers" None
-      ~doc:
-        "Host worker-domain count to lint the run configuration against \
-         (see --shared-metrics)"
-  in
-  let shared_metrics =
-    Arg.(
-      value
-      & flag
-      & info [ "shared-metrics" ]
-          ~doc:
-            "Declare that all workers would write one Dphls_obs.Metrics sink; \
-             with --workers > 1 this is flagged (sinks are per-domain)")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Statically analyze kernels before synthesis (width/overflow, \
           traceback FSM, dependence stencil, recurrence II, bit-parallel \
-          fast path, banding/parallelism/domain lint); non-zero exit on \
-          error findings")
-    Term.(
-      const check_run $ kernel $ all $ max_len $ json $ explain $ workers
-      $ shared_metrics)
+          fast path, banding/parallelism lint); non-zero exit on error \
+          findings")
+    Term.(const check_run $ kernel $ all $ max_len $ json $ explain)
 
 let () =
   let info =

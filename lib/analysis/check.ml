@@ -150,7 +150,7 @@ let datapath_findings (k : 'p Kernel.t) p =
     @ fastpath_findings (Dphls_bitpar.Eligibility.classify cell bindings)
   end
 
-let run ?n_pe ?host ~max_len ~chars (Registry.Packed (k, p)) =
+let run ?n_pe ~max_len ~chars (Registry.Packed (k, p)) =
   let findings = ref [] in
   let add_all fs = findings := !findings @ fs in
   let structural = Lint.structural k p in
@@ -192,6 +192,5 @@ let run ?n_pe ?host ~max_len ~chars (Registry.Packed (k, p)) =
   add_all (datapath_findings k p);
   add_all (Lint.banding k.Kernel.banding ~gap_magnitude:!gap ~max_len);
   add_all (Lint.parallelism ~n_pe ~max_len);
-  add_all (Lint.domain_safety host);
   Report.create ~kernel_id:k.Kernel.id ~kernel_name:k.Kernel.name ~max_len
     !findings

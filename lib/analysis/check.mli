@@ -14,7 +14,6 @@ val chars_of_workload :
 
 val run :
   ?n_pe:int ->
-  ?host:Lint.host_config ->
   max_len:int ->
   chars:(Types.ch * Types.ch) array ->
   Registry.packed ->
@@ -28,8 +27,7 @@ val run :
     ({!Ii}) and bit-parallel fast-path eligibility
     ({!Dphls_bitpar.Eligibility.classify}, one [fastpath-eligible] or
     [fastpath-ineligible] info) — and
-    the banding, parallelism and domain-safety lints ({!Lint}). A
-    datapath that cannot be evaluated skips the width analysis with an
-    info finding; the datapath analyses report why. [n_pe] is the
-    PE-array size to lint utilization against, when known; [host] is
-    the host-side run configuration for {!Lint.domain_safety}. *)
+    the banding and parallelism lints ({!Lint}). A datapath that
+    cannot be evaluated skips the width analysis with an info finding;
+    the datapath analyses report why. [n_pe] is the PE-array size to
+    lint utilization against, when known. *)

@@ -70,22 +70,3 @@ let parallelism ~n_pe ~max_len =
           :: !findings
       end;
       List.rev !findings
-
-type host_config = { workers : int; shared_metrics_sink : bool }
-
-let domain_safety = function
-  | Some { workers; shared_metrics_sink } when workers > 1 && shared_metrics_sink
-    ->
-    [
-      Report.warning ~check:"metrics-domain-safety"
-        (Printf.sprintf
-           "one Dphls_obs.Metrics sink would be shared across %d Host.Pool \
-            worker domains: sinks are plain int arrays with no \
-            synchronization, so concurrent bumps race and silently drop \
-            counts; give each worker its own sink and Metrics.merge_into the \
-            results afterwards (the Pool default keeps counters on the \
-            dispatching domain) — Metrics.guard_domains true turns \
-            cross-domain bumps into failures naming the counter"
-           workers);
-    ]
-  | _ -> []

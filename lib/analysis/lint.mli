@@ -20,15 +20,3 @@ val banding :
 val parallelism : n_pe:int option -> max_len:int -> Report.finding list
 (** PE-array utilization at the given workload bound ([None] = no
     configured parallelism to check). *)
-
-type host_config = { workers : int; shared_metrics_sink : bool }
-(** The slice of a host-side run configuration the checker can see:
-    how many {!Dphls_host.Pool} worker domains the run would use and
-    whether they would all write into one {!Dphls_obs.Metrics} sink. *)
-
-val domain_safety : host_config option -> Report.finding list
-(** Warns ([metrics-domain-safety]) when a multi-worker configuration
-    shares one metrics sink across domains: sinks are deliberately
-    unsynchronized (docs/observability.md), so shared sinks race and
-    drop counts. Points at the per-domain-sink + [merge_into] pattern
-    and the [Metrics.guard_domains] debug assertion. *)

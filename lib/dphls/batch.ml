@@ -1,5 +1,4 @@
 module Pool = Dphls_host.Pool
-module Throughput = Dphls_host.Throughput
 module Sim = Dphls_systolic.Engine
 
 type kind = Align.kind =
@@ -12,9 +11,6 @@ let kind_of_string = function
   | "semi-global" -> Semi_global
   | "protein-local" -> Protein_local
   | s -> invalid_arg (Printf.sprintf "Batch.kind_of_string: %S" s)
-
-let align_one ?band ?engine kind ~query ~reference =
-  fst (Align.run ?band ?engine kind ~query ~reference)
 
 (* The one pool path: one task per pair, each answer with its modeled
    cycles. Observability stops at the pool's per-chunk spans, through
@@ -61,45 +57,11 @@ let align_all_overlap_report ?band ?engine ?tracer ?(kind = Global) ?workers
         stats,
         overlap_stats ~workers:(Pool.workers pool) answers ))
 
-let align_all_report ?band ?engine ?tracer ?kind ?workers pairs =
-  let results, stats, _ =
-    align_all_overlap_report ?band ?engine ?tracer ?kind ?workers pairs
-  in
-  (results, stats)
-
 let align_all ?band ?engine ?kind ?workers pairs =
-  fst (align_all_report ?band ?engine ?kind ?workers pairs)
-
-let iter ?band ?engine ?(kind = Global) ?workers
-    ?(chunk = 256) ~f seq =
-  if chunk < 1 then invalid_arg "Batch.iter: chunk < 1";
-  Pool.with_pool ?workers (fun pool ->
-      let emit base pairs =
-        let answers, _ = run_in_pool ?band ?engine ~kind pool pairs in
-        Array.iteri
-          (fun i (a, _) ->
-            let query, reference = pairs.(i) in
-            f (base + i) ~query ~reference a)
-          answers
-      in
-      let rec go base seq =
-        let buf = ref [] and taken = ref 0 and rest = ref seq in
-        (* pull up to [chunk] pairs without forcing the rest *)
-        let continue = ref true in
-        while !continue && !taken < chunk do
-          match Seq.uncons !rest with
-          | None -> continue := false
-          | Some (p, tl) ->
-            buf := p :: !buf;
-            incr taken;
-            rest := tl
-        done;
-        if !taken > 0 then begin
-          emit base (Array.of_list (List.rev !buf));
-          if !continue then go (base + !taken) !rest
-        end
-      in
-      go 0 seq)
+  let results, _, _ =
+    align_all_overlap_report ?band ?engine ?kind ?workers pairs
+  in
+  results
 
 let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
     ?(chunk = 256) ~path ~f () =
@@ -123,47 +85,41 @@ let iter_fasta_file ?band ?engine ?(kind = Global) ?workers
             f (base + i) q r a)
           answers
       in
-      (* a record the kind cannot align is refused before its chunk
-         runs, like an odd record count after the last one *)
-      let check (record : Dphls_io.Fasta.record) =
-        match Align.alignable kind record.sequence with
-        | Ok () -> ()
-        | Error why ->
-          failwith
-            (Printf.sprintf "Batch.iter_fasta_file: record %S in %s: %s" record.id path why)
+      let emit_buffered base buf =
+        if buf <> [] then emit base (Array.of_list (List.rev buf))
+      in
+      (* a fault (a record the kind cannot align, an odd record count)
+         is raised after the complete pairs read before it have been
+         answered, whatever the chunk size *)
+      let refuse base buf fmt =
+        Printf.ksprintf
+          (fun msg ->
+            emit_buffered base buf;
+            failwith ("Batch.iter_fasta_file: " ^ msg))
+          fmt
       in
       (* fold the file record by record, flushing a chunk of pairs at a
          time so only [chunk] pairs are ever resident; [n] counts the
          buffered pairs *)
       let base, pending_pair, (buffered, _) =
         Dphls_io.Fasta.fold_file path ~init:(0, None, ([], 0))
-          ~f:(fun (base, pending, (buf, n)) record ->
-            check record;
+          ~f:(fun (base, pending, (buf, n)) (record : Dphls_io.Fasta.record) ->
+            (match Align.alignable kind record.sequence with
+            | Ok () -> ()
+            | Error why -> refuse base buf "record %S in %s: %s" record.id path why);
             match pending with
             | None -> (base, Some record, (buf, n))
             | Some q ->
               let buf = (q, record) :: buf and n = n + 1 in
               if n >= chunk then begin
-                emit base (Array.of_list (List.rev buf));
+                emit_buffered base buf;
                 (base + n, None, ([], 0))
               end
               else (base, None, (buf, n)))
       in
       (match pending_pair with
       | Some q ->
-        failwith
-          (Printf.sprintf
-             "Batch.iter_fasta_file: odd record count in %s (unpaired %S)" path
-             q.Dphls_io.Fasta.id)
-      | None -> ());
-      if buffered <> [] then emit base (Array.of_list (List.rev buffered));
+        refuse base buffered "odd record count in %s (unpaired %S)" path
+          q.Dphls_io.Fasta.id
+      | None -> emit_buffered base buffered);
       !overlap)
-
-let scaling ?band ?engine ?kind ~workers pairs =
-  let report w =
-    snd
-      (align_all_report ?band ?engine ?kind ~workers:w pairs)
-  in
-  let baseline = (report 1).Pool.report in
-  Throughput.scaling ~baseline
-    (List.map (fun w -> (w, (report w).Pool.report)) workers)

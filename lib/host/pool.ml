@@ -201,16 +201,6 @@ let run ?chunk ?(metrics = Dphls_obs.Metrics.disabled)
     (out, stats)
   end
 
-let map ?chunk t f n = fst (run ?chunk t f n)
-
-let map_seeded ?chunk t ~seed f n =
-  let base = Dphls_util.Rng.create seed in
-  let streams = Array.init n (fun _ -> base) in
-  for i = 0 to n - 1 do
-    streams.(i) <- Dphls_util.Rng.split base
-  done;
-  map ?chunk t (fun i -> f streams.(i) i) n
-
 let slices k arr =
   if k < 1 then invalid_arg "Pool.slices: k < 1";
   let n = Array.length arr in

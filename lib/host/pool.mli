@@ -8,10 +8,11 @@
     array slot per input index, so output order is always input order no
     matter which worker finishes first.
 
-    Determinism: chunking and worker count never influence results —
-    each task is a pure function of its index, and [map_seeded] derives
-    one [Dphls_util.Rng] stream per task index (not per worker), so a
-    run with 1 worker is byte-identical to a run with 8.
+    {!run} is the one way work crosses domains. A task shares nothing
+    with the others but its own result slot, and the pool's counters
+    are added on the caller after the batch, so a task that is a pure
+    function of its index gives the same results at any worker count
+    and chunking.
 
     The domain that calls [run] is worker 0: it runs chunks from the
     queue like the other workers and then waits for theirs, so a
@@ -19,7 +20,7 @@
     domain, where per-domain state ([Domain.DLS] buffers) persists
     from one [run] to the next.
 
-    A pool is not reentrant: do not call [map]/[run] on the same pool
+    A pool is not reentrant: do not call [run] on the same pool
     from inside a task, and do not share one pool between concurrently
     mapping client domains. *)
 
@@ -75,17 +76,6 @@ val run :
     per queue entry under the ["pool"] category with the executing
     worker's index as [tid] (0: the caller's track); the tracer is
     mutex-protected, so sharing it across worker domains is safe. *)
-
-val map : ?chunk:int -> t -> (int -> 'a) -> int -> 'a array
-(** [run] without the stats. *)
-
-val map_seeded :
-  ?chunk:int -> t -> seed:int -> (Dphls_util.Rng.t -> int -> 'a) -> int
-  -> 'a array
-(** [map_seeded pool ~seed f n] gives task [i] its own generator,
-    derived deterministically from [(seed, i)] by repeated
-    [Rng.split] — results are independent of worker count and
-    chunking. *)
 
 val slices : int -> 'a array -> 'a array array
 (** [slices k arr] cuts the [n] elements of [arr] into

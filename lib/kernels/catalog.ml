@@ -171,9 +171,9 @@ let find id =
   | Some e -> e
   | None -> raise Not_found
 
-let find_by_name name =
-  match List.find_opt (fun e -> Registry.name e.packed = name) all with
-  | Some e -> e
-  | None -> raise Not_found
+let lookup spec =
+  match int_of_string_opt spec with
+  | Some id -> List.find_opt (fun e -> Registry.id e.packed = id) all
+  | None -> List.find_opt (fun e -> Registry.name e.packed = spec) all
 
 let ids = List.map (fun e -> Registry.id e.packed) all

@@ -36,6 +36,8 @@ val text_encoder : entry -> (string -> int array) option
 val find : int -> entry
 (** Lookup by catalog kernel number; raises [Not_found]. *)
 
-val find_by_name : string -> entry
+val lookup : string -> entry option
+(** A kernel as a request or a command line names it: a catalog number
+    (["2"]) or a kernel name (["dtw"]); [None] when no entry matches. *)
 
 val ids : int list

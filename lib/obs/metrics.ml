@@ -1,28 +1,11 @@
-type t = { on : bool; counts : int array; owner : int }
+type t = { on : bool; counts : int array }
 
-(* Debug-only cross-domain write detection (off by default, see
-   [guard_domains]): a global flag rather than a per-sink field so the
-   guard can be flipped on under a failing workload without re-plumbing
-   sink construction. *)
-let guard = ref false
-
-let guard_domains b = guard := b
-
-let self () = (Domain.self () :> int)
-
-let disabled = { on = false; counts = [||]; owner = -1 }
-let create () = { on = true; counts = Array.make Counter.count 0; owner = self () }
+let disabled = { on = false; counts = [||] }
+let create () = { on = true; counts = Array.make Counter.count 0 }
 let enabled t = t.on
 
 let add t c n =
   if t.on then begin
-    if !guard && t.owner <> self () then
-      failwith
-        (Printf.sprintf
-           "Metrics: counter %S bumped from domain %d but its sink is owned by \
-            domain %d — sinks are unsynchronized; use one sink per domain and \
-            merge_into afterwards"
-           (Counter.name c) (self ()) t.owner);
     let i = Counter.index c in
     t.counts.(i) <- t.counts.(i) + n
   end

@@ -8,12 +8,11 @@
     therefore accept a [?metrics] argument defaulting to {!disabled}
     and call {!add} unconditionally.
 
-    A sink is {e not} thread-safe: each domain must accumulate into its
-    own sink (or counters derived on the dispatching thread, as
-    {!Dphls_host.Pool} does) and {!merge_into} the results afterwards.
-    [dphls check] warns statically when a configuration would violate
-    this ([metrics-domain-safety]); {!guard_domains} catches violations
-    dynamically in debug runs. *)
+    A sink is {e not} thread-safe, and the code keeps one rule: only
+    the domain that created a sink writes to it. {!Dphls_host.Pool.run}
+    adds its counters on its caller after the batch, and the serve
+    layer gives each per-worker slice of a flush a sink of its own and
+    {!merge_into}s them on its admission thread. *)
 
 type t
 
@@ -27,17 +26,7 @@ val create : unit -> t
 val enabled : t -> bool
 
 val add : t -> Counter.t -> int -> unit
-(** [add t c n] bumps counter [c] by [n]; a no-op on {!disabled}.
-    With {!guard_domains} on, raises [Failure] (naming the counter and
-    both domains) when called from a domain other than the sink's
-    creator. *)
-
-val guard_domains : bool -> unit
-(** Enable/disable the cross-domain write assertion (global, default
-    off — the production hot path stays one branch plus one array
-    update). Each enabled sink records the domain that created it;
-    while the guard is on, bumping a counter from any other domain
-    fails fast instead of silently racing. *)
+(** [add t c n] bumps counter [c] by [n]; a no-op on {!disabled}. *)
 
 val incr : t -> Counter.t -> unit
 (** [add t c 1]. *)

@@ -1,11 +1,11 @@
 (** Bounded LRU result cache for the serve layer.
 
-    Keyed on the full identity of an answer — kernel id, the
-    {!Dphls_core.Fingerprint.params_hash} of the (band-overridden) kernel
-    at the configured [N_PE], the band signature, and both sequences —
-    so a hit can only ever return the byte-identical response the
-    engines would recompute. Eviction is least-recently-used; [find]
-    refreshes recency. O(1) find/add via a hash table over an intrusive
+    Keyed on the full identity of an answer within one server: the
+    serve group key (kernel id, band override, engine choice) and both
+    sequences. The catalog cannot change while the process runs and
+    [N_PE] is the server's, so a hit can only ever return the
+    byte-identical response the engines would recompute. Eviction is
+    least-recently-used; [find] refreshes recency. O(1) find/add via a hash table over an intrusive
     doubly-linked list. Not domain-safe: the server touches it from the
     admission thread only. *)
 

@@ -55,12 +55,11 @@ type pending = {
 }
 
 (* one coalescing group: every pending request here shares a kernel,
-   a band override and an engine choice, so a flush is one batch *)
+   a band override and an engine choice, so a flush is one batch. A
+   group exists only while it holds requests: the first queued request
+   creates it, and draining its queue drops it. *)
 type group = {
   banded : Registry.packed;  (** kernel with the band override applied *)
-  params_hash : string;
-      (** {!Dphls_core.Fingerprint.params_hash} of [banded], computed once
-          when the group is created *)
   choice : Engines.choice;
   q : pending Queue.t;
 }
@@ -75,8 +74,8 @@ type t = {
   counts : Metrics.t;
       (* the one store of the six serve counts: [cfg.metrics] when it is
          enabled, a private sink otherwise *)
-  groups : (string, group) Hashtbl.t;
-  mutable order : string list;  (* group keys, creation order reversed *)
+  groups : (string, group) Hashtbl.t;  (* the groups holding requests *)
+  mutable order : string list;  (* their keys, creation order reversed *)
   cache : Cache.t;
   mutable pool : Pool.t option;
   mutable next_rid : int;
@@ -290,58 +289,50 @@ let flush_group t g =
 (* --- admission ------------------------------------------------------- *)
 
 (* The group key: kernel, band override ("keep" when there is none) and
-   engine choice. *)
-let find_group t (req : Proto.request) choice ~kid ~(entry : Catalog.entry) =
-  let key =
-    Printf.sprintf "%d|%s|%s" kid
-      (match req.Proto.band with
-      | None -> "keep"
-      | Some b -> Banding.to_string b)
-      (Engines.choice_name choice)
-  in
-  let g =
-    match Hashtbl.find_opt t.groups key with
-    | Some g -> g
-    | None ->
-      let (Registry.Packed (k, p)) = entry.Catalog.packed in
-      let k = Kernel.with_band k req.Proto.band in
-      let g =
-        {
-          banded = Registry.Packed (k, p);
-          params_hash = Dphls_core.Fingerprint.params_hash k p ~n_pe:t.cfg.n_pe;
-          choice;
-          q = Queue.create ();
-        }
-      in
-      Hashtbl.add t.groups key g;
-      t.order <- key :: t.order;
-      g
-  in
-  (key, g)
+   engine choice. Within one server it fixes everything an answer
+   depends on but the two sequences: the catalog parameters cannot
+   change while the process runs, and N_PE is the server's. *)
+let group_key (req : Proto.request) choice ~kid =
+  Printf.sprintf "%d|%s|%s" kid
+    (match req.Proto.band with
+    | None -> "keep"
+    | Some b -> Banding.to_string b)
+    (Engines.choice_name choice)
 
-(* The group key is part of the identity: a forced engine must report
-   its own characteristics (cycles, cigar emptiness), not another
-   backend's cached answer. *)
-let cache_key t ~key g (req : Proto.request) =
-  if Cache.capacity t.cache <= 0 then None
-  else
-    Some
-      (String.concat "|" [ key; g.params_hash; req.Proto.qry; req.Proto.ref_seq ])
+(* the group a request is queued in, created with its first request *)
+let join_group t ~key (req : Proto.request) choice (entry : Catalog.entry) =
+  match Hashtbl.find_opt t.groups key with
+  | Some g -> g
+  | None ->
+    let (Registry.Packed (k, p)) = entry.Catalog.packed in
+    let g =
+      {
+        banded = Registry.Packed (Kernel.with_band k req.Proto.band, p);
+        choice;
+        q = Queue.create ();
+      }
+    in
+    Hashtbl.add t.groups key g;
+    t.order <- key :: t.order;
+    g
+
+(* answer a group's requests and forget the group *)
+let flush_and_drop t key g =
+  let out = flush_group t g in
+  Hashtbl.remove t.groups key;
+  t.order <- List.filter (fun k -> k <> key) t.order;
+  out
 
 let admit t (req : Proto.request) choice ~t_admit ~tr0 =
   let reply code msg =
     end_request_span t ~tr0;
     [ err req.Proto.rid code msg ]
   in
-  match
-    match int_of_string_opt req.Proto.kernel_spec with
-    | Some n -> Catalog.find n
-    | None -> Catalog.find_by_name req.Proto.kernel_spec
-  with
-  | exception Not_found ->
+  match Catalog.lookup req.Proto.kernel_spec with
+  | None ->
     reply Proto.Unknown_kernel
       (Printf.sprintf "no catalog kernel matches %S" req.Proto.kernel_spec)
-  | entry -> (
+  | Some entry -> (
     let kid = Registry.id entry.Catalog.packed in
     match Catalog.text_encoder entry with
     | None ->
@@ -365,7 +356,7 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
         with
         | exception Invalid_argument msg -> reply Proto.Bad_request msg
         | w -> (
-          let key, g = find_group t req choice ~kid ~entry in
+          let key = group_key req choice ~kid in
           let prid =
             match req.Proto.rid with
             | Some r -> r
@@ -373,11 +364,14 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
               t.next_rid <- t.next_rid + 1;
               Printf.sprintf "r%d" t.next_rid
           in
-          let ckey = cache_key t ~key g req in
-          let cached =
-            match ckey with Some k -> Cache.find t.cache k | None -> None
+          (* the group key is part of the identity: a forced engine must
+             report its own characteristics (cycles, cigar emptiness),
+             not another backend's cached answer *)
+          let ckey =
+            if Cache.capacity t.cache <= 0 then None
+            else Some (String.concat "|" [ key; req.Proto.qry; req.Proto.ref_seq ])
           in
-          match cached with
+          match Option.bind ckey (Cache.find t.cache) with
           | Some v ->
             Metrics.incr t.counts Counter.Serve_requests_admitted;
             Metrics.incr t.counts Counter.Serve_cache_hits;
@@ -386,6 +380,9 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
             in
             [ ok_response t pnd v ~cached:true ~done_s:(t.cfg.now ()) ]
           | None ->
+            (* a new group takes this request (queue_depth >= 1), so no
+               group is left without one *)
+            let g = join_group t ~key req choice entry in
             if Queue.length g.q >= t.cfg.queue_depth then begin
               Metrics.incr t.counts Counter.Serve_requests_rejected;
               reply Proto.Overloaded
@@ -406,7 +403,7 @@ let admit t (req : Proto.request) choice ~t_admit ~tr0 =
               Queue.push { prid; w; admit_s = t_admit; tr0; deadline_s; ckey }
                 g.q;
               Metrics.incr t.counts Counter.Serve_requests_admitted;
-              if Queue.length g.q >= t.cfg.batch_max then flush_group t g
+              if Queue.length g.q >= t.cfg.batch_max then flush_and_drop t key g
               else []
             end)))
 
@@ -430,11 +427,14 @@ let submit t line =
           | Ok choice -> admit t req choice ~t_admit ~tr0))
 
 let flush t =
-  List.concat_map
-    (fun key -> flush_group t (Hashtbl.find t.groups key))
-    (List.rev t.order)
-
-let drain = flush
+  let out =
+    List.concat_map
+      (fun key -> flush_group t (Hashtbl.find t.groups key))
+      (List.rev t.order)
+  in
+  Hashtbl.reset t.groups;
+  t.order <- [];
+  out
 
 let pending t =
   Hashtbl.fold (fun _ g acc -> acc + Queue.length g.q) t.groups 0

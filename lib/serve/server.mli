@@ -5,8 +5,11 @@
     stage: it parses one request line, resolves its ["engine"] name
     with [n_pe] ({!Dphls_engines.Engines.of_string}), answers protocol
     errors, cache hits and backpressure rejections immediately, and
-    enqueues the rest. A group reaching [batch_max] pending requests is
-    flushed automatically; {!flush}/{!drain} force the rest out. A flush
+    enqueues the rest. A group exists only while it holds requests: the
+    first queued request creates it, and the flush that drains it drops
+    it, so the server's state stays proportional to its queued work. A
+    group reaching [batch_max] pending requests is flushed
+    automatically; {!flush} forces the rest out. A flush
     pops requests in admission order, answers [deadline_exceeded] for
     any whose deadline passed while queued (they are never run), and
     runs each key once: a survivor whose key is already cached, or
@@ -77,18 +80,15 @@ val submit : t -> string -> Proto.response list
     auto-flush. *)
 
 val flush : t -> Proto.response list
-(** Run every non-empty group now, in group-creation order. *)
-
-val drain : t -> Proto.response list
-(** Graceful-shutdown flush: like {!flush}; the name marks intent at
-    call sites (EOF / signal handling in the CLI). *)
+(** Run every group now, in group-creation order, and drop them all.
+    The CLI calls it at the end of the input. *)
 
 val pending : t -> int
 (** Requests admitted but not yet answered. *)
 
 val close : t -> unit
 (** Shut the worker pool down (if one was started). Does not flush —
-    call {!drain} first. Idempotent. *)
+    call {!flush} first. Idempotent. *)
 
 (** End-of-run operational summary; [dphls serve] prints it on
     shutdown and [--check] gates its exit status on [slo_ok]. The six

@@ -315,8 +315,8 @@ let has_in fs ~check ~severity =
 
 let edit_bindings = K19.bindings K19.default
 
-let check_with_datapath ?host k p cell bindings =
-  Check.run ?host ~max_len:128 ~chars:dna_chars
+let check_with_datapath k p cell bindings =
+  Check.run ~max_len:128 ~chars:dna_chars
     (Registry.Packed ({ k with Kernel.datapath = (fun _ -> (cell, bindings)) }, p))
 
 (* Seeded-broken spec 1: a read outside the {NW, N, W} wavefront stencil
@@ -602,60 +602,6 @@ let test_check_baseline_fresh () =
       "check findings drifted from test/data/check_baseline.json — review the \
        diff and regenerate with `dune exec bin/dphls.exe -- check --all --json`"
 
-(* ---- domain-safety lint + Metrics owner guard ---- *)
-
-let test_domain_safety_lint () =
-  let shared = { Lint.workers = 4; shared_metrics_sink = true } in
-  Alcotest.(check bool) "shared multi-worker sink warned" true
-    (has_in (Lint.domain_safety (Some shared)) ~check:"metrics-domain-safety"
-       ~severity:Report.Warning);
-  Alcotest.(check int) "single worker is fine" 0
-    (List.length (Lint.domain_safety (Some { shared with Lint.workers = 1 })));
-  Alcotest.(check int) "per-domain sinks are fine" 0
-    (List.length
-       (Lint.domain_safety (Some { shared with Lint.shared_metrics_sink = false })));
-  Alcotest.(check int) "no host config, no finding" 0
-    (List.length (Lint.domain_safety None));
-  (* end-to-end through Check.run's ?host *)
-  let r =
-    check_with_datapath ~host:shared K19.kernel K19.default Cells.edit_cell
-      edit_bindings
-  in
-  Alcotest.(check bool) "report carries metrics-domain-safety warning" true
-    (has_finding r ~check:"metrics-domain-safety" ~severity:Report.Warning)
-
-let test_metrics_owner_guard () =
-  let module M = Dphls_obs.Metrics in
-  let module C = Dphls_obs.Counter in
-  let sink = M.create () in
-  let c = C.all.(0) in
-  M.add sink c 1;
-  M.guard_domains true;
-  Fun.protect
-    ~finally:(fun () -> M.guard_domains false)
-    (fun () ->
-      M.add sink c 1;
-      (* owner domain still allowed *)
-      let cross =
-        Domain.join
-          (Domain.spawn (fun () ->
-               match M.add sink c 1 with
-               | () -> None
-               | exception Failure msg -> Some msg))
-      in
-      match cross with
-      | None -> Alcotest.fail "cross-domain bump must fail under the guard"
-      | Some msg ->
-        List.iter
-          (fun part ->
-            Alcotest.(check bool)
-              (Printf.sprintf "guard message mentions %S" part)
-              true (contains msg part))
-          [ C.name c; "domain"; "merge_into" ]);
-  (* guard off: the racy write is permitted again (production default) *)
-  Domain.join (Domain.spawn (fun () -> M.add sink c 1));
-  Alcotest.(check int) "only the successful bumps counted" 3 (M.get sink c)
-
 let suite =
   [
     Alcotest.test_case "interval domain" `Quick test_interval;
@@ -691,6 +637,4 @@ let suite =
       test_json_tamper_detected;
     Alcotest.test_case "check baseline parses and is fresh" `Quick
       test_check_baseline_fresh;
-    Alcotest.test_case "lint: metrics domain safety" `Quick test_domain_safety_lint;
-    Alcotest.test_case "metrics: owner-domain guard" `Quick test_metrics_owner_guard;
   ]

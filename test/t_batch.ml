@@ -43,7 +43,7 @@ let test_ordering_shuffled_costs () =
   let pairs =
     Array.map (fun len -> (String.make len 'A', String.make len 'A')) lengths
   in
-  let results, stats = Batch.align_all_report ~workers:6 pairs in
+  let results, stats, _ = Batch.align_all_overlap_report ~workers:6 pairs in
   Alcotest.(check int) "jobs reported" 60
     stats.Dphls_host.Pool.report.Dphls_host.Scheduler.jobs;
   Array.iteri
@@ -71,7 +71,7 @@ let test_differential_vs_single_call () =
           let batched = Batch.align_all ~engine ~kind ~workers:4 pairs in
           Array.iteri
             (fun i ((query, reference) as _p) ->
-              let solo = Batch.align_one ~engine kind ~query ~reference in
+              let solo = fst (Align.run ~engine kind ~query ~reference) in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s pair %d" engine_name kind_name i)
                 true
@@ -93,34 +93,9 @@ let test_protein_kind () =
   Alcotest.(check int) "blosum score via batch" solo.Align.score
     results.(0).Align.score
 
-(* Streaming iter must visit every pair exactly once, in order, with
-   the same alignments as align_all, even when the chunk size forces
-   several pool dispatches. *)
-let test_iter_streaming_matches_align_all () =
-  let rng = Rng.create 5 in
-  let pairs =
-    Array.init 23 (fun _ ->
-        ( Dphls_alphabet.Dna.to_string
-            (Dphls_alphabet.Dna.random rng (1 + Rng.int rng 20)),
-          Dphls_alphabet.Dna.to_string
-            (Dphls_alphabet.Dna.random rng (1 + Rng.int rng 20)) ))
-  in
-  let reference = Batch.align_all ~workers:3 pairs in
-  let seen = ref [] in
-  Batch.iter ~workers:3 ~chunk:4
-    ~f:(fun idx ~query ~reference:_ a -> seen := (idx, query, a) :: !seen)
-    (Array.to_seq pairs);
-  let seen = List.rev !seen in
-  Alcotest.(check int) "all pairs visited" 23 (List.length seen);
-  List.iteri
-    (fun i (idx, query, a) ->
-      Alcotest.(check int) "indices in order" i idx;
-      Alcotest.(check string) "query matches input" (fst pairs.(i)) query;
-      Alcotest.(check bool) "alignment matches align_all" true
-        (a = reference.(i)))
-    seen
-
-(* FASTA pair file end-to-end through the streaming reader. *)
+(* FASTA pair file end-to-end through the streaming reader: every pair
+   visited once, in order, with the single-call answer, also when the
+   chunk size forces several pool dispatches. *)
 let test_iter_fasta_file () =
   let path = "data/batch_pairs.fa" in
   let records = Dphls_io.Fasta.read_file path in
@@ -137,8 +112,9 @@ let test_iter_fasta_file () =
         (Printf.sprintf "r%d" idx)
         r.Dphls_io.Fasta.id;
       let solo =
-        Batch.align_one Batch.Global ~query:q.Dphls_io.Fasta.sequence
-          ~reference:r.Dphls_io.Fasta.sequence
+        fst
+          (Align.run Batch.Global ~query:q.Dphls_io.Fasta.sequence
+             ~reference:r.Dphls_io.Fasta.sequence)
       in
       Alcotest.(check bool) "matches single call" true (a = solo);
       incr count)
@@ -158,14 +134,59 @@ let test_odd_fasta_rejected () =
            false
          with Failure _ -> true))
 
-(* Measured-vs-modeled scaling points are well-formed (on a 1-core CI
-   box the measured speedup can be anything positive; the modeled side
-   must be the linear N_K law). *)
+(* A fault is raised only after every complete pair read before it has
+   reached [f], whatever the chunk size: an unpaired last record, and a
+   letter the kind cannot align in the second pair's reference. *)
+let test_pairs_before_fault_answered () =
+  List.iter
+    (fun (what, records) ->
+      let path = Filename.temp_file "dphls_fault" ".fa" in
+      Dphls_io.Fasta.write_file path
+        (List.map
+           (fun (id, sequence) -> { Dphls_io.Fasta.id; description = ""; sequence })
+           records);
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          List.iter
+            (fun chunk ->
+              let seen = ref [] in
+              let raised =
+                try
+                  ignore
+                    (Batch.iter_fasta_file ~workers:1 ~chunk ~path
+                       ~f:(fun idx q _ _ -> seen := (idx, q.Dphls_io.Fasta.id) :: !seen)
+                       ());
+                  false
+                with Failure _ -> true
+              in
+              let what = Printf.sprintf "%s, chunk %d" what chunk in
+              Alcotest.(check bool) (what ^ ": raises") true raised;
+              Alcotest.(check (list (pair int string)))
+                (what ^ ": pair 0 answered first") [ (0, "q0") ] (List.rev !seen))
+            [ 1; 256 ]))
+    [
+      ("unpaired last record", [ ("q0", "ACGT"); ("r0", "ACGA"); ("q1", "ACGT") ]);
+      ( "letter outside the alphabet",
+        [ ("q0", "ACGT"); ("r0", "ACGA"); ("q1", "ACGT"); ("r1", "ACGX") ] );
+    ]
+
+(* Measured-vs-modeled scaling points over the pool stats of the same
+   batch at 1, 2 and 4 workers are well-formed (on a 1-core CI box the
+   measured speedup can be anything positive; the modeled side must be
+   the linear N_K law). *)
 let test_scaling_points () =
   let pairs =
     Array.init 12 (fun i -> (String.make (8 + i) 'C', String.make 12 'C'))
   in
-  let points = Batch.scaling ~workers:[ 2; 4 ] pairs in
+  let report workers =
+    let _, stats, _ = Batch.align_all_overlap_report ~workers pairs in
+    stats.Dphls_host.Pool.report
+  in
+  let points =
+    Dphls_host.Throughput.scaling ~baseline:(report 1)
+      (List.map (fun w -> (w, report w)) [ 2; 4 ])
+  in
   Alcotest.(check int) "two points" 2 (List.length points);
   List.iter2
     (fun w (p : Dphls_host.Throughput.scaling_point) ->
@@ -284,10 +305,10 @@ let suite =
     Alcotest.test_case "differential vs single call" `Quick
       test_differential_vs_single_call;
     Alcotest.test_case "protein kind" `Quick test_protein_kind;
-    Alcotest.test_case "iter streaming" `Quick
-      test_iter_streaming_matches_align_all;
     Alcotest.test_case "iter fasta file" `Quick test_iter_fasta_file;
     Alcotest.test_case "odd fasta rejected" `Quick test_odd_fasta_rejected;
+    Alcotest.test_case "pairs before a fault are answered" `Quick
+      test_pairs_before_fault_answered;
     Alcotest.test_case "scaling points" `Quick test_scaling_points;
     Alcotest.test_case "overlap report: slices == align_all" `Quick
       test_overlap_report;

@@ -244,8 +244,15 @@ let test_registry_all_valid () =
     Dphls_kernels.Catalog.ids
 
 let test_registry_lookup () =
-  let e = Dphls_kernels.Catalog.find_by_name "dtw" in
-  Alcotest.(check int) "dtw is #9" 9 (Registry.id e.packed);
+  let id spec =
+    Option.map
+      (fun (e : Dphls_kernels.Catalog.entry) -> Registry.id e.packed)
+      (Dphls_kernels.Catalog.lookup spec)
+  in
+  Alcotest.(check (option int)) "dtw is #9" (Some 9) (id "dtw");
+  Alcotest.(check (option int)) "9 is #9" (Some 9) (id "9");
+  Alcotest.(check (option int)) "no #99" None (id "99");
+  Alcotest.(check (option int)) "no bogus" None (id "bogus");
   Alcotest.(check bool) "find raises" true
     (try
        ignore (Dphls_kernels.Catalog.find 99);

@@ -443,8 +443,10 @@ let test_cli_bad_counts () =
        ([ "batch"; "--pairs"; pairs; "--workers=-5" ], "--workers must be >= 1 (got -5)");
        ( [ "profile"; "-k"; "1"; "--trace"; "/dev/null"; "--workers=-1" ],
          "--workers must be >= 1 (got -1)" );
-       ( [ "check"; "-k"; "1"; "--workers=-3"; "--shared-metrics" ],
-         "--workers must be >= 1 (got -3)" );
+       ([ "gen"; "reads"; "-l"; "0" ], "--length must be >= 1 (got 0)");
+       ([ "gen"; "protein"; "-l"; "0" ], "--length must be >= 1 (got 0)");
+       ([ "gen"; "reads"; "-n"; "0" ], "--count must be >= 1 (got 0)");
+       ([ "gen"; "genome"; "--length=-4" ], "--length must be >= 1 (got -4)");
      ]
     @ List.map
         (fun command -> (command @ [ "--n-pe"; "0" ], "--n-pe must be in 1..1024"))
@@ -472,8 +474,40 @@ let test_cli_bad_counts () =
         [
           [ "batch"; "--pairs"; pairs ];
           [ "profile"; "-k"; "1"; "--trace"; "/dev/null" ];
-          [ "check"; "-k"; "1" ];
-        ])
+        ]
+    @ List.concat_map
+        (fun command ->
+          List.map
+            (fun flag -> (command @ [ flag; "0" ], flag ^ " must be >= 1 (got 0)"))
+            [ "--n-b"; "--n-k" ])
+        [ [ "resources"; "-k"; "1" ]; [ "rtl"; "-k"; "1"; "-o"; "/dev/null" ] ])
+
+(* ---- CLI: -k names a catalog kernel, by number or by name ---- *)
+
+let test_cli_unknown_kernel () =
+  List.iter
+    (fun (command, spec) ->
+      let code, out = run_cli command in
+      let what = String.concat " " command in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (what ^ ": names the spec") true
+        (contains out (Printf.sprintf "unknown kernel %S" spec));
+      Alcotest.(check bool) (what ^ ": points at dphls list") true
+        (contains out "dphls list"))
+    (List.concat_map
+       (fun spec ->
+         List.map
+           (fun command -> (command spec, spec))
+           [
+             (fun k -> [ "align"; "-k"; k; "-q"; "A"; "-r"; "A" ]);
+             (fun k -> [ "cosim"; "-k"; k; "--trials"; "1" ]);
+             (fun k -> [ "vectors"; "gen"; "-k"; k; "-o"; "/dev/null" ]);
+             (fun k -> [ "check"; "-k"; k ]);
+             (fun k -> [ "profile"; "-k"; k; "--trace"; "/dev/null" ]);
+             (fun k -> [ "rtl"; "-k"; k; "-o"; "/dev/null" ]);
+             (fun k -> [ "resources"; "-k"; k ]);
+           ])
+       [ "99"; "no-such-kernel" ])
 
 (* ---- auto answers on the golden engine carry the simulator's cycles ---- *)
 
@@ -721,6 +755,31 @@ let test_cli_malformed_input () =
       ("letter outside the alphabet", ">q0\nACGX\n>r0\nACGA\n", "Dna.encode: 'X'");
       ("empty sequence", ">q0\n>r0\nACGA\n", "empty sequence");
     ];
+  (* every complete pair read before the fault is answered on stdout,
+     whether its chunk was full or not *)
+  List.iter
+    (fun (what, text) ->
+      with_pair_file text (fun path ->
+          List.iter
+            (fun chunk ->
+              let args = [ "batch"; "--pairs"; path; "--workers"; "1" ] @ chunk in
+              let what = String.concat " " (what :: chunk) in
+              let out = Filename.temp_file "dphls_cli" ".tsv" in
+              let code =
+                Sys.command
+                  (Filename.quote_command dphls_exe ~stdin:Filename.null ~stdout:out
+                     ~stderr:Filename.null args)
+              in
+              let rows = In_channel.with_open_text out In_channel.input_all in
+              Sys.remove out;
+              Alcotest.(check int) (what ^ ": exit 2") 2 code;
+              Alcotest.(check bool) (what ^ ": pair 0's row on stdout") true
+                (contains rows "\n0\tq0\tr0\t"))
+            [ [ "--chunk"; "1" ]; [] ]))
+    [
+      ("odd record count", ">q0\nACGT\n>r0\nACGA\n>q1\nACGT\n");
+      ("X in r1", ">q0\nACGT\n>r0\nACGA\n>q1\nACGT\n>r1\nACGX\n");
+    ];
   expect "align -q ''"
     [ "align"; "-k"; "1"; "-q"; ""; "-r"; "ACGT" ]
     "qry and ref must be non-empty"
@@ -763,4 +822,5 @@ let suite =
     Alcotest.test_case "cli: batch --overlap on auto == systolic" `Quick
       test_cli_batch_overlap_engines;
     Alcotest.test_case "cli: malformed input exits 2" `Quick test_cli_malformed_input;
+    Alcotest.test_case "cli: unknown kernel exits 2" `Quick test_cli_unknown_kernel;
   ]

@@ -234,7 +234,7 @@ let prop_batch_differential =
         Array.for_all
           (fun i ->
             let query, reference = pairs.(i) in
-            batched.(i) = Dphls.Batch.align_one ~engine kind ~query ~reference)
+            batched.(i) = fst (Dphls.Align.run ~engine kind ~query ~reference))
           (Array.init n (fun i -> i))
       in
       let baseline_ok =

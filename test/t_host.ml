@@ -110,7 +110,7 @@ let test_pool_empty_batch () =
 
 let test_pool_batch_smaller_than_workers () =
   Pool.with_pool ~workers:8 (fun p ->
-      let results = Pool.map p (fun i -> i * i) 3 in
+      let results = fst (Pool.run p (fun i -> i * i) 3) in
       Alcotest.(check (array int)) "squares" [| 0; 1; 4 |] results)
 
 let test_pool_exception_propagates () =
@@ -120,11 +120,11 @@ let test_pool_exception_propagates () =
     (fun () ->
       Alcotest.(check bool) "exception re-raised, no deadlock" true
         (try
-           ignore (Pool.map ~chunk:1 p (fun i -> if i = 5 then failwith "boom" else i) 10);
+           ignore (Pool.run ~chunk:1 p (fun i -> if i = 5 then failwith "boom" else i) 10);
            false
          with Failure msg -> msg = "boom");
       (* the pool must survive a failing batch *)
-      let again = Pool.map p (fun i -> i + 1) 6 in
+      let again = fst (Pool.run p (fun i -> i + 1) 6) in
       Alcotest.(check (array int)) "pool usable after failure"
         [| 1; 2; 3; 4; 5; 6 |] again)
 
@@ -161,26 +161,6 @@ let test_pool_report_invariants () =
         && r.Scheduler.block_utilization >= 0.0
         && r.Scheduler.block_utilization <= 1.0))
 
-let test_pool_map_seeded_deterministic () =
-  let draw rng _i = Dphls_util.Rng.int rng 1_000_000 in
-  let a =
-    Pool.with_pool ~workers:1 (fun p -> Pool.map_seeded p ~seed:7 draw 40)
-  in
-  let b =
-    Pool.with_pool ~workers:5 (fun p ->
-        Pool.map_seeded ~chunk:1 p ~seed:7 draw 40)
-  in
-  let c =
-    Pool.with_pool ~workers:3 (fun p ->
-        Pool.map_seeded ~chunk:16 p ~seed:7 draw 40)
-  in
-  Alcotest.(check (array int)) "1 worker == 5 workers chunk 1" a b;
-  Alcotest.(check (array int)) "1 worker == 3 workers chunk 16" a c;
-  let other =
-    Pool.with_pool ~workers:1 (fun p -> Pool.map_seeded p ~seed:8 draw 40)
-  in
-  Alcotest.(check bool) "different seed differs" true (a <> other)
-
 let test_pool_invalid_args () =
   Alcotest.(check bool) "workers 0 rejected" true
     (try
@@ -192,14 +172,14 @@ let test_pool_invalid_args () =
   Pool.shutdown p;  (* idempotent *)
   Alcotest.(check bool) "run after shutdown rejected" true
     (try
-       ignore (Pool.map p (fun i -> i) 3);
+       ignore (Pool.run p (fun i -> i) 3);
        false
      with Invalid_argument _ -> true)
 
 let test_pool_large_batch_ordering () =
   Pool.with_pool ~workers:6 (fun p ->
       let n = 500 in
-      let results = Pool.map ~chunk:7 p (fun i -> 3 * i) n in
+      let results = fst (Pool.run ~chunk:7 p (fun i -> 3 * i) n) in
       Alcotest.(check bool) "all slots in input order" true
         (Array.for_all (fun x -> x >= 0) results
         && Array.to_list results = List.init n (fun i -> 3 * i)))
@@ -222,19 +202,22 @@ let prop_slices =
 let test_pool_caller_is_worker_0 () =
   let self () = (Domain.self () :> int) in
   let caller = self () in
-  let on_1 = Pool.with_pool ~workers:1 (fun p -> Pool.map ~chunk:1 p (fun _ -> self ()) 40) in
+  let on_1 =
+    Pool.with_pool ~workers:1 (fun p -> fst (Pool.run ~chunk:1 p (fun _ -> self ()) 40))
+  in
   Alcotest.(check bool) "1 worker: every task on the caller's domain" true
     (Array.for_all (( = ) caller) on_1);
   let on_3 =
     Pool.with_pool ~workers:3 (fun p ->
-        Pool.map ~chunk:1 p
-          (fun _ ->
-            (* long enough for the spawned workers to take some chunks *)
-            let acc = ref 0 in
-            for j = 0 to 20_000 do acc := !acc + (j mod 7) done;
-            ignore (Sys.opaque_identity !acc);
-            self ())
-          200)
+        fst
+          (Pool.run ~chunk:1 p
+             (fun _ ->
+               (* long enough for the spawned workers to take some chunks *)
+               let acc = ref 0 in
+               for j = 0 to 20_000 do acc := !acc + (j mod 7) done;
+               ignore (Sys.opaque_identity !acc);
+               self ())
+             200))
   in
   let domains = List.sort_uniq compare (Array.to_list on_3) in
   Alcotest.(check bool)
@@ -252,8 +235,6 @@ let suite =
       test_pool_exception_propagates;
     Alcotest.test_case "pool report invariants" `Quick
       test_pool_report_invariants;
-    Alcotest.test_case "pool seeded determinism" `Quick
-      test_pool_map_seeded_deterministic;
     Alcotest.test_case "pool invalid args" `Quick test_pool_invalid_args;
     Alcotest.test_case "pool large batch ordering" `Quick
       test_pool_large_batch_ordering;

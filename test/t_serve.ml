@@ -295,7 +295,7 @@ let test_backpressure () =
   Alcotest.(check int) "other kernel unaffected" 0
     (List.length
        (Server.submit server "{\"kernel\":19,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}"));
-  let rs = Server.drain server in
+  let rs = Server.flush server in
   Alcotest.(check int) "drained" 3 (List.length rs);
   List.iter (fun r -> ignore (expect_ok r)) rs;
   let s = Server.summary server in
@@ -398,12 +398,12 @@ let test_autoflush_and_drain_order () =
   for i = 4 to 5 do
     ignore (Server.submit server (req i))
   done;
-  let rest = Server.drain server in
+  let rest = Server.flush server in
   Alcotest.(check (list string)) "drain keeps order" [ "r4"; "r5" ]
     (List.map (fun r -> (expect_ok r).rid) rest);
   Alcotest.(check int) "nothing pending" 0 (Server.pending server);
   Alcotest.(check int) "drain again is empty" 0
-    (List.length (Server.drain server));
+    (List.length (Server.flush server));
   Server.close server
 
 let test_response_fields_by_engine () =
@@ -641,7 +641,7 @@ let prop_protocol_fuzz =
             n + List.length (Server.submit server line))
           0 lines
       in
-      let answered = answered + List.length (Server.drain server) in
+      let answered = answered + List.length (Server.flush server) in
       Server.close server;
       answered = List.length lines && Server.pending server = 0)
 
@@ -673,7 +673,7 @@ let counted_session metrics =
   Alcotest.(check bool) "answered from the cache" true hit.cached;
   submit (line ~kernel:19 "e1" "ACGTACGT");
   submit (line ~kernel:19 "e2" "ACGTTCGT");
-  ignore (Server.drain server);
+  ignore (Server.flush server);
   let s = Server.summary server in
   Server.close server;
   s
@@ -727,7 +727,7 @@ let test_auto_cycles_equal_systolic () =
                qry rf engine))
         pairs
     in
-    let rs = submitted @ Server.drain server in
+    let rs = submitted @ Server.flush server in
     Server.close server;
     List.map expect_ok rs
   in
@@ -774,7 +774,7 @@ let test_sliced_flush_counts () =
              (Printf.sprintf "{\"kernel\":2,\"qry\":%S,\"ref\":%S,\"engine\":%S}"
                 qry rf engine)))
       pairs;
-    ignore (Server.drain server);
+    ignore (Server.flush server);
     Server.close server;
     fun c -> Metrics.get metrics c
   in
@@ -816,7 +816,7 @@ let test_twins_run_once () =
     let metrics = Metrics.create () in
     let server, _clock = make_server ~batch_max ~cache_capacity ~metrics () in
     let submitted = List.concat_map (Server.submit server) mix in
-    let answers = List.map expect_ok (submitted @ Server.drain server) in
+    let answers = List.map expect_ok (submitted @ Server.flush server) in
     Server.close server;
     let s = Server.summary server in
     (answers, Metrics.get metrics Counter.Alignments, s.Server.cache_hits)
@@ -840,6 +840,33 @@ let test_twins_run_once () =
     (aligned_off, hits_off);
   Alcotest.(check bool) "cache off: nothing answered cached" true
     (List.for_all (fun o -> not o.cached) uncached)
+
+(* A group lives only while it holds requests: 2,000 requests, each in
+   a group of its own (distinct fixed band widths) and each run at once
+   (batch 1, cache off), leave the server no larger than the first
+   one did. *)
+let test_state_only_for_queued_work () =
+  let server, _clock = make_server ~batch_max:1 ~cache_capacity:0 () in
+  let submit width =
+    Printf.sprintf
+      "{\"kernel\":1,\"qry\":\"ACGTAC\",\"ref\":\"ACGAAC\",\"band\":{\"mode\":\"fixed\",\"width\":%d}}"
+      width
+    |> Server.submit server |> one |> expect_ok |> ignore
+  in
+  submit 1;
+  let words () = Obj.reachable_words (Obj.repr server) in
+  let after_first = words () in
+  for width = 2 to 2000 do
+    submit width
+  done;
+  let after_all = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "reachable words %d -> %d (within 1000)" after_first after_all)
+    true
+    (abs (after_all - after_first) <= 1000);
+  Alcotest.(check int) "nothing pending" 0 (Server.pending server);
+  Alcotest.(check int) "nothing left to flush" 0 (List.length (Server.flush server));
+  Server.close server
 
 let suite =
   [
@@ -874,4 +901,6 @@ let suite =
     Alcotest.test_case "server: sliced flush counts like its engine" `Quick
       test_sliced_flush_counts;
     Alcotest.test_case "server: queued twins run once" `Quick test_twins_run_once;
+    Alcotest.test_case "server: state only for queued work" `Quick
+      test_state_only_for_queued_work;
   ]
